@@ -22,7 +22,6 @@ from .cavity import (
     MirrorSpec,
     airy,
     coefficient_of_finesse,
-    extra_cavity_phase,
     free_spectral_range,
     mode_width,
     round_trip_phase_mismatch,
@@ -54,7 +53,6 @@ from .doubly_resonant import (
     jsa_dr_partial,
     jsi_doubly_resonant,
     phase_balancing,
-    y_factor,
 )
 from .spectral import (
     FilterSpec,
@@ -82,6 +80,4 @@ from .temporal import (
     joint_temporal_intensity,
     jsa_singly_resonant_rotated,
     time_difference_marginal,
-    to_rotated_coordinates,
-    to_signal_idler_coordinates,
 )

@@ -6,20 +6,15 @@ mu in {signal, idler, pump} and mirror nu in {1, 2} a complex amplitude
 reflectivity r = |r| exp(i delta) is stored; transmissivities follow the
 lossless relation |t|^2 = 1 - |r|^2.
 
-Round-trip phase factor for the SPDC modes:
+Round-trip phase factor of every mode (signal, idler and pump):
 
-    Delta_mu(omega) = 2 theta_mu(omega) + delta_1mu + delta_2mu - Gamma_mu
+    Delta_mu(omega) = 2 theta_mu(omega) + delta_1mu + delta_2mu
 
 with theta_mu = omega (L - l)/c + l n_mu(omega) omega / c the single-pass
-phase.  Gamma_mu is the free-space phase rate accumulated outside the cavity
-per round trip; its literal frozen-slowness form 2 k'(omega_0) L omega
-cancels the round-trip phase slope near the band center and with it the
-whole resonance comb, so the default convention sets Gamma to zero (a pure
-relabeling of the mirror phase origin).  The frozen convention remains
-available through CavitySpec.gamma_convention for algebraic studies.
-
-The pump mode uses Delta_p(omega) = 2 theta_p + delta_1p + delta_2p with no
-Gamma term.
+phase.  The paper's extra-cavity phase rate Gamma_mu is set to zero, a pure
+relabeling of the mirror phase origin: its literal frozen-slowness form
+2 k'(omega_0) L omega would cancel the round-trip phase slope near the band
+center and with it the whole resonance comb.
 """
 
 from __future__ import annotations
@@ -30,13 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constants import c
-from .dispersion import group_slowness, polarization_for_mode, refractive_index
-from .errors import (
-    DivergenceError,
-    InfiniteWidthError,
-    PhaseRelaxationWarning,
-    UnsupportedConfigurationError,
-)
+from .dispersion import polarization_for_mode, refractive_index
+from .errors import DivergenceError, InfiniteWidthError, PhaseRelaxationWarning
 
 __all__ = [
     "MODES",
@@ -44,7 +34,6 @@ __all__ = [
     "CavitySpec",
     "singly_resonant_cavity",
     "single_pass_phase",
-    "extra_cavity_phase",
     "round_trip_phase_mismatch",
     "coefficient_of_finesse",
     "airy",
@@ -85,15 +74,11 @@ class CavitySpec:
 
     mirrors maps (nu, mode) with nu in {1, 2} and mode in MODES to a
     MirrorSpec.  Missing entries default to a perfectly transmissive mirror.
-    band_centers supplies the per-mode expansion frequency omega_0 required
-    by the frozen Gamma convention.
     """
 
     length_L: float
     crystal: object
     mirrors: dict = field(default_factory=dict)
-    gamma_convention: str = "zero"
-    band_centers: dict | None = None
 
     def __post_init__(self):
         if self.length_L < self.crystal.length_l:
@@ -101,8 +86,6 @@ class CavitySpec:
                 f"cavity length {self.length_L} shorter than crystal length "
                 f"{self.crystal.length_l}"
             )
-        if self.gamma_convention not in ("zero", "frozen"):
-            raise ValueError(f"unknown gamma convention {self.gamma_convention!r}")
         for key in self.mirrors:
             nu, mode = key
             if nu not in (1, 2) or mode not in MODES:
@@ -123,7 +106,7 @@ class CavitySpec:
         return replace(self, mirrors=mirrors)
 
 
-def singly_resonant_cavity(length_L, crystal, r2_signal, r2_idler=None, **kwargs):
+def singly_resonant_cavity(length_L, crystal, r2_signal, r2_idler=None):
     """Singly-resonant preset: mirror 1 perfect for SPDC, both mirrors open for the pump."""
     if r2_idler is None:
         r2_idler = r2_signal
@@ -135,7 +118,7 @@ def singly_resonant_cavity(length_L, crystal, r2_signal, r2_idler=None, **kwargs
         (1, "pump"): MirrorSpec(0.0),
         (2, "pump"): MirrorSpec(0.0),
     }
-    return CavitySpec(length_L, crystal, mirrors, **kwargs)
+    return CavitySpec(length_L, crystal, mirrors)
 
 
 def single_pass_phase(cavity, omega, mode):
@@ -147,52 +130,16 @@ def single_pass_phase(cavity, omega, mode):
     return theta if theta.ndim else float(theta)
 
 
-def extra_cavity_phase(cavity, omega, mode):
-    """Extra-cavity phase-rate coefficient 2 k'(omega) L, seconds.
-
-    Only defined for L = l; the free-space segment of a longer cavity has no
-    counterpart in the underlying round-trip bookkeeping.
-    """
-    if cavity.length_L != cavity.crystal.length_l:
-        raise UnsupportedConfigurationError(
-            "extra-cavity phase coefficient is only defined for L = l "
-            f"(L={cavity.length_L}, l={cavity.crystal.length_l})"
-        )
-    kp = group_slowness(cavity.crystal, omega, polarization_for_mode(mode))
-    return 2.0 * kp * cavity.length_L
-
-
-def _gamma_phase(cavity, omega, mode):
-    """Gamma_mu as a phase (radians) under the cavity's convention."""
-    if cavity.gamma_convention == "zero" or mode == "pump":
-        return np.zeros_like(np.asarray(omega, dtype=float)) if np.ndim(omega) else 0.0
-    centers = cavity.band_centers or {}
-    if mode not in centers:
-        raise UnsupportedConfigurationError(
-            f"frozen gamma convention requires a band center for mode {mode!r}"
-        )
-    omega0 = centers[mode]
-    kp0 = group_slowness(cavity.crystal, omega0, polarization_for_mode(mode))
-    l = cavity.crystal.length_l
-    rate = 2.0 * (kp0 * l + (cavity.length_L - l) / c)
-    omega = np.asarray(omega, dtype=float)
-    gamma = rate * omega
-    return gamma if gamma.ndim else float(gamma)
-
-
 def round_trip_phase_mismatch(cavity, omega, mode):
-    """Phase factor Delta_mu(omega); resonances sit at even multiples of pi.
+    """Phase factor Delta_mu(omega) = 2 theta_mu + delta_1mu + delta_2mu.
 
-    Signal/idler: 2 theta + delta_1 + delta_2 - Gamma.  Pump: 2 theta_p +
-    delta_1p + delta_2p.  Returned unfolded (no 2 pi reduction).
+    Resonances sit at even multiples of pi.  Returned unfolded (no 2 pi
+    reduction).
     """
     theta = single_pass_phase(cavity, omega, mode)
     d1 = cavity.mirror(1, mode).phase
     d2 = cavity.mirror(2, mode).phase
-    delta = 2.0 * theta + d1 + d2
-    if mode != "pump":
-        delta = delta - _gamma_phase(cavity, omega, mode)
-    return delta
+    return 2.0 * theta + d1 + d2
 
 
 def coefficient_of_finesse(r_eff):

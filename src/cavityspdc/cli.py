@@ -30,7 +30,7 @@ from .brightness import (
 from .cavity import airy, free_spectral_range, mode_width
 from .config import load_config
 from .constants import c
-from .dispersion import refractive_index
+from .dispersion import group_slowness
 from .design import design_source, report_design, spectral_check
 from .doubly_resonant import jsi_doubly_resonant
 from .errors import CavitySpdcError, ConfigError
@@ -134,8 +134,9 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
         (omega_s0 - omega_i0) - minus_half, (omega_s0 - omega_i0) + minus_half, n_minus
     )
     rot = jsa_singly_resonant_rotated(cavity, pump, filters, plus, minus)
-    n0 = refractive_index(crystal, omega_s0, "ordinary")
-    round_trip = 2 * (crystal.length_l * n0 + (cavity.length_L - crystal.length_l)) / c
+    # The comb sits at the group round trip 2 (l k'(omega_0) + (L - l)/c).
+    kp0 = group_slowness(crystal, omega_s0, "ordinary")
+    round_trip = 2 * (crystal.length_l * kp0 + (cavity.length_L - crystal.length_l) / c)
     tgrid = joint_temporal_intensity(rot, round_trip_time=round_trip)
     marg = time_difference_marginal(tgrid)
     peaks = extract_peaks(marg.axis, marg.density, prominence)

@@ -70,8 +70,6 @@ _SCHEMA = {
     ],
     "cavity": [
         _quantity("length", _LENGTH, lo=0.0),
-        _bare("r1_signal", "float", lo=0.0, hi=1.0, default=1.0),
-        _bare("r1_idler", "float", lo=0.0, hi=1.0, default=1.0),
         _bare("r2_signal", "float", lo=0.0, hi=1.0, default=0.0),
         _bare("r2_idler", "float", lo=0.0, hi=1.0, default=0.0),
         _bare("r1_pump", "float", lo=0.0, hi=1.0, default=0.0),
@@ -297,7 +295,12 @@ class RunConfig:
         mirrors = {}
         for nu in (1, 2):
             for mode in ("signal", "idler", "pump"):
-                mag = sec.get(f"r{nu}_{mode}", _default_for("cavity", f"r{nu}_{mode}"))
+                # Mirror 1 reflects signal and idler fully: the SR and DR
+                # intensities depend on |r_2| alone.
+                if nu == 1 and mode != "pump":
+                    mag = 1.0
+                else:
+                    mag = sec.get(f"r{nu}_{mode}", _default_for("cavity", f"r{nu}_{mode}"))
                 phase = sec.get(f"phase_r{nu}_{mode}", 0.0)
                 mirrors[(nu, mode)] = MirrorSpec(mag, phase)
         cavity = CavitySpec(length, crystal, mirrors)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import c
 from .errors import DispersionWindowError, NotPhasematchableError
@@ -165,6 +164,51 @@ def group_slowness(crystal, omega, polarization):
     return kp if np.ndim(omega) else float(kp)
 
 
+def _brent_root(f, xa, xb, f_a, f_b, xtol, rtol):
+    """Root of f in [xa, xb] by Brent's method; f_a = f(xa) and f_b = f(xb) differ in sign.
+
+    Same iteration, step rules and stopping test as scipy.optimize.brentq,
+    so on IEEE doubles it returns the same root to the last bit.
+    """
+    xpre, xcur, fpre, fcur = xa, xb, f_a, f_b
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NotPhasematchableError("phasematching root search did not converge in 100 steps")
+
+
 def phasematching_angle(crystal, omega_p0, omega_s0, omega_i0):
     """Cut angle solving collinear type-I phasematching k_p - k_s - k_i = 0.
 
@@ -195,7 +239,7 @@ def phasematching_angle(crystal, omega_p0, omega_s0, omega_i0):
             f"phase mismatch does not change sign on [0, pi/2] "
             f"(dk(0)={f_lo:.3e}, dk(pi/2)={f_hi:.3e} rad/m)"
         )
-    theta = brentq(mismatch, lo, hi, xtol=1e-12, rtol=1e-15)
+    theta = _brent_root(mismatch, lo, hi, f_lo, f_hi, xtol=1e-12, rtol=1e-15)
     residual = mismatch(theta)
     if abs(residual) > 1.0:
         raise NotPhasematchableError(f"root residual too large: {residual:.3e} rad/m")

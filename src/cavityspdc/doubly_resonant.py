@@ -9,8 +9,9 @@ geometric series in q = r_1p r_2p e^{i 2 theta_p}; its closed forms are
     f_DR        = t_1p e^{i gamma_p}
                    (1 + r_2p r_1s r_1i e^{i(theta_si + theta_p)})/(1 - q) f_SR,
 
-with Y = 1 + r_1p^{-1} r_1s r_1i e^{i(theta_si - theta_p)}.  All code paths
-use the pre-multiplied product Y r_1p, which stays finite at r_1p = 0.
+with Y = 1 + r_1p^{-1} r_1s r_1i e^{i(theta_si - theta_p)}.  Y itself
+diverges at r_1p = 0, so the code only forms the pre-multiplied product
+Y r_1p, which stays finite there.
 
 The intensity factorizes as S_DR = A_s A_i A_p(omega_s + omega_i) P |f|^2,
 where P is the phase-balancing weight between consecutive pump passes.
@@ -25,11 +26,10 @@ import numpy as np
 from .cavity import airy, single_pass_phase
 from .constants import c
 from .errors import DivergenceError
-from .spectral import SpectralGrid, _warn_if_under_resolved, jsa_bare, sr_amplitude_factor
+from .spectral import SpectralGrid, _jsa_sr_pointwise, _warn_if_under_resolved, jsa_bare
 
 __all__ = [
     "DrPhaseContext",
-    "y_factor",
     "jsa_dr_partial",
     "jsa_dr_limit",
     "phase_balancing",
@@ -85,19 +85,6 @@ def _r1_si_product(ctx, cavity):
     )
 
 
-def y_factor(ctx, cavity):
-    """Consecutive-pass grouping factor Y = 1 + r_1p^{-1} r_1s r_1i e^{i(theta_si - theta_p)}.
-
-    Diverges at r_1p = 0; callers working near that point must use the
-    pre-multiplied grouped form inside jsa_dr_partial / jsa_dr_limit.
-    """
-    r1p = cavity.mirror(1, "pump")
-    if r1p.magnitude < 1e-12:
-        raise DivergenceError("Y contains 1/r_1p and is undefined at r_1p = 0")
-    r1p_c = r1p.magnitude * np.exp(1j * ctx.delta_1p)
-    return 1.0 + _r1_si_product(ctx, cavity) / r1p_c * np.exp(1j * (ctx.theta_si - ctx.theta_p))
-
-
 def _pump_round_trip(ctx, cavity):
     """q = r_1p r_2p e^{i 2 theta_p} and the grouped product Y r_1p."""
     r1p = cavity.mirror(1, "pump")
@@ -122,7 +109,8 @@ def jsa_dr_partial(cavity, pump, filters, omega_s, omega_i, n_groups):
     else:
         geom = (1.0 - q**n_groups) / (1.0 - q)
         bracket = 1.0 + y_r1p * r2p_c * np.exp(2j * ctx.theta_p) * geom
-    return t1p * np.exp(1j * ctx.gamma_p) * bracket * _f_sr(cavity, pump, filters, omega_s, omega_i)
+    f_sr = _jsa_sr_pointwise(cavity, pump, filters, omega_s, omega_i)
+    return t1p * np.exp(1j * ctx.gamma_p) * bracket * f_sr
 
 
 def jsa_dr_limit(cavity, pump, filters, omega_s, omega_i):
@@ -136,15 +124,7 @@ def jsa_dr_limit(cavity, pump, filters, omega_s, omega_i):
         * np.exp(1j * ctx.gamma_p)
         * numerator
         / (1.0 - q)
-        * _f_sr(cavity, pump, filters, omega_s, omega_i)
-    )
-
-
-def _f_sr(cavity, pump, filters, omega_s, omega_i):
-    return (
-        jsa_bare(pump, cavity.crystal, filters, omega_s, omega_i)
-        * sr_amplitude_factor(cavity, omega_s, "signal")
-        * sr_amplitude_factor(cavity, omega_i, "idler")
+        * _jsa_sr_pointwise(cavity, pump, filters, omega_s, omega_i)
     )
 
 

@@ -17,10 +17,6 @@ class DivergenceError(CavitySpdcError):
     """A geometric sum or Airy expression diverges (unit reflectivity)."""
 
 
-class UnsupportedConfigurationError(CavitySpdcError):
-    """The requested quantity is only defined for a restricted geometry."""
-
-
 class InfiniteWidthError(CavitySpdcError):
     """Cavity mode width is unbounded (zero coefficient of finesse)."""
 

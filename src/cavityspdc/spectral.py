@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import _gamma_phase, airy, mode_width, round_trip_phase_mismatch
+from .cavity import airy, mode_width, round_trip_phase_mismatch
 from .constants import c
 from .dispersion import wavevector
 from .errors import DivergenceError, UnderResolutionWarning
@@ -229,29 +229,31 @@ def sr_amplitude_factor_finite(cavity, omega, mode, n_passes):
 
     Closed form of the geometric sum over exit paths:
 
-        A = t_2 e^{i [gamma + (n-1) Gamma]} (1 - rho^n) / (1 - rho),
+        A = t_2 e^{i gamma} (1 - rho^n) / (1 - rho),
         rho = |r_2| e^{i Delta_mu(omega)}.
     """
     if n_passes < 1:
         raise ValueError("n_passes must be >= 1")
     m2, rho = _sr_ratio(cavity, omega, mode)
-    phase = _gamma_free_space(cavity, omega) + (n_passes - 1) * np.asarray(
-        _gamma_phase(cavity, omega, mode)
-    )
+    phase = _gamma_free_space(cavity, omega)
     out = m2.transmissivity * np.exp(1j * phase) * (1.0 - rho**n_passes) / (1.0 - rho)
     return out if np.ndim(out) else complex(out)
 
 
 def sr_amplitude_factor(cavity, omega, mode):
-    """Many-pass limit of A_mu^(n): t_2 e^{i gamma} / (1 - rho).
-
-    Drops the pass-counting extra-cavity phase e^{i (n-1) Gamma}, which has
-    no n -> infinity limit when Gamma is nonzero; it cancels in every
-    intensity and amounts to a shift of the arrival-time origin.
-    """
+    """Many-pass limit of A_mu^(n): t_2 e^{i gamma} / (1 - rho)."""
     m2, rho = _sr_ratio(cavity, omega, mode)
     out = m2.transmissivity * np.exp(1j * _gamma_free_space(cavity, omega)) / (1.0 - rho)
     return out if np.ndim(out) else complex(out)
+
+
+def _jsa_sr_pointwise(cavity, pump, filters, omega_s, omega_i):
+    """Many-pass amplitude f_SR = f A_s A_i at matching arrays of (omega_s, omega_i)."""
+    return (
+        jsa_bare(pump, cavity.crystal, filters, omega_s, omega_i)
+        * sr_amplitude_factor(cavity, omega_s, "signal")
+        * sr_amplitude_factor(cavity, omega_i, "idler")
+    )
 
 
 def _warn_if_under_resolved(cavity, grid, where):

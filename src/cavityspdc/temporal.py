@@ -22,24 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.signal import find_peaks
 
 from .errors import EmptyPeakSetError, UnderResolvedError
-from .spectral import (
-    Marginal,
-    SpectralGrid,
-    check_uniform_axis as _check_uniform_axis,
-    jsa_bare,
-    sr_amplitude_factor,
-)
+from .spectral import Marginal, _jsa_sr_pointwise, check_uniform_axis as _check_uniform_axis
 
 __all__ = [
     "RotatedGrid",
     "TemporalGrid",
     "PeakSet",
-    "to_rotated_coordinates",
-    "to_signal_idler_coordinates",
     "jsa_singly_resonant_rotated",
     "joint_temporal_intensity",
     "time_difference_marginal",
@@ -130,77 +120,19 @@ class PeakSet:
             raise ValueError("heights must be positive")
 
 
-def _interpolator(axis_i, axis_s, values):
-    if np.iscomplexobj(values):
-        re = RegularGridInterpolator(
-            (axis_i, axis_s), values.real, bounds_error=False, fill_value=0.0
-        )
-        im = RegularGridInterpolator(
-            (axis_i, axis_s), values.imag, bounds_error=False, fill_value=0.0
-        )
-        return lambda pts: re(pts) + 1j * im(pts)
-    return RegularGridInterpolator((axis_i, axis_s), values, bounds_error=False, fill_value=0.0)
-
-
-def to_rotated_coordinates(grid, samples_plus=None, samples_minus=None, plus_window=None):
-    """Resample a (omega_s, omega_i) amplitude onto uniform (omega_plus, omega_minus) axes.
-
-    Bilinear interpolation with zero fill outside the original support.  The
-    plus axis spans the full rotated support unless plus_window=(lo, hi)
-    restricts it (useful when a narrow pump envelope bounds omega_plus).
-    Sample counts default to twice the input axis lengths, which keeps the
-    rotated cell area equal to the input cell area.
-    """
-    s_axis, i_axis = grid.omega_s_axis, grid.omega_i_axis
-    if samples_plus is None:
-        samples_plus = 2 * s_axis.size
-    if samples_minus is None:
-        samples_minus = 2 * i_axis.size
-    lo_p, hi_p = s_axis[0] + i_axis[0], s_axis[-1] + i_axis[-1]
-    if plus_window is not None:
-        lo_p, hi_p = max(lo_p, plus_window[0]), min(hi_p, plus_window[1])
-        if not lo_p < hi_p:
-            raise ValueError("plus_window does not overlap the rotated support")
-    lo_m, hi_m = s_axis[0] - i_axis[-1], s_axis[-1] - i_axis[0]
-    plus = np.linspace(lo_p, hi_p, samples_plus)
-    minus = np.linspace(lo_m, hi_m, samples_minus)
-    interp = _interpolator(i_axis, s_axis, grid.values)
-    mm, pp = np.meshgrid(minus, plus, indexing="ij")
-    omega_s = (pp + mm) / 2.0
-    omega_i = (pp - mm) / 2.0
-    values = interp(np.stack([omega_i.ravel(), omega_s.ravel()], axis=-1)).reshape(mm.shape)
-    return RotatedGrid(plus, minus, values)
-
-
 def jsa_singly_resonant_rotated(cavity, pump, filters, omega_plus_axis, omega_minus_axis):
     """Singly-resonant joint amplitude evaluated directly on a rotated lattice.
 
-    Equivalent to rotating jsa_singly_resonant but free of interpolation
-    loss, which matters for high-finesse combs; preferred input for the
-    temporal transform.
+    Sampling the rotated axes directly avoids any resampling of a
+    (omega_s, omega_i) grid, which would blur high-finesse combs; this is the
+    input of the temporal transform.
     """
     plus = _check_uniform_axis(omega_plus_axis, "omega_plus_axis")
     minus = _check_uniform_axis(omega_minus_axis, "omega_minus_axis")
     mm, pp = np.meshgrid(minus, plus, indexing="ij")
     omega_s = (pp + mm) / 2.0
     omega_i = (pp - mm) / 2.0
-    values = (
-        jsa_bare(pump, cavity.crystal, filters, omega_s, omega_i)
-        * sr_amplitude_factor(cavity, omega_s, "signal")
-        * sr_amplitude_factor(cavity, omega_i, "idler")
-    )
-    return RotatedGrid(plus, minus, values)
-
-
-def to_signal_idler_coordinates(rot, omega_s_axis, omega_i_axis):
-    """Inverse resampling of a rotated grid back onto (omega_s, omega_i) axes."""
-    omega_s_axis = _check_uniform_axis(omega_s_axis, "omega_s_axis")
-    omega_i_axis = _check_uniform_axis(omega_i_axis, "omega_i_axis")
-    interp = _interpolator(rot.omega_minus_axis, rot.omega_plus_axis, rot.values)
-    ss, ii = np.meshgrid(omega_s_axis, omega_i_axis)
-    pts = np.stack([(ss - ii).ravel(), (ss + ii).ravel()], axis=-1)
-    values = interp(pts).reshape(ii.shape)
-    return SpectralGrid(omega_s_axis, omega_i_axis, values)
+    return RotatedGrid(plus, minus, _jsa_sr_pointwise(cavity, pump, filters, omega_s, omega_i))
 
 
 def joint_temporal_intensity(rot, round_trip_time=None, pad_plus=None, pad_minus=None):
@@ -251,17 +183,19 @@ def time_difference_marginal(tgrid):
 
 
 def extract_peaks(axis, values, min_prominence=1e-4):
-    """Local maxima of a sampled density above min_prominence * global max.
+    """Local maxima of a sampled density at or above min_prominence * global max.
 
-    Positions are refined by three-point parabolic interpolation around each
-    maximum.  Raises EmptyPeakSetError when nothing qualifies.
+    A sample is a maximum when it exceeds both neighbours, so the end samples
+    never are.  Positions are refined by three-point parabolic interpolation
+    around each maximum.  Raises EmptyPeakSetError when nothing qualifies.
     """
     axis = np.asarray(axis, dtype=float)
     values = np.asarray(values, dtype=float)
     if np.any(values < 0):
         raise ValueError("density must be non-negative")
     threshold = min_prominence * values.max()
-    idx, _ = find_peaks(values, height=threshold)
+    inner = values[1:-1]
+    idx = np.flatnonzero((inner > values[:-2]) & (inner > values[2:]) & (inner >= threshold)) + 1
     if idx.size == 0:
         raise EmptyPeakSetError(
             f"no peaks above {min_prominence:g} of the global maximum"

@@ -49,9 +49,10 @@ def grid_257(filters):
 
 
 def cavity_round_trip_time(cavity, omega0):
+    """Group round trip 2 (l k'(omega0) + (L - l)/c): the comb spacing in t_minus."""
     crystal = cavity.crystal
-    n0 = cs.refractive_index(crystal, omega0, "ordinary")
-    return 2 * (crystal.length_l * n0 + (cavity.length_L - crystal.length_l)) / c
+    kp0 = cs.group_slowness(crystal, omega0, "ordinary")
+    return 2 * (crystal.length_l * kp0 + (cavity.length_L - crystal.length_l) / c)
 
 
 def run_temporal_pipeline(crystal, r2, pump, filters, per_width=8, minus_span=3.0,

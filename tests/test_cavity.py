@@ -3,12 +3,7 @@ import pytest
 
 import cavityspdc as cs
 from cavityspdc.constants import c
-from cavityspdc.errors import (
-    DivergenceError,
-    InfiniteWidthError,
-    PhaseRelaxationWarning,
-    UnsupportedConfigurationError,
-)
+from cavityspdc.errors import DivergenceError, InfiniteWidthError, PhaseRelaxationWarning
 
 from conftest import OMEGA_800
 
@@ -47,27 +42,6 @@ class TestSinglePassPhase:
         )
 
 
-class TestExtraCavityPhase:
-    def test_coefficient_value(self, sr_cavity, crystal):
-        kp = cs.group_slowness(crystal, OMEGA_800, "ordinary")
-        coeff = cs.extra_cavity_phase(sr_cavity, OMEGA_800, "signal")
-        assert coeff == pytest.approx(2 * kp * 20e-6, rel=1e-12)
-        assert coeff == pytest.approx(2.244e-13, rel=0.02)
-        assert coeff > 0
-
-    def test_dispersionless_reduces_to_transit_time(self):
-        flat = cs.CrystalSpec((2.25, 0.0, 1.0, 0.0), (2.25, 0.0, 1.0, 0.0), 0.0, 20e-6)
-        cav = cs.CavitySpec(20e-6, flat)
-        assert cs.extra_cavity_phase(cav, OMEGA_800, "signal") == pytest.approx(
-            2 * 1.5 * 20e-6 / c, rel=1e-9
-        )
-
-    def test_requires_equal_lengths(self, crystal):
-        cav = cs.CavitySpec(40e-6, crystal)
-        with pytest.raises(UnsupportedConfigurationError):
-            cs.extra_cavity_phase(cav, OMEGA_800, "signal")
-
-
 class TestRoundTripPhase:
     def test_solved_phases_vanish_at_center(self, sr_cavity):
         assert two_pi_residual(
@@ -87,26 +61,6 @@ class TestRoundTripPhase:
         assert two_pi_residual(
             cs.round_trip_phase_mismatch(dr_cavity, 2 * OMEGA_800, "pump")
         ) < 1e-9
-
-    def test_frozen_gamma_flattens_phase_slope(self, crystal):
-        # the frozen convention cancels the phase slope at the band center,
-        # which is exactly why it cannot reproduce the resonance comb
-        mirrors = {(1, "signal"): cs.MirrorSpec(1.0), (2, "signal"): cs.MirrorSpec(0.5)}
-        frozen = cs.CavitySpec(
-            20e-6, crystal, mirrors, gamma_convention="frozen", band_centers={"signal": OMEGA_800}
-        )
-        plain = cs.CavitySpec(20e-6, crystal, mirrors)
-        h = 1e-6 * OMEGA_800
-        slope_frozen = (
-            cs.round_trip_phase_mismatch(frozen, OMEGA_800 + h, "signal")
-            - cs.round_trip_phase_mismatch(frozen, OMEGA_800 - h, "signal")
-        ) / (2 * h)
-        slope_plain = (
-            cs.round_trip_phase_mismatch(plain, OMEGA_800 + h, "signal")
-            - cs.round_trip_phase_mismatch(plain, OMEGA_800 - h, "signal")
-        ) / (2 * h)
-        assert abs(slope_frozen) < 1e-3 * abs(slope_plain)
-
 
 class TestFinesse:
     @pytest.mark.parametrize(

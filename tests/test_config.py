@@ -78,9 +78,11 @@ class TestLoadConfig:
         assert "twice" in str(err.value)
 
     def test_unknown_key_names_key_and_section(self, tmp_path):
-        with pytest.raises(ConfigError) as err:
-            load_config(write(tmp_path, "[pump]\ncolour = blue\n"))
-        assert "colour" in str(err.value) and "[pump]" in str(err.value)
+        # mirror 1 reflects signal and idler fully, so r1_signal is no key
+        for section, key in (("pump", "colour = blue"), ("cavity", "r1_signal = 0.5")):
+            with pytest.raises(ConfigError) as err:
+                load_config(write(tmp_path, f"[{section}]\n{key}\n"))
+            assert key.split()[0] in str(err.value) and f"[{section}]" in str(err.value)
 
     def test_missing_unit_suffix(self, tmp_path):
         with pytest.raises(ConfigError) as err:

@@ -166,6 +166,31 @@ class TestPhasematchingAngle:
         eps = 1e-6
         assert mismatch(theta - eps) * mismatch(theta + eps) < 0
 
+    @pytest.mark.parametrize(
+        "lam_p,lam_s", [(400e-9, 800e-9), (397e-9, 854.2e-9), (405e-9, 810e-9), (355e-9, 700e-9)]
+    )
+    def test_matches_brentq_root(self, lam_p, lam_s):
+        # two oracles: scipy's brentq (a test-only dependency) on the same
+        # mismatch, and the index-ellipse closed form
+        # sin^2(theta) = (n^-2 - n_o^-2) / (n_e^-2 - n_o^-2), n = c (k_s + k_i) / w_p
+        from scipy.optimize import brentq
+
+        lam_i = 1.0 / (1 / lam_p - 1 / lam_s)
+        w_p, w_s, w_i = omega_of(lam_p), omega_of(lam_s), omega_of(lam_i)
+        flat = cs.bbo(0.0, 20e-6)
+        theta = cs.phasematching_angle(flat, w_p, w_s, w_i)
+        k_si = cs.wavevector(flat, w_s, "ordinary") + cs.wavevector(flat, w_i, "ordinary")
+
+        def mismatch(angle):
+            return cs.wavevector(cs.bbo(angle, 20e-6), w_p, "extraordinary") - k_si
+
+        root = brentq(mismatch, 0.0, np.pi / 2, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+        assert abs(theta - root) <= 1e-12
+        n = c * k_si / w_p
+        n_o, n_e = sellmeier_oracle(lam_p * 1e6), sellmeier_oracle(lam_p * 1e6, extraordinary=True)
+        sin2 = (n**-2 - n_o**-2) / (n_e**-2 - n_o**-2)
+        assert abs(theta - np.arcsin(np.sqrt(sin2))) <= 1e-12
+
     def test_not_phasematchable(self):
         # 1000 -> 2x2000 nm sits outside what the BBO birefringence can reach
         with pytest.raises(NotPhasematchableError):

@@ -35,57 +35,6 @@ class TestPhaseContext:
         assert ctx.delta_1s == dr_cavity.mirror(1, "signal").phase
 
 
-class TestYFactor:
-    def test_aligned_phases(self, crystal):
-        # unit reflectivities, theta_si = theta_p forced through delta choice:
-        # compare against the explicit formula instead of an engineered cavity
-        cav = cs.singly_resonant_cavity(20e-6, crystal, 0.5)
-        cav = cav.with_mirror(1, "pump", magnitude=1.0).with_mirror(2, "pump", magnitude=1.0)
-        ctx = cs.DrPhaseContext.from_cavity(cav, W0, W0)
-        assert cs.y_factor(ctx, cav) == pytest.approx(explicit_y(cav, ctx), rel=1e-12)
-        # |Y| = 2 when the exponent phase vanishes; the bound is always <= 2
-        assert abs(cs.y_factor(ctx, cav)) <= 2.0 + 1e-12
-
-    def test_destructive_value(self, crystal):
-        cav = cs.singly_resonant_cavity(20e-6, crystal, 0.5)
-        cav = cav.with_mirror(1, "pump", magnitude=1.0)
-        ctx = cs.DrPhaseContext.from_cavity(cav, W0, W0)
-        # rotate the pump mirror phase so the exponent lands on pi
-        shift = np.pi - (ctx.theta_si - ctx.theta_p)
-        ctx2 = cs.DrPhaseContext(
-            ctx.theta_s, ctx.theta_i, ctx.theta_p + 0.0, ctx.gamma_p,
-            delta_1p=float(-shift),
-        )
-        assert abs(cs.y_factor(ctx2, cav.with_mirror(1, "pump", phase=float(-shift)))) == (
-            pytest.approx(abs(1 + np.exp(1j * np.pi)), abs=1e-9)
-        )
-
-    def test_constructive_value_is_two(self, crystal):
-        # unit reflectivities, zero phases, theta_si = theta_p
-        cav = cs.singly_resonant_cavity(20e-6, crystal, 0.5)
-        cav = cav.with_mirror(1, "pump", magnitude=1.0)
-        ctx = cs.DrPhaseContext(theta_s=0.7, theta_i=0.6, theta_p=1.3, gamma_p=0.0)
-        assert cs.y_factor(ctx, cav) == pytest.approx(2.0, rel=1e-12)
-
-    def test_divergence_at_zero_r1p(self, crystal):
-        cav = cs.singly_resonant_cavity(20e-6, crystal, 0.5)
-        ctx = cs.DrPhaseContext.from_cavity(cav, W0, W0)
-        with pytest.raises(DivergenceError):
-            cs.y_factor(ctx, cav)
-
-    def test_random_cases_match_explicit_grouping(self, crystal):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            cav = cs.singly_resonant_cavity(20e-6, crystal, rng.uniform(0, 0.9))
-            cav = cav.with_mirror(1, "pump", magnitude=rng.uniform(0.1, 1.0),
-                                  phase=rng.uniform(0, 2 * np.pi))
-            cav = cav.with_mirror(1, "signal", phase=rng.uniform(0, 2 * np.pi))
-            cav = cav.with_mirror(1, "idler", phase=rng.uniform(0, 2 * np.pi))
-            ws, wi = W0 * rng.uniform(0.95, 1.05), W0 * rng.uniform(0.95, 1.05)
-            ctx = cs.DrPhaseContext.from_cavity(cav, ws, wi)
-            assert cs.y_factor(ctx, cav) == pytest.approx(explicit_y(cav, ctx), rel=1e-12)
-
-
 class TestPartialSums:
     def brute_groups(self, cavity, pump, filters, ws, wi, n_groups):
         """g^(1) + g^(2+3) + ... from the explicit per-group expressions."""
