@@ -8,11 +8,21 @@ one here because every reported number is a normalized ratio):
         S(omega_i, omega_s) d omega_s d omega_i.
 
 The sweep drivers evaluate the integral on an adaptive stripe in rotated
-coordinates (omega_plus bounded by the pump envelope, omega_minus by the
-filters) so that narrow cavity modes stay resolved at any reflectivity
-without gigantic rectangular grids.  The "equivalent source without a
-cavity" reference sets every SPDC-mode reflectivity to zero with identical
-pump and filters.
+coordinates (omega_plus = omega_s + omega_i bounded by the pump envelope,
+omega_minus = omega_s - omega_i by the filters) so that narrow cavity modes
+stay resolved at any reflectivity without gigantic rectangular grids.  The
+"equivalent source without a cavity" reference sets every SPDC-mode
+reflectivity to zero with identical pump and filters.
+
+The stripe is a commensurate lattice.  With h the smaller of the two axis
+step targets, omega_plus steps by q_plus h and omega_minus by q_minus h
+(integers q >= 1), so the signal and idler frequencies of every sample lie
+on two 1-D tables of q_plus (n_plus - 1) + q_minus (n_minus - 1) + 1 points
+spaced h / 2.  Every factor that depends on one frequency (index, k l / 2,
+Airy weight, filter, rate factor; on the plus axis the pump envelope, the
+pump Airy weight and theta_p) is evaluated once per table entry.  The
+column kernel gathers table views and forms only sinc^2(dk l / 2) and, for
+the doubly-resonant case, the phase-balancing weight from unit phasors.
 """
 
 from __future__ import annotations
@@ -22,12 +32,14 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .cavity import airy, mode_width
-from .doubly_resonant import DrPhaseContext, phase_balancing
+from .cavity import _airy_from_phase, _round_trip_phase, _single_pass_phase, mode_width
+from .constants import c
 from .dispersion import group_slowness, refractive_index
+from .doubly_resonant import _balance_phasor, _balance_weight
 from .errors import UnderResolvedError
-from .spectral import jsa_bare
+from .spectral import pump_envelope
 
 __all__ = [
     "BrightnessResult",
@@ -40,6 +52,8 @@ __all__ = [
 ]
 
 _SQRT_2LN2 = np.sqrt(2 * np.log(2.0))
+_SAMPLES_PER_SCALE = 8  # stripe samples across the finest structure of each axis
+_CHUNK = 64  # omega_plus columns per kernel call, whatever the thread count
 
 
 @dataclass(frozen=True)
@@ -72,10 +86,14 @@ class SweepTable(NamedTuple):
         return np.array([row[k] for row in self.rows])
 
 
-def _rate_factor(crystal, omega):
-    """Brightness weight k'(omega) omega / n^2(omega) for an ordinary SPDC photon."""
+def _rate_factor(crystal, omega, n=None):
+    """Brightness weight k'(omega) omega / n^2(omega) for an ordinary SPDC photon.
+
+    n, when given, is the ordinary index already evaluated at omega.
+    """
     kp = group_slowness(crystal, omega, "ordinary")
-    n = refractive_index(crystal, omega, "ordinary")
+    if n is None:
+        n = refractive_index(crystal, omega, "ordinary")
     return kp * omega / n**2
 
 
@@ -116,8 +134,42 @@ def brightness(jsi, pump, crystal, mode="central_approx", min_feature_width=None
     return BrightnessResult(value, raw, "b = 1; absolute scale arbitrary")
 
 
+class _Stripe(NamedTuple):
+    """Commensurate rotated lattice whose photon frequencies fall on 1-D tables.
+
+    plus[a] = plus[0] + a q_plus h and minus[b] = minus[0] + b q_minus h, so
+    omega_s(a, b) = omega_s[q_plus a + q_minus b] and
+    omega_i(a, b) = omega_i[q_plus (n_plus - 1 - a) + q_minus b].  Both
+    tables are spaced h / 2, omega_s ascending and omega_i descending, so a
+    column's samples are read with a positive stride from either table.
+    """
+
+    plus: np.ndarray
+    minus: np.ndarray
+    q_plus: int
+    q_minus: int
+    h: float
+    omega_s: np.ndarray
+    omega_i: np.ndarray
+
+    def gather(self, table, chunk, photon):
+        """View of a signal or idler table as the (column, minus) block of a plus chunk."""
+        windows = sliding_window_view(table, self.q_minus * (self.minus.size - 1) + 1)
+        if photon == "signal":
+            first, last = chunk.start, chunk.stop - 1
+        else:
+            first, last = self.plus.size - chunk.stop, self.plus.size - 1 - chunk.start
+        rows = windows[self.q_plus * first : self.q_plus * last + 1 : self.q_plus, :: self.q_minus]
+        return rows if photon == "signal" else rows[::-1]
+
+
 def _stripe_axes(cavity, pump, filters, doubly_resonant):
-    """Adaptive rotated-coordinate axes resolving pump, filters and cavity modes."""
+    """Commensurate stripe resolving pump, filters and cavity modes.
+
+    Each rotated axis gets a step target of 1/_SAMPLES_PER_SCALE of its
+    finest structure; h is the smaller target and each axis steps by the
+    largest multiple of h within its own target.
+    """
     f_s, f_i = filters
     if f_s.shape == "none" or f_i.shape == "none":
         raise ValueError("sweep integration requires gaussian filters on both modes")
@@ -136,50 +188,128 @@ def _stripe_axes(cavity, pump, filters, doubly_resonant):
         r_eff = cavity.mirror(1, "pump").magnitude * cavity.mirror(2, "pump").magnitude
         if r_eff > 0:
             d_plus_scales.append(mode_width(cavity, pump.omega_p0, "pump"))
-    d_plus = min(scale / 8.0 for scale in d_plus_scales)
-    d_minus = min(scale / 8.0 for scale in d_minus_scales)
-
-    n_plus = max(int(np.ceil(2 * half_plus / d_plus)) + 1, 33)
-    plus = np.linspace(center_plus - half_plus, center_plus + half_plus, n_plus)
+    d_plus = min(d_plus_scales) / _SAMPLES_PER_SCALE
+    d_minus = min(d_minus_scales) / _SAMPLES_PER_SCALE
+    h = min(d_plus, d_minus)
+    q_plus, q_minus = int(d_plus // h), int(d_minus // h)
 
     s_lo, s_hi = f_s.center - 3.3 * f_s.fwhm, f_s.center + 3.3 * f_s.fwhm
     i_lo, i_hi = f_i.center - 3.3 * f_i.fwhm, f_i.center + 3.3 * f_i.fwhm
     lo_m, hi_m = s_lo - i_hi, s_hi - i_lo
-    n_minus = max(int(np.ceil((hi_m - lo_m) / d_minus)) + 1, 33)
-    minus = np.linspace(lo_m, hi_m, n_minus)
-    return plus, minus
+    center_minus = (lo_m + hi_m) / 2.0
+
+    def centered(n):
+        return np.arange(n) - (n - 1) / 2.0
+
+    n_plus = int(np.ceil(2 * half_plus / (q_plus * h))) + 1
+    n_minus = int(np.ceil((hi_m - lo_m) / (q_minus * h))) + 1
+    offsets = (h / 2.0) * centered(q_plus * (n_plus - 1) + q_minus * (n_minus - 1) + 1)
+    return _Stripe(
+        plus=center_plus + (q_plus * h) * centered(n_plus),
+        minus=center_minus + (q_minus * h) * centered(n_minus),
+        q_plus=q_plus,
+        q_minus=q_minus,
+        h=h,
+        omega_s=(center_plus + center_minus) / 2.0 + offsets,
+        omega_i=(center_plus - center_minus) / 2.0 - offsets,
+    )
+
+
+class _Tables(NamedTuple):
+    """Per-frequency factors of the stripe integrand on the 1-D tables."""
+
+    k_s: np.ndarray  # k l / 2 on the signal table
+    k_i: np.ndarray
+    k_p: np.ndarray  # k_p l / 2 on plus
+    weight_s: np.ndarray  # Airy x filter^2 (x rate factor) on the signal table
+    weight_i: np.ndarray
+    weight_p: np.ndarray  # |alpha|^2 (x pump Airy) (x central rate factors) on plus
+    phasor_s: np.ndarray | None  # e^{i theta} for the DR phase balancing
+    phasor_i: np.ndarray | None
+    phasor_p: np.ndarray | None
+
+
+def _stripe_tables(stripe, cavity, pump, filters, doubly_resonant, factor_mode):
+    """Evaluate every single-frequency factor once per table sample."""
+    crystal = cavity.crystal
+    half_l = crystal.length_l / 2.0
+    if factor_mode not in ("central_approx", "exact_factors"):
+        raise ValueError(f"unknown factor mode {factor_mode!r}")
+
+    def photon(omega, mode, filt):
+        n = refractive_index(crystal, omega, "ordinary")
+        theta = _single_pass_phase(cavity, omega, n)
+        weight = _airy_from_phase(cavity, mode, _round_trip_phase(cavity, theta, mode))
+        weight = weight * filt.amplitude(omega) ** 2
+        if factor_mode == "exact_factors":
+            weight = weight * _rate_factor(crystal, omega, n)
+        phasor = np.exp(1j * theta) if doubly_resonant else None
+        return n * omega / c * half_l, weight, phasor
+
+    k_s, weight_s, phasor_s = photon(stripe.omega_s, "signal", filters[0])
+    degenerate = (
+        filters[0] == filters[1]
+        and all(cavity.mirror(nu, "signal") == cavity.mirror(nu, "idler") for nu in (1, 2))
+        and np.array_equal(stripe.omega_s, stripe.omega_i[::-1])
+    )
+    if degenerate:  # the idler table is the signal table, reversed
+        k_i, weight_i, phasor_i = (
+            None if t is None else np.ascontiguousarray(t[::-1])
+            for t in (k_s, weight_s, phasor_s)
+        )
+    else:
+        k_i, weight_i, phasor_i = photon(stripe.omega_i, "idler", filters[1])
+    n_p = refractive_index(crystal, stripe.plus, "extraordinary")
+    weight_p = pump_envelope(pump, stripe.plus) ** 2
+    phasor_p = None
+    if doubly_resonant:
+        theta_p = _single_pass_phase(cavity, stripe.plus, n_p)
+        weight_p = weight_p * _airy_from_phase(
+            cavity, "pump", _round_trip_phase(cavity, theta_p, "pump")
+        )
+        phasor_p = _balance_phasor(cavity, theta_p)
+    if factor_mode == "central_approx":
+        weight_p = weight_p * (
+            _rate_factor(crystal, filters[0].center) * _rate_factor(crystal, filters[1].center)
+        )
+    k_p = n_p * stripe.plus / c * half_l
+    return _Tables(k_s, k_i, k_p, weight_s, weight_i, weight_p, phasor_s, phasor_i, phasor_p)
+
+
+def _column_integrals(stripe, tables, cavity, chunk):
+    """Trapezoid over omega_minus of the integrand for one chunk of omega_plus columns.
+
+    Only sinc^2(dk l / 2) and, for DR, the phase-balancing cosine combine
+    frequencies; every other factor is gathered from the tables.
+    """
+    def gather(table, photon):
+        return stripe.gather(table, chunk, photon)
+
+    x = tables.k_p[chunk, None] - gather(tables.k_s, "signal") - gather(tables.k_i, "idler")
+    with np.errstate(invalid="ignore"):
+        s = np.sin(x) / x
+    s[x == 0.0] = 1.0
+    s *= s
+    s *= gather(tables.weight_s, "signal")
+    s *= gather(tables.weight_i, "idler")
+    s *= tables.weight_p[chunk, None]
+    if tables.phasor_p is not None:
+        phasor = gather(tables.phasor_s, "signal") * gather(tables.phasor_i, "idler")
+        phasor *= tables.phasor_p[chunk, None]
+        s *= _balance_weight(cavity, phasor.real)
+    return (stripe.q_minus * stripe.h) * (s.sum(axis=1) - 0.5 * (s[:, 0] + s[:, -1]))
 
 
 def _stripe_integral(cavity, pump, filters, doubly_resonant, factor_mode, threads=1):
     """Integral of D_s D_i S over the plane, evaluated on the rotated stripe."""
-    plus, minus = _stripe_axes(cavity, pump, filters, doubly_resonant)
-    crystal = cavity.crystal
-    if factor_mode == "central_approx":
-        d_s0 = _rate_factor(crystal, filters[0].center)
-        d_i0 = _rate_factor(crystal, filters[1].center)
+    stripe = _stripe_axes(cavity, pump, filters, doubly_resonant)
+    tables = _stripe_tables(stripe, cavity, pump, filters, doubly_resonant, factor_mode)
 
     def column_integrals(chunk):
-        """Inner trapezoid over omega_minus for one chunk of omega_plus values."""
-        pp = plus[chunk][None, :]
-        mm = minus[:, None]
-        omega_s = (pp + mm) / 2.0
-        omega_i = (pp - mm) / 2.0
-        s = np.abs(jsa_bare(pump, crystal, filters, omega_s, omega_i)) ** 2
-        s = s * airy(omega_s, "signal", cavity) * airy(omega_i, "idler", cavity)
-        if doubly_resonant:
-            ctx = DrPhaseContext.from_cavity(cavity, omega_s, omega_i)
-            s = s * airy(plus[chunk], "pump", cavity)[None, :]
-            s = s * phase_balancing(ctx, cavity.mirror(2, "pump").magnitude)
-        if factor_mode == "central_approx":
-            s = s * (d_s0 * d_i0)
-        elif factor_mode == "exact_factors":
-            s = s * _rate_factor(crystal, omega_s) * _rate_factor(crystal, omega_i)
-        else:
-            raise ValueError(f"unknown factor mode {factor_mode!r}")
-        return np.trapezoid(s, minus, axis=0)
+        return _column_integrals(stripe, tables, cavity, chunk)
 
     chunks = [
-        slice(k, min(k + 64, plus.size)) for k in range(0, plus.size, 64)
+        slice(k, min(k + _CHUNK, stripe.plus.size)) for k in range(0, stripe.plus.size, _CHUNK)
     ]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -188,7 +318,7 @@ def _stripe_integral(cavity, pump, filters, doubly_resonant, factor_mode, thread
         parts = [column_integrals(chunk) for chunk in chunks]
     g = np.concatenate(parts)
     # Jacobian of (omega_s, omega_i) -> (omega_plus, omega_minus) is 1/2.
-    return 0.5 * float(np.trapezoid(g, plus))
+    return 0.5 * float(np.trapezoid(g, dx=stripe.q_plus * stripe.h))
 
 
 def brightness_from_cavity(

@@ -123,8 +123,13 @@ def singly_resonant_cavity(length_L, crystal, r2_signal, r2_idler=None):
 
 def single_pass_phase(cavity, omega, mode):
     """Phase theta_mu = omega (L - l)/c + l n_mu(omega) omega / c for one cavity pass."""
+    n = refractive_index(cavity.crystal, omega, polarization_for_mode(mode))
+    return _single_pass_phase(cavity, omega, n)
+
+
+def _single_pass_phase(cavity, omega, n):
+    """theta_mu from the index n = n_mu(omega) already evaluated at omega."""
     crystal = cavity.crystal
-    n = refractive_index(crystal, omega, polarization_for_mode(mode))
     omega = np.asarray(omega, dtype=float)
     theta = omega * (cavity.length_L - crystal.length_l) / c + crystal.length_l * n * omega / c
     return theta if theta.ndim else float(theta)
@@ -136,7 +141,11 @@ def round_trip_phase_mismatch(cavity, omega, mode):
     Resonances sit at even multiples of pi.  Returned unfolded (no 2 pi
     reduction).
     """
-    theta = single_pass_phase(cavity, omega, mode)
+    return _round_trip_phase(cavity, single_pass_phase(cavity, omega, mode), mode)
+
+
+def _round_trip_phase(cavity, theta, mode):
+    """Delta_mu from the single-pass phase theta_mu."""
     d1 = cavity.mirror(1, mode).phase
     d2 = cavity.mirror(2, mode).phase
     return 2.0 * theta + d1 + d2
@@ -155,33 +164,44 @@ def coefficient_of_finesse(r_eff):
     return 4.0 * r_eff / (1.0 - r_eff) ** 2
 
 
-def _airy_pump(cavity, omega):
-    r1 = cavity.mirror(1, "pump")
-    r2 = cavity.mirror(2, "pump")
-    r_eff = r1.magnitude * r2.magnitude
-    if r_eff >= 1.0:
-        raise DivergenceError("pump Airy function diverges at |r_1p r_2p| = 1")
+def _airy_from_phase(cavity, mode, delta):
+    """Airy weight A_mu at the round-trip phase factor Delta_mu (see airy).
+
+    The SPDC-mode form holds for a perfect mirror 1, |r_1mu| = 1; a cavity
+    whose mirror 2 reflects a photon that mirror 1 does not fully reflect is
+    rejected rather than silently mis-weighted.
+    """
+    # port: the mirror the light crosses, mirror 1 into the cavity for the
+    # pump and mirror 2 out of it for signal and idler
+    if mode == "pump":
+        port = cavity.mirror(1, "pump")
+        r_eff = port.magnitude * cavity.mirror(2, "pump").magnitude
+        if r_eff >= 1.0:
+            raise DivergenceError("pump Airy function diverges at |r_1p r_2p| = 1")
+    else:
+        port = cavity.mirror(2, mode)
+        r_eff = port.magnitude
+        if r_eff >= 1.0:
+            raise DivergenceError(f"Airy function diverges at |r_2{mode[0]}| = 1")
+        r1 = cavity.mirror(1, mode).magnitude
+        if r_eff > 0 and r1 != 1.0:
+            raise ValueError(
+                f"the {mode} Airy weight assumes |r_1{mode[0]}| = 1 when mirror 2 "
+                f"reflects (|r_2{mode[0]}| = {r_eff}), got |r_1{mode[0]}| = {r1}"
+            )
     fin = coefficient_of_finesse(r_eff)
-    prefactor = r1.transmissivity**2 / (1.0 - r_eff) ** 2
-    delta = round_trip_phase_mismatch(cavity, omega, "pump")
+    prefactor = port.transmissivity**2 / (1.0 - r_eff) ** 2
     return prefactor / (1.0 + fin * np.sin(delta / 2.0) ** 2)
 
 
 def airy(omega, mode, cavity):
     """Airy weight A_mu(omega) selecting the cavity-resonant frequencies.
 
-    SPDC modes: |t_2|^2/(1-|r_2|)^2 / (1 + F sin^2(Delta/2)).  The pump
-    variant uses |t_1p|^2/(1-|r_1p r_2p|)^2 and the pump phase factor.
+    SPDC modes: |t_2|^2/(1-|r_2|)^2 / (1 + F sin^2(Delta/2)), valid for
+    |r_1| = 1 (ValueError otherwise, unless |r_2| = 0).  The pump variant
+    uses |t_1p|^2/(1-|r_1p r_2p|)^2 and the pump phase factor.
     """
-    if mode == "pump":
-        return _airy_pump(cavity, omega)
-    m2 = cavity.mirror(2, mode)
-    if m2.magnitude >= 1.0:
-        raise DivergenceError(f"Airy function diverges at |r_2{mode[0]}| = 1")
-    fin = coefficient_of_finesse(m2.magnitude)
-    prefactor = m2.transmissivity**2 / (1.0 - m2.magnitude) ** 2
-    delta = round_trip_phase_mismatch(cavity, omega, mode)
-    return prefactor / (1.0 + fin * np.sin(delta / 2.0) ** 2)
+    return _airy_from_phase(cavity, mode, round_trip_phase_mismatch(cavity, omega, mode))
 
 
 def _optical_length(cavity, omega0, mode):

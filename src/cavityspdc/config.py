@@ -5,6 +5,8 @@ wavelength_nm, sigma_rad_s, ...) and is normalized to SI / rad/s on load.
 Frequency-like keys accept either an explicit angular _rad_s suffix or a
 cyclic _hz suffix (multiplied by 2 pi on load); bandwidth figures quoted in
 "Hz" in the literature are therefore representable under either reading.
+Keys that take a wavelength or a frequency (filter centers and widths, grid
+centers) keep the kind of their suffix; it is never guessed from the value.
 Dimensionless keys (reflectivity magnitudes, sample counts, lists) are
 whitelisted individually.  Unknown keys, missing unit suffixes, duplicates
 and out-of-range values are all load-time errors.
@@ -228,9 +230,14 @@ def _parse_value(entry, unit, raw, section, key):
 
 @dataclass
 class RunConfig:
-    """Validated, unit-normalized run configuration."""
+    """Validated, unit-normalized run configuration.
+
+    units maps section -> stem -> the unit suffix the key was given with, so
+    a key that accepts wavelengths or frequencies keeps its kind.
+    """
 
     sections: dict = field(default_factory=dict)
+    units: dict = field(default_factory=dict)
 
     def has(self, section, stem=None):
         if section not in self.sections:
@@ -264,12 +271,25 @@ class RunConfig:
 
     # -- builders ---------------------------------------------------------
 
+    def _is_wavelength(self, section, stem):
+        return self.units[section][stem] in _LENGTH
+
+    def _omega(self, section, stem):
+        """A center given as a wavelength (m) or an angular frequency, in rad/s."""
+        value = self.require(section, stem)
+        return 2 * math.pi * c / value if self._is_wavelength(section, stem) else value
+
+    def _fwhm(self, section, stem, center_omega):
+        """A width given in wavelength (m) or angular frequency, in rad/s."""
+        value = self.require(section, stem)
+        if self._is_wavelength(section, stem):
+            lam = 2 * math.pi * c / center_omega
+            return wavelength_fwhm_to_angular(lam, value)
+        return value
+
     def band_centers(self):
         """(omega_s0, omega_i0) from the grid section, rad/s."""
-        return (
-            _as_omega(self.require("grid", "signal_center")),
-            _as_omega(self.require("grid", "idler_center")),
-        )
+        return self._omega("grid", "signal_center"), self._omega("grid", "idler_center")
 
     def crystal(self):
         sec = self.sections.get("crystal", {})
@@ -333,17 +353,15 @@ class RunConfig:
         sec = self.sections["filters"]
         if sec.get("shape", "gaussian") == "none":
             return None
-        omega_s0, omega_i0 = self.band_centers()
-        center_s = _as_omega(sec.get("signal_center", omega_s0))
-        center_i = _as_omega(sec.get("idler_center", omega_i0))
-        fwhm_s = sec.get("signal_fwhm", sec.get("fwhm"))
-        fwhm_i = sec.get("idler_fwhm", sec.get("fwhm"))
-        if fwhm_s is None or fwhm_i is None:
-            raise ConfigError("[filters] needs fwhm_nm (or per-mode signal/idler fwhm keys)")
-        return (
-            FilterSpec(center_s, _as_fwhm(fwhm_s, center_s)),
-            FilterSpec(center_i, _as_fwhm(fwhm_i, center_i)),
-        )
+        out = []
+        for mode, center in zip(("signal", "idler"), self.band_centers()):
+            if f"{mode}_center" in sec:
+                center = self._omega("filters", f"{mode}_center")
+            width = f"{mode}_fwhm" if f"{mode}_fwhm" in sec else "fwhm"
+            if width not in sec:
+                raise ConfigError("[filters] needs fwhm_nm (or per-mode signal/idler fwhm keys)")
+            out.append(FilterSpec(center, self._fwhm("filters", width, center)))
+        return tuple(out)
 
     def grid(self):
         omega_s0, omega_i0 = self.band_centers()
@@ -386,19 +404,6 @@ def _default_for(section, stem):
     return None
 
 
-def _as_omega(value):
-    """Centers may be given as wavelengths (meters) or angular frequencies."""
-    return 2 * math.pi * c / value if value < 1.0 else value
-
-
-def _as_fwhm(value, center_omega):
-    """Widths may be given in wavelength (meters) or angular frequency."""
-    if value < 1.0:
-        lam = 2 * math.pi * c / center_omega
-        return wavelength_fwhm_to_angular(lam, value)
-    return value
-
-
 def load_config(path, require=()):
     """Parse and validate a configuration file into a RunConfig.
 
@@ -424,7 +429,7 @@ def load_config(path, require=()):
     if not parser.sections():
         raise ConfigError(f"configuration file {path} has no sections; {_REQUIRED_NOTE}")
 
-    sections = {}
+    sections, units = {}, {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(
@@ -432,6 +437,7 @@ def load_config(path, require=()):
             )
         stems_seen = {}
         out = {}
+        units[section] = {}
         for key, raw in parser.items(section):
             entry, unit = _match_entry(section, key)
             if entry is None:
@@ -446,6 +452,7 @@ def load_config(path, require=()):
                 )
             stems_seen[stem] = key
             out[stem] = _parse_value(entry, unit, raw, section, key)
+            units[section][stem] = unit
         sections[section] = out
 
     for section in _SCHEMA:
@@ -462,4 +469,4 @@ def load_config(path, require=()):
             f"configuration is missing required section(s) "
             f"{', '.join('[' + m + ']' for m in missing)}; {_REQUIRED_NOTE}"
         )
-    return RunConfig(sections)
+    return RunConfig(sections, units)

@@ -142,11 +142,33 @@ def phase_balancing(ctx, r_2p_magnitude):
     return plus * (1.0 - 4.0 * r_2p_magnitude / plus * np.sin(np.asarray(delta) / 2.0) ** 2)
 
 
+def _balance_phasor(cavity, theta_p):
+    """Pump-side factor e^{i(theta_p + delta_1s + delta_1i + delta_2p)} of cos(Delta) in P."""
+    mirror_phases = (
+        cavity.mirror(1, "signal").phase
+        + cavity.mirror(1, "idler").phase
+        + cavity.mirror(2, "pump").phase
+    )
+    return np.exp(1j * (theta_p + mirror_phases))
+
+
+def _balance_weight(cavity, cos_delta):
+    """P = 1 + |r_2p|^2 + 2 |r_2p| cos(Delta), the phase_balancing value from cos(Delta).
+
+    The brightness stripe forms cos(Delta) = Re(e^{i theta_s} e^{i theta_i} u_p)
+    from per-frequency phasors (u_p from _balance_phasor), so no sample takes
+    the sine of the large unfolded phase sum.
+    """
+    r = cavity.mirror(2, "pump").magnitude
+    return (1.0 + r * r) + (2.0 * r) * cos_delta
+
+
 def jsi_doubly_resonant(cavity, pump, filters, grid):
     """Doubly-resonant joint spectral intensity S_DR = A_s A_i A_p P |f|^2.
 
     The factored form assumes unit-magnitude mirror-1 reflectivities for the
     SPDC modes (the singly-resonant preset); then it equals |f_DR|^2 exactly.
+    airy raises ValueError for a cavity that breaks the assumption.
     """
     _warn_if_under_resolved(cavity, grid, "jsi_doubly_resonant")
     a_s = airy(grid.omega_s_axis, "signal", cavity)

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import cavityspdc as cs
 from cavityspdc.constants import c
+
+# Property tests draw the same examples on every run; few examples keep the
+# suite fast, and no deadline keeps a loaded machine from failing them.
+settings.register_profile("tier1", derandomize=True, max_examples=50, deadline=None)
+settings.load_profile("tier1")
 
 # Reference configuration: 20 um BBO cut for degenerate 400 -> 800 + 800 nm
 # type-I downconversion, L = l, mirror 2 at 0.73 for the SPDC modes,

@@ -1,3 +1,6 @@
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,9 @@ from cavityspdc.brightness import brightness_from_cavity
 from cavityspdc.errors import UnderResolvedError
 
 from conftest import OMEGA_800
+
+# The package namespace binds the name "brightness" to the grid-route function.
+stripe_module = importlib.import_module("cavityspdc.brightness")
 
 SQRT_2LN2 = np.sqrt(2 * np.log(2))
 
@@ -232,3 +238,93 @@ class TestSweepTable:
             flat_cavity, pump, filters, sigmas, [0.5], threads=4
         )
         assert serial.rows == threaded.rows
+
+
+def _rate_factor(crystal, omega):
+    n = cs.refractive_index(crystal, omega, "ordinary")
+    return cs.group_slowness(crystal, omega, "ordinary") * omega / n**2
+
+
+class TestStripeLattice:
+    @pytest.mark.parametrize("degenerate", [True, False])
+    @pytest.mark.parametrize("factor_mode", ["central_approx", "exact_factors"])
+    @pytest.mark.parametrize("doubly_resonant", [False, True])
+    def test_table_kernel_matches_pointwise_evaluation(
+        self, sr_cavity, dr_cavity, crystal, pump, filters, doubly_resonant, factor_mode,
+        degenerate,
+    ):
+        cavity = dr_cavity if doubly_resonant else sr_cavity
+        if not degenerate:
+            # distinct signal and idler tables: shifted centers, widths and mirrors
+            cavity = cavity.with_mirror(2, "idler", magnitude=0.6)
+            f_s, f_i = filters
+            filters = (
+                replace(f_s, center=1.01 * OMEGA_800),
+                replace(f_i, center=0.99 * OMEGA_800, fwhm=0.8 * f_i.fwhm),
+            )
+        stripe = stripe_module._stripe_axes(cavity, pump, filters, doubly_resonant)
+        tables = stripe_module._stripe_tables(
+            stripe, cavity, pump, filters, doubly_resonant, factor_mode
+        )
+        n_plus, n_minus = stripe.plus.size, stripe.minus.size
+        assert stripe.omega_s.size == (
+            stripe.q_plus * (n_plus - 1) + stripe.q_minus * (n_minus - 1) + 1
+        )
+        got, expect = [], []
+        for start in (0, n_plus // 2 - 32):
+            chunk = slice(start, start + 64)
+            got.append(stripe_module._column_integrals(stripe, tables, cavity, chunk))
+            a = np.arange(start, start + 64)[:, None]
+            b = np.arange(n_minus)[None, :]
+            omega_s = stripe.omega_s[stripe.q_plus * a + stripe.q_minus * b]
+            omega_i = stripe.omega_i[stripe.q_plus * (n_plus - 1 - a) + stripe.q_minus * b]
+            plus, minus = stripe.plus[a], stripe.minus[b]
+            # the tables sit on the rotated lattice
+            assert np.abs(omega_s - (plus + minus) / 2).max() <= 4e-16 * OMEGA_800
+            assert np.abs(omega_i - (plus - minus) / 2).max() <= 4e-16 * OMEGA_800
+            s = np.abs(cs.jsa_bare(pump, crystal, filters, omega_s, omega_i)) ** 2
+            s = s * cs.airy(omega_s, "signal", cavity) * cs.airy(omega_i, "idler", cavity)
+            if doubly_resonant:
+                ctx = cs.DrPhaseContext.from_cavity(cavity, omega_s, omega_i)
+                s = s * cs.airy(omega_s + omega_i, "pump", cavity)
+                s = s * cs.phase_balancing(ctx, cavity.mirror(2, "pump").magnitude)
+            if factor_mode == "exact_factors":
+                s = s * _rate_factor(crystal, omega_s) * _rate_factor(crystal, omega_i)
+            else:
+                s = s * _rate_factor(crystal, filters[0].center) * _rate_factor(
+                    crystal, filters[1].center
+                )
+            expect.append(np.trapezoid(s, dx=stripe.q_minus * stripe.h, axis=1))
+        got, expect = np.concatenate(got), np.concatenate(expect)
+        # Floor: the DR oracle takes sin of the unfolded phase sum (~800 rad,
+        # rounding ~1e-13 rad), so columns at a phase-balancing zero cancel.
+        floor = 1e-13 * np.abs(expect).max()
+        assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect) + floor)
+
+    @pytest.mark.parametrize(
+        "r2, sigma", [(0.5, 1e11), (0.9, 1e11), (0.9, 2e12), (0.5, 4.6e13)]
+    )
+    def test_halved_steps_agree_sr(self, crystal, pump, filters, monkeypatch, r2, sigma):
+        cav = cs.solve_resonance_phases(
+            cs.singly_resonant_cavity(20e-6, crystal, r2), OMEGA_800, OMEGA_800
+        )
+        swept = replace(pump, sigma=sigma)
+        default = brightness_from_cavity(cav, swept, filters).value
+        monkeypatch.setattr(stripe_module, "_SAMPLES_PER_SCALE", 16)
+        assert brightness_from_cavity(cav, swept, filters).value == pytest.approx(
+            default, rel=1e-8, abs=0
+        )
+
+    @pytest.mark.parametrize("r1p", [0.0, 0.9])
+    def test_halved_steps_agree_dr(self, dr_cavity, pump, filters, monkeypatch, r1p):
+        cav = dr_cavity.with_mirror(1, "pump", magnitude=r1p)  # |r_2p| = 1
+        swept = replace(pump, sigma=2e11)
+        default = brightness_from_cavity(cav, swept, filters, doubly_resonant=True).value
+        monkeypatch.setattr(stripe_module, "_SAMPLES_PER_SCALE", 16)
+        halved = brightness_from_cavity(cav, swept, filters, doubly_resonant=True).value
+        assert halved == pytest.approx(default, rel=1e-8, abs=0)
+
+    def test_rejects_imperfect_mirror_1(self, sr_cavity, pump, filters):
+        cav = sr_cavity.with_mirror(1, "signal", magnitude=0.9)
+        with pytest.raises(ValueError, match="r_1s"):
+            brightness_from_cavity(cav, pump, filters)

@@ -93,6 +93,22 @@ class TestAiry:
         w = OMEGA_800 * np.linspace(0.95, 1.05, 7)
         assert np.allclose(cs.airy(w, "signal", cav), 1.0)
 
+    def test_no_cavity_with_open_mirror_1_is_flat(self, crystal):
+        cav = cs.CavitySpec(20e-6, crystal)  # |r_1| = |r_2| = 0 for every mode
+        assert cs.airy(OMEGA_800, "signal", cav) == 1.0
+
+    @pytest.mark.parametrize("mode", ["signal", "idler"])
+    def test_rejects_imperfect_mirror_1(self, sr_cavity, pump, filters, grid_257, dr_cavity, mode):
+        # the SR/DR intensities are exact only for |r_1| = 1
+        cav = sr_cavity.with_mirror(1, mode, magnitude=0.9)
+        with pytest.raises(ValueError, match=f"r_1{mode[0]}"):
+            cs.airy(OMEGA_800, mode, cav)
+        with pytest.raises(ValueError):
+            cs.jsi_singly_resonant(cav, pump, filters, grid_257)
+        with pytest.raises(ValueError):
+            cs.jsi_doubly_resonant(dr_cavity.with_mirror(1, mode, magnitude=0.9), pump, filters,
+                                   grid_257)
+
     def test_antiresonance_value(self, crystal):
         # Delta = pi exactly: peak / (1 + F)
         cav = cs.singly_resonant_cavity(20e-6, crystal, 0.73)

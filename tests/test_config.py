@@ -111,6 +111,21 @@ class TestLoadConfig:
         cfg = load_config(write(tmp_path, text))
         assert cfg.pump().sigma == pytest.approx(2 * np.pi * 1e9, rel=1e-12)
 
+    @pytest.mark.parametrize("key, expect", [
+        ("fwhm_rad_s = 0.5", 0.5),
+        ("fwhm_hz = 0.1", 2 * np.pi * 0.1),
+    ])
+    def test_small_frequency_width_stays_angular(self, tmp_path, key, expect):
+        # a frequency below 1 is not a wavelength in meters: the suffix decides
+        cfg = load_config(write(tmp_path, FIG2.replace("fwhm_nm = 30", key)))
+        assert [f.fwhm for f in cfg.filters()] == [expect, expect]
+
+    def test_small_frequency_center_stays_angular(self, tmp_path):
+        text = FIG2.replace("fwhm_nm = 30", "fwhm_nm = 30\nsignal_center_rad_s = 0.5")
+        f_s, f_i = load_config(write(tmp_path, text)).filters()
+        assert f_s.center == 0.5
+        assert f_i.center == pytest.approx(2 * np.pi * c / 800e-9, rel=1e-15)
+
     def test_both_pump_widths_rejected(self, tmp_path):
         text = FIG2.replace("fwhm_nm = 5", "fwhm_nm = 5\nsigma_rad_s = 1e12")
         with pytest.raises(ConfigError):

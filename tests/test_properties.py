@@ -1,0 +1,97 @@
+"""Property tests over random cavity, pump and filter parameters.
+
+The hypothesis profile registered in conftest derandomizes the examples, so
+every run draws the same inputs.
+"""
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+import cavityspdc as cs
+from cavityspdc.constants import c
+
+from conftest import OMEGA_800, THETA_DEGENERATE
+
+CRYSTAL = cs.bbo(THETA_DEGENERATE, 20e-6)
+# Dispersionless crystal: the round-trip phase is exactly linear in omega.
+FLAT = cs.CrystalSpec((2.25, 0.0, 1.0, 0.0), (2.25, 0.0, 1.0, 0.0), 0.0, 20e-6)
+
+phases = st.floats(0.0, 2 * np.pi)
+reflectivities = st.floats(0.0, 0.95)
+
+
+@st.composite
+def sources(draw, degenerate=False):
+    """(cavity, pump, filters, grid) for a random SR or DR source around 800 nm."""
+    length = 20e-6 * draw(st.floats(1.0, 3.0))
+    r2_s = draw(reflectivities)
+    r2_i = r2_s if degenerate else draw(reflectivities)
+    mirrors = {}
+    for mode, r2 in (("signal", r2_s), ("idler", r2_i)):
+        if mode == "idler" and degenerate:
+            mirrors[(1, mode)], mirrors[(2, mode)] = mirrors[(1, "signal")], mirrors[(2, "signal")]
+            continue
+        mirrors[(1, mode)] = cs.MirrorSpec(1.0, draw(phases))
+        mirrors[(2, mode)] = cs.MirrorSpec(r2, draw(phases))
+    if draw(st.booleans()):  # doubly resonant
+        mirrors[(1, "pump")] = cs.MirrorSpec(draw(st.floats(0.0, 0.95)), draw(phases))
+        mirrors[(2, "pump")] = cs.MirrorSpec(draw(st.floats(0.0, 1.0)), draw(phases))
+    cavity = cs.CavitySpec(length, CRYSTAL, mirrors)
+    pump = cs.PumpSpec.from_wavelength(400e-9, draw(st.floats(0.5, 10.0)) * 1e-9)
+    fwhm_s = cs.wavelength_fwhm_to_angular(800e-9, draw(st.floats(5.0, 40.0)) * 1e-9)
+    fwhm_i = fwhm_s if degenerate else cs.wavelength_fwhm_to_angular(
+        800e-9, draw(st.floats(5.0, 40.0)) * 1e-9
+    )
+    filters = (cs.FilterSpec(OMEGA_800, fwhm_s), cs.FilterSpec(OMEGA_800, fwhm_i))
+    grid = cs.default_grid(OMEGA_800, OMEGA_800, 2.0 * max(fwhm_s, fwhm_i), samples=48)
+    return cavity, pump, filters, grid
+
+
+def _jsi(cavity, pump, filters, grid):
+    if cavity.mirror(1, "pump").magnitude * cavity.mirror(2, "pump").magnitude > 0:
+        return cs.jsi_doubly_resonant(cavity, pump, filters, grid)
+    return cs.jsi_singly_resonant(cavity, pump, filters, grid)
+
+
+@given(sources())
+def test_jsi_non_negative(source):
+    values = _jsi(*source).values
+    assert np.all(np.isfinite(values))
+    assert values.min() >= 0.0
+
+
+@given(sources(degenerate=True))
+def test_degenerate_marginal_symmetric_under_exchange(source):
+    jsi = _jsi(*source)
+    signal = cs.marginal_spectrum(jsi, "signal").density
+    idler = cs.marginal_spectrum(jsi, "idler").density
+    assert np.abs(signal - idler).max() <= 1e-9 * signal.max()
+
+
+@given(
+    length_ratio=st.floats(1.0, 3.0),
+    r2=reflectivities,
+    phase_1=phases,
+    phase_2=phases,
+    mode=st.sampled_from(["signal", "idler"]),
+    offset=st.floats(-0.1, 0.1),
+)
+def test_airy_period_mean_is_one(length_ratio, r2, phase_1, phase_2, mode, offset):
+    cavity = cs.CavitySpec(
+        20e-6 * length_ratio,
+        FLAT,
+        {(1, mode): cs.MirrorSpec(1.0, phase_1), (2, mode): cs.MirrorSpec(r2, phase_2)},
+    )
+    fsr = np.pi * c / (1.5 * FLAT.length_l + cavity.length_L - FLAT.length_l)
+    omega = OMEGA_800 * (1 + offset) + fsr * np.arange(2048) / 2048
+    assert abs(cs.airy(omega, mode, cavity).mean() - 1.0) <= 1e-9
+
+
+@given(sources())
+def test_dr_factored_form_is_limit_amplitude_squared(source):
+    cavity, pump, filters, grid = source
+    s_dr = cs.jsi_doubly_resonant(cavity, pump, filters, grid).values
+    ws, wi = grid.meshgrid()
+    f_dr = cs.jsa_dr_limit(cavity, pump, filters, ws, wi)
+    # both routes cancel at the phase-balancing zeros: relative bound with a floor
+    assert np.all(np.abs(np.abs(f_dr) ** 2 - s_dr) <= 1e-10 * s_dr + 1e-12 * s_dr.max())
