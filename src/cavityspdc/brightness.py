@@ -18,11 +18,9 @@ The stripe is a commensurate lattice.  With h the smaller of the two axis
 step targets, omega_plus steps by q_plus h and omega_minus by q_minus h
 (integers q >= 1), so the signal and idler frequencies of every sample lie
 on two 1-D tables of q_plus (n_plus - 1) + q_minus (n_minus - 1) + 1 points
-spaced h / 2.  Every factor that depends on one frequency (index, k l / 2,
-Airy weight, filter, rate factor; on the plus axis the pump envelope, the
-pump Airy weight and theta_p) is evaluated once per table entry.  The
-column kernel gathers table views and forms only sinc^2(dk l / 2) and, for
-the doubly-resonant case, the phase-balancing weight from unit phasors.
+spaced h / 2.  The spectral module's intensity model evaluates the factors
+once per table entry (the rate factors are multiplied on here); each chunk
+of columns passes gathered views of the tables to its kernel.
 """
 
 from __future__ import annotations
@@ -34,12 +32,10 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cavity import _airy_from_phase, _round_trip_phase, _single_pass_phase, mode_width
-from .constants import c
+from .cavity import mode_width
 from .dispersion import group_slowness, refractive_index
-from .doubly_resonant import _balance_phasor, _balance_weight
 from .errors import UnderResolvedError
-from .spectral import pump_envelope
+from .spectral import _factor_tables, _intensity
 
 __all__ = [
     "BrightnessResult",
@@ -86,14 +82,10 @@ class SweepTable(NamedTuple):
         return np.array([row[k] for row in self.rows])
 
 
-def _rate_factor(crystal, omega, n=None):
-    """Brightness weight k'(omega) omega / n^2(omega) for an ordinary SPDC photon.
-
-    n, when given, is the ordinary index already evaluated at omega.
-    """
+def _rate_factor(crystal, omega):
+    """Brightness weight k'(omega) omega / n^2(omega) for an ordinary SPDC photon."""
     kp = group_slowness(crystal, omega, "ordinary")
-    if n is None:
-        n = refractive_index(crystal, omega, "ordinary")
+    n = refractive_index(crystal, omega, "ordinary")
     return kp * omega / n**2
 
 
@@ -215,88 +207,35 @@ def _stripe_axes(cavity, pump, filters, doubly_resonant):
     )
 
 
-class _Tables(NamedTuple):
-    """Per-frequency factors of the stripe integrand on the 1-D tables."""
-
-    k_s: np.ndarray  # k l / 2 on the signal table
-    k_i: np.ndarray
-    k_p: np.ndarray  # k_p l / 2 on plus
-    weight_s: np.ndarray  # Airy x filter^2 (x rate factor) on the signal table
-    weight_i: np.ndarray
-    weight_p: np.ndarray  # |alpha|^2 (x pump Airy) (x central rate factors) on plus
-    phasor_s: np.ndarray | None  # e^{i theta} for the DR phase balancing
-    phasor_i: np.ndarray | None
-    phasor_p: np.ndarray | None
-
-
 def _stripe_tables(stripe, cavity, pump, filters, doubly_resonant, factor_mode):
-    """Evaluate every single-frequency factor once per table sample."""
+    """Signal, idler and plus factor tables of the stripe integrand D_s D_i S."""
     crystal = cavity.crystal
-    half_l = crystal.length_l / 2.0
     if factor_mode not in ("central_approx", "exact_factors"):
         raise ValueError(f"unknown factor mode {factor_mode!r}")
-
-    def photon(omega, mode, filt):
-        n = refractive_index(crystal, omega, "ordinary")
-        theta = _single_pass_phase(cavity, omega, n)
-        weight = _airy_from_phase(cavity, mode, _round_trip_phase(cavity, theta, mode))
-        weight = weight * filt.amplitude(omega) ** 2
-        if factor_mode == "exact_factors":
-            weight = weight * _rate_factor(crystal, omega, n)
-        phasor = np.exp(1j * theta) if doubly_resonant else None
-        return n * omega / c * half_l, weight, phasor
-
-    k_s, weight_s, phasor_s = photon(stripe.omega_s, "signal", filters[0])
-    degenerate = (
-        filters[0] == filters[1]
-        and all(cavity.mirror(nu, "signal") == cavity.mirror(nu, "idler") for nu in (1, 2))
-        and np.array_equal(stripe.omega_s, stripe.omega_i[::-1])
+    signal, idler, plus = _factor_tables(
+        cavity, pump, filters, stripe.omega_s, stripe.omega_i, stripe.plus, doubly_resonant
     )
-    if degenerate:  # the idler table is the signal table, reversed
-        k_i, weight_i, phasor_i = (
-            None if t is None else np.ascontiguousarray(t[::-1])
-            for t in (k_s, weight_s, phasor_s)
+    if factor_mode == "exact_factors":
+        signal, idler = (
+            t._replace(weight=t.weight * _rate_factor(crystal, omega))
+            for t, omega in ((signal, stripe.omega_s), (idler, stripe.omega_i))
         )
     else:
-        k_i, weight_i, phasor_i = photon(stripe.omega_i, "idler", filters[1])
-    n_p = refractive_index(crystal, stripe.plus, "extraordinary")
-    weight_p = pump_envelope(pump, stripe.plus) ** 2
-    phasor_p = None
-    if doubly_resonant:
-        theta_p = _single_pass_phase(cavity, stripe.plus, n_p)
-        weight_p = weight_p * _airy_from_phase(
-            cavity, "pump", _round_trip_phase(cavity, theta_p, "pump")
-        )
-        phasor_p = _balance_phasor(cavity, theta_p)
-    if factor_mode == "central_approx":
-        weight_p = weight_p * (
-            _rate_factor(crystal, filters[0].center) * _rate_factor(crystal, filters[1].center)
-        )
-    k_p = n_p * stripe.plus / c * half_l
-    return _Tables(k_s, k_i, k_p, weight_s, weight_i, weight_p, phasor_s, phasor_i, phasor_p)
+        f_s, f_i = filters
+        central = _rate_factor(crystal, f_s.center) * _rate_factor(crystal, f_i.center)
+        plus = plus._replace(weight=plus.weight * central)
+    return signal, idler, plus
 
 
 def _column_integrals(stripe, tables, cavity, chunk):
-    """Trapezoid over omega_minus of the integrand for one chunk of omega_plus columns.
-
-    Only sinc^2(dk l / 2) and, for DR, the phase-balancing cosine combine
-    frequencies; every other factor is gathered from the tables.
-    """
-    def gather(table, photon):
-        return stripe.gather(table, chunk, photon)
-
-    x = tables.k_p[chunk, None] - gather(tables.k_s, "signal") - gather(tables.k_i, "idler")
-    with np.errstate(invalid="ignore"):
-        s = np.sin(x) / x
-    s[x == 0.0] = 1.0
-    s *= s
-    s *= gather(tables.weight_s, "signal")
-    s *= gather(tables.weight_i, "idler")
-    s *= tables.weight_p[chunk, None]
-    if tables.phasor_p is not None:
-        phasor = gather(tables.phasor_s, "signal") * gather(tables.phasor_i, "idler")
-        phasor *= tables.phasor_p[chunk, None]
-        s *= _balance_weight(cavity, phasor.real)
+    """Trapezoid over omega_minus of the integrand for one chunk of omega_plus columns."""
+    signal, idler, plus = tables
+    s = _intensity(
+        cavity,
+        signal.view(lambda t: stripe.gather(t, chunk, "signal")),
+        idler.view(lambda t: stripe.gather(t, chunk, "idler")),
+        plus.view(lambda t: t[chunk, None]),
+    )
     return (stripe.q_minus * stripe.h) * (s.sum(axis=1) - 0.5 * (s[:, 0] + s[:, -1]))
 
 
@@ -376,18 +315,15 @@ def plateau_brightness_vs_r2(
     """
     rows = []
     for r2 in r2_list:
+        if r2 == 0.0:
+            rows.append((float(r2), float(pump.sigma), 1.0))
+            continue
         cav = cavity.with_mirror(2, "signal", magnitude=r2).with_mirror(2, "idler", magnitude=r2)
-        if r2 > 0:
-            sigma = mode_width(cav, filters[0].center, "signal") / _SQRT_2LN2
-        else:
-            sigma = pump.sigma
+        sigma = mode_width(cav, filters[0].center, "signal") / _SQRT_2LN2
         swept_pump = replace(pump, sigma=sigma)
         reference = brightness_from_cavity(
             _no_cavity(cavity), swept_pump, filters, False, factor_mode, threads
         ).value
-        if r2 == 0.0:
-            rows.append((float(r2), float(sigma), 1.0))
-            continue
         b = brightness_from_cavity(cav, swept_pump, filters, False, factor_mode, threads).value
         rows.append((float(r2), float(sigma), b / reference))
     return SweepTable(("r2", "sigma_rad_s", "B_norm"), rows)

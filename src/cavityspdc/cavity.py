@@ -164,13 +164,19 @@ def coefficient_of_finesse(r_eff):
     return 4.0 * r_eff / (1.0 - r_eff) ** 2
 
 
-def _airy_from_phase(cavity, mode, delta):
-    """Airy weight A_mu at the round-trip phase factor Delta_mu (see airy).
+def _check_perfect_mirror_1(cavity, mode):
+    """Reject |r_2mu| > 0 with |r_1mu| != 1, which no SR/DR formula here covers."""
+    r2 = cavity.mirror(2, mode).magnitude
+    r1 = cavity.mirror(1, mode).magnitude
+    if r2 > 0 and r1 != 1.0:
+        raise ValueError(
+            f"the cavity model needs |r_1{mode[0]}| = 1 when mirror 2 reflects the "
+            f"{mode} (|r_2{mode[0]}| = {r2}), got |r_1{mode[0]}| = {r1}"
+        )
 
-    The SPDC-mode form holds for a perfect mirror 1, |r_1mu| = 1; a cavity
-    whose mirror 2 reflects a photon that mirror 1 does not fully reflect is
-    rejected rather than silently mis-weighted.
-    """
+
+def _airy_from_phase(cavity, mode, delta):
+    """Airy weight A_mu at the round-trip phase factor Delta_mu (see airy)."""
     # port: the mirror the light crosses, mirror 1 into the cavity for the
     # pump and mirror 2 out of it for signal and idler
     if mode == "pump":
@@ -183,12 +189,7 @@ def _airy_from_phase(cavity, mode, delta):
         r_eff = port.magnitude
         if r_eff >= 1.0:
             raise DivergenceError(f"Airy function diverges at |r_2{mode[0]}| = 1")
-        r1 = cavity.mirror(1, mode).magnitude
-        if r_eff > 0 and r1 != 1.0:
-            raise ValueError(
-                f"the {mode} Airy weight assumes |r_1{mode[0]}| = 1 when mirror 2 "
-                f"reflects (|r_2{mode[0]}| = {r_eff}), got |r_1{mode[0]}| = {r1}"
-            )
+        _check_perfect_mirror_1(cavity, mode)
     fin = coefficient_of_finesse(r_eff)
     prefactor = port.transmissivity**2 / (1.0 - r_eff) ** 2
     return prefactor / (1.0 + fin * np.sin(delta / 2.0) ** 2)

@@ -14,7 +14,6 @@ error: module=<module>: <message>.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -302,12 +301,7 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
     parser.add_argument("--format", choices=("text", "binary"), default=None)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("CAVITYSPDC_THREADS", "1")),
-        help="worker threads for sweeps (default: CAVITYSPDC_THREADS or 1)",
-    )
+    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
     args = parser.parse_args(argv)
 
     try:

@@ -14,7 +14,8 @@ diverges at r_1p = 0, so the code only forms the pre-multiplied product
 Y r_1p, which stays finite there.
 
 The intensity factorizes as S_DR = A_s A_i A_p(omega_s + omega_i) P |f|^2,
-where P is the phase-balancing weight between consecutive pump passes.
+where P is the phase-balancing weight between consecutive pump passes;
+jsi_doubly_resonant evaluates it with the table model of the spectral module.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import airy, single_pass_phase
-from .constants import c
+from .cavity import single_pass_phase
 from .errors import DivergenceError
-from .spectral import SpectralGrid, _jsa_sr_pointwise, _warn_if_under_resolved, jsa_bare
+from .spectral import _gamma_free_space, _jsa_sr_pointwise, _jsi_on_grid, _warn_if_under_resolved
 
 __all__ = [
     "DrPhaseContext",
@@ -63,12 +63,11 @@ class DrPhaseContext:
         omega_s = np.asarray(omega_s, dtype=float)
         omega_i = np.asarray(omega_i, dtype=float)
         omega_p = omega_s + omega_i
-        gamma_p = omega_p * (cavity.length_L - cavity.crystal.length_l) / (2 * c)
         return cls(
             theta_s=single_pass_phase(cavity, omega_s, "signal"),
             theta_i=single_pass_phase(cavity, omega_i, "idler"),
             theta_p=single_pass_phase(cavity, omega_p, "pump"),
-            gamma_p=gamma_p,
+            gamma_p=_gamma_free_space(cavity, omega_p),
             delta_1s=cavity.mirror(1, "signal").phase,
             delta_1i=cavity.mirror(1, "idler").phase,
             delta_1p=cavity.mirror(1, "pump").phase,
@@ -142,41 +141,12 @@ def phase_balancing(ctx, r_2p_magnitude):
     return plus * (1.0 - 4.0 * r_2p_magnitude / plus * np.sin(np.asarray(delta) / 2.0) ** 2)
 
 
-def _balance_phasor(cavity, theta_p):
-    """Pump-side factor e^{i(theta_p + delta_1s + delta_1i + delta_2p)} of cos(Delta) in P."""
-    mirror_phases = (
-        cavity.mirror(1, "signal").phase
-        + cavity.mirror(1, "idler").phase
-        + cavity.mirror(2, "pump").phase
-    )
-    return np.exp(1j * (theta_p + mirror_phases))
-
-
-def _balance_weight(cavity, cos_delta):
-    """P = 1 + |r_2p|^2 + 2 |r_2p| cos(Delta), the phase_balancing value from cos(Delta).
-
-    The brightness stripe forms cos(Delta) = Re(e^{i theta_s} e^{i theta_i} u_p)
-    from per-frequency phasors (u_p from _balance_phasor), so no sample takes
-    the sine of the large unfolded phase sum.
-    """
-    r = cavity.mirror(2, "pump").magnitude
-    return (1.0 + r * r) + (2.0 * r) * cos_delta
-
-
 def jsi_doubly_resonant(cavity, pump, filters, grid):
     """Doubly-resonant joint spectral intensity S_DR = A_s A_i A_p P |f|^2.
 
     The factored form assumes unit-magnitude mirror-1 reflectivities for the
     SPDC modes (the singly-resonant preset); then it equals |f_DR|^2 exactly.
-    airy raises ValueError for a cavity that breaks the assumption.
+    A cavity that breaks the assumption raises ValueError.
     """
     _warn_if_under_resolved(cavity, grid, "jsi_doubly_resonant")
-    a_s = airy(grid.omega_s_axis, "signal", cavity)
-    a_i = airy(grid.omega_i_axis, "idler", cavity)
-    omega_s, omega_i = grid.meshgrid()
-    ctx = DrPhaseContext.from_cavity(cavity, omega_s, omega_i)
-    a_p = airy(omega_s + omega_i, "pump", cavity)
-    p = phase_balancing(ctx, cavity.mirror(2, "pump").magnitude)
-    f = jsa_bare(pump, cavity.crystal, filters, omega_s, omega_i)
-    values = np.outer(a_i, a_s) * a_p * p * np.abs(f) ** 2
-    return SpectralGrid(grid.omega_s_axis, grid.omega_i_axis, values)
+    return _jsi_on_grid(cavity, pump, filters, grid, doubly_resonant=True)

@@ -1,4 +1,4 @@
-"""Bare and singly-resonant joint spectral quantities on 2-D frequency grids.
+"""Bare and singly-resonant joint spectral quantities, and the intensity model.
 
 The bare joint spectral amplitude is
 
@@ -9,7 +9,13 @@ with a Gaussian pump envelope alpha, the crystal phasematching amplitude
 phi = sinc(dk l / 2) exp(i dk l / 2) and optional Gaussian intensity filters
 F.  The cavity multiplies each photon by the geometric-sum amplitude A_mu;
 in the many-pass limit the joint spectral intensity factorizes into
-S_SR = A_s(omega_s) A_i(omega_i) |f|^2 with A the Airy weights.
+S_SR = A_s(omega_s) A_i(omega_i) |f|^2 with A the Airy weights, and with a
+resonant pump into S_DR = A_s A_i A_p(omega_s + omega_i) P |f|^2.
+
+Every factor of these intensities depends on one frequency, except
+sinc^2(dk l / 2) and the phase-balancing weight P.  _factor_tables evaluates
+the others once per entry of 1-D signal, idler and pump tables; _intensity
+combines broadcast views of the tables, whatever lattice they come from.
 
 Grid convention: SpectralGrid.values[i, j] belongs to
 (omega_i_axis[i], omega_s_axis[j]).
@@ -23,9 +29,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import airy, mode_width, round_trip_phase_mismatch
+from .cavity import (
+    _airy_from_phase,
+    _check_perfect_mirror_1,
+    _round_trip_phase,
+    _single_pass_phase,
+    mode_width,
+    round_trip_phase_mismatch,
+)
 from .constants import c
-from .dispersion import wavevector
+from .dispersion import refractive_index, wavevector
 from .errors import DivergenceError, UnderResolutionWarning
 
 __all__ = [
@@ -215,6 +228,7 @@ def _sr_ratio(cavity, omega, mode):
     m2 = cavity.mirror(2, mode)
     if m2.magnitude >= 1.0:
         raise DivergenceError(f"geometric sum diverges at |r_2{mode[0]}| = 1")
+    _check_perfect_mirror_1(cavity, mode)
     delta = round_trip_phase_mismatch(cavity, omega, mode)
     return m2, m2.magnitude * np.exp(1j * np.asarray(delta))
 
@@ -287,12 +301,96 @@ def jsa_singly_resonant(cavity, pump, filters, grid):
 def jsi_singly_resonant(cavity, pump, filters, grid):
     """Singly-resonant joint spectral intensity S_SR = A_s A_i |f|^2 (real grid)."""
     _warn_if_under_resolved(cavity, grid, "jsi_singly_resonant")
-    a_s = airy(grid.omega_s_axis, "signal", cavity)
-    a_i = airy(grid.omega_i_axis, "idler", cavity)
-    omega_s, omega_i = grid.meshgrid()
-    f = jsa_bare(pump, cavity.crystal, filters, omega_s, omega_i)
-    values = np.outer(a_i, a_s) * np.abs(f) ** 2
-    return SpectralGrid(grid.omega_s_axis, grid.omega_i_axis, values)
+    return _jsi_on_grid(cavity, pump, filters, grid, doubly_resonant=False)
+
+
+class _Factors(NamedTuple):
+    """Factors on one table: k l / 2, a weight and, for DR, a phasor of P.
+
+    Photon: Airy x filter^2 and e^{i theta}.  Pump, on omega_s + omega_i:
+    |alpha|^2 x pump Airy and e^{i(theta_p + delta_1s + delta_1i + delta_2p)}.
+    """
+
+    k: np.ndarray
+    weight: np.ndarray
+    phasor: np.ndarray | None
+
+    def view(self, index):
+        """The same factors through one view (a slice, a broadcast or a gather)."""
+        return _Factors(*(None if t is None else index(t) for t in self))
+
+
+def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, doubly_resonant):
+    """Signal, idler and pump _Factors, each factor evaluated once per table entry.
+
+    filters is a (signal, idler) pair or None.  A degenerate source whose
+    idler table is the signal table reversed reuses the signal factors.
+    """
+    half_l = cavity.crystal.length_l / 2.0
+
+    def photon(omega, mode, filt):
+        n = refractive_index(cavity.crystal, omega, "ordinary")
+        theta = _single_pass_phase(cavity, omega, n)
+        weight = _airy_from_phase(cavity, mode, _round_trip_phase(cavity, theta, mode))
+        if filt is not None:
+            weight = weight * filt.amplitude(omega) ** 2
+        phasor = np.exp(1j * theta) if doubly_resonant else None
+        return _Factors(n * omega / c * half_l, weight, phasor)
+
+    f_s, f_i = filters or (None, None)
+    signal = photon(omega_s, "signal", f_s)
+    same_mirrors = all(cavity.mirror(nu, "signal") == cavity.mirror(nu, "idler") for nu in (1, 2))
+    if f_s == f_i and same_mirrors and np.array_equal(omega_s, omega_i[::-1]):
+        idler = signal.view(lambda t: np.ascontiguousarray(t[::-1]))
+    else:
+        idler = photon(omega_i, "idler", f_i)
+    n_p = refractive_index(cavity.crystal, omega_p, "extraordinary")
+    weight_p = pump_envelope(pump, omega_p) ** 2
+    phasor_p = None
+    if doubly_resonant:
+        theta_p = _single_pass_phase(cavity, omega_p, n_p)
+        delta_p = _round_trip_phase(cavity, theta_p, "pump")
+        weight_p = weight_p * _airy_from_phase(cavity, "pump", delta_p)
+        # the mirror phases delta_1s + delta_1i + delta_2p of P ride on the pump phasor
+        balance = sum(cavity.mirror(*key).phase for key in ((1, "signal"), (1, "idler"), (2, "pump")))
+        phasor_p = np.exp(1j * (theta_p + balance))
+    return signal, idler, _Factors(n_p * omega_p / c * half_l, weight_p, phasor_p)
+
+
+def _intensity(cavity, signal, idler, pump):
+    """S_SR, or S_DR when the pump carries phasors, from broadcastable factor views.
+
+    Only sinc^2(k_p - k_s - k_i) and, for DR, the phase-balancing weight
+    P = 1 + |r_2p|^2 + 2 |r_2p| Re(product of the three phasors) combine
+    frequencies: the phase_balancing value without the sine of the large
+    unfolded phase sum.
+    """
+    x = pump.k - signal.k - idler.k
+    with np.errstate(invalid="ignore"):
+        s = np.sin(x) / x
+    s[x == 0.0] = 1.0
+    s *= s
+    s *= signal.weight
+    s *= idler.weight
+    s *= pump.weight
+    if pump.phasor is not None:
+        phasor = signal.phasor * idler.phasor
+        phasor *= pump.phasor
+        r = cavity.mirror(2, "pump").magnitude
+        s *= (1.0 + r * r) + (2.0 * r) * phasor.real
+    return s
+
+
+def _jsi_on_grid(cavity, pump, filters, grid, doubly_resonant):
+    """S_SR or S_DR on a rectangular grid: 1-D tables on the axes, the pump on their sums."""
+    s_axis, i_axis = grid.omega_s_axis, grid.omega_i_axis
+    signal, idler, plus = _factor_tables(
+        cavity, pump, filters, s_axis, i_axis, s_axis + i_axis[:, None], doubly_resonant
+    )
+    values = _intensity(
+        cavity, signal.view(lambda t: t[None, :]), idler.view(lambda t: t[:, None]), plus
+    )
+    return SpectralGrid(s_axis, i_axis, values)
 
 
 def marginal_spectrum(grid, axis):

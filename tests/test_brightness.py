@@ -149,6 +149,18 @@ class TestSigmaSweep:
 
 
 class TestPlateauSweep:
+    def test_no_reference_integral_at_zero_r2(self, flat_cavity, pump, filters, monkeypatch):
+        calls = []
+        stripe_integral = stripe_module._stripe_integral
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return stripe_integral(*args, **kwargs)
+
+        monkeypatch.setattr(stripe_module, "_stripe_integral", counted)
+        cs.plateau_brightness_vs_r2(flat_cavity, pump, filters, [0.0, 0.5])
+        assert len(calls) == 2  # the r2 = 0.5 row and its reference
+
     def test_reference_and_monotonicity(self, flat_cavity, pump, filters):
         table = cs.plateau_brightness_vs_r2(flat_cavity, pump, filters, [0.0, 0.5, 0.9])
         b = table.column("B_norm")
@@ -245,7 +257,56 @@ def _rate_factor(crystal, omega):
     return cs.group_slowness(crystal, omega, "ordinary") * omega / n**2
 
 
+def _source(sr_cavity, dr_cavity, filters, doubly_resonant, degenerate):
+    """Cavity and filters of a degenerate source, or one with distinct signal and idler."""
+    cavity = dr_cavity if doubly_resonant else sr_cavity
+    if degenerate:
+        return cavity, filters
+    # distinct signal and idler tables: shifted centers, widths and mirrors
+    f_s, f_i = filters
+    return cavity.with_mirror(2, "idler", magnitude=0.6), (
+        replace(f_s, center=1.01 * OMEGA_800),
+        replace(f_i, center=0.99 * OMEGA_800, fwhm=0.8 * f_i.fwhm),
+    )
+
+
+def _pointwise_intensity(cavity, pump, filters, omega_s, omega_i, doubly_resonant):
+    """Oracle S_SR / S_DR from the complex bare amplitude and the pointwise factors."""
+    s = np.abs(cs.jsa_bare(pump, cavity.crystal, filters, omega_s, omega_i)) ** 2
+    s = s * cs.airy(omega_s, "signal", cavity) * cs.airy(omega_i, "idler", cavity)
+    if doubly_resonant:
+        ctx = cs.DrPhaseContext.from_cavity(cavity, omega_s, omega_i)
+        s = s * cs.airy(omega_s + omega_i, "pump", cavity)
+        s = s * cs.phase_balancing(ctx, cavity.mirror(2, "pump").magnitude)
+    return s
+
+
+def _assert_matches_oracle(got, expect):
+    # Floor: the DR oracle takes sin of the unfolded phase sum (~800 rad,
+    # rounding ~1e-13 rad), so samples at a phase-balancing zero cancel.
+    floor = 1e-13 * np.abs(expect).max()
+    assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect) + floor)
+
+
 class TestStripeLattice:
+    @pytest.mark.parametrize("filtered", [True, False])
+    @pytest.mark.parametrize("degenerate", [True, False])
+    @pytest.mark.parametrize("doubly_resonant", [False, True])
+    def test_rectangular_grid_matches_pointwise_evaluation(
+        self, sr_cavity, dr_cavity, pump, filters, doubly_resonant, degenerate, filtered
+    ):
+        # the rectangular JSIs share the stripe's factor tables and kernel
+        cavity, filters = _source(sr_cavity, dr_cavity, filters, doubly_resonant, degenerate)
+        halfwidth = 3 * filters[1].fwhm
+        grid = cs.default_grid(filters[0].center, filters[1].center, halfwidth, samples=129)
+        if not filtered:  # the design.spectral_check route
+            filters = None
+        jsi = cs.jsi_doubly_resonant if doubly_resonant else cs.jsi_singly_resonant
+        got = jsi(cavity, pump, filters, grid).values
+        omega_s, omega_i = grid.meshgrid()
+        expect = _pointwise_intensity(cavity, pump, filters, omega_s, omega_i, doubly_resonant)
+        _assert_matches_oracle(got, expect)
+
     @pytest.mark.parametrize("degenerate", [True, False])
     @pytest.mark.parametrize("factor_mode", ["central_approx", "exact_factors"])
     @pytest.mark.parametrize("doubly_resonant", [False, True])
@@ -253,15 +314,7 @@ class TestStripeLattice:
         self, sr_cavity, dr_cavity, crystal, pump, filters, doubly_resonant, factor_mode,
         degenerate,
     ):
-        cavity = dr_cavity if doubly_resonant else sr_cavity
-        if not degenerate:
-            # distinct signal and idler tables: shifted centers, widths and mirrors
-            cavity = cavity.with_mirror(2, "idler", magnitude=0.6)
-            f_s, f_i = filters
-            filters = (
-                replace(f_s, center=1.01 * OMEGA_800),
-                replace(f_i, center=0.99 * OMEGA_800, fwhm=0.8 * f_i.fwhm),
-            )
+        cavity, filters = _source(sr_cavity, dr_cavity, filters, doubly_resonant, degenerate)
         stripe = stripe_module._stripe_axes(cavity, pump, filters, doubly_resonant)
         tables = stripe_module._stripe_tables(
             stripe, cavity, pump, filters, doubly_resonant, factor_mode
@@ -282,12 +335,7 @@ class TestStripeLattice:
             # the tables sit on the rotated lattice
             assert np.abs(omega_s - (plus + minus) / 2).max() <= 4e-16 * OMEGA_800
             assert np.abs(omega_i - (plus - minus) / 2).max() <= 4e-16 * OMEGA_800
-            s = np.abs(cs.jsa_bare(pump, crystal, filters, omega_s, omega_i)) ** 2
-            s = s * cs.airy(omega_s, "signal", cavity) * cs.airy(omega_i, "idler", cavity)
-            if doubly_resonant:
-                ctx = cs.DrPhaseContext.from_cavity(cavity, omega_s, omega_i)
-                s = s * cs.airy(omega_s + omega_i, "pump", cavity)
-                s = s * cs.phase_balancing(ctx, cavity.mirror(2, "pump").magnitude)
+            s = _pointwise_intensity(cavity, pump, filters, omega_s, omega_i, doubly_resonant)
             if factor_mode == "exact_factors":
                 s = s * _rate_factor(crystal, omega_s) * _rate_factor(crystal, omega_i)
             else:
@@ -295,11 +343,7 @@ class TestStripeLattice:
                     crystal, filters[1].center
                 )
             expect.append(np.trapezoid(s, dx=stripe.q_minus * stripe.h, axis=1))
-        got, expect = np.concatenate(got), np.concatenate(expect)
-        # Floor: the DR oracle takes sin of the unfolded phase sum (~800 rad,
-        # rounding ~1e-13 rad), so columns at a phase-balancing zero cancel.
-        floor = 1e-13 * np.abs(expect).max()
-        assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect) + floor)
+        _assert_matches_oracle(np.concatenate(got), np.concatenate(expect))
 
     @pytest.mark.parametrize(
         "r2, sigma", [(0.5, 1e11), (0.9, 1e11), (0.9, 2e12), (0.5, 4.6e13)]
