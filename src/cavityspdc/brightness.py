@@ -162,9 +162,9 @@ def _stripe_axes(cavity, pump, filters, doubly_resonant):
     finest structure; h is the smaller target and each axis steps by the
     largest multiple of h within its own target.
     """
-    f_s, f_i = filters
-    if f_s.shape == "none" or f_i.shape == "none":
+    if filters is None:
         raise ValueError("sweep integration requires gaussian filters on both modes")
+    f_s, f_i = filters
     center_plus = pump.omega_p0
     half_plus = 4.0 * pump.sigma
 

@@ -19,14 +19,13 @@ center and with it the whole resonance comb.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .constants import c
 from .dispersion import polarization_for_mode, refractive_index
-from .errors import DivergenceError, InfiniteWidthError, PhaseRelaxationWarning
+from .errors import DivergenceError, InfiniteWidthError
 
 __all__ = [
     "MODES",
@@ -61,11 +60,6 @@ class MirrorSpec:
     def transmissivity(self):
         """Lossless |t| = sqrt(1 - |r|^2)."""
         return float(np.sqrt(1.0 - self.magnitude**2))
-
-    @property
-    def amplitude(self):
-        """Complex amplitude reflectivity."""
-        return self.magnitude * np.exp(1j * self.phase)
 
 
 @dataclass(frozen=True)
@@ -236,7 +230,7 @@ def _smallest_nonnegative(phase, period=_TWO_PI):
     return out
 
 
-def solve_resonance_phases(cavity, omega_s0, omega_i0, omega_p0=None, adjustable=None):
+def solve_resonance_phases(cavity, omega_s0, omega_i0, omega_p0=None):
     """Mirror phases putting the cavity on resonance at the band centers.
 
     Always enforces Delta_s(omega_s0) = 0 and Delta_i(omega_i0) = 0 (mod
@@ -244,30 +238,13 @@ def solve_resonance_phases(cavity, omega_s0, omega_i0, omega_p0=None, adjustable
     conditions Delta_p(omega_p0) = 0 (mod 2 pi) and the pass-to-pass balance
     theta_s + theta_i + theta_p + delta_1s + delta_1i + delta_2p = 0 (mod
     2 pi), the even-multiple branch that maximizes the phase-balancing
-    factor.  Solved phases are the smallest non-negative values.
-
-    adjustable optionally restricts which (mirror, mode) phases may change;
-    a condition whose designated phase is locked is relaxed with a
-    PhaseRelaxationWarning naming it.
+    factor.  Solved phases are the smallest non-negative values.  Each
+    condition sets one phase: delta_2p (balance), delta_1p (pump resonance),
+    delta_2s and delta_2i.
     """
-    if adjustable is None:
-        adjustable = {(nu, mode) for nu in (1, 2) for mode in MODES}
-    else:
-        adjustable = set(adjustable)
 
-    def solve_condition(cav, name, target_key, residual_fn):
-        if target_key not in adjustable:
-            warnings.warn(
-                f"resonance condition {name} relaxed: phase of mirror "
-                f"{target_key[0]} for mode {target_key[1]!r} is not adjustable",
-                PhaseRelaxationWarning,
-                stacklevel=3,
-            )
-            return cav
-        nu, mode = target_key
-        current = cav.mirror(nu, mode).phase
-        residual = residual_fn(cav)
-        needed = _smallest_nonnegative(current - residual)
+    def solve_condition(cav, nu, mode, residual_fn):
+        needed = _smallest_nonnegative(cav.mirror(nu, mode).phase - residual_fn(cav))
         return cav.with_mirror(nu, mode, phase=needed)
 
     out = cavity
@@ -287,23 +264,13 @@ def solve_resonance_phases(cavity, omega_s0, omega_i0, omega_p0=None, adjustable
                 + cav.mirror(2, "pump").phase
             )
 
-        out = solve_condition(out, "pair-phase balance", (2, "pump"), balance_residual)
+        out = solve_condition(out, 2, "pump", balance_residual)
         out = solve_condition(
-            out,
-            "pump resonance",
-            (1, "pump"),
-            lambda cav: round_trip_phase_mismatch(cav, omega_p0, "pump"),
+            out, 1, "pump", lambda cav: round_trip_phase_mismatch(cav, omega_p0, "pump")
         )
     out = solve_condition(
-        out,
-        "signal resonance",
-        (2, "signal"),
-        lambda cav: round_trip_phase_mismatch(cav, omega_s0, "signal"),
+        out, 2, "signal", lambda cav: round_trip_phase_mismatch(cav, omega_s0, "signal")
     )
-    out = solve_condition(
-        out,
-        "idler resonance",
-        (2, "idler"),
-        lambda cav: round_trip_phase_mismatch(cav, omega_i0, "idler"),
+    return solve_condition(
+        out, 2, "idler", lambda cav: round_trip_phase_mismatch(cav, omega_i0, "idler")
     )
-    return out

@@ -94,7 +94,7 @@ def _cmd_jsi_dr(cfg, out_dir, fmt, threads):
 
 def _cmd_marginal(cfg, out_dir, fmt, threads):
     paths, (_, _, _, jsi) = _run_jsi(cfg, out_dir, fmt, False)
-    axis = cfg.get("marginal", "axis", "signal")
+    axis = cfg.get("marginal", "axis")
     marg = marginal_spectrum(jsi, axis)
     path = out_dir / f"marginal_{axis}.dat"
     write_columns(
@@ -114,13 +114,12 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
     if filters is None:
         raise ConfigError("the temporal subcommand needs gaussian [filters]")
     omega_s0, omega_i0 = cfg.band_centers()
-    sec = cfg.sections.get("temporal", {})
-    per_width = sec.get("samples_per_mode_width", 8)
-    minus_half = sec.get("minus_halfwidth_filter_fwhm", 3.0) * min(
+    per_width = cfg.get("temporal", "samples_per_mode_width")
+    minus_half = cfg.get("temporal", "minus_halfwidth_filter_fwhm") * min(
         filters[0].fwhm, filters[1].fwhm
     )
-    plus_half = sec.get("plus_halfwidth_sigma", 4.5) * pump.sigma
-    prominence = sec.get("min_prominence", 1e-4)
+    plus_half = cfg.get("temporal", "plus_halfwidth_sigma") * pump.sigma
+    prominence = cfg.get("temporal", "min_prominence")
 
     width = min(mode_width(cavity, omega_s0, "signal"), mode_width(cavity, omega_i0, "idler"))
     d_minus = width / per_width
@@ -179,7 +178,7 @@ def _cmd_brightness_sweep(cfg, out_dir, fmt, threads):
         raise ConfigError("brightness sweeps need gaussian [filters]")
     sweep = cfg.require("sweep")
     kinds = sweep["kind"].split()
-    factors = sweep.get("factors", "central_approx")
+    factors = cfg.get("sweep", "factors")
     paths = []
     for kind in kinds:
         if kind == "sigma_r2":
@@ -306,9 +305,9 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config, require=_REQUIRED_SECTIONS[args.subcommand])
-        out_dir = Path(args.out or cfg.get("output", "directory", "out"))
+        out_dir = Path(args.out or cfg.get("output", "directory"))
         out_dir.mkdir(parents=True, exist_ok=True)
-        fmt = args.format or cfg.get("output", "format", "binary")
+        fmt = args.format or cfg.get("output", "format")
         sys.stdout.write(f"# normalized configuration\n{cfg.normalized_text()}")
         paths = _HANDLERS[args.subcommand](cfg, out_dir, fmt, max(args.threads, 1))
         manifest = _write_manifest(out_dir, cfg, paths)

@@ -8,8 +8,15 @@ cyclic _hz suffix (multiplied by 2 pi on load); bandwidth figures quoted in
 Keys that take a wavelength or a frequency (filter centers and widths, grid
 centers) keep the kind of their suffix; it is never guessed from the value.
 Dimensionless keys (reflectivity magnitudes, sample counts, lists) are
-whitelisted individually.  Unknown keys, missing unit suffixes, duplicates
-and out-of-range values are all load-time errors.
+whitelisted individually.
+
+_SCHEMA is the one place that states each key's units, bounds and default.
+Unknown keys, missing unit suffixes, duplicates, non-finite numbers and
+values outside a declared bound (each entry of a list included) are all
+load-time errors, and RunConfig.get returns the schema default for an absent
+key.  While solve_phases is true (the default) the solver sets
+phase_r2_signal, phase_r2_idler, phase_r1_pump and phase_r2_pump, so giving
+any of them is an error too.
 """
 
 from __future__ import annotations
@@ -45,95 +52,103 @@ _UNIT_FACTORS = {
 }
 
 
-def _quantity(stem, units, lo=None, hi=None, required=False):
-    return {"kind": "quantity", "stem": stem, "units": units, "lo": lo, "hi": hi,
-            "required": required}
-
-
-def _bare(name, kind, lo=None, hi=None, choices=None, required=False, default=None):
-    return {"kind": kind, "stem": name, "lo": lo, "hi": hi, "choices": choices,
-            "required": required, "default": default}
+def _key(stem, kind="float", units=(), lo=None, hi=None, many=False, choices=None,
+         required=False, default=None):
+    """Schema entry; a key with units is written stem_<unit> for one of them."""
+    return {"stem": stem, "kind": kind, "units": units, "lo": lo, "hi": hi, "many": many,
+            "choices": choices, "required": required, "default": default}
 
 
 _LENGTH = ("m", "um", "nm")
 _FREQ = ("rad_s", "hz")
 _ANGLE = ("rad", "deg")
 
-# section -> list of entries; a "quantity" entry matches stem_<unit>.
+
+def _section(*entries):
+    return {entry["stem"]: entry for entry in entries}
+
+
+# section -> stem -> entry.  Bounds and defaults are in internal units; a
+# default of None is computed where the value is used (cavity length = l, the
+# cut angle from phasematching, the grid halfwidth from the filters).
 _SCHEMA = {
-    "crystal": [
-        _bare("kind", "choice", choices=("bbo", "custom")),
-        _bare("sellmeier_ordinary", "float_list"),
-        _bare("sellmeier_extraordinary", "float_list"),
-        _quantity("cut_angle", _ANGLE, lo=0.0, hi=math.pi / 2),
-        _quantity("length_l", _LENGTH, lo=0.0),
-        _bare("window_lo_um", "float", lo=0.0),
-        _bare("window_hi_um", "float", lo=0.0),
-    ],
-    "cavity": [
-        _quantity("length", _LENGTH, lo=0.0),
-        _bare("r2_signal", "float", lo=0.0, hi=1.0, default=0.0),
-        _bare("r2_idler", "float", lo=0.0, hi=1.0, default=0.0),
-        _bare("r1_pump", "float", lo=0.0, hi=1.0, default=0.0),
-        _bare("r2_pump", "float", lo=0.0, hi=1.0, default=0.0),
-        _quantity("phase_r1_signal", _ANGLE),
-        _quantity("phase_r1_idler", _ANGLE),
-        _quantity("phase_r2_signal", _ANGLE),
-        _quantity("phase_r2_idler", _ANGLE),
-        _quantity("phase_r1_pump", _ANGLE),
-        _quantity("phase_r2_pump", _ANGLE),
-        _bare("solve_phases", "bool", default=True),
-    ],
-    "pump": [
-        _quantity("wavelength", _LENGTH),
-        _quantity("fwhm", ("nm",)),
-        _quantity("sigma", _FREQ),
-        _bare("energy_j", "float", lo=0.0, default=1.0),
-    ],
-    "filters": [
-        _bare("shape", "choice", choices=("gaussian", "none"), default="gaussian"),
-        _quantity("signal_center", _LENGTH + _FREQ),
-        _quantity("idler_center", _LENGTH + _FREQ),
-        _quantity("fwhm", ("nm",) + _FREQ),
-        _quantity("signal_fwhm", ("nm",) + _FREQ),
-        _quantity("idler_fwhm", ("nm",) + _FREQ),
-    ],
-    "grid": [
-        _quantity("signal_center", _LENGTH + _FREQ, required=True),
-        _quantity("idler_center", _LENGTH + _FREQ, required=True),
-        _bare("samples", "int", lo=16, default=1024),
-        _quantity("halfwidth", _FREQ),
-    ],
-    "temporal": [
-        _bare("samples_per_mode_width", "int", lo=2, default=8),
-        _bare("minus_halfwidth_filter_fwhm", "float", lo=0.1, default=3.0),
-        _bare("plus_halfwidth_sigma", "float", lo=0.5, default=4.5),
-        _bare("min_prominence", "float", lo=0.0, default=1e-4),
-    ],
-    "sweep": [
-        _bare("kind", "str", required=True),
-        _quantity("sigma_list", _FREQ),
-        _bare("r2_list", "float_list"),
-        _bare("plateau_r2_list", "float_list"),
-        _bare("r1p_list", "float_list"),
-        _bare("factors", "choice", choices=("central_approx", "exact_factors"),
-              default="central_approx"),
-    ],
-    "design": [
-        _quantity("signal_wavelength", _LENGTH, required=True),
-        _quantity("transition_fwhm", _FREQ, required=True),
-        _quantity("pump_wavelength", _LENGTH, required=True),
-        _quantity("delta_lambda_max", _LENGTH, required=True),
-        _quantity("pin_cavity_length", _LENGTH),
-    ],
-    "marginal": [
-        _bare("axis", "choice", choices=("signal", "idler"), default="signal"),
-    ],
-    "output": [
-        _bare("directory", "str", default="out"),
-        _bare("format", "choice", choices=("text", "binary"), default="binary"),
-    ],
+    "crystal": _section(
+        _key("kind", "choice", choices=("bbo", "custom"), default="bbo"),
+        _key("sellmeier_ordinary", many=True),
+        _key("sellmeier_extraordinary", many=True),
+        _key("cut_angle", units=_ANGLE, lo=0.0, hi=math.pi / 2),
+        _key("length_l", units=_LENGTH, lo=0.0),
+        _key("window_lo_um", lo=0.0, default=0.2),
+        _key("window_hi_um", lo=0.0, default=1.1),
+    ),
+    "cavity": _section(
+        _key("length", units=_LENGTH, lo=0.0),
+        _key("r2_signal", lo=0.0, hi=1.0, default=0.0),
+        _key("r2_idler", lo=0.0, hi=1.0, default=0.0),
+        _key("r1_pump", lo=0.0, hi=1.0, default=0.0),
+        _key("r2_pump", lo=0.0, hi=1.0, default=0.0),
+        _key("phase_r1_signal", units=_ANGLE, default=0.0),
+        _key("phase_r1_idler", units=_ANGLE, default=0.0),
+        _key("phase_r2_signal", units=_ANGLE, default=0.0),
+        _key("phase_r2_idler", units=_ANGLE, default=0.0),
+        _key("phase_r1_pump", units=_ANGLE, default=0.0),
+        _key("phase_r2_pump", units=_ANGLE, default=0.0),
+        _key("solve_phases", "bool", default=True),
+    ),
+    "pump": _section(
+        _key("wavelength", units=_LENGTH, lo=0.0),
+        _key("fwhm", units=("nm",), lo=0.0),
+        _key("sigma", units=_FREQ, lo=0.0),
+        _key("energy_j", lo=0.0, default=1.0),
+    ),
+    "filters": _section(
+        _key("shape", "choice", choices=("gaussian", "none"), default="gaussian"),
+        _key("signal_center", units=_LENGTH + _FREQ, lo=0.0),
+        _key("idler_center", units=_LENGTH + _FREQ, lo=0.0),
+        _key("fwhm", units=("nm",) + _FREQ, lo=0.0),
+        _key("signal_fwhm", units=("nm",) + _FREQ, lo=0.0),
+        _key("idler_fwhm", units=("nm",) + _FREQ, lo=0.0),
+    ),
+    "grid": _section(
+        _key("signal_center", units=_LENGTH + _FREQ, lo=0.0, required=True),
+        _key("idler_center", units=_LENGTH + _FREQ, lo=0.0, required=True),
+        _key("samples", "int", lo=16, default=1024),
+        _key("halfwidth", units=_FREQ, lo=0.0),
+    ),
+    "temporal": _section(
+        _key("samples_per_mode_width", "int", lo=2, default=8),
+        _key("minus_halfwidth_filter_fwhm", lo=0.1, default=3.0),
+        _key("plus_halfwidth_sigma", lo=0.5, default=4.5),
+        _key("min_prominence", lo=0.0, default=1e-4),
+    ),
+    "sweep": _section(
+        _key("kind", "str", required=True),
+        _key("sigma_list", units=_FREQ, lo=0.0, many=True),
+        _key("r2_list", lo=0.0, hi=1.0, many=True),
+        _key("plateau_r2_list", lo=0.0, hi=1.0, many=True),
+        _key("r1p_list", lo=0.0, hi=1.0, many=True),
+        _key("factors", "choice", choices=("central_approx", "exact_factors"),
+             default="central_approx"),
+    ),
+    "design": _section(
+        _key("signal_wavelength", units=_LENGTH, lo=0.0, required=True),
+        _key("transition_fwhm", units=_FREQ, lo=0.0, required=True),
+        _key("pump_wavelength", units=_LENGTH, lo=0.0, required=True),
+        _key("delta_lambda_max", units=_LENGTH, lo=0.0, required=True),
+        _key("pin_cavity_length", units=_LENGTH, lo=0.0),
+    ),
+    "marginal": _section(
+        _key("axis", "choice", choices=("signal", "idler"), default="signal"),
+    ),
+    "output": _section(
+        _key("directory", "str", default="out"),
+        _key("format", "choice", choices=("text", "binary"), default="binary"),
+    ),
 }
+
+# The mirror phases solve_resonance_phases overwrites: with solve_phases on,
+# a value given for one of them could not change the result.
+_SOLVED_PHASES = ("phase_r2_signal", "phase_r2_idler", "phase_r1_pump", "phase_r2_pump")
 
 _REQUIRED_NOTE = (
     "a run configuration needs [crystal], [cavity], [pump] and [grid] "
@@ -143,24 +158,20 @@ _REQUIRED_NOTE = (
 
 
 def _match_entry(section, key):
-    """Schema entry and unit factor for a raw key; None when unknown."""
-    entries = _SCHEMA[section]
-    for entry in entries:
-        if entry["kind"] != "quantity" and entry["stem"] == key:
+    """Schema entry and unit suffix for a raw key; (None, None) when unknown."""
+    for entry in _SCHEMA[section].values():
+        if not entry["units"] and entry["stem"] == key:
             return entry, None
-        if entry["kind"] == "quantity":
-            for unit in entry["units"]:
-                if key == f"{entry['stem']}_{unit}":
-                    return entry, unit
+        for unit in entry["units"]:
+            if key == f"{entry['stem']}_{unit}":
+                return entry, unit
     return None, None
 
 
 def _suffix_help(section, key):
     """Detect a known stem lacking its unit suffix and name the valid ones."""
-    for entry in _SCHEMA[section]:
-        if entry["kind"] == "quantity" and (
-            key == entry["stem"] or key.startswith(entry["stem"] + "_")
-        ):
+    for entry in _SCHEMA[section].values():
+        if entry["units"] and (key == entry["stem"] or key.startswith(entry["stem"] + "_")):
             valid = ", ".join(f"{entry['stem']}_{u}" for u in entry["units"])
             return f"missing or wrong unit suffix on {key!r} in [{section}]; expected one of: {valid}"
     return None
@@ -171,39 +182,26 @@ def _parse_value(entry, unit, raw, section, key):
         raise ConfigError(f"[{section}] {key}: {msg}")
 
     kind = entry["kind"]
-    if kind == "quantity":
-        # Keys with a _list stem (e.g. sigma_list_rad_s) always hold a list.
-        if entry["stem"].endswith("_list"):
-            try:
-                values = [float(tok) for tok in raw.split()]
-            except ValueError:
+    if kind in ("float", "int"):
+        parse = int if kind == "int" else float
+        tokens = raw.split() if entry["many"] else [raw]
+        try:
+            # a key without units (unit None) keeps its value and type: x * 1 is x
+            values = [parse(tok) * _UNIT_FACTORS.get(unit, 1) for tok in tokens]
+        except ValueError:
+            if entry["many"]:
                 fail(f"expected a space-separated list of numbers, got {raw!r}")
-            if not values:
-                fail("empty list")
-            return [v * _UNIT_FACTORS[unit] for v in values]
-        try:
-            value = float(raw)
-        except ValueError:
-            fail(f"expected a number, got {raw!r}")
-        return value * _UNIT_FACTORS[unit]
-    if kind == "float":
-        try:
-            value = float(raw)
-        except ValueError:
-            fail(f"expected a number, got {raw!r}")
-        if entry["lo"] is not None and value < entry["lo"]:
-            fail(f"value {value} below lower bound {entry['lo']}")
-        if entry["hi"] is not None and value > entry["hi"]:
-            fail(f"value {value} above upper bound {entry['hi']}")
-        return value
-    if kind == "int":
-        try:
-            value = int(raw)
-        except ValueError:
-            fail(f"expected an integer, got {raw!r}")
-        if entry["lo"] is not None and value < entry["lo"]:
-            fail(f"value {value} below lower bound {entry['lo']}")
-        return value
+            fail(f"expected {'an integer' if kind == 'int' else 'a number'}, got {raw!r}")
+        if not values:
+            fail("empty list")
+        for value in values:
+            if not -math.inf < value < math.inf:
+                fail(f"expected a finite number, got {value}")
+            if entry["lo"] is not None and value < entry["lo"]:
+                fail(f"value {value} below lower bound {entry['lo']}")
+            if entry["hi"] is not None and value > entry["hi"]:
+                fail(f"value {value} above upper bound {entry['hi']}")
+        return values if entry["many"] else values[0]
     if kind == "bool":
         lowered = raw.strip().lower()
         if lowered in ("true", "yes", "1", "on"):
@@ -211,21 +209,11 @@ def _parse_value(entry, unit, raw, section, key):
         if lowered in ("false", "no", "0", "off"):
             return False
         fail(f"expected a boolean, got {raw!r}")
-    if kind == "float_list":
-        try:
-            values = [float(tok) for tok in raw.split()]
-        except ValueError:
-            fail(f"expected a space-separated list of numbers, got {raw!r}")
-        if not values:
-            fail("empty list")
-        return values
     if kind == "choice":
         if raw not in entry["choices"]:
             fail(f"expected one of {entry['choices']}, got {raw!r}")
         return raw
-    if kind == "str":
-        return raw
-    raise AssertionError(f"unhandled schema kind {kind}")
+    return raw
 
 
 @dataclass
@@ -244,8 +232,9 @@ class RunConfig:
             return False
         return stem is None or stem in self.sections[section]
 
-    def get(self, section, stem, default=None):
-        return self.sections.get(section, {}).get(stem, default)
+    def get(self, section, stem):
+        """The key's value, or its _SCHEMA default when the key is absent."""
+        return self.sections.get(section, {}).get(stem, _SCHEMA[section][stem]["default"])
 
     def require(self, section, stem=None):
         if not self.has(section, stem):
@@ -291,17 +280,18 @@ class RunConfig:
         """(omega_s0, omega_i0) from the grid section, rad/s."""
         return self._omega("grid", "signal_center"), self._omega("grid", "idler_center")
 
+    def _sellmeier(self):
+        """(ordinary, extraordinary) Sellmeier coefficients of the crystal kind."""
+        if self.get("crystal", "kind") == "bbo":
+            return BBO_ORDINARY, BBO_EXTRAORDINARY
+        return (tuple(self.require("crystal", "sellmeier_ordinary")),
+                tuple(self.require("crystal", "sellmeier_extraordinary")))
+
     def crystal(self):
-        sec = self.sections.get("crystal", {})
-        kind = sec.get("kind", "bbo")
-        if kind == "bbo":
-            sell_o, sell_e = BBO_ORDINARY, BBO_EXTRAORDINARY
-        else:
-            sell_o = tuple(self.require("crystal", "sellmeier_ordinary"))
-            sell_e = tuple(self.require("crystal", "sellmeier_extraordinary"))
-        window = (sec.get("window_lo_um", 0.2), sec.get("window_hi_um", 1.1))
+        sell_o, sell_e = self._sellmeier()
+        window = (self.get("crystal", "window_lo_um"), self.get("crystal", "window_hi_um"))
         length = self.require("crystal", "length_l")
-        cut = sec.get("cut_angle")
+        cut = self.get("crystal", "cut_angle")
         if cut is None:
             omega_s0, omega_i0 = self.band_centers()
             probe = CrystalSpec(sell_o, sell_e, 0.0, length, window)
@@ -310,8 +300,9 @@ class RunConfig:
 
     def cavity(self, crystal=None):
         crystal = crystal or self.crystal()
-        sec = self.sections.get("cavity", {})
-        length = sec.get("length", crystal.length_l)
+        length = self.get("cavity", "length")
+        if length is None:
+            length = crystal.length_l
         mirrors = {}
         for nu in (1, 2):
             for mode in ("signal", "idler", "pump"):
@@ -320,11 +311,10 @@ class RunConfig:
                 if nu == 1 and mode != "pump":
                     mag = 1.0
                 else:
-                    mag = sec.get(f"r{nu}_{mode}", _default_for("cavity", f"r{nu}_{mode}"))
-                phase = sec.get(f"phase_r{nu}_{mode}", 0.0)
-                mirrors[(nu, mode)] = MirrorSpec(mag, phase)
+                    mag = self.get("cavity", f"r{nu}_{mode}")
+                mirrors[(nu, mode)] = MirrorSpec(mag, self.get("cavity", f"phase_r{nu}_{mode}"))
         cavity = CavitySpec(length, crystal, mirrors)
-        if sec.get("solve_phases", True):
+        if self.get("cavity", "solve_phases"):
             omega_s0, omega_i0 = self.band_centers()
             omega_p0 = None
             if mirrors[(1, "pump")].magnitude > 0 or mirrors[(2, "pump")].magnitude > 0:
@@ -335,7 +325,7 @@ class RunConfig:
     def pump(self):
         sec = self.require("pump")
         lam = self.require("pump", "wavelength")
-        energy = sec.get("energy_j", 1.0)
+        energy = self.get("pump", "energy_j")
         if "sigma" in sec and "fwhm" in sec:
             raise ConfigError("[pump] sets both sigma and fwhm; pick one")
         if "sigma" in sec:
@@ -350,9 +340,9 @@ class RunConfig:
         """(signal, idler) FilterSpec pair, or None when no filter is configured."""
         if not self.has("filters"):
             return None
-        sec = self.sections["filters"]
-        if sec.get("shape", "gaussian") == "none":
+        if self.get("filters", "shape") == "none":
             return None
+        sec = self.sections["filters"]
         out = []
         for mode, center in zip(("signal", "idler"), self.band_centers()):
             if f"{mode}_center" in sec:
@@ -365,9 +355,8 @@ class RunConfig:
 
     def grid(self):
         omega_s0, omega_i0 = self.band_centers()
-        sec = self.sections.get("grid", {})
-        samples = sec.get("samples", 1024)
-        halfwidth = sec.get("halfwidth")
+        samples = self.get("grid", "samples")
+        halfwidth = self.get("grid", "halfwidth")
         if halfwidth is None:
             filters = self.filters()
             if filters is None:
@@ -381,27 +370,13 @@ class RunConfig:
 
     def design_target(self):
         sec = self.require("design")
-        kind = self.get("crystal", "kind", "bbo")
-        if kind == "bbo":
-            sell_o, sell_e = BBO_ORDINARY, BBO_EXTRAORDINARY
-        else:
-            sell_o = tuple(self.require("crystal", "sellmeier_ordinary"))
-            sell_e = tuple(self.require("crystal", "sellmeier_extraordinary"))
         return DesignTarget(
             sec["signal_wavelength"],
             sec["transition_fwhm"],
             sec["pump_wavelength"],
             sec["delta_lambda_max"],
-            sell_o,
-            sell_e,
+            *self._sellmeier(),
         )
-
-
-def _default_for(section, stem):
-    for entry in _SCHEMA[section]:
-        if entry["stem"] == stem:
-            return entry.get("default")
-    return None
 
 
 def load_config(path, require=()):
@@ -455,13 +430,10 @@ def load_config(path, require=()):
             units[section][stem] = unit
         sections[section] = out
 
-    for section in _SCHEMA:
-        if section in sections:
-            for entry in _SCHEMA[section]:
-                if entry.get("required") and entry["stem"] not in sections[section]:
-                    raise ConfigError(
-                        f"[{section}] is missing the required key {entry['stem']!r}"
-                    )
+    for section, out in sections.items():
+        for entry in _SCHEMA[section].values():
+            if entry["required"] and entry["stem"] not in out:
+                raise ConfigError(f"[{section}] is missing the required key {entry['stem']!r}")
 
     missing = [name for name in require if name not in sections]
     if missing:
@@ -469,4 +441,12 @@ def load_config(path, require=()):
             f"configuration is missing required section(s) "
             f"{', '.join('[' + m + ']' for m in missing)}; {_REQUIRED_NOTE}"
         )
-    return RunConfig(sections, units)
+    cfg = RunConfig(sections, units)
+    if cfg.get("cavity", "solve_phases"):
+        for stem in _SOLVED_PHASES:
+            if cfg.has("cavity", stem):
+                raise ConfigError(
+                    f"[cavity] {stem}_{units['cavity'][stem]}: solve_phases = true (the "
+                    f"default) overwrites this phase; drop the key or set solve_phases = false"
+                )
+    return cfg

@@ -39,7 +39,3 @@ class ConfigError(CavitySpdcError):
 
 class UnderResolutionWarning(UserWarning):
     """A grid resolves cavity modes with fewer than the recommended samples."""
-
-
-class PhaseRelaxationWarning(UserWarning):
-    """A resonance-phase condition had to be relaxed for lack of free phases."""

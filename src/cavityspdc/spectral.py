@@ -96,26 +96,20 @@ class PumpSpec:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Spectral filter; fwhm is the intensity FWHM of |F|^2."""
+    """Gaussian spectral filter; fwhm is the intensity FWHM of |F|^2.
 
-    center: float = 0.0
-    fwhm: float = 0.0
-    shape: str = "gaussian"
+    No filtering is filters=None wherever a (signal, idler) pair is taken.
+    """
+
+    center: float
+    fwhm: float
 
     def __post_init__(self):
-        if self.shape not in ("gaussian", "none"):
-            raise ValueError(f"unknown filter shape {self.shape!r}")
-        if self.shape == "gaussian" and not self.fwhm > 0:
+        if not self.fwhm > 0:
             raise ValueError("gaussian filter requires fwhm > 0")
-
-    @classmethod
-    def none(cls):
-        return cls(shape="none")
 
     def amplitude(self, omega):
         omega = np.asarray(omega, dtype=float)
-        if self.shape == "none":
-            return np.ones_like(omega)
         return np.exp(-2 * _LN2 * (omega - self.center) ** 2 / self.fwhm**2)
 
 

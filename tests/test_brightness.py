@@ -220,6 +220,10 @@ class TestR1pSweep:
         with pytest.raises(ValueError):
             cs.brightness_vs_r1p_sweep(cav, pump, filters, [0.0], [2e11])
 
+    def test_requires_filters(self, dr_base, pump):
+        with pytest.raises(ValueError, match="filters"):
+            cs.brightness_from_cavity(dr_base, pump, None, True)
+
     def test_open_input_mirror_gives_two_pass_quadrupling(self, dr_base, pump, filters):
         # r1p = 0 with a perfect back mirror reflects the pump once: two
         # coherent crystal passes double the pair amplitude, so with the

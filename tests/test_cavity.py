@@ -3,7 +3,7 @@ import pytest
 
 import cavityspdc as cs
 from cavityspdc.constants import c
-from cavityspdc.errors import DivergenceError, InfiniteWidthError, PhaseRelaxationWarning
+from cavityspdc.errors import DivergenceError, InfiniteWidthError
 
 from conftest import OMEGA_800
 
@@ -231,13 +231,6 @@ class TestSolveResonancePhases:
     def test_solved_phases_smallest_nonnegative(self, sr_cavity):
         for (nu, mode), mirror in sr_cavity.mirrors.items():
             assert 0.0 <= mirror.phase < 2 * np.pi
-
-    def test_locked_phase_relaxes_with_warning(self, crystal):
-        cav = cs.singly_resonant_cavity(20e-6, crystal, 0.73)
-        adjustable = {(2, "idler")}  # signal resonance has no free phase
-        with pytest.warns(PhaseRelaxationWarning, match="signal"):
-            solved = cs.solve_resonance_phases(cav, OMEGA_800, OMEGA_800, adjustable=adjustable)
-        assert two_pi_residual(cs.round_trip_phase_mismatch(solved, OMEGA_800, "idler")) < 1e-9
 
 
 def test_mirror_spec_validation():

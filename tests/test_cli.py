@@ -206,6 +206,13 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: module=") and err.count("\n") == 1
 
+    def test_out_of_bound_quantity_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_FIG2.replace("kind = bbo", "kind = bbo\ncut_angle_deg = 120"))
+        assert run(["airy", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: module=config") and "cut_angle_deg" in err
+
     def test_physics_error_attributed(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         # r2 = 1 makes the Airy weight diverge inside the cavity module

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -94,11 +96,57 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, "[laser]\npower = 1\n"))
 
-    def test_out_of_range_value(self, tmp_path):
-        text = FIG2.replace("r2_signal = 0.73", "r2_signal = 1.4")
+    @pytest.mark.parametrize("old, new, key, says", [
+        ("r2_signal = 0.73", "r2_signal = 1.4", "r2_signal", "bound"),
+        ("length_l_um = 20", "length_l_um = 20\ncut_angle_deg = 120", "cut_angle_deg", "bound"),
+        ("length_l_um = 20", "length_l_um = -20", "length_l_um", "bound"),
+        ("fwhm_nm = 30", "fwhm_nm = -30", "fwhm_nm", "bound"),
+        ("samples = 64", "samples = 64\nhalfwidth_rad_s = -1e13", "halfwidth_rad_s", "bound"),
+        ("r2_idler = 0.73", "r2_idler = 0.73\nphase_r1_signal_rad = nan", "phase_r1_signal_rad",
+         "finite"),
+    ])
+    def test_out_of_range_value(self, tmp_path, old, new, key, says):
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, FIG2.replace(old, new)))
+        assert key in str(err.value) and says in str(err.value)
+
+    @pytest.mark.parametrize("line", [
+        "r2_list = 0.5 1.5",
+        "plateau_r2_list = 0 -0.1",
+        "r1p_list = 0.5 1.01",
+        "sigma_list_rad_s = 1e11 -1e12",
+    ])
+    def test_bounds_apply_to_every_list_entry(self, tmp_path, line):
+        text = FIG2 + f"\n[sweep]\nkind = sigma_r2\n{line}\n"
         with pytest.raises(ConfigError) as err:
             load_config(write(tmp_path, text))
-        assert "bound" in str(err.value)
+        assert line.split()[0] in str(err.value) and "bound" in str(err.value)
+
+    def test_absent_key_reads_schema_default(self, tmp_path):
+        cfg = load_config(write(tmp_path, FIG2))
+        assert not cfg.has("temporal")
+        assert cfg.get("temporal", "samples_per_mode_width") == 8
+        assert cfg.get("grid", "samples") == 64
+        assert cfg.get("grid", "halfwidth") is None
+
+    @pytest.mark.parametrize("key, nu, mode", [
+        ("phase_r2_signal_rad", 2, "signal"),
+        ("phase_r2_idler_rad", 2, "idler"),
+        ("phase_r1_pump_rad", 1, "pump"),
+        ("phase_r2_pump_rad", 2, "pump"),
+    ])
+    def test_solved_phase_keys_need_solve_phases_off(self, tmp_path, key, nu, mode):
+        text = FIG2.replace("r2_idler = 0.73", f"r2_idler = 0.73\nr2_pump = 1.0\n{key} = 1.0")
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, text))
+        assert key in str(err.value) and "solve_phases" in str(err.value)
+        unsolved = text.replace("solve_phases = true", "solve_phases = false")
+        assert load_config(write(tmp_path, unsolved)).cavity().mirror(nu, mode).phase == 1.0
+
+    @pytest.mark.parametrize("path", sorted(Path(__file__).parent.parent.glob("configs/*.cfg")),
+                             ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        assert load_config(path).normalized_text()
 
     def test_required_sections_for_subcommand(self, tmp_path):
         with pytest.raises(ConfigError) as err:

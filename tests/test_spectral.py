@@ -290,4 +290,3 @@ class TestSpectralGridType:
 def test_filterspec_validation():
     with pytest.raises(ValueError):
         cs.FilterSpec(1.0, -1.0)
-    assert cs.FilterSpec.none().amplitude(np.array([1.0, 2.0])).tolist() == [1.0, 1.0]
