@@ -1,11 +1,14 @@
 """Source brightness: pair-emission integral and the cavity parameter sweeps.
 
-Brightness per pump pulse (up to an overall experimental constant b, set to
-one here because every reported number is a normalized ratio):
+Brightness per pump pulse of energy U (up to an overall experimental
+constant b):
 
-    B = (U / sigma) integral integral
+    B = (b U / sigma) integral integral
         [k'(omega_s) omega_s / n^2(omega_s)] [k'(omega_i) omega_i / n^2(omega_i)]
         S(omega_i, omega_s) d omega_s d omega_i.
+
+Every reported number is a ratio to the equivalent source without a cavity
+driven by the same pump, in which b U cancels, so b U is set to one here.
 
 The sweep drivers evaluate the integral on an adaptive stripe in rotated
 coordinates (omega_plus = omega_s + omega_i bounded by the pump envelope,
@@ -54,11 +57,9 @@ _CHUNK = 64  # omega_plus columns per kernel call, whatever the thread count
 
 @dataclass(frozen=True)
 class BrightnessResult:
-    """Normalized brightness, its raw integral, and the unit convention used."""
+    """Brightness B with b U = 1: the integral divided by sigma."""
 
     value: float
-    raw_integral: float
-    normalization_ref: str
 
     def __post_init__(self):
         if self.value < 0:
@@ -90,13 +91,14 @@ def _rate_factor(crystal, omega):
 
 
 def brightness(jsi, pump, crystal, mode="central_approx", min_feature_width=None):
-    """Brightness integral of a sampled joint spectral intensity grid.
+    """Brightness of a sampled joint spectral intensity grid: its integral / sigma.
 
-    mode 'exact_factors' evaluates the k' omega / n^2 weights across the
-    grid; 'central_approx' freezes them at the axis midpoints (the usual
-    short-window approximation).  min_feature_width, when given, is the
-    narrowest spectral feature (cavity mode width) the grid must resolve
-    with at least 8 samples per axis.
+    As everywhere in this module b U = 1.  mode 'exact_factors' evaluates
+    the k' omega / n^2 weights across the grid; 'central_approx' freezes
+    them at the axis midpoints (the usual short-window approximation).
+    min_feature_width, when given, is the narrowest spectral feature
+    (cavity mode width) the grid must resolve with at least 8 samples per
+    axis.
     """
     values = jsi.values
     if np.iscomplexobj(values):
@@ -122,8 +124,7 @@ def brightness(jsi, pump, crystal, mode="central_approx", min_feature_width=None
     else:
         raise ValueError(f"unknown factor mode {mode!r}")
     raw = float(np.trapezoid(np.trapezoid(integrand, jsi.omega_s_axis, axis=1), jsi.omega_i_axis))
-    value = pump.energy_u / pump.sigma * raw
-    return BrightnessResult(value, raw, "b = 1; absolute scale arbitrary")
+    return BrightnessResult(raw / pump.sigma)
 
 
 class _Stripe(NamedTuple):
@@ -265,8 +266,7 @@ def brightness_from_cavity(
 ):
     """Brightness of a cavity source via the adaptive stripe integral."""
     raw = _stripe_integral(cavity, pump, filters, doubly_resonant, factor_mode, threads)
-    value = pump.energy_u / pump.sigma * raw
-    return BrightnessResult(value, raw, "b = 1; absolute scale arbitrary")
+    return BrightnessResult(raw / pump.sigma)
 
 
 def _no_cavity(cavity):

@@ -12,11 +12,14 @@ whitelisted individually.
 
 _SCHEMA is the one place that states each key's units, bounds and default.
 Unknown keys, missing unit suffixes, duplicates, non-finite numbers and
-values outside a declared bound (each entry of a list included) are all
+values outside a declared bound (each entry of a list included; lengths,
+wavelengths, centers, widths, sigma and the halfwidth must be > 0) are all
 load-time errors, and RunConfig.get returns the schema default for an absent
-key.  While solve_phases is true (the default) the solver sets
-phase_r2_signal, phase_r2_idler, phase_r1_pump and phase_r2_pump, so giving
-any of them is an error too.
+key.  So is a key that another setting makes the builders ignore: the six
+mirror phases the solver sets or absorbs while solve_phases is true (the
+default), the Sellmeier coefficients unless kind = custom, both pump widths
+at once, any [filters] key besides shape = none, and [filters] fwhm when
+both per-mode widths are given.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ __all__ = ["RunConfig", "load_config"]
 
 _TWO_PI = 2 * math.pi
 
-# Unit suffixes and their conversion to internal units (m, rad/s, rad, J, s).
+# Unit suffixes and their conversion to internal units (m, rad/s, rad).
 _UNIT_FACTORS = {
     "nm": 1e-9,
     "um": 1e-6,
@@ -47,16 +50,20 @@ _UNIT_FACTORS = {
     "hz": _TWO_PI,
     "rad": 1.0,
     "deg": math.pi / 180.0,
-    "j": 1.0,
-    "s": 1.0,
 }
 
 
 def _key(stem, kind="float", units=(), lo=None, hi=None, many=False, choices=None,
-         required=False, default=None):
-    """Schema entry; a key with units is written stem_<unit> for one of them."""
+         required=False, default=None, positive=False):
+    """Schema entry; a key with units is written stem_<unit> for one of them.
+
+    positive marks a strictly positive quantity: its bound 0 is exclusive.
+    """
+    if positive:
+        lo = 0.0
     return {"stem": stem, "kind": kind, "units": units, "lo": lo, "hi": hi, "many": many,
-            "choices": choices, "required": required, "default": default}
+            "choices": choices, "required": required, "default": default,
+            "lo_open": positive}
 
 
 _LENGTH = ("m", "um", "nm")
@@ -77,12 +84,12 @@ _SCHEMA = {
         _key("sellmeier_ordinary", many=True),
         _key("sellmeier_extraordinary", many=True),
         _key("cut_angle", units=_ANGLE, lo=0.0, hi=math.pi / 2),
-        _key("length_l", units=_LENGTH, lo=0.0),
-        _key("window_lo_um", lo=0.0, default=0.2),
-        _key("window_hi_um", lo=0.0, default=1.1),
+        _key("length_l", units=_LENGTH, positive=True),
+        _key("window_lo_um", positive=True, default=0.2),
+        _key("window_hi_um", positive=True, default=1.1),
     ),
     "cavity": _section(
-        _key("length", units=_LENGTH, lo=0.0),
+        _key("length", units=_LENGTH, positive=True),
         _key("r2_signal", lo=0.0, hi=1.0, default=0.0),
         _key("r2_idler", lo=0.0, hi=1.0, default=0.0),
         _key("r1_pump", lo=0.0, hi=1.0, default=0.0),
@@ -96,24 +103,23 @@ _SCHEMA = {
         _key("solve_phases", "bool", default=True),
     ),
     "pump": _section(
-        _key("wavelength", units=_LENGTH, lo=0.0),
-        _key("fwhm", units=("nm",), lo=0.0),
-        _key("sigma", units=_FREQ, lo=0.0),
-        _key("energy_j", lo=0.0, default=1.0),
+        _key("wavelength", units=_LENGTH, positive=True),
+        _key("fwhm", units=("nm",), positive=True),
+        _key("sigma", units=_FREQ, positive=True),
     ),
     "filters": _section(
         _key("shape", "choice", choices=("gaussian", "none"), default="gaussian"),
-        _key("signal_center", units=_LENGTH + _FREQ, lo=0.0),
-        _key("idler_center", units=_LENGTH + _FREQ, lo=0.0),
-        _key("fwhm", units=("nm",) + _FREQ, lo=0.0),
-        _key("signal_fwhm", units=("nm",) + _FREQ, lo=0.0),
-        _key("idler_fwhm", units=("nm",) + _FREQ, lo=0.0),
+        _key("signal_center", units=_LENGTH + _FREQ, positive=True),
+        _key("idler_center", units=_LENGTH + _FREQ, positive=True),
+        _key("fwhm", units=("nm",) + _FREQ, positive=True),
+        _key("signal_fwhm", units=("nm",) + _FREQ, positive=True),
+        _key("idler_fwhm", units=("nm",) + _FREQ, positive=True),
     ),
     "grid": _section(
-        _key("signal_center", units=_LENGTH + _FREQ, lo=0.0, required=True),
-        _key("idler_center", units=_LENGTH + _FREQ, lo=0.0, required=True),
+        _key("signal_center", units=_LENGTH + _FREQ, positive=True, required=True),
+        _key("idler_center", units=_LENGTH + _FREQ, positive=True, required=True),
         _key("samples", "int", lo=16, default=1024),
-        _key("halfwidth", units=_FREQ, lo=0.0),
+        _key("halfwidth", units=_FREQ, positive=True),
     ),
     "temporal": _section(
         _key("samples_per_mode_width", "int", lo=2, default=8),
@@ -123,7 +129,7 @@ _SCHEMA = {
     ),
     "sweep": _section(
         _key("kind", "str", required=True),
-        _key("sigma_list", units=_FREQ, lo=0.0, many=True),
+        _key("sigma_list", units=_FREQ, positive=True, many=True),
         _key("r2_list", lo=0.0, hi=1.0, many=True),
         _key("plateau_r2_list", lo=0.0, hi=1.0, many=True),
         _key("r1p_list", lo=0.0, hi=1.0, many=True),
@@ -131,11 +137,11 @@ _SCHEMA = {
              default="central_approx"),
     ),
     "design": _section(
-        _key("signal_wavelength", units=_LENGTH, lo=0.0, required=True),
-        _key("transition_fwhm", units=_FREQ, lo=0.0, required=True),
-        _key("pump_wavelength", units=_LENGTH, lo=0.0, required=True),
-        _key("delta_lambda_max", units=_LENGTH, lo=0.0, required=True),
-        _key("pin_cavity_length", units=_LENGTH, lo=0.0),
+        _key("signal_wavelength", units=_LENGTH, positive=True, required=True),
+        _key("transition_fwhm", units=_FREQ, positive=True, required=True),
+        _key("pump_wavelength", units=_LENGTH, positive=True, required=True),
+        _key("delta_lambda_max", units=_LENGTH, positive=True, required=True),
+        _key("pin_cavity_length", units=_LENGTH, positive=True),
     ),
     "marginal": _section(
         _key("axis", "choice", choices=("signal", "idler"), default="signal"),
@@ -146,9 +152,14 @@ _SCHEMA = {
     ),
 }
 
-# The mirror phases solve_resonance_phases overwrites: with solve_phases on,
-# a value given for one of them could not change the result.
-_SOLVED_PHASES = ("phase_r2_signal", "phase_r2_idler", "phase_r1_pump", "phase_r2_pump")
+# The mirror phases solve_resonance_phases sets (the r2 and pump phases) or
+# absorbs (the r1 signal and idler phases, which only enter through sums the
+# solver fixes): with solve_phases on, a value given for one of them could
+# not change the result.
+_SOLVED_PHASES = (
+    "phase_r1_signal", "phase_r1_idler", "phase_r2_signal", "phase_r2_idler",
+    "phase_r1_pump", "phase_r2_pump",
+)
 
 _REQUIRED_NOTE = (
     "a run configuration needs [crystal], [cavity], [pump] and [grid] "
@@ -197,8 +208,11 @@ def _parse_value(entry, unit, raw, section, key):
         for value in values:
             if not -math.inf < value < math.inf:
                 fail(f"expected a finite number, got {value}")
-            if entry["lo"] is not None and value < entry["lo"]:
-                fail(f"value {value} below lower bound {entry['lo']}")
+            lo = entry["lo"]
+            if entry["lo_open"] and value <= lo:
+                fail(f"value {value} not above exclusive lower bound {lo}")
+            elif lo is not None and value < lo:
+                fail(f"value {value} below lower bound {lo}")
             if entry["hi"] is not None and value > entry["hi"]:
                 fail(f"value {value} above upper bound {entry['hi']}")
         return values if entry["many"] else values[0]
@@ -325,16 +339,13 @@ class RunConfig:
     def pump(self):
         sec = self.require("pump")
         lam = self.require("pump", "wavelength")
-        energy = self.get("pump", "energy_j")
-        if "sigma" in sec and "fwhm" in sec:
-            raise ConfigError("[pump] sets both sigma and fwhm; pick one")
         if "sigma" in sec:
             sigma = sec["sigma"]
         elif "fwhm" in sec:
             sigma = fwhm_to_sigma(wavelength_fwhm_to_angular(lam, sec["fwhm"]))
         else:
             raise ConfigError("[pump] needs either sigma_rad_s/sigma_hz or fwhm_nm")
-        return PumpSpec(2 * math.pi * c / lam, sigma, energy)
+        return PumpSpec(2 * math.pi * c / lam, sigma)
 
     def filters(self):
         """(signal, idler) FilterSpec pair, or None when no filter is configured."""
@@ -442,11 +453,31 @@ def load_config(path, require=()):
             f"{', '.join('[' + m + ']' for m in missing)}; {_REQUIRED_NOTE}"
         )
     cfg = RunConfig(sections, units)
+    for section, stem, why in _ignored_keys(cfg):
+        unit = units[section][stem]
+        raise ConfigError(f"[{section}] {stem if unit is None else f'{stem}_{unit}'}: {why}")
+    return cfg
+
+
+def _ignored_keys(cfg):
+    """(section, stem, reason) of each key that another setting makes the builders ignore."""
     if cfg.get("cavity", "solve_phases"):
         for stem in _SOLVED_PHASES:
             if cfg.has("cavity", stem):
-                raise ConfigError(
-                    f"[cavity] {stem}_{units['cavity'][stem]}: solve_phases = true (the "
-                    f"default) overwrites this phase; drop the key or set solve_phases = false"
-                )
-    return cfg
+                yield ("cavity", stem, "solve_phases = true (the default) puts the cavity on "
+                       "resonance and the solver absorbs this phase; drop the key or set "
+                       "solve_phases = false")
+    if cfg.get("crystal", "kind") != "custom":
+        for stem in ("sellmeier_ordinary", "sellmeier_extraordinary"):
+            if cfg.has("crystal", stem):
+                yield ("crystal", stem, "kind = bbo uses the built-in BBO coefficients; "
+                       "set kind = custom to use these")
+    if cfg.has("pump", "sigma") and cfg.has("pump", "fwhm"):
+        yield ("pump", "fwhm", "[pump] sets both sigma and fwhm; pick one")
+    if cfg.get("filters", "shape") == "none":
+        for stem in cfg.sections.get("filters", {}):
+            if stem != "shape":
+                yield ("filters", stem, "shape = none configures no filter; drop the key")
+    elif all(cfg.has("filters", stem) for stem in ("fwhm", "signal_fwhm", "idler_fwhm")):
+        yield ("filters", "fwhm", "signal_fwhm and idler_fwhm are both set, so this width "
+               "applies to neither mode; drop it")

@@ -104,9 +104,8 @@ def polarization_for_mode(mode):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _check_window(crystal, omega, margin=0.0):
+def _check_window(crystal, omega):
     lo, hi = crystal.omega_window
-    lo, hi = lo * (1 + margin), hi * (1 - margin)
     omega = np.asarray(omega, dtype=float)
     if np.any(omega < lo) or np.any(omega > hi):
         lo_um, hi_um = crystal.window_um

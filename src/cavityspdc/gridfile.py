@@ -59,16 +59,17 @@ def write_grid(grid, path, fmt="binary", metadata=None):
             fh.write(header.encode())
             fh.write(struct.pack("<qq", grid.omega_i_axis.size, grid.omega_s_axis.size))
             fh.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
-    elif fmt == "text":
+    else:
+        # each omega_s is formatted once; each row is converted and written at once
+        s_fields = [f" {omega_s:.17g} " for omega_s in grid.omega_s_axis.tolist()]
         with open(path, "w") as fh:
             fh.write(header)
-            values = grid.values
-            for i, omega_i in enumerate(grid.omega_i_axis):
-                row = values[i]
-                for j, omega_s in enumerate(grid.omega_s_axis):
-                    fh.write(f"{omega_i:.17g} {omega_s:.17g} {row[j]:.17g}\n")
-    else:
-        raise ValueError(f"unknown grid format {fmt!r}")
+            for omega_i, row in zip(grid.omega_i_axis.tolist(), grid.values):
+                prefix = f"{omega_i:.17g}"
+                fh.write("".join(
+                    f"{prefix}{s_field}{value:.17g}\n"
+                    for s_field, value in zip(s_fields, row.tolist())
+                ))
 
 
 def _read_header(fh):
@@ -91,7 +92,12 @@ def read_grid(path):
     """Read a grid file of either format; returns (SpectralGrid, metadata)."""
     with open(path, "rb") as fh:
         meta = _read_header(fh)
-        body = fh.read()
+        fmt = meta.get("format", "binary")
+        if fmt == "text":
+            # the third column of the 'omega_i omega_s value' rows
+            body = np.loadtxt(fh, usecols=2, ndmin=1)
+        else:
+            body = fh.read()
     s_axis = np.linspace(
         float(meta["omega_s_min_rad_s"]),
         float(meta["omega_s_max_rad_s"]),
@@ -102,10 +108,13 @@ def read_grid(path):
         float(meta["omega_i_max_rad_s"]),
         int(meta["omega_i_count"]),
     )
-    fmt = meta.get("format", "binary")
     if fmt == "text":
-        rows = np.loadtxt(body.decode().splitlines())
-        values = rows[:, 2].reshape(i_axis.size, s_axis.size)
+        if body.size != i_axis.size * s_axis.size:
+            raise ConfigError(
+                f"text body holds {body.size} values; the header gives "
+                f"{i_axis.size} x {s_axis.size}"
+            )
+        values = body.reshape(i_axis.size, s_axis.size)
     elif fmt == "binary":
         n_i, n_s = struct.unpack_from("<qq", body, 0)
         if (n_i, n_s) != (i_axis.size, s_axis.size):
@@ -113,10 +122,11 @@ def read_grid(path):
                 f"binary dimensions ({n_i}, {n_s}) disagree with header "
                 f"({i_axis.size}, {s_axis.size})"
             )
-        values = np.frombuffer(body, dtype="<f8", offset=16, count=n_i * n_s).reshape(n_i, n_s)
+        values = np.frombuffer(body, dtype="<f8", offset=16, count=n_i * n_s)
+        values = values.reshape(n_i, n_s).copy()
     else:
         raise ConfigError(f"unknown grid format {fmt!r} in header")
-    return SpectralGrid(s_axis, i_axis, values.copy()), meta
+    return SpectralGrid(s_axis, i_axis, values), meta
 
 
 def write_columns(path, columns, names, metadata=None):

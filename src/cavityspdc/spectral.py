@@ -74,11 +74,14 @@ def fwhm_to_sigma(fwhm_omega):
 
 @dataclass(frozen=True)
 class PumpSpec:
-    """Gaussian pump: center omega_p0 (rad/s), amplitude width sigma (rad/s), energy U (J)."""
+    """Gaussian pump: center omega_p0 (rad/s) and amplitude width sigma (rad/s).
+
+    The pulse energy U is no field: every brightness the package reports is a
+    ratio to the equivalent source without a cavity, in which U cancels.
+    """
 
     omega_p0: float
     sigma: float
-    energy_u: float = 1.0
 
     def __post_init__(self):
         if not self.omega_p0 > 0:
@@ -87,11 +90,11 @@ class PumpSpec:
             raise ValueError("pump bandwidth sigma must be positive")
 
     @classmethod
-    def from_wavelength(cls, lambda0, fwhm_lambda, energy_u=1.0):
+    def from_wavelength(cls, lambda0, fwhm_lambda):
         """Pump from center wavelength and intensity-FWHM in wavelength units."""
         omega0 = 2 * np.pi * c / lambda0
         sigma = fwhm_to_sigma(wavelength_fwhm_to_angular(lambda0, fwhm_lambda))
-        return cls(omega0, sigma, energy_u)
+        return cls(omega0, sigma)
 
 
 @dataclass(frozen=True)

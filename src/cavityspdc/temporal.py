@@ -37,6 +37,8 @@ __all__ = [
     "correlation_time",
 ]
 
+_BLOCK_ROWS = 64  # omega_minus rows per pointwise evaluation of the rotated amplitude
+
 
 @dataclass(frozen=True, eq=False)
 class RotatedGrid:
@@ -125,14 +127,19 @@ def jsa_singly_resonant_rotated(cavity, pump, filters, omega_plus_axis, omega_mi
 
     Sampling the rotated axes directly avoids any resampling of a
     (omega_s, omega_i) grid, which would blur high-finesse combs; this is the
-    input of the temporal transform.
+    input of the temporal transform.  The lattice is filled in blocks of
+    omega_minus rows, so the temporaries of the pointwise evaluation stay
+    the size of one block.
     """
     plus = _check_uniform_axis(omega_plus_axis, "omega_plus_axis")
     minus = _check_uniform_axis(omega_minus_axis, "omega_minus_axis")
-    mm, pp = np.meshgrid(minus, plus, indexing="ij")
-    omega_s = (pp + mm) / 2.0
-    omega_i = (pp - mm) / 2.0
-    return RotatedGrid(plus, minus, _jsa_sr_pointwise(cavity, pump, filters, omega_s, omega_i))
+    values = np.empty((minus.size, plus.size), dtype=complex)
+    for k in range(0, minus.size, _BLOCK_ROWS):
+        mm = minus[k : k + _BLOCK_ROWS, None]
+        values[k : k + _BLOCK_ROWS] = _jsa_sr_pointwise(
+            cavity, pump, filters, (plus + mm) / 2.0, (plus - mm) / 2.0
+        )
+    return RotatedGrid(plus, minus, values)
 
 
 def joint_temporal_intensity(rot, round_trip_time=None, pad_plus=None, pad_minus=None):
@@ -164,16 +171,17 @@ def joint_temporal_intensity(rot, round_trip_time=None, pad_plus=None, pad_minus
         raise ValueError("padded size smaller than the input grid")
 
     ft = np.fft.fft2(rot.values, s=(size_minus, size_plus))
-    ft = np.fft.fftshift(ft)
+    ft *= rot.d_plus * rot.d_minus / (2 * np.pi * np.sqrt(2.0))
+    intensity = np.abs(ft)
+    del ft  # free the complex buffer before fftshift copies the intensity
+    intensity *= intensity
     # Sample spacings of the conjugate axes; the factor 2 maps the raw
     # minus-conjugate onto the emission-time difference t_s - t_i.
     u_plus = np.fft.fftshift(np.fft.fftfreq(size_plus, d=rot.d_plus / (2 * np.pi)))
     u_minus = np.fft.fftshift(np.fft.fftfreq(size_minus, d=rot.d_minus / (2 * np.pi)))
     t_plus = u_plus
     t_minus = 2.0 * u_minus
-    scale = rot.d_plus * rot.d_minus / (2 * np.pi * np.sqrt(2.0))
-    intensity = np.abs(scale * ft) ** 2
-    return TemporalGrid(t_plus, t_minus, intensity)
+    return TemporalGrid(t_plus, t_minus, np.fft.fftshift(intensity))
 
 
 def time_difference_marginal(tgrid):

@@ -130,6 +130,8 @@ class TestLoadConfig:
         assert cfg.get("grid", "halfwidth") is None
 
     @pytest.mark.parametrize("key, nu, mode", [
+        ("phase_r1_signal_rad", 1, "signal"),
+        ("phase_r1_idler_rad", 1, "idler"),
         ("phase_r2_signal_rad", 2, "signal"),
         ("phase_r2_idler_rad", 2, "idler"),
         ("phase_r1_pump_rad", 1, "pump"),

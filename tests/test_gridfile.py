@@ -43,6 +43,15 @@ class TestBinaryRoundTrip:
 
 
 class TestTextRoundTrip:
+    @pytest.mark.parametrize("drop", [1, 23])
+    def test_value_count_mismatch_detected(self, grid, tmp_path, drop):
+        path = tmp_path / "g.txt"
+        write_grid(grid, path, "text")
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-drop]))
+        with pytest.raises(ConfigError):
+            read_grid(path)
+
     def test_values_within_one_ulp(self, grid, tmp_path):
         path = tmp_path / "g.txt"
         write_grid(grid, path, "text")

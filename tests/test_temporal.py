@@ -4,6 +4,8 @@ import pytest
 import cavityspdc as cs
 
 from cavityspdc.errors import EmptyPeakSetError, UnderResolvedError
+from cavityspdc.spectral import _jsa_sr_pointwise
+from cavityspdc.temporal import _BLOCK_ROWS
 
 from conftest import OMEGA_800, cavity_round_trip_time as round_trip_time
 from conftest import run_temporal_pipeline as temporal_marginal
@@ -25,6 +27,16 @@ class TestRotation:
         minus_profile = intensity.sum(axis=1)
         minus_extent = (minus_profile > 0.1 * minus_profile.max()).sum() * rot.d_minus
         assert minus_extent > 2 * plus_extent
+
+    def test_blocks_match_full_lattice_evaluation(self, sr_cavity, pump, filters):
+        # three full blocks of minus rows and a ragged fourth
+        half = 3 * filters[0].fwhm
+        plus = np.linspace(2 * OMEGA_800 - 4 * pump.sigma, 2 * OMEGA_800 + 4 * pump.sigma, 37)
+        minus = np.linspace(-half, half, 3 * _BLOCK_ROWS + 11)
+        rot = cs.jsa_singly_resonant_rotated(sr_cavity, pump, filters, plus, minus)
+        mm, pp = np.meshgrid(minus, plus, indexing="ij")
+        full = _jsa_sr_pointwise(sr_cavity, pump, filters, (pp + mm) / 2.0, (pp - mm) / 2.0)
+        assert np.array_equal(rot.values, full)
 
     def test_non_uniform_axis_rejected(self):
         axis = np.array([0.0, 1.0, 3.0])
