@@ -131,11 +131,14 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
     minus = np.linspace(
         (omega_s0 - omega_i0) - minus_half, (omega_s0 - omega_i0) + minus_half, n_minus
     )
-    rot = jsa_singly_resonant_rotated(cavity, pump, filters, plus, minus)
     # The comb sits at the group round trip 2 (l k'(omega_0) + (L - l)/c).
     kp0 = group_slowness(crystal, omega_s0, "ordinary")
     round_trip = 2 * (crystal.length_l * kp0 + (cavity.length_L - crystal.length_l) / c)
-    tgrid = joint_temporal_intensity(rot, round_trip_time=round_trip)
+    # Unbound, the amplitude is freed inside the transform once it is used.
+    tgrid = joint_temporal_intensity(
+        jsa_singly_resonant_rotated(cavity, pump, filters, plus, minus),
+        round_trip_time=round_trip,
+    )
     marg = time_difference_marginal(tgrid)
     peaks = extract_peaks(marg.axis, marg.density, prominence)
     t_c = correlation_time(peaks)

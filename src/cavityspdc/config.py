@@ -456,6 +456,9 @@ def load_config(path, require=()):
     for section, stem, why in _ignored_keys(cfg):
         unit = units[section][stem]
         raise ConfigError(f"[{section}] {stem if unit is None else f'{stem}_{unit}'}: {why}")
+    lo, hi = cfg.get("crystal", "window_lo_um"), cfg.get("crystal", "window_hi_um")
+    if lo >= hi:
+        raise ConfigError(f"[crystal] window_lo_um = {lo:g} must be below window_hi_um = {hi:g}")
     return cfg
 
 

@@ -35,10 +35,9 @@ from .cavity import (
     _round_trip_phase,
     _single_pass_phase,
     mode_width,
-    round_trip_phase_mismatch,
 )
 from .constants import c
-from .dispersion import refractive_index, wavevector
+from .dispersion import polarization_for_mode, refractive_index, wavevector
 from .errors import DivergenceError, UnderResolutionWarning
 
 __all__ = [
@@ -196,11 +195,21 @@ def phasematching(crystal, omega_s, omega_i):
     """
     omega_s = np.asarray(omega_s, dtype=float)
     omega_i = np.asarray(omega_i, dtype=float)
-    dk = (
-        wavevector(crystal, omega_s + omega_i, "extraordinary")
-        - wavevector(crystal, omega_s, "ordinary")
-        - wavevector(crystal, omega_i, "ordinary")
+    n_s, n_i = _ordinary_indices(crystal, omega_s, omega_i)
+    return _phasematching(crystal, omega_s, omega_i, omega_s + omega_i, n_s, n_i)
+
+
+def _ordinary_indices(crystal, omega_s, omega_i):
+    """n_o(omega_s) and n_o(omega_i): the signal and idler indices."""
+    return (
+        refractive_index(crystal, omega_s, "ordinary"),
+        refractive_index(crystal, omega_i, "ordinary"),
     )
+
+
+def _phasematching(crystal, omega_s, omega_i, omega_p, n_s, n_i):
+    """phasematching from omega_p = omega_s + omega_i and the indices n_s, n_i."""
+    dk = wavevector(crystal, omega_p, "extraordinary") - n_s * omega_s / c - n_i * omega_i / c
     x = dk * crystal.length_l / 2.0
     out = np.sinc(x / np.pi) * np.exp(1j * x)
     return out if np.ndim(out) else complex(out)
@@ -213,20 +222,30 @@ def jsa_bare(pump, crystal, filters, omega_s, omega_i):
     """
     omega_s = np.asarray(omega_s, dtype=float)
     omega_i = np.asarray(omega_i, dtype=float)
-    f = pump_envelope(pump, omega_s + omega_i) * phasematching(crystal, omega_s, omega_i)
+    n_s, n_i = _ordinary_indices(crystal, omega_s, omega_i)
+    return _jsa_bare(pump, crystal, filters, omega_s, omega_i, n_s, n_i)
+
+
+def _jsa_bare(pump, crystal, filters, omega_s, omega_i, n_s, n_i):
+    """jsa_bare from float arrays omega_s, omega_i and the indices n_s, n_i."""
+    omega_p = omega_s + omega_i
+    f = pump_envelope(pump, omega_p) * _phasematching(crystal, omega_s, omega_i, omega_p, n_s, n_i)
     if filters is not None:
         f_s, f_i = filters
         f = f * f_s.amplitude(omega_s) * f_i.amplitude(omega_i)
     return f
 
 
-def _sr_ratio(cavity, omega, mode):
-    """Common geometric ratio |r_2| e^{i Delta_mu(omega)} and the mirror pair."""
+def _sr_ratio(cavity, omega, mode, n):
+    """Common geometric ratio |r_2| e^{i Delta_mu(omega)} and the mirror pair.
+
+    n is the index n_mu(omega) already evaluated at omega.
+    """
     m2 = cavity.mirror(2, mode)
     if m2.magnitude >= 1.0:
         raise DivergenceError(f"geometric sum diverges at |r_2{mode[0]}| = 1")
     _check_perfect_mirror_1(cavity, mode)
-    delta = round_trip_phase_mismatch(cavity, omega, mode)
+    delta = _round_trip_phase(cavity, _single_pass_phase(cavity, omega, n), mode)
     return m2, m2.magnitude * np.exp(1j * np.asarray(delta))
 
 
@@ -245,7 +264,8 @@ def sr_amplitude_factor_finite(cavity, omega, mode, n_passes):
     """
     if n_passes < 1:
         raise ValueError("n_passes must be >= 1")
-    m2, rho = _sr_ratio(cavity, omega, mode)
+    n = refractive_index(cavity.crystal, omega, polarization_for_mode(mode))
+    m2, rho = _sr_ratio(cavity, omega, mode, n)
     phase = _gamma_free_space(cavity, omega)
     out = m2.transmissivity * np.exp(1j * phase) * (1.0 - rho**n_passes) / (1.0 - rho)
     return out if np.ndim(out) else complex(out)
@@ -253,17 +273,31 @@ def sr_amplitude_factor_finite(cavity, omega, mode, n_passes):
 
 def sr_amplitude_factor(cavity, omega, mode):
     """Many-pass limit of A_mu^(n): t_2 e^{i gamma} / (1 - rho)."""
-    m2, rho = _sr_ratio(cavity, omega, mode)
+    n = refractive_index(cavity.crystal, omega, polarization_for_mode(mode))
+    return _sr_amplitude_factor(cavity, omega, mode, n)
+
+
+def _sr_amplitude_factor(cavity, omega, mode, n):
+    """sr_amplitude_factor from the index n = n_mu(omega) already evaluated."""
+    m2, rho = _sr_ratio(cavity, omega, mode, n)
     out = m2.transmissivity * np.exp(1j * _gamma_free_space(cavity, omega)) / (1.0 - rho)
     return out if np.ndim(out) else complex(out)
 
 
 def _jsa_sr_pointwise(cavity, pump, filters, omega_s, omega_i):
-    """Many-pass amplitude f_SR = f A_s A_i at matching arrays of (omega_s, omega_i)."""
+    """Many-pass amplitude f_SR = f A_s A_i at matching arrays of (omega_s, omega_i).
+
+    Each index n_o(omega_s), n_o(omega_i) is evaluated once and shared by
+    the phasematching and the cavity factors.
+    """
+    crystal = cavity.crystal
+    omega_s = np.asarray(omega_s, dtype=float)
+    omega_i = np.asarray(omega_i, dtype=float)
+    n_s, n_i = _ordinary_indices(crystal, omega_s, omega_i)
     return (
-        jsa_bare(pump, cavity.crystal, filters, omega_s, omega_i)
-        * sr_amplitude_factor(cavity, omega_s, "signal")
-        * sr_amplitude_factor(cavity, omega_i, "idler")
+        _jsa_bare(pump, crystal, filters, omega_s, omega_i, n_s, n_i)
+        * _sr_amplitude_factor(cavity, omega_s, "signal", n_s)
+        * _sr_amplitude_factor(cavity, omega_i, "idler", n_i)
     )
 
 

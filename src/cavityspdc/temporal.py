@@ -15,6 +15,14 @@ Parseval exactly on the sample lattice:
 A Gaussian amplitude exp(-omega^2/sigma^2) on the omega_plus axis maps to a
 Gaussian of width sigma_t = 2/sigma on the t_plus axis; on the t_minus axis
 the emission-difference convention doubles that width.
+
+The transform streams in two stages.  Stage one transforms along
+omega_plus (the amplitude and this spectrum coexist); stage two transforms
+blocks of its columns along omega_minus and writes each block's |ft|^2
+into its fftshifted place.  Neither the padded complex spectrum nor a
+shifted copy of the intensity is ever formed, and an amplitude handed
+straight to joint_temporal_intensity is freed between the stages.  The
+output is bit for bit fftshift(|fft2|^2).
 """
 
 from __future__ import annotations
@@ -37,7 +45,8 @@ __all__ = [
     "correlation_time",
 ]
 
-_BLOCK_ROWS = 64  # omega_minus rows per pointwise evaluation of the rotated amplitude
+_BLOCK_ROWS = 64  # minus rows per block of the rotated amplitude fill and of the marginal
+_BLOCK_COLS = 32  # omega_plus columns per omega_minus transform of the stage-one spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,10 +158,21 @@ def joint_temporal_intensity(rot, round_trip_time=None, pad_plus=None, pad_minus
     pad_plus/pad_minus overrides).  When round_trip_time is given, the
     reachable t_minus window 4 pi / d omega_minus must cover at least 20
     round trips, otherwise UnderResolvedError reports the required sampling.
+
+    The result is bit for bit fftshift(|fft2|^2), computed in two stages.
+    Stage one transforms along omega_plus, as fft2 does first, and then drops
+    this function's reference to rot.  Stage two transforms the stage-one
+    spectrum along omega_minus in blocks of columns and writes each block's
+    scaled |.|^2 straight into its fftshifted place in the real intensity,
+    so the padded complex spectrum is never formed.  A caller that hands the
+    amplitude over, joint_temporal_intensity(jsa_singly_resonant_rotated(...)),
+    frees it before stage two; a caller that keeps rot gets the same result
+    without that saving.
     """
     n_minus, n_plus = rot.values.shape
+    d_plus, d_minus = rot.d_plus, rot.d_minus
     if round_trip_time is not None:
-        window = 4 * np.pi / rot.d_minus
+        window = 4 * np.pi / d_minus
         if window < 20 * round_trip_time:
             need = int(np.ceil((rot.omega_minus_axis[-1] - rot.omega_minus_axis[0])
                                / (4 * np.pi / (20 * round_trip_time))))
@@ -170,23 +190,49 @@ def joint_temporal_intensity(rot, round_trip_time=None, pad_plus=None, pad_minus
     if size_plus < n_plus or size_minus < n_minus:
         raise ValueError("padded size smaller than the input grid")
 
-    ft = np.fft.fft2(rot.values, s=(size_minus, size_plus))
-    ft *= rot.d_plus * rot.d_minus / (2 * np.pi * np.sqrt(2.0))
-    intensity = np.abs(ft)
-    del ft  # free the complex buffer before fftshift copies the intensity
-    intensity *= intensity
+    spectrum = np.fft.fft(rot.values, n=size_plus, axis=1)
+    del rot  # the last reference when the caller handed the amplitude over
+
+    scale = d_plus * d_minus / (2 * np.pi * np.sqrt(2.0))
+    intensity = np.empty((size_minus, size_plus))
+    # fftshift moves index k to (k + size // 2) % size: the minus rows of a
+    # block land in two slabs, and blocks never straddle the plus wrap point.
+    shift_minus, shift_plus = size_minus // 2, size_plus // 2
+    wrap_minus, wrap_plus = size_minus - shift_minus, size_plus - shift_plus
+    for start, stop in ((0, wrap_plus), (wrap_plus, size_plus)):
+        for lo in range(start, stop, _BLOCK_COLS):
+            hi = min(lo + _BLOCK_COLS, stop)
+            block = np.fft.fft(spectrum[:, lo:hi], n=size_minus, axis=0)
+            block *= scale
+            power = np.abs(block)
+            del block
+            power *= power
+            dest = (lo + shift_plus) % size_plus
+            cols = slice(dest, dest + hi - lo)
+            intensity[shift_minus:, cols] = power[:wrap_minus]
+            intensity[:shift_minus, cols] = power[wrap_minus:]
+    del spectrum
     # Sample spacings of the conjugate axes; the factor 2 maps the raw
     # minus-conjugate onto the emission-time difference t_s - t_i.
-    u_plus = np.fft.fftshift(np.fft.fftfreq(size_plus, d=rot.d_plus / (2 * np.pi)))
-    u_minus = np.fft.fftshift(np.fft.fftfreq(size_minus, d=rot.d_minus / (2 * np.pi)))
+    u_plus = np.fft.fftshift(np.fft.fftfreq(size_plus, d=d_plus / (2 * np.pi)))
+    u_minus = np.fft.fftshift(np.fft.fftfreq(size_minus, d=d_minus / (2 * np.pi)))
     t_plus = u_plus
     t_minus = 2.0 * u_minus
-    return TemporalGrid(t_plus, t_minus, np.fft.fftshift(intensity))
+    return TemporalGrid(t_plus, t_minus, intensity)
 
 
 def time_difference_marginal(tgrid):
-    """Distribution of emission-time differences S_minus(t_minus) = integral dt_plus |ft|^2."""
-    density = np.trapezoid(tgrid.values, tgrid.t_plus_axis, axis=1)
+    """Distribution of emission-time differences S_minus(t_minus) = integral dt_plus |ft|^2.
+
+    Integrated in blocks of t_minus rows, so the trapezoid's temporaries
+    stay the size of one block; each row's sum is the unblocked one.
+    """
+    values = tgrid.values
+    density = np.empty(values.shape[0])
+    for k in range(0, values.shape[0], _BLOCK_ROWS):
+        density[k : k + _BLOCK_ROWS] = np.trapezoid(
+            values[k : k + _BLOCK_ROWS], tgrid.t_plus_axis, axis=1
+        )
     return Marginal(tgrid.t_minus_axis, density)
 
 

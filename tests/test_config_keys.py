@@ -279,3 +279,14 @@ def test_zero_is_a_config_error(subcommand, base, section, key, value, tmp_path,
     assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: module=config:") and f"[{section}] {key}" in err
+
+
+@pytest.mark.parametrize("window", [{"window_lo_um": "1.2"},
+                                    {"window_lo_um": "0.5", "window_hi_um": "0.5"}],
+                         ids=["above_default_hi", "equal"])
+def test_reversed_validity_window_is_a_config_error(window, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(render(edited(SR, {"crystal": window})))
+    assert main(["jsi-sr", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: module=config:") and "[crystal] window_lo_um" in err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,16 @@ from cavityspdc.temporal import _BLOCK_ROWS
 
 from conftest import OMEGA_800, cavity_round_trip_time as round_trip_time
 from conftest import run_temporal_pipeline as temporal_marginal
+
+
+def random_rotated(n_minus, n_plus, seed=0):
+    """RotatedGrid of random complex values on axes near the 800 nm pair."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n_minus, n_plus)) + 1j * rng.standard_normal((n_minus, n_plus))
+    plus = 2 * OMEGA_800 + np.linspace(-1e13, 1e13, n_plus)
+    minus = np.linspace(-3e13, 3e13, n_minus)
+    return cs.RotatedGrid(plus, minus, values)
+
 
 class TestRotation:
     def test_antidiagonal_ridge_becomes_vertical(self, pump, crystal, filters):
@@ -73,6 +85,36 @@ class TestJointTemporalIntensity:
         with pytest.raises(UnderResolvedError):
             cs.joint_temporal_intensity(rot, round_trip_time=1e-11)
 
+    @pytest.mark.parametrize(
+        "n_minus, n_plus, pad_plus, pad_minus",
+        [(37, 203, None, None), (65, 33, 64, 128), (301, 77, 256, 512), (41, 29, 45, 99)],
+    )
+    def test_streamed_transform_is_shifted_fft2_intensity(self, n_minus, n_plus, pad_plus,
+                                                          pad_minus):
+        rot = random_rotated(n_minus, n_plus)
+        tg = cs.joint_temporal_intensity(rot, pad_plus=pad_plus, pad_minus=pad_minus)
+        ft = np.fft.fft2(rot.values, s=tg.values.shape)
+        ft *= rot.d_plus * rot.d_minus / (2 * np.pi * np.sqrt(2.0))
+        assert np.array_equal(tg.values, np.fft.fftshift(np.abs(ft) ** 2))
+
+    def test_handed_over_amplitude_is_freed_before_stage_two(self):
+        # peak bytes, not time: the amplitude goes once the stage-one spectrum
+        # exists, and no padded complex spectrum is ever formed
+        n_minus, n_plus, pad_plus, pad_minus = 1000, 500, 512, 1024
+        tracemalloc.start()
+        try:
+            handed = [random_rotated(n_minus, n_plus)]
+            tracemalloc.reset_peak()
+            tg = cs.joint_temporal_intensity(handed.pop(), pad_plus=pad_plus, pad_minus=pad_minus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        amplitude, stage_one = 16 * n_minus * n_plus, 16 * n_minus * pad_plus
+        assert peak < 1.1 * (amplitude + stage_one)
+        kept = cs.joint_temporal_intensity(random_rotated(n_minus, n_plus),
+                                           pad_plus=pad_plus, pad_minus=pad_minus)
+        assert np.array_equal(tg.values, kept.values)
+
     def test_comb_spacing_equals_round_trip(self, crystal, pump, filters):
         cav, rot, tgrid, marg = temporal_marginal(crystal, 0.73, pump, filters)
         peaks = cs.extract_peaks(marg.axis, marg.density, 1e-4)
@@ -81,6 +123,15 @@ class TestJointTemporalIntensity:
         assert abs(spacing - round_trip_time(cav, OMEGA_800)) < dt
 
 class TestTimeDifferenceMarginal:
+    def test_row_blocks_match_one_trapezoid(self):
+        # two full blocks of t_minus rows and a ragged third
+        rng = np.random.default_rng(3)
+        values = rng.random((2 * _BLOCK_ROWS + 5, 48))
+        tg = cs.TemporalGrid(np.linspace(-1e-12, 1e-12, 48),
+                             np.linspace(-2e-12, 2e-12, values.shape[0]), values)
+        marg = cs.time_difference_marginal(tg)
+        assert np.array_equal(marg.density, np.trapezoid(values, tg.t_plus_axis, axis=1))
+
     def test_separable_grid(self):
         tp = np.linspace(-1.0, 1.0, 33)
         tm = np.linspace(-2.0, 2.0, 65)
