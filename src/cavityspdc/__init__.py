@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .brightness import (
     BrightnessResult,
     SweepTable,
-    brightness,
     brightness_from_cavity,
     brightness_vs_r1p_sweep,
     brightness_vs_sigma_sweep,
@@ -23,6 +22,7 @@ from .cavity import (
     airy,
     coefficient_of_finesse,
     free_spectral_range,
+    group_round_trip_time,
     mode_width,
     round_trip_phase_mismatch,
     single_pass_phase,
@@ -79,5 +79,6 @@ from .temporal import (
     extract_peaks,
     joint_temporal_intensity,
     jsa_singly_resonant_rotated,
+    rotated_lattice_axes,
     time_difference_marginal,
 )

@@ -10,10 +10,11 @@ constant b):
 Every reported number is a ratio to the equivalent source without a cavity
 driven by the same pump, in which b U cancels, so b U is set to one here.
 
-The sweep drivers evaluate the integral on an adaptive stripe in rotated
-coordinates (omega_plus = omega_s + omega_i bounded by the pump envelope,
-omega_minus = omega_s - omega_i by the filters) so that narrow cavity modes
-stay resolved at any reflectivity without gigantic rectangular grids.  The
+The integral has one route, brightness_from_cavity, which every sweep
+driver calls: an adaptive stripe in rotated coordinates (omega_plus =
+omega_s + omega_i bounded by the pump envelope, omega_minus = omega_s -
+omega_i by the filters), so that narrow cavity modes stay resolved at any
+reflectivity without gigantic rectangular grids.  The
 "equivalent source without a cavity" reference sets every SPDC-mode
 reflectivity to zero with identical pump and filters.
 
@@ -37,20 +38,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cavity import mode_width
 from .dispersion import group_slowness, refractive_index
-from .errors import UnderResolvedError
-from .spectral import _factor_tables, _intensity
+from .spectral import _factor_tables, _intensity, fwhm_to_sigma
 
 __all__ = [
     "BrightnessResult",
     "SweepTable",
-    "brightness",
     "brightness_from_cavity",
     "brightness_vs_sigma_sweep",
     "plateau_brightness_vs_r2",
     "brightness_vs_r1p_sweep",
 ]
 
-_SQRT_2LN2 = np.sqrt(2 * np.log(2.0))
 _SAMPLES_PER_SCALE = 8  # stripe samples across the finest structure of each axis
 _CHUNK = 64  # omega_plus columns per kernel call, whatever the thread count
 
@@ -88,43 +86,6 @@ def _rate_factor(crystal, omega):
     kp = group_slowness(crystal, omega, "ordinary")
     n = refractive_index(crystal, omega, "ordinary")
     return kp * omega / n**2
-
-
-def brightness(jsi, pump, crystal, mode="central_approx", min_feature_width=None):
-    """Brightness of a sampled joint spectral intensity grid: its integral / sigma.
-
-    As everywhere in this module b U = 1.  mode 'exact_factors' evaluates
-    the k' omega / n^2 weights across the grid; 'central_approx' freezes
-    them at the axis midpoints (the usual short-window approximation).
-    min_feature_width, when given, is the narrowest spectral feature
-    (cavity mode width) the grid must resolve with at least 8 samples per
-    axis.
-    """
-    values = jsi.values
-    if np.iscomplexobj(values):
-        raise ValueError("brightness expects a real joint spectral intensity")
-    if np.any(values < 0):
-        raise ValueError("joint spectral intensity must be non-negative")
-    if min_feature_width is not None:
-        worst = max(jsi.d_omega_s, jsi.d_omega_i)
-        if min_feature_width < 8 * worst:
-            raise UnderResolvedError(
-                f"grid step {worst:.3e} rad/s gives {min_feature_width / worst:.1f} "
-                f"samples across the narrowest feature {min_feature_width:.3e} rad/s (< 8)"
-            )
-    omega_s0 = float(jsi.omega_s_axis[jsi.omega_s_axis.size // 2])
-    omega_i0 = float(jsi.omega_i_axis[jsi.omega_i_axis.size // 2])
-    if mode == "central_approx":
-        weight = _rate_factor(crystal, omega_s0) * _rate_factor(crystal, omega_i0)
-        integrand = values * weight
-    elif mode == "exact_factors":
-        d_s = _rate_factor(crystal, jsi.omega_s_axis)
-        d_i = _rate_factor(crystal, jsi.omega_i_axis)
-        integrand = values * np.outer(d_i, d_s)
-    else:
-        raise ValueError(f"unknown factor mode {mode!r}")
-    raw = float(np.trapezoid(np.trapezoid(integrand, jsi.omega_s_axis, axis=1), jsi.omega_i_axis))
-    return BrightnessResult(raw / pump.sigma)
 
 
 class _Stripe(NamedTuple):
@@ -319,7 +280,7 @@ def plateau_brightness_vs_r2(
             rows.append((float(r2), float(pump.sigma), 1.0))
             continue
         cav = cavity.with_mirror(2, "signal", magnitude=r2).with_mirror(2, "idler", magnitude=r2)
-        sigma = mode_width(cav, filters[0].center, "signal") / _SQRT_2LN2
+        sigma = fwhm_to_sigma(mode_width(cav, filters[0].center, "signal"))
         swept_pump = replace(pump, sigma=sigma)
         reference = brightness_from_cavity(
             _no_cavity(cavity), swept_pump, filters, False, factor_mode, threads

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constants import c
-from .dispersion import polarization_for_mode, refractive_index
+from .dispersion import group_slowness, polarization_for_mode, refractive_index
 from .errors import DivergenceError, InfiniteWidthError
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "airy",
     "mode_width",
     "free_spectral_range",
+    "group_round_trip_time",
     "solve_resonance_phases",
 ]
 
@@ -220,6 +221,13 @@ def mode_width(cavity, omega0, mode):
 def free_spectral_range(cavity, omega0, mode="signal"):
     """Resonance spacing Delta_omega = pi c / (l n(omega0) + (L - l))."""
     return np.pi * c / _optical_length(cavity, omega0, mode)
+
+
+def group_round_trip_time(cavity, omega0, mode="signal"):
+    """Group round trip 2 (l k'(omega0) + (L - l)/c): the comb spacing in t_minus."""
+    crystal = cavity.crystal
+    kp0 = group_slowness(crystal, omega0, polarization_for_mode(mode))
+    return 2 * (crystal.length_l * kp0 + (cavity.length_L - crystal.length_l) / c)
 
 
 def _smallest_nonnegative(phase, period=_TWO_PI):

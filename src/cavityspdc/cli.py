@@ -26,13 +26,11 @@ from .brightness import (
     brightness_vs_sigma_sweep,
     plateau_brightness_vs_r2,
 )
-from .cavity import airy, free_spectral_range, mode_width
+from .cavity import airy, free_spectral_range, group_round_trip_time, mode_width
 from .config import load_config
-from .constants import c
-from .dispersion import group_slowness
 from .design import design_source, report_design, spectral_check
 from .doubly_resonant import jsi_doubly_resonant
-from .errors import CavitySpdcError, ConfigError
+from .errors import CavitySpdcError
 from .gridfile import config_hash, write_columns, write_grid, write_text
 from .spectral import jsi_singly_resonant, marginal_spectrum
 from .temporal import (
@@ -40,6 +38,7 @@ from .temporal import (
     extract_peaks,
     joint_temporal_intensity,
     jsa_singly_resonant_rotated,
+    rotated_lattice_axes,
     time_difference_marginal,
 )
 
@@ -111,36 +110,21 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
     cavity = cfg.cavity(crystal)
     pump = cfg.pump()
     filters = cfg.filters()
-    if filters is None:
-        raise ConfigError("the temporal subcommand needs gaussian [filters]")
     omega_s0, omega_i0 = cfg.band_centers()
-    per_width = cfg.get("temporal", "samples_per_mode_width")
-    minus_half = cfg.get("temporal", "minus_halfwidth_filter_fwhm") * min(
-        filters[0].fwhm, filters[1].fwhm
+    plus, minus = rotated_lattice_axes(
+        cavity, pump, filters, omega_s0, omega_i0,
+        cfg.get("temporal", "samples_per_mode_width"),
+        cfg.get("temporal", "minus_halfwidth_filter_fwhm"),
+        cfg.get("temporal", "plus_halfwidth_sigma"),
     )
-    plus_half = cfg.get("temporal", "plus_halfwidth_sigma") * pump.sigma
-    prominence = cfg.get("temporal", "min_prominence")
-
-    width = min(mode_width(cavity, omega_s0, "signal"), mode_width(cavity, omega_i0, "idler"))
-    d_minus = width / per_width
-    d_plus = width / max(per_width // 2, 2)
-    n_minus = int(np.ceil(2 * minus_half / d_minus)) + 1
-    n_plus = int(np.ceil(2 * plus_half / d_plus)) + 1
-    center_plus = pump.omega_p0
-    plus = np.linspace(center_plus - plus_half, center_plus + plus_half, n_plus)
-    minus = np.linspace(
-        (omega_s0 - omega_i0) - minus_half, (omega_s0 - omega_i0) + minus_half, n_minus
-    )
-    # The comb sits at the group round trip 2 (l k'(omega_0) + (L - l)/c).
-    kp0 = group_slowness(crystal, omega_s0, "ordinary")
-    round_trip = 2 * (crystal.length_l * kp0 + (cavity.length_L - crystal.length_l) / c)
+    round_trip = group_round_trip_time(cavity, omega_s0)
     # Unbound, the amplitude is freed inside the transform once it is used.
     tgrid = joint_temporal_intensity(
         jsa_singly_resonant_rotated(cavity, pump, filters, plus, minus),
         round_trip_time=round_trip,
     )
     marg = time_difference_marginal(tgrid)
-    peaks = extract_peaks(marg.axis, marg.density, prominence)
+    peaks = extract_peaks(marg.axis, marg.density, cfg.get("temporal", "min_prominence"))
     t_c = correlation_time(peaks)
     spacing = float(np.median(np.diff(peaks.positions))) if peaks.positions.size > 1 else 0.0
 
@@ -172,37 +156,22 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
     return [marg_path, peaks_path, summary_path]
 
 
+_SWEEPS = {
+    "sigma_r2": brightness_vs_sigma_sweep,
+    "plateau_r2": plateau_brightness_vs_r2,
+    "r1p": brightness_vs_r1p_sweep,
+}
+
+
 def _cmd_brightness_sweep(cfg, out_dir, fmt, threads):
     crystal = cfg.crystal()
     cavity = cfg.cavity(crystal)
     pump = cfg.pump()
     filters = cfg.filters()
-    if filters is None:
-        raise ConfigError("brightness sweeps need gaussian [filters]")
-    sweep = cfg.require("sweep")
-    kinds = sweep["kind"].split()
     factors = cfg.get("sweep", "factors")
     paths = []
-    for kind in kinds:
-        if kind == "sigma_r2":
-            table = brightness_vs_sigma_sweep(
-                cavity, pump, filters, cfg.require("sweep", "sigma_list"),
-                cfg.require("sweep", "r2_list"), factors, threads,
-            )
-        elif kind == "plateau_r2":
-            r2_list = sweep.get("plateau_r2_list", sweep.get("r2_list"))
-            if r2_list is None:
-                raise ConfigError("[sweep] plateau_r2 needs plateau_r2_list or r2_list")
-            table = plateau_brightness_vs_r2(cavity, pump, filters, r2_list, factors, threads)
-        elif kind == "r1p":
-            table = brightness_vs_r1p_sweep(
-                cavity, pump, filters, cfg.require("sweep", "r1p_list"),
-                cfg.require("sweep", "sigma_list"), factors, threads,
-            )
-        else:
-            raise ConfigError(
-                f"unknown sweep kind {kind!r}; expected sigma_r2, plateau_r2 or r1p"
-            )
+    for kind in cfg.sweep_kinds():
+        table = _SWEEPS[kind](cavity, pump, filters, *cfg.sweep_lists(kind), factors, threads)
         path = out_dir / f"brightness_{kind}.tsv"
         write_text(path, table.to_text(), _metadata(cfg, {"sweep": kind}))
         paths.append(path)

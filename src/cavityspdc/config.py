@@ -18,8 +18,10 @@ load-time errors, and RunConfig.get returns the schema default for an absent
 key.  So is a key that another setting makes the builders ignore: the six
 mirror phases the solver sets or absorbs while solve_phases is true (the
 default), the Sellmeier coefficients unless kind = custom, both pump widths
-at once, any [filters] key besides shape = none, and [filters] fwhm when
-both per-mode widths are given.
+at once, any [filters] key besides shape = none, [filters] fwhm when
+both per-mode widths are given, and a [sweep] list that no requested kind
+reads (_SWEEP_LISTS), beside unknown or repeated kinds and shape = none
+for a subcommand that requires [filters].
 """
 
 from __future__ import annotations
@@ -28,14 +30,12 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cavity import CavitySpec, MirrorSpec, solve_resonance_phases
 from .constants import c
 from .design import DesignTarget
 from .dispersion import BBO_EXTRAORDINARY, BBO_ORDINARY, CrystalSpec, phasematching_angle
 from .errors import ConfigError
-from .spectral import FilterSpec, PumpSpec, SpectralGrid, fwhm_to_sigma, wavelength_fwhm_to_angular
+from .spectral import FilterSpec, PumpSpec, default_grid, wavelength_fwhm_to_angular
 
 __all__ = ["RunConfig", "load_config"]
 
@@ -152,6 +152,14 @@ _SCHEMA = {
     ),
 }
 
+# [sweep] kind -> the lists its sweep reads, in the order its function takes
+# them; of a pair of alternatives the first key present is read.
+_SWEEP_LISTS = {
+    "sigma_r2": (("sigma_list",), ("r2_list",)),
+    "plateau_r2": (("plateau_r2_list", "r2_list"),),
+    "r1p": (("r1p_list",), ("sigma_list",)),
+}
+
 # The mirror phases solve_resonance_phases sets (the r2 and pump phases) or
 # absorbs (the r1 signal and idler phases, which only enter through sums the
 # solver fixes): with solve_phases on, a value given for one of them could
@@ -256,6 +264,17 @@ class RunConfig:
             raise ConfigError(f"configuration is missing {what}")
         return self.sections[section] if stem is None else self.sections[section][stem]
 
+    def sweep_kinds(self):
+        """The requested [sweep] kinds, in order."""
+        return self.require("sweep", "kind").split()
+
+    def _sweep_stem(self, alternatives):
+        return next((s for s in alternatives if self.has("sweep", s)), alternatives[0])
+
+    def sweep_lists(self, kind):
+        """The lists the sweep of one kind reads, in the order its function takes them."""
+        return [self.require("sweep", self._sweep_stem(alt)) for alt in _SWEEP_LISTS[kind]]
+
     def normalized_text(self):
         """Canonical text rendering of the normalized values (hash input)."""
         lines = []
@@ -339,13 +358,11 @@ class RunConfig:
     def pump(self):
         sec = self.require("pump")
         lam = self.require("pump", "wavelength")
-        if "sigma" in sec:
-            sigma = sec["sigma"]
-        elif "fwhm" in sec:
-            sigma = fwhm_to_sigma(wavelength_fwhm_to_angular(lam, sec["fwhm"]))
-        else:
+        if "fwhm" in sec:
+            return PumpSpec.from_wavelength(lam, sec["fwhm"])
+        if "sigma" not in sec:
             raise ConfigError("[pump] needs either sigma_rad_s/sigma_hz or fwhm_nm")
-        return PumpSpec(2 * math.pi * c / lam, sigma)
+        return PumpSpec(2 * math.pi * c / lam, sec["sigma"])
 
     def filters(self):
         """(signal, idler) FilterSpec pair, or None when no filter is configured."""
@@ -375,9 +392,7 @@ class RunConfig:
                     "[grid] halfwidth_rad_s is required when no gaussian filters are set"
                 )
             halfwidth = 3.0 * max(filters[0].fwhm, filters[1].fwhm)
-        s_axis = np.linspace(omega_s0 - halfwidth, omega_s0 + halfwidth, samples)
-        i_axis = np.linspace(omega_i0 - halfwidth, omega_i0 + halfwidth, samples)
-        return SpectralGrid(s_axis, i_axis, np.zeros((samples, samples)))
+        return default_grid(omega_s0, omega_i0, halfwidth, samples)
 
     def design_target(self):
         sec = self.require("design")
@@ -453,6 +468,10 @@ def load_config(path, require=()):
             f"{', '.join('[' + m + ']' for m in missing)}; {_REQUIRED_NOTE}"
         )
     cfg = RunConfig(sections, units)
+    if "filters" in require and cfg.get("filters", "shape") == "none":
+        raise ConfigError("[filters] shape = none: this subcommand needs gaussian filters")
+    if cfg.has("sweep"):
+        _check_sweep_kinds(cfg)
     for section, stem, why in _ignored_keys(cfg):
         unit = units[section][stem]
         raise ConfigError(f"[{section}] {stem if unit is None else f'{stem}_{unit}'}: {why}")
@@ -460,6 +479,16 @@ def load_config(path, require=()):
     if lo >= hi:
         raise ConfigError(f"[crystal] window_lo_um = {lo:g} must be below window_hi_um = {hi:g}")
     return cfg
+
+
+def _check_sweep_kinds(cfg):
+    """Each [sweep] kind is known and requested once, and finds the lists it reads."""
+    kinds = cfg.sweep_kinds()
+    if not kinds or len(set(kinds)) < len(kinds) or not set(kinds) <= set(_SWEEP_LISTS):
+        raise ConfigError(f"[sweep] kind = {' '.join(kinds)!r}: expected one or more of "
+                          f"{', '.join(_SWEEP_LISTS)}, each at most once")
+    for kind in kinds:
+        cfg.sweep_lists(kind)  # a ConfigError naming the list when one is missing
 
 
 def _ignored_keys(cfg):
@@ -484,3 +513,9 @@ def _ignored_keys(cfg):
     elif all(cfg.has("filters", stem) for stem in ("fwhm", "signal_fwhm", "idler_fwhm")):
         yield ("filters", "fwhm", "signal_fwhm and idler_fwhm are both set, so this width "
                "applies to neither mode; drop it")
+    if cfg.has("sweep"):
+        kinds = cfg.sweep_kinds()
+        read = {cfg._sweep_stem(alt) for kind in kinds for alt in _SWEEP_LISTS[kind]}
+        for stem in cfg.sections["sweep"]:
+            if stem.endswith("_list") and stem not in read:
+                yield ("sweep", stem, f"kind = {' '.join(kinds)} reads no such list; drop the key")

@@ -31,7 +31,7 @@ from .dispersion import (
     refractive_index,
 )
 from .errors import InfeasibleDesignError
-from .spectral import PumpSpec, SpectralGrid, jsi_singly_resonant, marginal_spectrum
+from .spectral import PumpSpec, default_grid, fwhm_to_sigma, jsi_singly_resonant, marginal_spectrum
 
 __all__ = [
     "DesignTarget",
@@ -42,8 +42,6 @@ __all__ = [
     "report_design",
     "PAPER_REFERENCE",
 ]
-
-_SQRT_2LN2 = np.sqrt(2 * np.log(2.0))
 
 # Published Ca+ worked-example values, kept as a golden reference for reports.
 PAPER_REFERENCE = {
@@ -133,7 +131,7 @@ def design_source(target, pin_cavity_length=None):
     if not r2 < 1.0:
         raise InfeasibleDesignError("required mirror-2 reflectivity reaches unity")
 
-    sigma_max = delta_omega / _SQRT_2LN2
+    sigma_max = fwhm_to_sigma(delta_omega)
     return DesignResult(lambda_idler, cut_angle, cavity_length, r2, finesse, sigma_max)
 
 
@@ -174,10 +172,7 @@ def spectral_check(target, result, samples=1025):
     omega_i0 = 2 * np.pi * c / result.lambda_idler
     delta_omega = mode_width(cavity, omega_s0, "signal")
     pump = PumpSpec(omega_s0 + omega_i0, 20.0 * delta_omega)
-    half = 40.0 * delta_omega
-    s_axis = np.linspace(omega_s0 - half, omega_s0 + half, samples)
-    i_axis = np.linspace(omega_i0 - half, omega_i0 + half, samples)
-    grid = SpectralGrid(s_axis, i_axis, np.zeros((samples, samples)))
+    grid = default_grid(omega_s0, omega_i0, 40.0 * delta_omega, samples)
     jsi = jsi_singly_resonant(cavity, pump, None, grid)
     fwhm, center = _marginal_fwhm(marginal_spectrum(jsi, "signal"))
     return fwhm, center

@@ -16,6 +16,9 @@ Every factor of these intensities depends on one frequency, except
 sinc^2(dk l / 2) and the phase-balancing weight P.  _factor_tables evaluates
 the others once per entry of 1-D signal, idler and pump tables; _intensity
 combines broadcast views of the tables, whatever lattice they come from.
+The complex amplitude f A_s A_i has one evaluator, _jsa_sr_pointwise, which
+jsa_singly_resonant runs on a rectangular grid's mesh and the temporal
+module on the rotated lattice.
 
 Grid convention: SpectralGrid.values[i, j] belongs to
 (omega_i_axis[i], omega_s_axis[j]).
@@ -147,11 +150,6 @@ class SpectralGrid:
     def meshgrid(self):
         """(omega_s, omega_i) matrices aligned with values."""
         return np.meshgrid(self.omega_s_axis, self.omega_i_axis)
-
-    def total_power(self):
-        """Trapezoidal integral of |values|^2 over both axes."""
-        mag2 = np.abs(self.values) ** 2
-        return float(np.trapezoid(np.trapezoid(mag2, self.omega_s_axis, axis=1), self.omega_i_axis))
 
 
 def check_uniform_axis(axis, name):
@@ -321,11 +319,7 @@ def _warn_if_under_resolved(cavity, grid, where):
 def jsa_singly_resonant(cavity, pump, filters, grid):
     """Many-pass joint spectral amplitude f_SR = A_s A_i f on the given grid axes."""
     _warn_if_under_resolved(cavity, grid, "jsa_singly_resonant")
-    a_s = sr_amplitude_factor(cavity, grid.omega_s_axis, "signal")
-    a_i = sr_amplitude_factor(cavity, grid.omega_i_axis, "idler")
-    omega_s, omega_i = grid.meshgrid()
-    values = jsa_bare(pump, cavity.crystal, filters, omega_s, omega_i)
-    values = values * np.outer(a_i, a_s)
+    values = _jsa_sr_pointwise(cavity, pump, filters, *grid.meshgrid())
     return SpectralGrid(grid.omega_s_axis, grid.omega_i_axis, values)
 
 

@@ -16,6 +16,10 @@ A Gaussian amplitude exp(-omega^2/sigma^2) on the omega_plus axis maps to a
 Gaussian of width sigma_t = 2/sigma on the t_plus axis; on the t_minus axis
 the emission-difference convention doubles that width.
 
+rotated_lattice_axes is the one sizing rule of the lattice the transform
+samples: its steps resolve the cavity mode width and its spans cover the
+filters and the pump.  The temporal subcommand and the tests call it.
+
 The transform streams in two stages.  Stage one transforms along
 omega_plus (the amplitude and this spectrum coexist); stage two transforms
 blocks of its columns along omega_minus and writes each block's |ft|^2
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cavity import mode_width
 from .errors import EmptyPeakSetError, UnderResolvedError
 from .spectral import Marginal, _jsa_sr_pointwise, check_uniform_axis as _check_uniform_axis
 
@@ -38,6 +43,7 @@ __all__ = [
     "RotatedGrid",
     "TemporalGrid",
     "PeakSet",
+    "rotated_lattice_axes",
     "jsa_singly_resonant_rotated",
     "joint_temporal_intensity",
     "time_difference_marginal",
@@ -129,6 +135,32 @@ class PeakSet:
             raise ValueError("positions must be strictly increasing")
         if np.any(heights <= 0):
             raise ValueError("heights must be positive")
+
+
+def rotated_lattice_axes(cavity, pump, filters, omega_s0, omega_i0, per_width, minus_span,
+                         plus_span):
+    """omega_plus and omega_minus axes of the lattice the temporal transform samples.
+
+    With w the narrower of the signal and idler mode widths at the band
+    centers, omega_minus steps by w / per_width and omega_plus by
+    w / max(per_width // 2, 2).  omega_minus spans +- minus_span FWHMs of
+    the narrower filter around omega_s0 - omega_i0, omega_plus +- plus_span
+    sigma around the pump center.  Every sizing argument is required, so
+    the [temporal] defaults live in the configuration schema alone.
+    """
+    if filters is None:
+        raise ValueError("the rotated lattice spans filter widths; it needs gaussian filters")
+    minus_half = minus_span * min(filters[0].fwhm, filters[1].fwhm)
+    plus_half = plus_span * pump.sigma
+    width = min(mode_width(cavity, omega_s0, "signal"), mode_width(cavity, omega_i0, "idler"))
+    d_minus = width / per_width
+    d_plus = width / max(per_width // 2, 2)
+    n_minus = int(np.ceil(2 * minus_half / d_minus)) + 1
+    n_plus = int(np.ceil(2 * plus_half / d_plus)) + 1
+    center_minus = omega_s0 - omega_i0
+    plus = np.linspace(pump.omega_p0 - plus_half, pump.omega_p0 + plus_half, n_plus)
+    minus = np.linspace(center_minus - minus_half, center_minus + minus_half, n_minus)
+    return plus, minus
 
 
 def jsa_singly_resonant_rotated(cavity, pump, filters, omega_plus_axis, omega_minus_axis):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 import cavityspdc as cs
+from cavityspdc.config import _SCHEMA
 from cavityspdc.constants import c
 
 # Property tests draw the same examples on every run; few examples keep the
@@ -54,32 +55,46 @@ def grid_257(filters):
     return cs.default_grid(OMEGA_800, OMEGA_800, halfwidth, samples=257)
 
 
-def cavity_round_trip_time(cavity, omega0):
-    """Group round trip 2 (l k'(omega0) + (L - l)/c): the comb spacing in t_minus."""
-    crystal = cavity.crystal
-    kp0 = cs.group_slowness(crystal, omega0, "ordinary")
-    return 2 * (crystal.length_l * kp0 + (cavity.length_L - crystal.length_l) / c)
+# The [temporal] defaults of the configuration schema.
+TEMPORAL = {stem: entry["default"] for stem, entry in _SCHEMA["temporal"].items()}
 
 
-def run_temporal_pipeline(crystal, r2, pump, filters, per_width=8, minus_span=3.0,
-                          pad_minus=None):
-    """Rotated-lattice JSA -> 2-D transform -> emission-time-difference marginal."""
+def run_temporal_pipeline(crystal, r2, pump, filters,
+                          minus_span=TEMPORAL["minus_halfwidth_filter_fwhm"]):
+    """Shipped rotated lattice -> JSA -> 2-D transform: (cavity, RotatedGrid, TemporalGrid).
+
+    The lattice is the temporal subcommand's at its default resolution and w_+ span.
+    """
     cav = cs.solve_resonance_phases(
         cs.singly_resonant_cavity(crystal.length_l, crystal, r2), OMEGA_800, OMEGA_800
     )
-    width = cs.mode_width(cav, OMEGA_800, "signal")
-    fw = filters[0].fwhm
-    d_minus = width / per_width
-    d_plus = width / max(per_width // 2, 2)
-    half_minus = minus_span * fw
-    half_plus = 4.5 * pump.sigma
-    minus = np.linspace(-half_minus, half_minus, int(np.ceil(2 * half_minus / d_minus)) + 1)
-    plus = np.linspace(
-        2 * OMEGA_800 - half_plus, 2 * OMEGA_800 + half_plus,
-        int(np.ceil(2 * half_plus / d_plus)) + 1,
+    plus, minus = cs.rotated_lattice_axes(
+        cav, pump, filters, OMEGA_800, OMEGA_800, TEMPORAL["samples_per_mode_width"],
+        minus_span, TEMPORAL["plus_halfwidth_sigma"],
     )
     rot = cs.jsa_singly_resonant_rotated(cav, pump, filters, plus, minus)
     tgrid = cs.joint_temporal_intensity(
-        rot, round_trip_time=cavity_round_trip_time(cav, OMEGA_800), pad_minus=pad_minus
+        rot, round_trip_time=cs.group_round_trip_time(cav, OMEGA_800)
     )
-    return cav, rot, tgrid, cs.time_difference_marginal(tgrid)
+    return cav, rot, tgrid
+
+
+@pytest.fixture(scope="session")
+def temporal_marginal(crystal, pump, filters):
+    """(cavity, t_minus marginal) of the temporal pipeline at mirror-2 reflectivity r2.
+
+    Memoized per r2 for the session; the marginal's arrays are read-only, so
+    no test can change what the next one reads.
+    """
+    cache = {}
+
+    def get(r2):
+        if r2 not in cache:
+            cav, _, tgrid = run_temporal_pipeline(crystal, r2, pump, filters)
+            marg = cs.time_difference_marginal(tgrid)
+            for array in marg:
+                array.flags.writeable = False
+            cache[r2] = (cav, marg)
+        return cache[r2]
+
+    return get

@@ -11,7 +11,7 @@ import cavityspdc as cs
 from cavityspdc.cavity import single_pass_phase
 from cavityspdc.constants import c
 
-from conftest import OMEGA_800, run_temporal_pipeline, cavity_round_trip_time
+from conftest import OMEGA_800
 
 SQRT_2LN2 = np.sqrt(2 * np.log(2))
 
@@ -158,14 +158,14 @@ def test_criterion_05_fig2_mode_lattice(sr_cavity, pump, filters):
     )
 
 
-def test_criterion_06_temporal_tradeoff(crystal, pump, filters):
+def test_criterion_06_temporal_tradeoff(temporal_marginal):
     widths, times, spacing_ok = [], [], True
     for r2 in (0.5, 0.7, 0.9):
-        cav, _, _, marg = run_temporal_pipeline(crystal, r2, pump, filters)
+        cav, marg = temporal_marginal(r2)
         peaks = cs.extract_peaks(marg.axis, marg.density, 1e-4)
         dt = marg.axis[1] - marg.axis[0]
         spacing = np.median(np.diff(peaks.positions))
-        t_rt = cavity_round_trip_time(cav, OMEGA_800)
+        t_rt = cs.group_round_trip_time(cav, OMEGA_800)
         spacing_ok = spacing_ok and abs(spacing - t_rt) < dt
         widths.append(cs.mode_width(cav, OMEGA_800, "signal"))
         times.append(cs.correlation_time(peaks))

@@ -1,0 +1,70 @@
+"""The benchmark's contract with the package, checked without running a workload.
+
+bench/spans.py wraps the public functions named in its TRACED table, and
+bench/workloads.py writes the configs every benchmark op loads.  A renamed
+or deleted traced function, or a load-time rule that refuses a benchmark
+config, breaks the benchmark; these tests fail first.  The bench modules
+are loaded by path and left unchanged.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import cavityspdc.cli as cli
+from cavityspdc.config import load_config
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """spans, child and workloads from bench/, loaded by path.
+
+    child.py puts bench/ on sys.path to import its siblings spans and
+    checks; the path is restored and those imports are dropped afterwards.
+    """
+    saved_path, saved_modules = list(sys.path), set(sys.modules)
+    try:
+        loaded = {}
+        for name in ("spans", "child", "workloads"):
+            spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+            loaded[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(loaded[name])
+    finally:
+        sys.path[:] = saved_path
+        for name in ("spans", "checks"):
+            if name not in saved_modules:
+                sys.modules.pop(name, None)
+    return loaded
+
+
+def test_traced_pass_reaches_every_layer(bench, tmp_path):
+    spans, child = bench["spans"], bench["child"]
+    config = tmp_path / "airy.cfg"
+    config.write_text(
+        "[crystal]\nlength_l_um = 20\n\n[cavity]\nr2_signal = 0.73\nr2_idler = 0.73\n\n"
+        "[grid]\nsignal_center_nm = 800\nidler_center_nm = 800\nsamples = 16\n"
+        "halfwidth_rad_s = 1e14\n"
+    )
+    tracer = spans.Tracer()
+    tracer.install()  # AttributeError when a traced name is gone
+    try:
+        child._run_op({"argv": ["airy"], "config": str(config)}, tmp_path / "op")
+        child._layer_probe(tmp_path)
+    finally:
+        tracer.uninstall()
+    assert not hasattr(cli.main, "__wrapped__")  # uninstalled
+    layers = {span[2] for span in tracer.spans}
+    assert layers == set(spans.TRACED)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", ["maps", "temporal", "sweeps", "export"])
+def test_every_benchmark_config_loads(bench, tmp_path, monkeypatch, workload, seed):
+    monkeypatch.chdir(BENCH.parent)  # shipped configs are named relative to the repo root
+    plan = bench["workloads"].make_plan(workload, seed, tmp_path)
+    for op in plan["ops"]:
+        load_config(op["config"], require=cli._REQUIRED_SECTIONS[op["argv"][0]])

@@ -1,17 +1,13 @@
-import importlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cavityspdc as cs
+import cavityspdc.brightness as stripe_module
 from cavityspdc.brightness import brightness_from_cavity
-from cavityspdc.errors import UnderResolvedError
 
 from conftest import OMEGA_800
-
-# The package namespace binds the name "brightness" to the grid-route function.
-stripe_module = importlib.import_module("cavityspdc.brightness")
 
 SQRT_2LN2 = np.sqrt(2 * np.log(2))
 
@@ -32,64 +28,49 @@ def r9_cavity(crystal):
     )
 
 
-class TestBrightnessIntegral:
-    def test_zero_intensity(self, crystal, pump, grid_257):
-        result = cs.brightness(grid_257, pump, crystal)
-        assert result.value == 0.0
+def _trapezoid_brightness(jsi, pump, crystal):
+    """Oracle: plain 2-D trapezoid of a JSI grid, rate factors at the axis midpoints, / sigma."""
+    omega_s0 = jsi.omega_s_axis[jsi.omega_s_axis.size // 2]
+    omega_i0 = jsi.omega_i_axis[jsi.omega_i_axis.size // 2]
+    integrand = jsi.values * _rate_factor(crystal, omega_s0) * _rate_factor(crystal, omega_i0)
+    raw = np.trapezoid(np.trapezoid(integrand, jsi.omega_s_axis, axis=1), jsi.omega_i_axis)
+    return raw / pump.sigma
 
-    def test_inverse_in_sigma(self, crystal, pump, filters, grid_257):
+
+class TestBrightnessIntegral:
+    def test_integral_over_sigma(self, crystal, pump, filters):
         cav = cs.singly_resonant_cavity(20e-6, crystal, 0.0)
-        jsi = cs.jsi_singly_resonant(cav, pump, filters, grid_257)
-        b1 = cs.brightness(jsi, pump, crystal).value
-        b3 = cs.brightness(jsi, replace(pump, sigma=2 * pump.sigma), crystal).value
-        assert b3 == pytest.approx(b1 / 2, rel=1e-12)
+        raw = stripe_module._stripe_integral(cav, pump, filters, False, "central_approx")
+        assert brightness_from_cavity(cav, pump, filters).value == raw / pump.sigma
 
     def test_exact_vs_central_factors_close_for_narrow_emission(self, crystal, pump):
         # emission confined to +-2 percent of the center: both factor modes
         # agree within 1 percent
         narrow = cs.FilterSpec(OMEGA_800, 0.005 * OMEGA_800)
         cav = cs.singly_resonant_cavity(20e-6, crystal, 0.0)
-        grid = cs.default_grid(OMEGA_800, OMEGA_800, 0.02 * OMEGA_800, samples=201)
-        jsi = cs.jsi_singly_resonant(cav, pump, (narrow, narrow), grid)
-        exact = cs.brightness(jsi, pump, crystal, mode="exact_factors").value
-        approx = cs.brightness(jsi, pump, crystal, mode="central_approx").value
-        assert exact == pytest.approx(approx, rel=0.01)
+        exact = brightness_from_cavity(cav, pump, (narrow, narrow), factor_mode="exact_factors")
+        approx = brightness_from_cavity(cav, pump, (narrow, narrow), factor_mode="central_approx")
+        assert exact.value == pytest.approx(approx.value, rel=0.01)
 
-    def test_under_resolved_grid_rejected(self, crystal, pump, filters, grid_257):
-        cav = cs.singly_resonant_cavity(20e-6, crystal, 0.0)
-        jsi = cs.jsi_singly_resonant(cav, pump, filters, grid_257)
-        with pytest.raises(UnderResolvedError):
-            cs.brightness(jsi, pump, crystal, min_feature_width=grid_257.d_omega_s)
-
-    def test_grid_refinement_stability(self, crystal, pump, filters):
-        cav = cs.singly_resonant_cavity(20e-6, crystal, 0.0)
-        values = []
-        for n in (257, 513):
-            grid = cs.default_grid(OMEGA_800, OMEGA_800, 3 * filters[0].fwhm, samples=n)
-            jsi = cs.jsi_singly_resonant(cav, pump, filters, grid)
-            values.append(cs.brightness(jsi, pump, crystal).value)
-        assert values[1] == pytest.approx(values[0], rel=5e-3)
-
-    def test_grid_route_matches_stripe_route(self, crystal, pump, filters):
-        # the sweep integrator and the plain 2-D quadrature agree on a
+    def test_stripe_matches_plain_trapezoid(self, crystal, pump, filters):
+        # the stripe integrator and a plain 2-D quadrature agree on a
         # cavity-free source
         cav = cs.singly_resonant_cavity(20e-6, crystal, 0.0)
         grid = cs.default_grid(OMEGA_800, OMEGA_800, 3.3 * filters[0].fwhm, samples=801)
         jsi = cs.jsi_singly_resonant(cav, pump, filters, grid)
-        b_grid = cs.brightness(jsi, pump, crystal).value
         b_stripe = brightness_from_cavity(cav, pump, filters).value
-        assert b_stripe == pytest.approx(b_grid, rel=2e-3)
+        assert b_stripe == pytest.approx(_trapezoid_brightness(jsi, pump, crystal), rel=2e-3)
 
-    def test_grid_route_matches_stripe_route_with_cavity(self, crystal, pump, filters):
+    def test_stripe_matches_plain_trapezoid_with_cavity(self, crystal, pump, filters):
         cav = cs.solve_resonance_phases(
             cs.singly_resonant_cavity(20e-6, crystal, 0.5), OMEGA_800, OMEGA_800
         )
         grid = cs.default_grid(OMEGA_800, OMEGA_800, 3.3 * filters[0].fwhm, samples=2048)
+        # the oracle grid resolves the mode width with at least 8 samples
+        assert cs.mode_width(cav, OMEGA_800, "signal") >= 8 * grid.d_omega_s
         jsi = cs.jsi_singly_resonant(cav, pump, filters, grid)
-        width = cs.mode_width(cav, OMEGA_800, "signal")
-        b_grid = cs.brightness(jsi, pump, crystal, min_feature_width=width).value
         b_stripe = brightness_from_cavity(cav, pump, filters).value
-        assert b_stripe == pytest.approx(b_grid, rel=0.02)
+        assert b_stripe == pytest.approx(_trapezoid_brightness(jsi, pump, crystal), rel=0.02)
 
 
 class TestSigmaSweep:

@@ -57,6 +57,7 @@ DR = edited(SR, {"cavity": {"r1_pump": "0.5", "r2_pump": "1.0"}})
 DR_UNSOLVED = edited(DR, {"cavity": {"solve_phases": "false"}})
 SWEEP = edited(SR, {"sweep": {"kind": "sigma_r2 plateau_r2", "sigma_list_rad_s": "4.6e13",
                               "r2_list": "0.5", "plateau_r2_list": "0.5"}})
+PLATEAU = edited(SR, {"sweep": {"kind": "plateau_r2", "r2_list": "0.5"}})
 R1P = edited(SR, {"cavity": {"r2_pump": "1.0"},
                   "sweep": {"kind": "r1p", "sigma_list_rad_s": "2e11", "r1p_list": "0 0.5"}})
 DESIGN = {
@@ -153,13 +154,32 @@ CASES = {
         _set("temporal", "plus_halfwidth_sigma", "4", subcommand="temporal")],
     ("temporal", "min_prominence"): [
         _set("temporal", "min_prominence", "0.05", subcommand="temporal")],
-    ("sweep", "kind"): [_set("sweep", "kind", "sigma_r2", SWEEP, "brightness-sweep")],
+    ("sweep", "kind"): [
+        Changes("brightness-sweep", SWEEP, {"sweep": {"kind": "sigma_r2",
+                                                      "plateau_r2_list": None}}),
+        Rejected(SWEEP, {"sweep": {"kind": "sigma_r2 plateau_r2 bogus"}}),
+        Rejected(SWEEP, {"sweep": {"kind": "sigma_r2 plateau_r2 sigma_r2"}}),
+        Rejected(SWEEP, {"sweep": {"kind": ""}}),
+    ],
     ("sweep", "sigma_list"): [
-        _set("sweep", "sigma_list_rad_s", "2.2e13", SWEEP, "brightness-sweep")],
-    ("sweep", "r2_list"): [_set("sweep", "r2_list", "0.7", SWEEP, "brightness-sweep")],
+        _set("sweep", "sigma_list_rad_s", "2.2e13", SWEEP, "brightness-sweep"),
+        Rejected(PLATEAU, {"sweep": {"sigma_list_rad_s": "2.2e13"}}),
+    ],
+    ("sweep", "r2_list"): [
+        _set("sweep", "r2_list", "0.7", SWEEP, "brightness-sweep"),
+        # plateau_r2 reads r2_list when plateau_r2_list is absent
+        _set("sweep", "r2_list", "0.7", PLATEAU, "brightness-sweep"),
+        Rejected(R1P, {"sweep": {"r2_list": "0.3"}}),
+        Rejected(PLATEAU, {"sweep": {"plateau_r2_list": "0.7"}}),
+    ],
     ("sweep", "plateau_r2_list"): [
-        _set("sweep", "plateau_r2_list", "0.7", SWEEP, "brightness-sweep")],
-    ("sweep", "r1p_list"): [_set("sweep", "r1p_list", "0 0.7", R1P, "brightness-sweep")],
+        _set("sweep", "plateau_r2_list", "0.7", SWEEP, "brightness-sweep"),
+        Rejected(SWEEP, {"sweep": {"kind": "sigma_r2"}}),
+    ],
+    ("sweep", "r1p_list"): [
+        _set("sweep", "r1p_list", "0 0.7", R1P, "brightness-sweep"),
+        Rejected(SWEEP, {"sweep": {"r1p_list": "0.5"}}),
+    ],
     ("sweep", "factors"): [
         _set("sweep", "factors", "exact_factors", SWEEP, "brightness-sweep")],
     ("design", "signal_wavelength"): [
@@ -290,3 +310,25 @@ def test_reversed_validity_window_is_a_config_error(window, tmp_path, capsys):
     assert main(["jsi-sr", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: module=config:") and "[crystal] window_lo_um" in err
+
+
+@pytest.mark.parametrize("kind, says", [("r1p bogus", "[sweep] kind"),
+                                        ("r1p r1p", "[sweep] kind"),
+                                        ("r1p sigma_r2", "r2_list in [sweep]")])
+def test_bad_sweep_kind_stops_before_any_artifact(kind, says, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(render(edited(R1P, {"sweep": {"kind": kind}})))
+    out = tmp_path / "out"
+    assert main(["brightness-sweep", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: module=config:") and says in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, base", [("temporal", SR), ("brightness-sweep", SWEEP)])
+def test_subcommand_needing_filters_refuses_shape_none(subcommand, base, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(render(edited(base, {"filters": {"shape": "none", "fwhm_nm": None}})))
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: module=config:") and "[filters] shape" in err

@@ -9,8 +9,7 @@ from cavityspdc.errors import EmptyPeakSetError, UnderResolvedError
 from cavityspdc.spectral import _jsa_sr_pointwise
 from cavityspdc.temporal import _BLOCK_ROWS
 
-from conftest import OMEGA_800, cavity_round_trip_time as round_trip_time
-from conftest import run_temporal_pipeline as temporal_marginal
+from conftest import OMEGA_800, run_temporal_pipeline
 
 
 def random_rotated(n_minus, n_plus, seed=0):
@@ -74,7 +73,7 @@ class TestJointTemporalIntensity:
     def test_parseval(self, crystal, pump, filters):
         # the minus span of 4 filter widths leaves the lattice edges at ~1e-10
         # of the peak intensity, so trapezoid and plain sums agree
-        _, rot, tg, _ = temporal_marginal(crystal, 0.73, pump, filters, minus_span=4.0)
+        _, rot, tg = run_temporal_pipeline(crystal, 0.73, pump, filters, minus_span=4.0)
         assert tg.total_power() == pytest.approx(rot.total_power(), rel=1e-6)
 
     def test_under_resolution_error(self):
@@ -115,12 +114,12 @@ class TestJointTemporalIntensity:
                                            pad_plus=pad_plus, pad_minus=pad_minus)
         assert np.array_equal(tg.values, kept.values)
 
-    def test_comb_spacing_equals_round_trip(self, crystal, pump, filters):
-        cav, rot, tgrid, marg = temporal_marginal(crystal, 0.73, pump, filters)
+    def test_comb_spacing_equals_round_trip(self, temporal_marginal):
+        cav, marg = temporal_marginal(0.73)
         peaks = cs.extract_peaks(marg.axis, marg.density, 1e-4)
         dt = marg.axis[1] - marg.axis[0]
         spacing = np.median(np.diff(peaks.positions))
-        assert abs(spacing - round_trip_time(cav, OMEGA_800)) < dt
+        assert abs(spacing - cs.group_round_trip_time(cav, OMEGA_800)) < dt
 
 class TestTimeDifferenceMarginal:
     def test_row_blocks_match_one_trapezoid(self):
@@ -141,13 +140,13 @@ class TestTimeDifferenceMarginal:
         marg = cs.time_difference_marginal(tg)
         assert np.allclose(marg.density, b * np.trapezoid(a, tp), rtol=1e-12)
 
-    def test_symmetric_for_degenerate_source(self, crystal, pump, filters):
-        _, _, _, marg = temporal_marginal(crystal, 0.73, pump, filters)
+    def test_symmetric_for_degenerate_source(self, temporal_marginal):
+        _, marg = temporal_marginal(0.73)
         dens = marg.density[1:]  # even-size transform: index 0 has no mirror
         assert np.abs(dens - dens[::-1]).max() <= 1e-6 * dens.max()
 
-    def test_highest_peak_at_zero(self, crystal, pump, filters):
-        _, _, _, marg = temporal_marginal(crystal, 0.73, pump, filters)
+    def test_highest_peak_at_zero(self, temporal_marginal):
+        _, marg = temporal_marginal(0.73)
         peaks = cs.extract_peaks(marg.axis, marg.density, 1e-4)
         best = peaks.positions[np.argmax(peaks.heights)]
         dt = marg.axis[1] - marg.axis[0]
@@ -219,28 +218,17 @@ class TestCorrelationTime:
         with pytest.raises(ValueError):
             cs.correlation_time(cs.PeakSet(np.array([0.0]), np.array([1.0])))
 
-    def test_tradeoff_with_reflectivity(self, crystal, pump, filters):
-        # higher mirror reflectivity: narrower modes, longer correlation time
-        widths, times = [], []
-        for r2 in (0.5, 0.7, 0.9):
-            cav, _, _, marg = temporal_marginal(crystal, r2, pump, filters)
-            widths.append(cs.mode_width(cav, OMEGA_800, "signal"))
-            peaks = cs.extract_peaks(marg.axis, marg.density, 1e-4)
-            times.append(cs.correlation_time(peaks))
-        assert widths[0] > widths[1] > widths[2]
-        assert times[0] < times[1] < times[2]
-
     @pytest.mark.parametrize("r2", [0.5, 0.7, 0.9])
-    def test_matches_two_sided_geometric_comb_model(self, crystal, pump, filters, r2):
+    def test_matches_two_sided_geometric_comb_model(self, temporal_marginal, r2):
         # tooth heights decay as (r2^2)^|m|: the exit amplitude loses a
         # factor r2 per extra pass of either photon and each pass-count
         # group is separated in t_plus by the short pump, so
         # t_C = T sqrt(2 rho) / (1 - rho) with rho = r2^2
-        cav, _, _, marg = temporal_marginal(crystal, r2, pump, filters)
+        cav, marg = temporal_marginal(r2)
         peaks = cs.extract_peaks(marg.axis, marg.density, 1e-5)
         measured = cs.correlation_time(peaks)
         rho = r2**2
-        t_rt = round_trip_time(cav, OMEGA_800)
+        t_rt = cs.group_round_trip_time(cav, OMEGA_800)
         expected = t_rt * np.sqrt(2 * rho) / (1 - rho)
         assert measured == pytest.approx(expected, rel=0.03, abs=0)
 
