@@ -223,10 +223,10 @@ def free_spectral_range(cavity, omega0, mode="signal"):
     return np.pi * c / _optical_length(cavity, omega0, mode)
 
 
-def group_round_trip_time(cavity, omega0, mode="signal"):
+def group_round_trip_time(cavity, omega0):
     """Group round trip 2 (l k'(omega0) + (L - l)/c): the comb spacing in t_minus."""
     crystal = cavity.crystal
-    kp0 = group_slowness(crystal, omega0, polarization_for_mode(mode))
+    kp0 = group_slowness(crystal, omega0, "ordinary")
     return 2 * (crystal.length_l * kp0 + (cavity.length_L - crystal.length_l) / c)
 
 

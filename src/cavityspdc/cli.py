@@ -21,11 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .brightness import (
-    brightness_vs_r1p_sweep,
-    brightness_vs_sigma_sweep,
-    plateau_brightness_vs_r2,
-)
 from .cavity import airy, free_spectral_range, group_round_trip_time, mode_width
 from .config import load_config
 from .design import design_source, report_design, spectral_check
@@ -156,13 +151,6 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
     return [marg_path, peaks_path, summary_path]
 
 
-_SWEEPS = {
-    "sigma_r2": brightness_vs_sigma_sweep,
-    "plateau_r2": plateau_brightness_vs_r2,
-    "r1p": brightness_vs_r1p_sweep,
-}
-
-
 def _cmd_brightness_sweep(cfg, out_dir, fmt, threads):
     crystal = cfg.crystal()
     cavity = cfg.cavity(crystal)
@@ -171,7 +159,8 @@ def _cmd_brightness_sweep(cfg, out_dir, fmt, threads):
     factors = cfg.get("sweep", "factors")
     paths = []
     for kind in cfg.sweep_kinds():
-        table = _SWEEPS[kind](cavity, pump, filters, *cfg.sweep_lists(kind), factors, threads)
+        sweep, lists = cfg.sweep(kind)
+        table = sweep(cavity, pump, filters, *lists, factors, threads)
         path = out_dir / f"brightness_{kind}.tsv"
         write_text(path, table.to_text(), _metadata(cfg, {"sweep": kind}))
         paths.append(path)

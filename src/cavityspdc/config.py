@@ -20,7 +20,7 @@ mirror phases the solver sets or absorbs while solve_phases is true (the
 default), the Sellmeier coefficients unless kind = custom, both pump widths
 at once, any [filters] key besides shape = none, [filters] fwhm when
 both per-mode widths are given, and a [sweep] list that no requested kind
-reads (_SWEEP_LISTS), beside unknown or repeated kinds and shape = none
+reads (_SWEEPS), beside unknown or repeated kinds and shape = none
 for a subcommand that requires [filters].
 """
 
@@ -30,6 +30,11 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
+from .brightness import (
+    brightness_vs_r1p_sweep,
+    brightness_vs_sigma_sweep,
+    plateau_brightness_vs_r2,
+)
 from .cavity import CavitySpec, MirrorSpec, solve_resonance_phases
 from .constants import c
 from .design import DesignTarget
@@ -152,12 +157,12 @@ _SCHEMA = {
     ),
 }
 
-# [sweep] kind -> the lists its sweep reads, in the order its function takes
-# them; of a pair of alternatives the first key present is read.
-_SWEEP_LISTS = {
-    "sigma_r2": (("sigma_list",), ("r2_list",)),
-    "plateau_r2": (("plateau_r2_list", "r2_list"),),
-    "r1p": (("r1p_list",), ("sigma_list",)),
+# [sweep] kind -> (its sweep function, the lists that function reads in the
+# order it takes them); of a pair of alternatives the first key present is read.
+_SWEEPS = {
+    "sigma_r2": (brightness_vs_sigma_sweep, (("sigma_list",), ("r2_list",))),
+    "plateau_r2": (plateau_brightness_vs_r2, (("plateau_r2_list", "r2_list"),)),
+    "r1p": (brightness_vs_r1p_sweep, (("r1p_list",), ("sigma_list",))),
 }
 
 # The mirror phases solve_resonance_phases sets (the r2 and pump phases) or
@@ -271,9 +276,10 @@ class RunConfig:
     def _sweep_stem(self, alternatives):
         return next((s for s in alternatives if self.has("sweep", s)), alternatives[0])
 
-    def sweep_lists(self, kind):
-        """The lists the sweep of one kind reads, in the order its function takes them."""
-        return [self.require("sweep", self._sweep_stem(alt)) for alt in _SWEEP_LISTS[kind]]
+    def sweep(self, kind):
+        """(function, lists) of the sweep of one kind: its lists in the order it takes them."""
+        function, alternatives = _SWEEPS[kind]
+        return function, [self.require("sweep", self._sweep_stem(alt)) for alt in alternatives]
 
     def normalized_text(self):
         """Canonical text rendering of the normalized values (hash input)."""
@@ -484,11 +490,11 @@ def load_config(path, require=()):
 def _check_sweep_kinds(cfg):
     """Each [sweep] kind is known and requested once, and finds the lists it reads."""
     kinds = cfg.sweep_kinds()
-    if not kinds or len(set(kinds)) < len(kinds) or not set(kinds) <= set(_SWEEP_LISTS):
+    if not kinds or len(set(kinds)) < len(kinds) or not set(kinds) <= set(_SWEEPS):
         raise ConfigError(f"[sweep] kind = {' '.join(kinds)!r}: expected one or more of "
-                          f"{', '.join(_SWEEP_LISTS)}, each at most once")
+                          f"{', '.join(_SWEEPS)}, each at most once")
     for kind in kinds:
-        cfg.sweep_lists(kind)  # a ConfigError naming the list when one is missing
+        cfg.sweep(kind)  # a ConfigError naming the list when one is missing
 
 
 def _ignored_keys(cfg):
@@ -515,7 +521,7 @@ def _ignored_keys(cfg):
                "applies to neither mode; drop it")
     if cfg.has("sweep"):
         kinds = cfg.sweep_kinds()
-        read = {cfg._sweep_stem(alt) for kind in kinds for alt in _SWEEP_LISTS[kind]}
+        read = {cfg._sweep_stem(alt) for kind in kinds for alt in _SWEEPS[kind][1]}
         for stem in cfg.sections["sweep"]:
             if stem.endswith("_list") and stem not in read:
                 yield ("sweep", stem, f"kind = {' '.join(kinds)} reads no such list; drop the key")
