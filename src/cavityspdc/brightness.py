@@ -29,13 +29,13 @@ of columns passes gathered views of the tables to its kernel.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._parallel import map_blocks
 from .cavity import mode_width
 from .dispersion import group_slowness, refractive_index
 from .spectral import _factor_tables, _intensity, fwhm_to_sigma
@@ -212,12 +212,7 @@ def _stripe_integral(cavity, pump, filters, doubly_resonant, factor_mode, thread
     chunks = [
         slice(k, min(k + _CHUNK, stripe.plus.size)) for k in range(0, stripe.plus.size, _CHUNK)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(column_integrals, chunks))
-    else:
-        parts = [column_integrals(chunk) for chunk in chunks]
-    g = np.concatenate(parts)
+    g = np.concatenate(map_blocks(threads, column_integrals, chunks))
     # Jacobian of (omega_s, omega_i) -> (omega_plus, omega_minus) is 1/2.
     return 0.5 * float(np.trapezoid(g, dx=stripe.q_plus * stripe.h))
 

@@ -4,9 +4,12 @@
                [--threads N]
 
 Subcommands: jsi-sr, jsi-dr, marginal, temporal, brightness-sweep, design,
-airy.  Every run writes its artifacts plus a manifest listing each file with
-the sha256 hash of the normalized configuration; identical configuration and
-package version give bitwise-identical binary outputs.  Physics errors exit
+airy.  --threads N (default: the CPUs this process may run on) spreads the
+blocked work of temporal and brightness-sweep over N threads without
+changing a bit of their output; the other subcommands run on one.  Every
+run writes its artifacts plus a manifest listing each file with the sha256
+hash of the normalized configuration; identical configuration and package
+version give bitwise-identical binary outputs.  Physics errors exit
 nonzero with a single machine-parsable line on stderr:
 error: module=<module>: <message>.
 """
@@ -14,6 +17,7 @@ error: module=<module>: <message>.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -29,6 +33,7 @@ from .errors import CavitySpdcError
 from .gridfile import config_hash, write_columns, write_grid, write_text
 from .spectral import jsi_singly_resonant, marginal_spectrum
 from .temporal import (
+    check_minus_window,
     correlation_time,
     extract_peaks,
     joint_temporal_intensity,
@@ -113,12 +118,13 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
         cfg.get("temporal", "plus_halfwidth_sigma"),
     )
     round_trip = group_round_trip_time(cavity, omega_s0)
+    check_minus_window(minus, round_trip)  # before the costly fill, not after it
     # Unbound, the amplitude is freed inside the transform once it is used.
     tgrid = joint_temporal_intensity(
-        jsa_singly_resonant_rotated(cavity, pump, filters, plus, minus),
-        round_trip_time=round_trip,
+        jsa_singly_resonant_rotated(cavity, pump, filters, plus, minus, threads=threads),
+        threads=threads,
     )
-    marg = time_difference_marginal(tgrid)
+    marg = time_difference_marginal(tgrid, threads=threads)
     peaks = extract_peaks(marg.axis, marg.density, cfg.get("temporal", "min_prominence"))
     t_c = correlation_time(peaks)
     spacing = float(np.median(np.diff(peaks.positions))) if peaks.positions.size > 1 else 0.0
@@ -252,7 +258,22 @@ def _write_manifest(out_dir, cfg, paths):
     return manifest
 
 
-def main(argv=None):
+def _available_cpus():
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _thread_count(text):
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
+    return threads
+
+
+def _parser():
     parser = argparse.ArgumentParser(
         prog="cavityspdc",
         description="Cavity-enhanced SPDC spectra, temporal correlations, brightness and design",
@@ -261,8 +282,16 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
     parser.add_argument("--format", choices=("text", "binary"), default=None)
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
-    args = parser.parse_args(argv)
+    parser.add_argument(
+        "--threads", type=_thread_count, default=_available_cpus(), metavar="N",
+        help="worker threads for temporal and brightness-sweep; the output does not "
+             "depend on it (default: the available CPUs, %(default)s here)",
+    )
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config, require=_REQUIRED_SECTIONS[args.subcommand])
@@ -270,7 +299,7 @@ def main(argv=None):
         out_dir.mkdir(parents=True, exist_ok=True)
         fmt = args.format or cfg.get("output", "format")
         sys.stdout.write(f"# normalized configuration\n{cfg.normalized_text()}")
-        paths = _HANDLERS[args.subcommand](cfg, out_dir, fmt, max(args.threads, 1))
+        paths = _HANDLERS[args.subcommand](cfg, out_dir, fmt, args.threads)
         manifest = _write_manifest(out_dir, cfg, paths)
         for path in paths + [manifest]:
             sys.stdout.write(f"wrote {path}\n")

@@ -27,6 +27,15 @@ into its fftshifted place.  Neither the padded complex spectrum nor a
 shifted copy of the intensity is ever formed, and an amplitude handed
 straight to joint_temporal_intensity is freed between the stages.  The
 output is bit for bit fftshift(|fft2|^2).
+
+The blocked loops -- the lattice fill's omega_minus rows, stage two's
+omega_plus columns and the marginal's t_minus rows -- take a threads
+argument (default 1).  Each block writes a disjoint slice of one
+preallocated output, and every row or column is computed alone whatever
+block holds it, so every result is bit for bit the serial one.  With
+threads > 1 the blocks narrow by that factor: the blocks in flight
+together hold about one serial block's temporaries, which the allocator
+of each worker thread would otherwise keep after the loop.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import map_blocks
 from .cavity import mode_width
 from .errors import EmptyPeakSetError, UnderResolvedError
 from .spectral import Marginal, _jsa_sr_pointwise, check_uniform_axis as _check_uniform_axis
@@ -44,6 +54,7 @@ __all__ = [
     "TemporalGrid",
     "PeakSet",
     "rotated_lattice_axes",
+    "check_minus_window",
     "jsa_singly_resonant_rotated",
     "joint_temporal_intensity",
     "time_difference_marginal",
@@ -53,6 +64,12 @@ __all__ = [
 
 _BLOCK_ROWS = 64  # minus rows per block of the rotated amplitude fill and of the marginal
 _BLOCK_COLS = 32  # omega_plus columns per omega_minus transform of the stage-one spectrum
+
+
+def _blocks(start, stop, size, threads):
+    """Consecutive slices covering [start, stop), ceil(size / threads) long."""
+    step = -(-size // threads)
+    return [slice(k, min(k + step, stop)) for k in range(start, stop, step)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,12 +103,6 @@ class RotatedGrid:
     def d_minus(self):
         return float(self.omega_minus_axis[1] - self.omega_minus_axis[0])
 
-    def total_power(self):
-        mag2 = np.abs(self.values) ** 2
-        return float(
-            np.trapezoid(np.trapezoid(mag2, self.omega_plus_axis, axis=1), self.omega_minus_axis)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class TemporalGrid:
@@ -112,9 +123,6 @@ class TemporalGrid:
             raise ValueError("temporal intensity must be real and non-negative")
         if values.shape != (self.t_minus_axis.size, self.t_plus_axis.size):
             raise ValueError("values shape does not match (minus, plus) axes")
-
-    def total_power(self):
-        return float(np.trapezoid(np.trapezoid(self.values, self.t_plus_axis, axis=1), self.t_minus_axis))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,33 +171,56 @@ def rotated_lattice_axes(cavity, pump, filters, omega_s0, omega_i0, per_width, m
     return plus, minus
 
 
-def jsa_singly_resonant_rotated(cavity, pump, filters, omega_plus_axis, omega_minus_axis):
+def check_minus_window(omega_minus_axis, round_trip_time):
+    """Raise UnderResolvedError unless the t_minus window spans 20 round trips.
+
+    The reachable t_minus window of a uniform omega_minus axis is
+    4 pi / d omega_minus; the error reports the sampling that would reach 20
+    round trips of round_trip_time over the same span.  It reads the axis
+    alone, so it runs before the lattice is filled.
+    """
+    minus = _check_uniform_axis(omega_minus_axis, "omega_minus_axis")
+    window = 4 * np.pi / float(minus[1] - minus[0])
+    if window < 20 * round_trip_time:
+        need = int(np.ceil((minus[-1] - minus[0]) / (4 * np.pi / (20 * round_trip_time))))
+        raise UnderResolvedError(
+            f"t_minus window {window:.3e} s spans fewer than 20 round trips "
+            f"({round_trip_time:.3e} s each); need <= {need} minus-axis samples "
+            f"over the current span (finer d omega_minus)"
+        )
+
+
+def jsa_singly_resonant_rotated(cavity, pump, filters, omega_plus_axis, omega_minus_axis,
+                                threads=1):
     """Singly-resonant joint amplitude evaluated directly on a rotated lattice.
 
     Sampling the rotated axes directly avoids any resampling of a
     (omega_s, omega_i) grid, which would blur high-finesse combs; this is the
     input of the temporal transform.  The lattice is filled in blocks of
-    omega_minus rows, so the temporaries of the pointwise evaluation stay
-    the size of one block.
+    omega_minus rows on `threads` threads, so the temporaries of the
+    pointwise evaluation stay about the size of one serial block.
     """
     plus = _check_uniform_axis(omega_plus_axis, "omega_plus_axis")
     minus = _check_uniform_axis(omega_minus_axis, "omega_minus_axis")
     values = np.empty((minus.size, plus.size), dtype=complex)
-    for k in range(0, minus.size, _BLOCK_ROWS):
-        mm = minus[k : k + _BLOCK_ROWS, None]
-        values[k : k + _BLOCK_ROWS] = _jsa_sr_pointwise(
+
+    def fill(rows):
+        mm = minus[rows, None]
+        values[rows] = _jsa_sr_pointwise(
             cavity, pump, filters, (plus + mm) / 2.0, (plus - mm) / 2.0
         )
+
+    map_blocks(threads, fill, _blocks(0, minus.size, _BLOCK_ROWS, threads))
     return RotatedGrid(plus, minus, values)
 
 
-def joint_temporal_intensity(rot, round_trip_time=None, pad_plus=None, pad_minus=None):
+def joint_temporal_intensity(rot, pad_plus=None, pad_minus=None, threads=1):
     """Joint temporal intensity |ft(t_plus, t_minus)|^2 of a rotated amplitude.
 
     FFT sizes are padded to powers of two (at least 2048 per axis, or the
-    pad_plus/pad_minus overrides).  When round_trip_time is given, the
-    reachable t_minus window 4 pi / d omega_minus must cover at least 20
-    round trips, otherwise UnderResolvedError reports the required sampling.
+    pad_plus/pad_minus overrides).  Whether the t_minus window spans enough
+    cavity round trips is check_minus_window's question, asked of the axes
+    before the amplitude is filled.
 
     The result is bit for bit fftshift(|fft2|^2), computed in two stages.
     Stage one transforms along omega_plus, as fft2 does first, and then drops
@@ -199,20 +230,11 @@ def joint_temporal_intensity(rot, round_trip_time=None, pad_plus=None, pad_minus
     so the padded complex spectrum is never formed.  A caller that hands the
     amplitude over, joint_temporal_intensity(jsa_singly_resonant_rotated(...)),
     frees it before stage two; a caller that keeps rot gets the same result
-    without that saving.
+    without that saving.  Stage two runs its column blocks on `threads`
+    threads.
     """
     n_minus, n_plus = rot.values.shape
     d_plus, d_minus = rot.d_plus, rot.d_minus
-    if round_trip_time is not None:
-        window = 4 * np.pi / d_minus
-        if window < 20 * round_trip_time:
-            need = int(np.ceil((rot.omega_minus_axis[-1] - rot.omega_minus_axis[0])
-                               / (4 * np.pi / (20 * round_trip_time))))
-            raise UnderResolvedError(
-                f"t_minus window {window:.3e} s spans fewer than 20 round trips "
-                f"({round_trip_time:.3e} s each); need <= {need} minus-axis samples "
-                f"over the current span (finer d omega_minus)"
-            )
 
     def _pow2(n):
         return 1 << int(np.ceil(np.log2(n)))
@@ -231,18 +253,20 @@ def joint_temporal_intensity(rot, round_trip_time=None, pad_plus=None, pad_minus
     # block land in two slabs, and blocks never straddle the plus wrap point.
     shift_minus, shift_plus = size_minus // 2, size_plus // 2
     wrap_minus, wrap_plus = size_minus - shift_minus, size_plus - shift_plus
-    for start, stop in ((0, wrap_plus), (wrap_plus, size_plus)):
-        for lo in range(start, stop, _BLOCK_COLS):
-            hi = min(lo + _BLOCK_COLS, stop)
-            block = np.fft.fft(spectrum[:, lo:hi], n=size_minus, axis=0)
-            block *= scale
-            power = np.abs(block)
-            del block
-            power *= power
-            dest = (lo + shift_plus) % size_plus
-            cols = slice(dest, dest + hi - lo)
-            intensity[shift_minus:, cols] = power[:wrap_minus]
-            intensity[:shift_minus, cols] = power[wrap_minus:]
+
+    def transform(columns):
+        block = np.fft.fft(spectrum[:, columns], n=size_minus, axis=0)
+        block *= scale
+        power = np.abs(block)
+        del block
+        power *= power
+        dest = (columns.start + shift_plus) % size_plus
+        cols = slice(dest, dest + columns.stop - columns.start)
+        intensity[shift_minus:, cols] = power[:wrap_minus]
+        intensity[:shift_minus, cols] = power[wrap_minus:]
+
+    map_blocks(threads, transform, _blocks(0, wrap_plus, _BLOCK_COLS, threads)
+               + _blocks(wrap_plus, size_plus, _BLOCK_COLS, threads))
     del spectrum
     # Sample spacings of the conjugate axes; the factor 2 maps the raw
     # minus-conjugate onto the emission-time difference t_s - t_i.
@@ -253,18 +277,20 @@ def joint_temporal_intensity(rot, round_trip_time=None, pad_plus=None, pad_minus
     return TemporalGrid(t_plus, t_minus, intensity)
 
 
-def time_difference_marginal(tgrid):
+def time_difference_marginal(tgrid, threads=1):
     """Distribution of emission-time differences S_minus(t_minus) = integral dt_plus |ft|^2.
 
-    Integrated in blocks of t_minus rows, so the trapezoid's temporaries
-    stay the size of one block; each row's sum is the unblocked one.
+    Integrated in blocks of t_minus rows on `threads` threads, so the
+    trapezoid's temporaries stay about the size of one serial block; each
+    row's sum is the unblocked one.
     """
     values = tgrid.values
     density = np.empty(values.shape[0])
-    for k in range(0, values.shape[0], _BLOCK_ROWS):
-        density[k : k + _BLOCK_ROWS] = np.trapezoid(
-            values[k : k + _BLOCK_ROWS], tgrid.t_plus_axis, axis=1
-        )
+
+    def integrate(rows):
+        density[rows] = np.trapezoid(values[rows], tgrid.t_plus_axis, axis=1)
+
+    map_blocks(threads, integrate, _blocks(0, values.shape[0], _BLOCK_ROWS, threads))
     return Marginal(tgrid.t_minus_axis, density)
 
 

@@ -72,10 +72,9 @@ def run_temporal_pipeline(crystal, r2, pump, filters,
         cav, pump, filters, OMEGA_800, OMEGA_800, TEMPORAL["samples_per_mode_width"],
         minus_span, TEMPORAL["plus_halfwidth_sigma"],
     )
+    cs.check_minus_window(minus, cs.group_round_trip_time(cav, OMEGA_800))
     rot = cs.jsa_singly_resonant_rotated(cav, pump, filters, plus, minus)
-    tgrid = cs.joint_temporal_intensity(
-        rot, round_trip_time=cs.group_round_trip_time(cav, OMEGA_800)
-    )
+    tgrid = cs.joint_temporal_intensity(rot)
     return cav, rot, tgrid
 
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import cavityspdc as cs
-from cavityspdc.cli import main
+import cavityspdc.temporal
+from cavityspdc.cli import _parser, main
 from cavityspdc.constants import c
 from cavityspdc.gridfile import read_grid
 
@@ -222,8 +223,57 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert "module=cavity" in err
 
+    def test_under_resolved_window_fails_before_the_fill(self, tmp_path, monkeypatch, capsys):
+        # r2 = 0.3 at 2 samples per mode width: the t_minus window spans
+        # about 10 round trips
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text(
+            SMALL_FIG2.replace("0.73", "0.3") + "[temporal]\nsamples_per_mode_width = 2\n"
+        )
+
+        def unreachable(*args):
+            raise AssertionError("the lattice fill ran")
+
+        monkeypatch.setattr(cavityspdc.temporal, "_jsa_sr_pointwise", unreachable)
+        capsys.readouterr()
+        assert run(["temporal", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        # the line the check gave when it ran after the fill
+        assert capsys.readouterr().err == (
+            "error: module=temporal: t_minus window 2.182e-12 s spans fewer than 20 round "
+            "trips (2.249e-13 s each); need <= 190 minus-axis samples over the current span "
+            "(finer d omega_minus)\n"
+        )
+        assert not (tmp_path / "o" / "time_difference.dat").exists()
+
     def test_text_format_flag(self, fig2_cfg, tmp_path):
         out = tmp_path / "out"
         assert run(["jsi-sr", "--config", fig2_cfg, "--out", out, "--format", "text"]) == 0
         head = (out / "jsi_sr.grid").read_text().splitlines()[0]
         assert head.startswith("# format = text")
+
+
+class TestThreads:
+    def test_default_is_the_available_cpus(self):
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count()
+        assert _parser().get_default("threads") == cpus
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_fewer_than_one_rejected_at_parse_time(self, fig2_cfg, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["temporal", "--config", fig2_cfg, "--out", tmp_path / "o", "--threads", threads])
+        assert exit_info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_temporal_artifacts_do_not_depend_on_threads(self, fig2_cfg, tmp_path):
+        outs = {n: tmp_path / f"threads{n}" for n in ("1", "2")}
+        for n, out in outs.items():
+            assert run(["temporal", "--config", fig2_cfg, "--out", out, "--threads", n]) == 0
+        names = sorted(p.name for p in outs["1"].iterdir())
+        assert names == sorted(p.name for p in outs["2"].iterdir())
+        assert "time_difference.dat" in names
+        for name in names:
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name

@@ -5,6 +5,7 @@ import pytest
 
 import cavityspdc as cs
 
+from cavityspdc._parallel import map_blocks
 from cavityspdc.errors import EmptyPeakSetError, UnderResolvedError
 from cavityspdc.spectral import _jsa_sr_pointwise
 from cavityspdc.temporal import _BLOCK_ROWS
@@ -40,14 +41,16 @@ class TestRotation:
         assert minus_extent > 2 * plus_extent
 
     def test_blocks_match_full_lattice_evaluation(self, sr_cavity, pump, filters):
-        # three full blocks of minus rows and a ragged fourth
+        # three full blocks of minus rows and a ragged fourth; three threads
+        # fill ragged blocks of a third of that height
         half = 3 * filters[0].fwhm
         plus = np.linspace(2 * OMEGA_800 - 4 * pump.sigma, 2 * OMEGA_800 + 4 * pump.sigma, 37)
         minus = np.linspace(-half, half, 3 * _BLOCK_ROWS + 11)
-        rot = cs.jsa_singly_resonant_rotated(sr_cavity, pump, filters, plus, minus)
         mm, pp = np.meshgrid(minus, plus, indexing="ij")
         full = _jsa_sr_pointwise(sr_cavity, pump, filters, (pp + mm) / 2.0, (pp - mm) / 2.0)
-        assert np.array_equal(rot.values, full)
+        for threads in (1, 3):
+            rot = cs.jsa_singly_resonant_rotated(sr_cavity, pump, filters, plus, minus, threads)
+            assert np.array_equal(rot.values, full)
 
     def test_non_uniform_axis_rejected(self):
         axis = np.array([0.0, 1.0, 3.0])
@@ -74,15 +77,21 @@ class TestJointTemporalIntensity:
         # the minus span of 4 filter widths leaves the lattice edges at ~1e-10
         # of the peak intensity, so trapezoid and plain sums agree
         _, rot, tg = run_temporal_pipeline(crystal, 0.73, pump, filters, minus_span=4.0)
-        assert tg.total_power() == pytest.approx(rot.total_power(), rel=1e-6)
+        spectral_power = np.trapezoid(
+            np.trapezoid(np.abs(rot.values) ** 2, rot.omega_plus_axis, axis=1),
+            rot.omega_minus_axis,
+        )
+        temporal_power = np.trapezoid(
+            np.trapezoid(tg.values, tg.t_plus_axis, axis=1), tg.t_minus_axis
+        )
+        assert temporal_power == pytest.approx(spectral_power, rel=1e-6)
 
     def test_under_resolution_error(self):
-        plus = np.linspace(-1e13, 1e13, 64) + 2 * OMEGA_800
         minus = np.linspace(-1e13, 1e13, 64)
-        rot = cs.RotatedGrid(plus, minus, np.ones((64, 64), dtype=complex))
         # reachable window 4 pi / d_minus ~ 4e-11 s; demand 20 x 1e-11 s trips
-        with pytest.raises(UnderResolvedError):
-            cs.joint_temporal_intensity(rot, round_trip_time=1e-11)
+        with pytest.raises(UnderResolvedError, match="need <= 319 minus-axis samples"):
+            cs.check_minus_window(minus, 1e-11)
+        cs.check_minus_window(minus, 1e-13)  # 20 x 1e-13 s fit
 
     @pytest.mark.parametrize(
         "n_minus, n_plus, pad_plus, pad_minus",
@@ -91,10 +100,12 @@ class TestJointTemporalIntensity:
     def test_streamed_transform_is_shifted_fft2_intensity(self, n_minus, n_plus, pad_plus,
                                                           pad_minus):
         rot = random_rotated(n_minus, n_plus)
-        tg = cs.joint_temporal_intensity(rot, pad_plus=pad_plus, pad_minus=pad_minus)
-        ft = np.fft.fft2(rot.values, s=tg.values.shape)
-        ft *= rot.d_plus * rot.d_minus / (2 * np.pi * np.sqrt(2.0))
-        assert np.array_equal(tg.values, np.fft.fftshift(np.abs(ft) ** 2))
+        for threads in (1, 3):
+            tg = cs.joint_temporal_intensity(rot, pad_plus=pad_plus, pad_minus=pad_minus,
+                                             threads=threads)
+            ft = np.fft.fft2(rot.values, s=tg.values.shape)
+            ft *= rot.d_plus * rot.d_minus / (2 * np.pi * np.sqrt(2.0))
+            assert np.array_equal(tg.values, np.fft.fftshift(np.abs(ft) ** 2))
 
     def test_handed_over_amplitude_is_freed_before_stage_two(self):
         # peak bytes, not time: the amplitude goes once the stage-one spectrum
@@ -123,13 +134,15 @@ class TestJointTemporalIntensity:
 
 class TestTimeDifferenceMarginal:
     def test_row_blocks_match_one_trapezoid(self):
-        # two full blocks of t_minus rows and a ragged third
+        # two full blocks of t_minus rows and a ragged third, and under three
+        # threads ragged blocks of a third of that height
         rng = np.random.default_rng(3)
         values = rng.random((2 * _BLOCK_ROWS + 5, 48))
         tg = cs.TemporalGrid(np.linspace(-1e-12, 1e-12, 48),
                              np.linspace(-2e-12, 2e-12, values.shape[0]), values)
-        marg = cs.time_difference_marginal(tg)
-        assert np.array_equal(marg.density, np.trapezoid(values, tg.t_plus_axis, axis=1))
+        for threads in (1, 3):
+            marg = cs.time_difference_marginal(tg, threads)
+            assert np.array_equal(marg.density, np.trapezoid(values, tg.t_plus_axis, axis=1))
 
     def test_separable_grid(self):
         tp = np.linspace(-1.0, 1.0, 33)
@@ -241,3 +254,13 @@ def test_peakset_validation():
         cs.PeakSet(np.array([1.0, 0.5]), np.array([1.0, 1.0]))  # not increasing
     with pytest.raises(ValueError):
         cs.PeakSet(np.array([0.0, 1.0]), np.array([1.0, -1.0]))  # bad height
+
+def test_block_error_reaches_the_caller():
+    def square(k):
+        if k == 3:
+            raise EmptyPeakSetError("block 3")
+        return k * k
+
+    with pytest.raises(EmptyPeakSetError, match="block 3"):
+        map_blocks(2, square, range(6))
+    assert map_blocks(2, square, [0, 1, 2, 4]) == [0, 1, 4, 16]
