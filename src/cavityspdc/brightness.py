@@ -95,7 +95,9 @@ class _Stripe(NamedTuple):
     omega_s(a, b) = omega_s[q_plus a + q_minus b] and
     omega_i(a, b) = omega_i[q_plus (n_plus - 1 - a) + q_minus b].  Both
     tables are spaced h / 2, omega_s ascending and omega_i descending, so a
-    column's samples are read with a positive stride from either table.
+    column's samples lie at a fixed stride in either table.  That stride is
+    negative when a degenerate source reads its idler factors as the signal
+    table reversed.
     """
 
     plus: np.ndarray
@@ -117,7 +119,7 @@ class _Stripe(NamedTuple):
         return rows if photon == "signal" else rows[::-1]
 
 
-def _stripe_axes(cavity, pump, filters, doubly_resonant):
+def _stripe_axes(cavity, pump, filters):
     """Commensurate stripe resolving pump, filters and cavity modes.
 
     Each rotated axis gets a step target of 1/_SAMPLES_PER_SCALE of its
@@ -138,10 +140,8 @@ def _stripe_axes(cavity, pump, filters, doubly_resonant):
             scales_common.append(2.0 * mode_width(cavity, center, mode))
     d_plus_scales = [pump.sigma / 2.0] + scales_common
     d_minus_scales = [min(f_s.fwhm, f_i.fwhm)] + scales_common
-    if doubly_resonant:
-        r_eff = cavity.mirror(1, "pump").magnitude * cavity.mirror(2, "pump").magnitude
-        if r_eff > 0:
-            d_plus_scales.append(mode_width(cavity, pump.omega_p0, "pump"))
+    if cavity.mirror(1, "pump").magnitude * cavity.mirror(2, "pump").magnitude > 0:
+        d_plus_scales.append(mode_width(cavity, pump.omega_p0, "pump"))
     d_plus = min(d_plus_scales) / _SAMPLES_PER_SCALE
     d_minus = min(d_minus_scales) / _SAMPLES_PER_SCALE
     h = min(d_plus, d_minus)
@@ -169,13 +169,13 @@ def _stripe_axes(cavity, pump, filters, doubly_resonant):
     )
 
 
-def _stripe_tables(stripe, cavity, pump, filters, doubly_resonant, factor_mode):
+def _stripe_tables(stripe, cavity, pump, filters, factor_mode):
     """Signal, idler and plus factor tables of the stripe integrand D_s D_i S."""
     crystal = cavity.crystal
     if factor_mode not in ("central_approx", "exact_factors"):
         raise ValueError(f"unknown factor mode {factor_mode!r}")
     signal, idler, plus = _factor_tables(
-        cavity, pump, filters, stripe.omega_s, stripe.omega_i, stripe.plus, doubly_resonant
+        cavity, pump, filters, stripe.omega_s, stripe.omega_i, stripe.plus
     )
     if factor_mode == "exact_factors":
         signal, idler = (
@@ -201,10 +201,10 @@ def _column_integrals(stripe, tables, cavity, chunk):
     return (stripe.q_minus * stripe.h) * (s.sum(axis=1) - 0.5 * (s[:, 0] + s[:, -1]))
 
 
-def _stripe_integral(cavity, pump, filters, doubly_resonant, factor_mode, threads=1):
+def _stripe_integral(cavity, pump, filters, factor_mode, threads=1):
     """Integral of D_s D_i S over the plane, evaluated on the rotated stripe."""
-    stripe = _stripe_axes(cavity, pump, filters, doubly_resonant)
-    tables = _stripe_tables(stripe, cavity, pump, filters, doubly_resonant, factor_mode)
+    stripe = _stripe_axes(cavity, pump, filters)
+    tables = _stripe_tables(stripe, cavity, pump, filters, factor_mode)
 
     def column_integrals(chunk):
         return _column_integrals(stripe, tables, cavity, chunk)
@@ -217,11 +217,12 @@ def _stripe_integral(cavity, pump, filters, doubly_resonant, factor_mode, thread
     return 0.5 * float(np.trapezoid(g, dx=stripe.q_plus * stripe.h))
 
 
-def brightness_from_cavity(
-    cavity, pump, filters, doubly_resonant=False, factor_mode="central_approx", threads=1
-):
-    """Brightness of a cavity source via the adaptive stripe integral."""
-    raw = _stripe_integral(cavity, pump, filters, doubly_resonant, factor_mode, threads)
+def brightness_from_cavity(cavity, pump, filters, factor_mode="central_approx", threads=1):
+    """Brightness of a cavity source via the adaptive stripe integral.
+
+    The integrand is the cavity's S_SR, or S_DR when it reflects the pump.
+    """
+    raw = _stripe_integral(cavity, pump, filters, factor_mode, threads)
     return BrightnessResult(raw / pump.sigma)
 
 
@@ -245,16 +246,14 @@ def brightness_vs_sigma_sweep(
     """
     sigma_ref = min(sigma_list)
     reference = brightness_from_cavity(
-        _no_cavity(cavity), replace(pump, sigma=sigma_ref), filters, False, factor_mode, threads
+        _no_cavity(cavity), replace(pump, sigma=sigma_ref), filters, factor_mode, threads
     ).value
     rows = []
     for r2 in r2_list:
         cav = cavity.with_mirror(2, "signal", magnitude=r2).with_mirror(2, "idler", magnitude=r2)
-        if r2 == 0.0:
-            cav = _no_cavity(cavity)
         for sigma in sigma_list:
             b = brightness_from_cavity(
-                cav, replace(pump, sigma=sigma), filters, False, factor_mode, threads
+                cav, replace(pump, sigma=sigma), filters, factor_mode, threads
             ).value
             rows.append((float(sigma), float(r2), b / reference))
     return SweepTable(("sigma_rad_s", "r2", "B_norm"), rows)
@@ -278,9 +277,9 @@ def plateau_brightness_vs_r2(
         sigma = fwhm_to_sigma(mode_width(cav, filters[0].center, "signal"))
         swept_pump = replace(pump, sigma=sigma)
         reference = brightness_from_cavity(
-            _no_cavity(cavity), swept_pump, filters, False, factor_mode, threads
+            _no_cavity(cavity), swept_pump, filters, factor_mode, threads
         ).value
-        b = brightness_from_cavity(cav, swept_pump, filters, False, factor_mode, threads).value
+        b = brightness_from_cavity(cav, swept_pump, filters, factor_mode, threads).value
         rows.append((float(r2), float(sigma), b / reference))
     return SweepTable(("r2", "sigma_rad_s", "B_norm"), rows)
 
@@ -300,14 +299,13 @@ def brightness_vs_r1p_sweep(
     for sigma in sigma_list:
         swept_pump = replace(pump, sigma=sigma)
         reference = brightness_from_cavity(
-            cavity.with_mirror(1, "pump", magnitude=0.0), swept_pump, filters, True,
-            factor_mode, threads,
+            cavity.with_mirror(1, "pump", magnitude=0.0), swept_pump, filters, factor_mode, threads
         ).value
         for r1p in r1p_list:
             if r1p == 1.0:
                 rows.append((float(sigma), 1.0, 0.0))
                 continue
             cav = cavity.with_mirror(1, "pump", magnitude=r1p)
-            b = brightness_from_cavity(cav, swept_pump, filters, True, factor_mode, threads).value
+            b = brightness_from_cavity(cav, swept_pump, filters, factor_mode, threads).value
             rows.append((float(sigma), float(r1p), b / reference))
     return SweepTable(("sigma_rad_s", "r1p", "B_norm"), rows)

@@ -89,6 +89,11 @@ class CavitySpec:
     def mirror(self, nu, mode):
         return self.mirrors.get((nu, mode), MirrorSpec(0.0))
 
+    @property
+    def reflects_pump(self):
+        """Whether a mirror reflects the pump: the one test of a doubly-resonant cavity."""
+        return self.mirror(1, "pump").magnitude > 0 or self.mirror(2, "pump").magnitude > 0
+
     def with_mirror(self, nu, mode, magnitude=None, phase=None):
         """Copy of the spec with one mirror entry replaced."""
         old = self.mirror(nu, mode)

@@ -4,7 +4,9 @@
                [--threads N]
 
 Subcommands: jsi-sr, jsi-dr, marginal, temporal, brightness-sweep, design,
-airy.  --threads N (default: the CPUs this process may run on) spreads the
+airy.  jsi-sr and jsi-dr both write the cavity's JSI, jsi_dr.grid when it
+reflects the pump and jsi_sr.grid otherwise; temporal refuses such a cavity.
+--threads N (default: the CPUs this process may run on) spreads the
 blocked work of temporal and brightness-sweep over N threads without
 changing a bit of their output; the other subcommands run on one.  Every
 run writes its artifacts plus a manifest listing each file with the sha256
@@ -20,6 +22,7 @@ import argparse
 import os
 import sys
 import traceback
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +31,7 @@ from . import __version__
 from .cavity import airy, free_spectral_range, group_round_trip_time, mode_width
 from .config import load_config
 from .design import design_source, report_design, spectral_check
-from .doubly_resonant import jsi_doubly_resonant
-from .errors import CavitySpdcError
+from .errors import CavitySpdcError, ConfigError
 from .gridfile import config_hash, write_columns, write_grid, write_text
 from .spectral import jsi_singly_resonant, marginal_spectrum
 from .temporal import (
@@ -64,50 +66,32 @@ def _metadata(cfg, extra=None):
     return meta
 
 
-def _run_jsi(cfg, out_dir, fmt, doubly_resonant):
-    crystal = cfg.crystal()
-    cavity = cfg.cavity(crystal)
-    pump = cfg.pump()
-    filters = cfg.filters()
-    grid = cfg.grid()
-    if doubly_resonant:
-        jsi = jsi_doubly_resonant(cavity, pump, filters, grid)
-        name = "jsi_dr.grid"
-    else:
-        jsi = jsi_singly_resonant(cavity, pump, filters, grid)
-        name = "jsi_sr.grid"
-    path = out_dir / name
-    write_grid(jsi, path, fmt, _metadata(cfg, {"quantity": name.split(".")[0]}))
-    return [path], (cavity, pump, filters, jsi)
-
-
-def _cmd_jsi_sr(cfg, out_dir, fmt, threads):
-    paths, _ = _run_jsi(cfg, out_dir, fmt, False)
+def _cmd_jsi(cfg, out_dir, fmt, threads, marginal=False):
+    """The cavity's JSI grid, plus its marginal for the marginal subcommand."""
+    cavity = cfg.cavity()
+    jsi = jsi_singly_resonant(cavity, cfg.pump(), cfg.filters(), cfg.grid())
+    name = "jsi_dr" if cavity.reflects_pump else "jsi_sr"
+    paths = [out_dir / f"{name}.grid"]
+    write_grid(jsi, paths[0], fmt, _metadata(cfg, {"quantity": name}))
+    if marginal:
+        axis = cfg.get("marginal", "axis")
+        marg = marginal_spectrum(jsi, axis)
+        paths.append(out_dir / f"marginal_{axis}.dat")
+        write_columns(
+            paths[1],
+            (marg.axis, marg.density),
+            (f"omega_{axis}_rad_s", "density"),
+            _metadata(cfg, {"quantity": f"marginal over the other axis, {axis} kept"}),
+        )
     return paths
-
-
-def _cmd_jsi_dr(cfg, out_dir, fmt, threads):
-    paths, _ = _run_jsi(cfg, out_dir, fmt, True)
-    return paths
-
-
-def _cmd_marginal(cfg, out_dir, fmt, threads):
-    paths, (_, _, _, jsi) = _run_jsi(cfg, out_dir, fmt, False)
-    axis = cfg.get("marginal", "axis")
-    marg = marginal_spectrum(jsi, axis)
-    path = out_dir / f"marginal_{axis}.dat"
-    write_columns(
-        path,
-        (marg.axis, marg.density),
-        (f"omega_{axis}_rad_s", "density"),
-        _metadata(cfg, {"quantity": f"marginal over the other axis, {axis} kept"}),
-    )
-    return paths + [path]
 
 
 def _cmd_temporal(cfg, out_dir, fmt, threads):
     crystal = cfg.crystal()
     cavity = cfg.cavity(crystal)
+    if cavity.reflects_pump:
+        raise ConfigError("[cavity] r1_pump, r2_pump: the temporal model is singly "
+                          "resonant and ignores the pump mirrors; set both to 0")
     pump = cfg.pump()
     filters = cfg.filters()
     omega_s0, omega_i0 = cfg.band_centers()
@@ -225,9 +209,9 @@ def _cmd_airy(cfg, out_dir, fmt, threads):
 
 
 _HANDLERS = {
-    "jsi-sr": _cmd_jsi_sr,
-    "jsi-dr": _cmd_jsi_dr,
-    "marginal": _cmd_marginal,
+    "jsi-sr": _cmd_jsi,
+    "jsi-dr": _cmd_jsi,
+    "marginal": partial(_cmd_jsi, marginal=True),
     "temporal": _cmd_temporal,
     "brightness-sweep": _cmd_brightness_sweep,
     "design": _cmd_design,

@@ -356,7 +356,7 @@ class RunConfig:
         if self.get("cavity", "solve_phases"):
             omega_s0, omega_i0 = self.band_centers()
             omega_p0 = None
-            if mirrors[(1, "pump")].magnitude > 0 or mirrors[(2, "pump")].magnitude > 0:
+            if cavity.reflects_pump:
                 omega_p0 = self.pump().omega_p0 if self.has("pump") else omega_s0 + omega_i0
             cavity = solve_resonance_phases(cavity, omega_s0, omega_i0, omega_p0)
         return cavity

@@ -14,8 +14,9 @@ diverges at r_1p = 0, so the code only forms the pre-multiplied product
 Y r_1p, which stays finite there.
 
 The intensity factorizes as S_DR = A_s A_i A_p(omega_s + omega_i) P |f|^2,
-where P is the phase-balancing weight between consecutive pump passes;
-jsi_doubly_resonant evaluates it with the table model of the spectral module.
+where P is the phase-balancing weight between consecutive pump passes; the
+spectral module's table model evaluates it for every cavity that reflects
+the pump, so jsi_doubly_resonant is jsi_singly_resonant by another name.
 """
 
 from __future__ import annotations
@@ -142,11 +143,11 @@ def phase_balancing(ctx, r_2p_magnitude):
 
 
 def jsi_doubly_resonant(cavity, pump, filters, grid):
-    """Doubly-resonant joint spectral intensity S_DR = A_s A_i A_p P |f|^2.
+    """The cavity's joint spectral intensity, S_DR = A_s A_i A_p P |f|^2 if it reflects the pump.
 
     The factored form assumes unit-magnitude mirror-1 reflectivities for the
     SPDC modes (the singly-resonant preset); then it equals |f_DR|^2 exactly.
     A cavity that breaks the assumption raises ValueError.
     """
     _warn_if_under_resolved(cavity, grid, "jsi_doubly_resonant")
-    return _jsi_on_grid(cavity, pump, filters, grid, doubly_resonant=True)
+    return _jsi_on_grid(cavity, pump, filters, grid)

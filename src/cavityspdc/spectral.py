@@ -10,7 +10,8 @@ phi = sinc(dk l / 2) exp(i dk l / 2) and optional Gaussian intensity filters
 F.  The cavity multiplies each photon by the geometric-sum amplitude A_mu;
 in the many-pass limit the joint spectral intensity factorizes into
 S_SR = A_s(omega_s) A_i(omega_i) |f|^2 with A the Airy weights, and with a
-resonant pump into S_DR = A_s A_i A_p(omega_s + omega_i) P |f|^2.
+resonant pump into S_DR = A_s A_i A_p(omega_s + omega_i) P |f|^2.  The
+cavity decides (CavitySpec.reflects_pump): with open pump mirrors A_p = P = 1.
 
 Every factor of these intensities depends on one frequency, except
 sinc^2(dk l / 2) and the phase-balancing weight P.  _factor_tables evaluates
@@ -324,9 +325,9 @@ def jsa_singly_resonant(cavity, pump, filters, grid):
 
 
 def jsi_singly_resonant(cavity, pump, filters, grid):
-    """Singly-resonant joint spectral intensity S_SR = A_s A_i |f|^2 (real grid)."""
+    """The cavity's joint spectral intensity, S_SR or (pump reflected) S_DR, on a real grid."""
     _warn_if_under_resolved(cavity, grid, "jsi_singly_resonant")
-    return _jsi_on_grid(cavity, pump, filters, grid, doubly_resonant=False)
+    return _jsi_on_grid(cavity, pump, filters, grid)
 
 
 class _Factors(NamedTuple):
@@ -345,11 +346,12 @@ class _Factors(NamedTuple):
         return _Factors(*(None if t is None else index(t) for t in self))
 
 
-def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, doubly_resonant):
+def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p):
     """Signal, idler and pump _Factors, each factor evaluated once per table entry.
 
-    filters is a (signal, idler) pair or None.  A degenerate source whose
-    idler table is the signal table reversed reuses the signal factors.
+    filters is a (signal, idler) pair or None; the pump Airy weight and P
+    count when the cavity reflects the pump.  A degenerate source whose idler
+    table is the signal table reversed reads the signal factors reversed.
     """
     half_l = cavity.crystal.length_l / 2.0
 
@@ -359,20 +361,20 @@ def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, doubly_reso
         weight = _airy_from_phase(cavity, mode, _round_trip_phase(cavity, theta, mode))
         if filt is not None:
             weight = weight * filt.amplitude(omega) ** 2
-        phasor = np.exp(1j * theta) if doubly_resonant else None
+        phasor = np.exp(1j * theta) if cavity.reflects_pump else None
         return _Factors(n * omega / c * half_l, weight, phasor)
 
     f_s, f_i = filters or (None, None)
     signal = photon(omega_s, "signal", f_s)
     same_mirrors = all(cavity.mirror(nu, "signal") == cavity.mirror(nu, "idler") for nu in (1, 2))
     if f_s == f_i and same_mirrors and np.array_equal(omega_s, omega_i[::-1]):
-        idler = signal.view(lambda t: np.ascontiguousarray(t[::-1]))
+        idler = signal.view(lambda t: t[::-1])
     else:
         idler = photon(omega_i, "idler", f_i)
     n_p = refractive_index(cavity.crystal, omega_p, "extraordinary")
     weight_p = pump_envelope(pump, omega_p) ** 2
     phasor_p = None
-    if doubly_resonant:
+    if cavity.reflects_pump:
         theta_p = _single_pass_phase(cavity, omega_p, n_p)
         delta_p = _round_trip_phase(cavity, theta_p, "pump")
         weight_p = weight_p * _airy_from_phase(cavity, "pump", delta_p)
@@ -406,11 +408,11 @@ def _intensity(cavity, signal, idler, pump):
     return s
 
 
-def _jsi_on_grid(cavity, pump, filters, grid, doubly_resonant):
-    """S_SR or S_DR on a rectangular grid: 1-D tables on the axes, the pump on their sums."""
+def _jsi_on_grid(cavity, pump, filters, grid):
+    """The cavity's JSI on a rectangular grid: 1-D tables on the axes, the pump on their sums."""
     s_axis, i_axis = grid.omega_s_axis, grid.omega_i_axis
     signal, idler, plus = _factor_tables(
-        cavity, pump, filters, s_axis, i_axis, s_axis + i_axis[:, None], doubly_resonant
+        cavity, pump, filters, s_axis, i_axis, s_axis + i_axis[:, None]
     )
     values = _intensity(
         cavity, signal.view(lambda t: t[None, :]), idler.view(lambda t: t[:, None]), plus

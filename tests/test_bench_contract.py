@@ -1,13 +1,17 @@
 """The benchmark's contract with the package, checked without running a workload.
 
-bench/spans.py wraps the public functions named in its TRACED table, and
-bench/workloads.py writes the configs every benchmark op loads.  A renamed
-or deleted traced function, or a load-time rule that refuses a benchmark
-config, breaks the benchmark; these tests fail first.  The bench modules
-are loaded by path and left unchanged.
+bench/spans.py wraps the public functions named in its TRACED table,
+bench/workloads.py writes the configs every benchmark op loads, and
+bench/reference.json records the artifact names each shipped-config op
+writes.  A renamed or deleted traced function, a load-time rule that
+refuses a benchmark config, or an artifact named differently breaks the
+benchmark; these tests fail first.  The bench modules are loaded by path
+and left unchanged.
 """
 
 import importlib.util
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -68,3 +72,23 @@ def test_every_benchmark_config_loads(bench, tmp_path, monkeypatch, workload, se
     plan = bench["workloads"].make_plan(workload, seed, tmp_path)
     for op in plan["ops"]:
         load_config(op["config"], require=cli._REQUIRED_SECTIONS[op["argv"][0]])
+
+
+@pytest.mark.parametrize(
+    "name", ["fig2.jsi-sr", "fig2.marginal", "fig2.airy", "fig3.jsi-dr", "fig4.jsi-dr"]
+)
+def test_shipped_map_ops_write_the_recorded_artifacts(bench, tmp_path, name):
+    # the grid is named for the cavity, so the name can drift from the
+    # recorded one without any subcommand failing; 32 samples keep it cheap
+    reference = json.loads((BENCH / "reference.json").read_text())
+    plan = bench["workloads"].make_plan("maps", 0, tmp_path)
+    (op,) = [op for op in plan["ops"] if op["name"] == name]
+    shipped = (BENCH.parent / op["config"]).read_text()
+    small, count = re.subn(r"^samples = \d+$", "samples = 32", shipped, flags=re.M)
+    assert count == 1
+    config = tmp_path / Path(op["config"]).name
+    config.write_text(small)
+    out = tmp_path / "out"
+    bench["child"]._run_op({**op, "config": str(config)}, out)
+    written = sorted(path.name for path in out.iterdir() if path.name != "manifest")
+    assert written == sorted(reference[name])

@@ -203,7 +203,7 @@ class TestR1pSweep:
 
     def test_requires_filters(self, dr_base, pump):
         with pytest.raises(ValueError, match="filters"):
-            cs.brightness_from_cavity(dr_base, pump, None, True)
+            cs.brightness_from_cavity(dr_base, pump, None)
 
     def test_open_input_mirror_gives_two_pass_quadrupling(self, dr_base, pump, filters):
         # r1p = 0 with a perfect back mirror reflects the pump once: two
@@ -213,9 +213,9 @@ class TestR1pSweep:
 
         narrow = replace(pump, sigma=2e11)
         cav0 = dr_base.with_mirror(1, "pump", magnitude=0.0)
-        b_two_pass = brightness_from_cavity(cav0, narrow, filters, doubly_resonant=True).value
+        b_two_pass = brightness_from_cavity(cav0, narrow, filters).value
         single = cav0.with_mirror(2, "pump", magnitude=0.0)
-        b_single = brightness_from_cavity(single, narrow, filters, doubly_resonant=False).value
+        b_single = brightness_from_cavity(single, narrow, filters).value
         assert b_two_pass / b_single == pytest.approx(4.0, rel=2e-3)
 
 
@@ -255,15 +255,16 @@ def _source(sr_cavity, dr_cavity, filters, doubly_resonant, degenerate):
     )
 
 
-def _pointwise_intensity(cavity, pump, filters, omega_s, omega_i, doubly_resonant):
-    """Oracle S_SR / S_DR from the complex bare amplitude and the pointwise factors."""
+def _pointwise_intensity(cavity, pump, filters, omega_s, omega_i):
+    """Oracle S_DR = A_s A_i A_p P |f|^2 from the complex bare amplitude and pointwise factors.
+
+    With both pump mirrors open A_p = P = 1, so the same formula is S_SR.
+    """
     s = np.abs(cs.jsa_bare(pump, cavity.crystal, filters, omega_s, omega_i)) ** 2
     s = s * cs.airy(omega_s, "signal", cavity) * cs.airy(omega_i, "idler", cavity)
-    if doubly_resonant:
-        ctx = cs.DrPhaseContext.from_cavity(cavity, omega_s, omega_i)
-        s = s * cs.airy(omega_s + omega_i, "pump", cavity)
-        s = s * cs.phase_balancing(ctx, cavity.mirror(2, "pump").magnitude)
-    return s
+    ctx = cs.DrPhaseContext.from_cavity(cavity, omega_s, omega_i)
+    s = s * cs.airy(omega_s + omega_i, "pump", cavity)
+    return s * cs.phase_balancing(ctx, cavity.mirror(2, "pump").magnitude)
 
 
 def _assert_matches_oracle(got, expect):
@@ -286,10 +287,9 @@ class TestStripeLattice:
         grid = cs.default_grid(filters[0].center, filters[1].center, halfwidth, samples=129)
         if not filtered:  # the design.spectral_check route
             filters = None
-        jsi = cs.jsi_doubly_resonant if doubly_resonant else cs.jsi_singly_resonant
-        got = jsi(cavity, pump, filters, grid).values
+        got = cs.jsi_singly_resonant(cavity, pump, filters, grid).values
         omega_s, omega_i = grid.meshgrid()
-        expect = _pointwise_intensity(cavity, pump, filters, omega_s, omega_i, doubly_resonant)
+        expect = _pointwise_intensity(cavity, pump, filters, omega_s, omega_i)
         _assert_matches_oracle(got, expect)
 
     @pytest.mark.parametrize("degenerate", [True, False])
@@ -300,10 +300,8 @@ class TestStripeLattice:
         degenerate,
     ):
         cavity, filters = _source(sr_cavity, dr_cavity, filters, doubly_resonant, degenerate)
-        stripe = stripe_module._stripe_axes(cavity, pump, filters, doubly_resonant)
-        tables = stripe_module._stripe_tables(
-            stripe, cavity, pump, filters, doubly_resonant, factor_mode
-        )
+        stripe = stripe_module._stripe_axes(cavity, pump, filters)
+        tables = stripe_module._stripe_tables(stripe, cavity, pump, filters, factor_mode)
         n_plus, n_minus = stripe.plus.size, stripe.minus.size
         assert stripe.omega_s.size == (
             stripe.q_plus * (n_plus - 1) + stripe.q_minus * (n_minus - 1) + 1
@@ -320,7 +318,7 @@ class TestStripeLattice:
             # the tables sit on the rotated lattice
             assert np.abs(omega_s - (plus + minus) / 2).max() <= 4e-16 * OMEGA_800
             assert np.abs(omega_i - (plus - minus) / 2).max() <= 4e-16 * OMEGA_800
-            s = _pointwise_intensity(cavity, pump, filters, omega_s, omega_i, doubly_resonant)
+            s = _pointwise_intensity(cavity, pump, filters, omega_s, omega_i)
             if factor_mode == "exact_factors":
                 s = s * _rate_factor(crystal, omega_s) * _rate_factor(crystal, omega_i)
             else:
@@ -348,9 +346,9 @@ class TestStripeLattice:
     def test_halved_steps_agree_dr(self, dr_cavity, pump, filters, monkeypatch, r1p):
         cav = dr_cavity.with_mirror(1, "pump", magnitude=r1p)  # |r_2p| = 1
         swept = replace(pump, sigma=2e11)
-        default = brightness_from_cavity(cav, swept, filters, doubly_resonant=True).value
+        default = brightness_from_cavity(cav, swept, filters).value
         monkeypatch.setattr(stripe_module, "_SAMPLES_PER_SCALE", 16)
-        halved = brightness_from_cavity(cav, swept, filters, doubly_resonant=True).value
+        halved = brightness_from_cavity(cav, swept, filters).value
         assert halved == pytest.approx(default, rel=1e-8, abs=0)
 
     def test_rejects_imperfect_mirror_1(self, sr_cavity, pump, filters):

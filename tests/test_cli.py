@@ -245,6 +245,24 @@ class TestDeterminismAndErrors:
         )
         assert not (tmp_path / "o" / "time_difference.dat").exists()
 
+    def test_temporal_refuses_pump_mirrors_before_the_fill(self, tmp_path, monkeypatch, capsys):
+        # the temporal lattice holds the singly-resonant amplitude, which
+        # has no pump mirrors
+        cfg = tmp_path / "dr.cfg"
+        cfg.write_text(SMALL_FIG2.replace("[pump]", "r2_pump = 1.0\n\n[pump]"))
+
+        def unreachable(*args):
+            raise AssertionError("the lattice fill ran")
+
+        monkeypatch.setattr(cavityspdc.temporal, "_jsa_sr_pointwise", unreachable)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["temporal", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: module=") and err.count("\n") == 1
+        assert "r2_pump" in err
+        assert not [path for path in out.rglob("*") if path.is_file()]
+
     def test_text_format_flag(self, fig2_cfg, tmp_path):
         out = tmp_path / "out"
         assert run(["jsi-sr", "--config", fig2_cfg, "--out", out, "--format", "text"]) == 0

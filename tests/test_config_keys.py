@@ -58,6 +58,8 @@ DR_UNSOLVED = edited(DR, {"cavity": {"solve_phases": "false"}})
 SWEEP = edited(SR, {"sweep": {"kind": "sigma_r2 plateau_r2", "sigma_list_rad_s": "4.6e13",
                               "r2_list": "0.5", "plateau_r2_list": "0.5"}})
 PLATEAU = edited(SR, {"sweep": {"kind": "plateau_r2", "r2_list": "0.5"}})
+DR_SWEEP = edited(DR, {"sweep": {"kind": "sigma_r2", "sigma_list_rad_s": "4.6e13",
+                                 "r2_list": "0.5"}})
 R1P = edited(SR, {"cavity": {"r2_pump": "1.0"},
                   "sweep": {"kind": "r1p", "sigma_list_rad_s": "2e11", "r1p_list": "0 0.5"}})
 DESIGN = {
@@ -264,6 +266,20 @@ def test_key_changes_a_result_or_is_rejected(section, stem, case, base_run, tmp_
     else:
         assert code == 0
         assert artifacts != base_artifacts
+
+
+@pytest.mark.parametrize("key, value", [("r1_pump", "0.3"), ("r2_pump", "0.9")])
+@pytest.mark.parametrize("subcommand, base", [("jsi-sr", DR), ("marginal", DR),
+                                              ("brightness-sweep", DR_SWEEP)],
+                         ids=["jsi-sr", "marginal", "sigma_r2"])
+def test_pump_mirrors_change_every_subcommand_that_reads_them(
+    subcommand, base, key, value, base_run, tmp_path
+):
+    # the cavity decides between S_SR and S_DR, whichever subcommand runs
+    base_code, base_artifacts = base_run(subcommand, base)
+    code, artifacts = run(tmp_path / "edited", subcommand, edited(base, {"cavity": {key: value}}))
+    assert base_code == code == 0
+    assert artifacts != base_artifacts
 
 
 ZERO_CASES = [

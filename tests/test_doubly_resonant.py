@@ -162,14 +162,6 @@ class TestJsiDoublyResonant:
             anti = np.fliplr(residual).diagonal(k)
             assert np.ptp(anti) < 1e-10 * anti.max()
 
-    def test_reduces_toward_sr_with_open_pump(self, crystal, pump, filters, grid_257):
-        # r1p = r2p = 0: S_DR = P * S_SR with P = 1
-        cav = cs.singly_resonant_cavity(20e-6, crystal, 0.73)
-        cav = cs.solve_resonance_phases(cav, W0, W0)
-        s_dr = cs.jsi_doubly_resonant(cav, pump, filters, grid_257)
-        s_sr = cs.jsi_singly_resonant(cav, pump, filters, grid_257)
-        assert np.allclose(s_dr.values, s_sr.values, rtol=1e-10)
-
     def test_anticorrelation_grows_with_pump_finesse(self, crystal, pump, filters):
         # central cavity-allowed mode: Pearson correlation of (w_s, w_i)
         # becomes more negative through finesse 2.449, 21.22, 1520
