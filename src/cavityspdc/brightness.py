@@ -266,15 +266,20 @@ def plateau_brightness_vs_r2(
 
     For each r2 the pump bandwidth is set to the plateau condition
     sigma = delta_omega(r2) / sqrt(2 ln 2); the result is normalized to the
-    equivalent source without a cavity at the same sigma.
+    equivalent source without a cavity at the same sigma.  At r2 = 0 the
+    plateau is unbounded and the row is taken at pump.sigma; it is exactly 1
+    unless the cavity reflects the pump.
     """
     rows = []
     for r2 in r2_list:
-        if r2 == 0.0:
+        if r2 == 0.0 and not cavity.reflects_pump:
             rows.append((float(r2), float(pump.sigma), 1.0))
             continue
         cav = cavity.with_mirror(2, "signal", magnitude=r2).with_mirror(2, "idler", magnitude=r2)
-        sigma = fwhm_to_sigma(mode_width(cav, filters[0].center, "signal"))
+        if r2 == 0.0:
+            sigma = pump.sigma
+        else:
+            sigma = fwhm_to_sigma(mode_width(cav, filters[0].center, "signal"))
         swept_pump = replace(pump, sigma=sigma)
         reference = brightness_from_cavity(
             _no_cavity(cavity), swept_pump, filters, factor_mode, threads

@@ -31,6 +31,7 @@ from . import __version__
 from .cavity import airy, free_spectral_range, group_round_trip_time, mode_width
 from .config import load_config
 from .design import design_source, report_design, spectral_check
+from .doubly_resonant import jsi_doubly_resonant
 from .errors import CavitySpdcError, ConfigError
 from .gridfile import config_hash, write_columns, write_grid, write_text
 from .spectral import jsi_singly_resonant, marginal_spectrum
@@ -69,8 +70,10 @@ def _metadata(cfg, extra=None):
 def _cmd_jsi(cfg, out_dir, fmt, threads, marginal=False):
     """The cavity's JSI grid, plus its marginal for the marginal subcommand."""
     cavity = cfg.cavity()
-    jsi = jsi_singly_resonant(cavity, cfg.pump(), cfg.filters(), cfg.grid())
-    name = "jsi_dr" if cavity.reflects_pump else "jsi_sr"
+    # the same intensity either way; the name keeps warnings and traces apart
+    jsi_of, name = ((jsi_doubly_resonant, "jsi_dr") if cavity.reflects_pump
+                    else (jsi_singly_resonant, "jsi_sr"))
+    jsi = jsi_of(cavity, cfg.pump(), cfg.filters(), cfg.grid())
     paths = [out_dir / f"{name}.grid"]
     write_grid(jsi, paths[0], fmt, _metadata(cfg, {"quantity": name}))
     if marginal:

@@ -142,6 +142,17 @@ class TestPlateauSweep:
         cs.plateau_brightness_vs_r2(flat_cavity, pump, filters, [0.0, 0.5])
         assert len(calls) == 2  # the r2 = 0.5 row and its reference
 
+    def test_zero_r2_row_keeps_the_pump_mirrors(self, dr_base, pump, filters):
+        # open signal/idler mirrors with a perfect pump back mirror: the two
+        # crystal passes quadruple the rate over the no-cavity reference
+        from dataclasses import replace
+
+        narrow = replace(pump, sigma=2e11)
+        table = cs.plateau_brightness_vs_r2(dr_base, narrow, filters, [0.0])
+        (r2, sigma, b), = table.rows
+        assert (r2, sigma) == (0.0, 2e11)
+        assert b == pytest.approx(4.0, rel=2e-3)
+
     def test_reference_and_monotonicity(self, flat_cavity, pump, filters):
         table = cs.plateau_brightness_vs_r2(flat_cavity, pump, filters, [0.0, 0.5, 0.9])
         b = table.column("B_norm")
