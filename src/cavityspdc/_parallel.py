@@ -4,11 +4,22 @@ numpy's ufuncs and FFTs release the GIL on large arrays, so blocks of array
 work overlap on threads.  Each caller's blocks are independent: a block
 either returns its own result or writes a disjoint slice of one
 preallocated output, so a result never depends on the thread count.
+
+blocks is the one blocking rule.  With threads > 1 the blocks narrow by
+that factor: the blocks in flight together hold about one serial block's
+temporaries, which the allocator of each worker thread would otherwise
+keep after the loop.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+
+
+def blocks(start, stop, size, threads):
+    """Consecutive slices covering [start, stop), ceil(size / threads) long."""
+    step = -(-size // threads)
+    return [slice(k, min(k + step, stop)) for k in range(start, stop, step)]
 
 
 def map_blocks(threads, fn, items):

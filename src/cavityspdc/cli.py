@@ -7,13 +7,13 @@ Subcommands: jsi-sr, jsi-dr, marginal, temporal, brightness-sweep, design,
 airy.  jsi-sr and jsi-dr both write the cavity's JSI, jsi_dr.grid when it
 reflects the pump and jsi_sr.grid otherwise; temporal refuses such a cavity.
 --threads N (default: the CPUs this process may run on) spreads the
-blocked work of temporal and brightness-sweep over N threads without
-changing a bit of their output; the other subcommands run on one.  Every
-run writes its artifacts plus a manifest listing each file with the sha256
-hash of the normalized configuration; identical configuration and package
-version give bitwise-identical binary outputs.  Physics errors exit
-nonzero with a single machine-parsable line on stderr:
-error: module=<module>: <message>.
+blocked work of jsi-sr, jsi-dr, marginal, temporal and brightness-sweep
+over N threads without changing a bit of their output; design and airy
+run on one.  Every run writes its artifacts plus a manifest listing each
+file with the sha256 hash of the normalized configuration; identical
+configuration and package version give bitwise-identical binary outputs.
+Physics errors exit nonzero with a single machine-parsable line on
+stderr: error: module=<module>: <message>.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _cmd_jsi(cfg, out_dir, fmt, threads, marginal=False):
     # the same intensity either way; the name keeps warnings and traces apart
     jsi_of, name = ((jsi_doubly_resonant, "jsi_dr") if cavity.reflects_pump
                     else (jsi_singly_resonant, "jsi_sr"))
-    jsi = jsi_of(cavity, cfg.pump(), cfg.filters(), cfg.grid())
+    jsi = jsi_of(cavity, cfg.pump(), cfg.filters(), cfg.grid(), threads)
     paths = [out_dir / f"{name}.grid"]
     write_grid(jsi, paths[0], fmt, _metadata(cfg, {"quantity": name}))
     if marginal:
@@ -271,8 +271,8 @@ def _parser():
     parser.add_argument("--format", choices=("text", "binary"), default=None)
     parser.add_argument(
         "--threads", type=_thread_count, default=_available_cpus(), metavar="N",
-        help="worker threads for temporal and brightness-sweep; the output does not "
-             "depend on it (default: the available CPUs, %(default)s here)",
+        help="worker threads for jsi-sr, jsi-dr, marginal, temporal and brightness-sweep; "
+             "the output does not depend on it (default: the available CPUs, %(default)s here)",
     )
     return parser
 

@@ -142,12 +142,14 @@ def phase_balancing(ctx, r_2p_magnitude):
     return plus * (1.0 - 4.0 * r_2p_magnitude / plus * np.sin(np.asarray(delta) / 2.0) ** 2)
 
 
-def jsi_doubly_resonant(cavity, pump, filters, grid):
+def jsi_doubly_resonant(cavity, pump, filters, grid, threads=1):
     """The cavity's joint spectral intensity, S_DR = A_s A_i A_p P |f|^2 if it reflects the pump.
 
     The factored form assumes unit-magnitude mirror-1 reflectivities for the
     SPDC modes (the singly-resonant preset); then it equals |f_DR|^2 exactly.
-    A cavity that breaks the assumption raises ValueError.
+    A cavity that breaks the assumption raises ValueError, as does a grid
+    whose signal and idler steps differ.  The rows are filled on `threads`
+    threads, bit for bit alike at any count.
     """
     _warn_if_under_resolved(cavity, grid, "jsi_doubly_resonant")
-    return _jsi_on_grid(cavity, pump, filters, grid)
+    return _jsi_on_grid(cavity, pump, filters, grid, threads)

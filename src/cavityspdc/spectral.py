@@ -16,7 +16,13 @@ cavity decides (CavitySpec.reflects_pump): with open pump mirrors A_p = P = 1.
 Every factor of these intensities depends on one frequency, except
 sinc^2(dk l / 2) and the phase-balancing weight P.  _factor_tables evaluates
 the others once per entry of 1-D signal, idler and pump tables; _intensity
-combines broadcast views of the tables, whatever lattice they come from.
+combines broadcast or gathered views of the tables, whatever lattice they
+come from.  On a rectangular grid the signal and idler steps are equal, so
+omega_s + omega_i takes one value per anti-diagonal: the pump table holds
+those N_s + N_i - 1 sums and the kernel reads it through a Hankel view,
+table[i + j] at (omega_i_axis[i], omega_s_axis[j]).  The kernel fills the
+grid in blocks of idler rows on a threads argument (default 1); every row
+is computed alone, so the grid is bit for bit the same at any thread count.
 The complex amplitude f A_s A_i has one evaluator, _jsa_sr_pointwise, which
 jsa_singly_resonant runs on a rectangular grid's mesh and the temporal
 module on the rotated lattice.
@@ -32,7 +38,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from ._parallel import blocks, map_blocks
 from .cavity import (
     _airy_from_phase,
     _check_perfect_mirror_1,
@@ -63,6 +71,7 @@ __all__ = [
 ]
 
 _LN2 = np.log(2.0)
+_BLOCK_ROWS = 64  # idler rows per block of the rectangular grid's kernel
 
 
 def wavelength_fwhm_to_angular(lambda0, fwhm_lambda):
@@ -166,10 +175,14 @@ def check_uniform_axis(axis, name):
     if np.any(d <= 0):
         raise ValueError(f"{name} must be strictly increasing")
     step = d.mean()
-    allowed = 8 * np.finfo(float).eps * np.abs(axis).max() + 1e-9 * abs(step)
-    if np.abs(d - step).max() > allowed:
+    if np.abs(d - step).max() > _step_tolerance(axis, step):
         raise ValueError(f"{name} must be uniformly spaced")
     return axis
+
+
+def _step_tolerance(axis, step):
+    """Spacing jitter allowed on a float64 axis: 8 ulp of its largest value + 1e-9 of the step."""
+    return 8 * np.finfo(float).eps * np.abs(axis).max() + 1e-9 * abs(step)
 
 
 class Marginal(NamedTuple):
@@ -301,16 +314,27 @@ def _jsa_sr_pointwise(cavity, pump, filters, omega_s, omega_i):
 
 
 def _warn_if_under_resolved(cavity, grid, where):
-    for mode, axis_step, center in (
-        ("signal", grid.d_omega_s, float(np.median(grid.omega_s_axis))),
-        ("idler", grid.d_omega_i, float(np.median(grid.omega_i_axis))),
+    """Warn when a grid step exceeds 1/8 of a cavity mode width.
+
+    The signal and idler widths are read along their axes; a resonant pump
+    (|r_1p r_2p| > 0) has its width read along the anti-diagonal table of
+    omega_s + omega_i, whose step is the signal step.
+    """
+    center_s = float(np.median(grid.omega_s_axis))
+    center_i = float(np.median(grid.omega_i_axis))
+    pump_loop = cavity.mirror(1, "pump").magnitude * cavity.mirror(2, "pump").magnitude
+    for mode, resonant, axis_step, center in (
+        ("signal", cavity.mirror(2, "signal").magnitude > 0, grid.d_omega_s, center_s),
+        ("idler", cavity.mirror(2, "idler").magnitude > 0, grid.d_omega_i, center_i),
+        ("pump", pump_loop > 0, grid.d_omega_s, center_s + center_i),
     ):
-        if cavity.mirror(2, mode).magnitude <= 0:
+        if not resonant:
             continue
         width = mode_width(cavity, center, mode)
         if width < 8 * axis_step:
+            axis = "omega_s + omega_i anti-diagonal" if mode == "pump" else f"{mode} axis"
             warnings.warn(
-                f"{where}: {mode} axis resolves the cavity mode width "
+                f"{where}: {axis} resolves the {mode} cavity mode width "
                 f"{width:.3e} rad/s with only {width / axis_step:.1f} samples (< 8)",
                 UnderResolutionWarning,
                 stacklevel=3,
@@ -324,10 +348,14 @@ def jsa_singly_resonant(cavity, pump, filters, grid):
     return SpectralGrid(grid.omega_s_axis, grid.omega_i_axis, values)
 
 
-def jsi_singly_resonant(cavity, pump, filters, grid):
-    """The cavity's joint spectral intensity, S_SR or (pump reflected) S_DR, on a real grid."""
+def jsi_singly_resonant(cavity, pump, filters, grid, threads=1):
+    """The cavity's joint spectral intensity, S_SR or (pump reflected) S_DR, on a real grid.
+
+    The grid's signal and idler steps must be equal (ValueError otherwise);
+    the rows are filled on `threads` threads, bit for bit alike at any count.
+    """
     _warn_if_under_resolved(cavity, grid, "jsi_singly_resonant")
-    return _jsi_on_grid(cavity, pump, filters, grid)
+    return _jsi_on_grid(cavity, pump, filters, grid, threads)
 
 
 class _Factors(NamedTuple):
@@ -350,7 +378,9 @@ def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p):
     """Signal, idler and pump _Factors, each factor evaluated once per table entry.
 
     filters is a (signal, idler) pair or None; the pump Airy weight and P
-    count when the cavity reflects the pump.  A degenerate source whose idler
+    count when the cavity reflects the pump.  omega_p is the pump table, any
+    1-D array of sums omega_s + omega_i: the rectangular grid's anti-diagonal
+    sums or the stripe's omega_plus axis.  A degenerate source whose idler
     table is the signal table reversed reads the signal factors reversed.
     """
     half_l = cavity.crystal.length_l / 2.0
@@ -408,15 +438,37 @@ def _intensity(cavity, signal, idler, pump):
     return s
 
 
-def _jsi_on_grid(cavity, pump, filters, grid):
-    """The cavity's JSI on a rectangular grid: 1-D tables on the axes, the pump on their sums."""
+def _jsi_on_grid(cavity, pump, filters, grid, threads):
+    """The cavity's JSI on a rectangular grid: photon tables on the axes, pump on anti-diagonals.
+
+    With equal signal and idler steps, omega_s_axis[j] + omega_i_axis[i]
+    depends on i + j alone, so the pump table is the N_s + N_i - 1 sums
+    along the first idler row and the last signal column, and the kernel
+    reads it as table[i + j] through a Hankel view.  A grid whose steps
+    differ by more than check_uniform_axis's tolerance raises ValueError.
+    The kernel runs in blocks of idler rows on `threads` threads.
+    """
     s_axis, i_axis = grid.omega_s_axis, grid.omega_i_axis
-    signal, idler, plus = _factor_tables(
-        cavity, pump, filters, s_axis, i_axis, s_axis + i_axis[:, None]
-    )
-    values = _intensity(
-        cavity, signal.view(lambda t: t[None, :]), idler.view(lambda t: t[:, None]), plus
-    )
+    step_s, step_i = np.diff(s_axis).mean(), np.diff(i_axis).mean()
+    allowed = max(_step_tolerance(s_axis, step_s), _step_tolerance(i_axis, step_i))
+    if abs(step_s - step_i) > allowed:
+        raise ValueError(
+            f"the pump table on the anti-diagonals needs equal signal and idler steps, "
+            f"got {step_s:.17g} and {step_i:.17g} rad/s"
+        )
+    sums = np.concatenate((s_axis + i_axis[0], s_axis[-1] + i_axis[1:]))
+    signal, idler, plus = _factor_tables(cavity, pump, filters, s_axis, i_axis, sums)
+    values = np.empty((i_axis.size, s_axis.size))
+
+    def fill(rows):
+        values[rows] = _intensity(
+            cavity,
+            signal.view(lambda t: t[None, :]),
+            idler.view(lambda t: t[rows, None]),
+            plus.view(lambda t: sliding_window_view(t, s_axis.size)[rows]),
+        )
+
+    map_blocks(threads, fill, blocks(0, i_axis.size, _BLOCK_ROWS, threads))
     return SpectralGrid(s_axis, i_axis, values)
 
 

@@ -30,12 +30,10 @@ output is bit for bit fftshift(|fft2|^2).
 
 The blocked loops -- the lattice fill's omega_minus rows, stage two's
 omega_plus columns and the marginal's t_minus rows -- take a threads
-argument (default 1).  Each block writes a disjoint slice of one
-preallocated output, and every row or column is computed alone whatever
-block holds it, so every result is bit for bit the serial one.  With
-threads > 1 the blocks narrow by that factor: the blocks in flight
-together hold about one serial block's temporaries, which the allocator
-of each worker thread would otherwise keep after the loop.
+argument (default 1) and cut their blocks by _parallel.blocks.  Each
+block writes a disjoint slice of one preallocated output, and every row
+or column is computed alone whatever block holds it, so every result is
+bit for bit the serial one.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import map_blocks
+from ._parallel import blocks, map_blocks
 from .cavity import mode_width
 from .errors import EmptyPeakSetError, UnderResolvedError
 from .spectral import Marginal, _jsa_sr_pointwise, check_uniform_axis as _check_uniform_axis
@@ -64,12 +62,6 @@ __all__ = [
 
 _BLOCK_ROWS = 64  # minus rows per block of the rotated amplitude fill and of the marginal
 _BLOCK_COLS = 32  # omega_plus columns per omega_minus transform of the stage-one spectrum
-
-
-def _blocks(start, stop, size, threads):
-    """Consecutive slices covering [start, stop), ceil(size / threads) long."""
-    step = -(-size // threads)
-    return [slice(k, min(k + step, stop)) for k in range(start, stop, step)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +202,7 @@ def jsa_singly_resonant_rotated(cavity, pump, filters, omega_plus_axis, omega_mi
             cavity, pump, filters, (plus + mm) / 2.0, (plus - mm) / 2.0
         )
 
-    map_blocks(threads, fill, _blocks(0, minus.size, _BLOCK_ROWS, threads))
+    map_blocks(threads, fill, blocks(0, minus.size, _BLOCK_ROWS, threads))
     return RotatedGrid(plus, minus, values)
 
 
@@ -265,8 +257,8 @@ def joint_temporal_intensity(rot, pad_plus=None, pad_minus=None, threads=1):
         intensity[shift_minus:, cols] = power[:wrap_minus]
         intensity[:shift_minus, cols] = power[wrap_minus:]
 
-    map_blocks(threads, transform, _blocks(0, wrap_plus, _BLOCK_COLS, threads)
-               + _blocks(wrap_plus, size_plus, _BLOCK_COLS, threads))
+    map_blocks(threads, transform, blocks(0, wrap_plus, _BLOCK_COLS, threads)
+               + blocks(wrap_plus, size_plus, _BLOCK_COLS, threads))
     del spectrum
     # Sample spacings of the conjugate axes; the factor 2 maps the raw
     # minus-conjugate onto the emission-time difference t_s - t_i.
@@ -290,7 +282,7 @@ def time_difference_marginal(tgrid, threads=1):
     def integrate(rows):
         density[rows] = np.trapezoid(values[rows], tgrid.t_plus_axis, axis=1)
 
-    map_blocks(threads, integrate, _blocks(0, values.shape[0], _BLOCK_ROWS, threads))
+    map_blocks(threads, integrate, blocks(0, values.shape[0], _BLOCK_ROWS, threads))
     return Marginal(tgrid.t_minus_axis, density)
 
 

@@ -286,6 +286,21 @@ class TestThreads:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "subcommand, fig", [("jsi-sr", "fig2"), ("jsi-dr", "fig3"), ("marginal", "fig2")]
+    )
+    def test_grid_artifacts_do_not_depend_on_threads(self, tmp_path, subcommand, fig):
+        config = Path(__file__).resolve().parents[1] / "configs" / f"{fig}.cfg"
+        outs = {n: tmp_path / f"threads{n}" for n in ("1", "2")}
+        for n, out in outs.items():
+            args = [subcommand, "--config", config, "--out", out, "--format", "binary"]
+            assert run([*args, "--threads", n]) == 0
+        names = sorted(p.name for p in outs["1"].iterdir())
+        assert names == sorted(p.name for p in outs["2"].iterdir())
+        assert any(name.endswith(".grid") for name in names)
+        for name in names:
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
     def test_temporal_artifacts_do_not_depend_on_threads(self, fig2_cfg, tmp_path):
         outs = {n: tmp_path / f"threads{n}" for n in ("1", "2")}
         for n, out in outs.items():

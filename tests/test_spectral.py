@@ -1,10 +1,16 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import cavityspdc as cs
+import cavityspdc.spectral
 from cavityspdc.cavity import single_pass_phase
+from cavityspdc.config import load_config
 from cavityspdc.constants import c
 from cavityspdc.errors import UnderResolutionWarning
+from cavityspdc.spectral import _factor_tables, _intensity
 
 from conftest import OMEGA_800
 
@@ -236,6 +242,76 @@ class TestJsiSinglyResonant:
     def test_exchange_symmetry_of_degenerate_jsi(self, sr_cavity, pump, filters, grid_257):
         jsi = cs.jsi_singly_resonant(sr_cavity, pump, filters, grid_257)
         assert np.allclose(jsi.values, jsi.values.T, rtol=1e-10)
+
+
+def _mesh_route(cavity, pump, filters, grid):
+    """The JSI with the pump table on the full N^2 mesh of sums omega_s + omega_i."""
+    s, i = grid.omega_s_axis, grid.omega_i_axis
+    signal, idler, plus = _factor_tables(cavity, pump, filters, s, i, s + i[:, None])
+    return _intensity(
+        cavity, signal.view(lambda t: t[None, :]), idler.view(lambda t: t[:, None]), plus
+    )
+
+
+class TestAntiDiagonalPumpTable:
+    @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4"])
+    def test_shipped_grids_match_the_mesh_route(self, fig):
+        # the table sums round differently from the mesh sums; measured
+        # 1.5e-14 (fig2), 1.0e-13 (fig3) and 2.2e-12 (fig4) of the maximum
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{fig}.cfg")
+        cavity, pump, filters, grid = cfg.cavity(), cfg.pump(), cfg.filters(), cfg.grid()
+        jsi = cs.jsi_singly_resonant(cavity, pump, filters, grid)
+        mesh = _mesh_route(cavity, pump, filters, grid)
+        assert np.abs(jsi.values - mesh).max() <= 1e-11 * mesh.max()
+
+    def test_non_degenerate_default_grid_is_accepted(self, sr_cavity, pump, filters):
+        # design.spectral_check's case: default_grid about two different centers
+        omega_s0 = 2 * np.pi * c / 780e-9
+        grid = cs.default_grid(omega_s0, pump.omega_p0 - omega_s0, 3 * filters[0].fwhm, 129)
+        jsi = cs.jsi_singly_resonant(sr_cavity, pump, filters, grid)
+        mesh = _mesh_route(sr_cavity, pump, filters, grid)
+        assert np.abs(jsi.values - mesh).max() <= 1e-11 * mesh.max()
+
+    @pytest.mark.parametrize("jsi_of", [cs.jsi_singly_resonant, cs.jsi_doubly_resonant])
+    def test_unequal_steps_rejected(self, jsi_of, dr_cavity, pump, filters):
+        s = np.linspace(OMEGA_800 - 2e14, OMEGA_800 + 2e14, 65)
+        i = np.linspace(OMEGA_800 - 1e14, OMEGA_800 + 1e14, 65)
+        grid = cs.SpectralGrid(s, i, np.zeros((65, 65)))
+        with pytest.raises(ValueError, match="equal signal and idler steps"):
+            jsi_of(dr_cavity, pump, filters, grid)
+
+    def test_pump_table_has_one_point_per_anti_diagonal(self, dr_cavity, pump, filters, grid_257,
+                                                         monkeypatch):
+        points = {"extraordinary": 0, "ordinary": 0}
+        index = cavityspdc.spectral.refractive_index
+
+        def counting(crystal, omega, polarization):
+            points[polarization] += np.size(omega)
+            return index(crystal, omega, polarization)
+
+        monkeypatch.setattr(cavityspdc.spectral, "refractive_index", counting)
+        cs.jsi_doubly_resonant(dr_cavity, pump, filters, grid_257)
+        n = grid_257.omega_s_axis.size
+        assert points["extraordinary"] <= 2 * n - 1
+        assert points["ordinary"] <= 2 * n
+
+    def test_rows_do_not_depend_on_threads(self, dr_cavity, pump, filters, grid_257):
+        one = cs.jsi_doubly_resonant(dr_cavity, pump, filters, grid_257).values
+        for threads in (2, 3):
+            many = cs.jsi_doubly_resonant(dr_cavity, pump, filters, grid_257, threads=threads)
+            assert np.array_equal(many.values, one)
+
+    def test_pump_mode_width_is_checked(self, dr_cavity, pump, filters, grid_257):
+        sharp = dr_cavity.with_mirror(1, "pump", magnitude=0.999)
+        with pytest.warns(UnderResolutionWarning) as record:
+            cs.jsi_doubly_resonant(sharp, pump, filters, grid_257)
+        assert any("pump cavity mode width" in str(w.message) for w in record)
+        # an open input mirror leaves no pump resonance to resolve
+        two_pass = dr_cavity.with_mirror(1, "pump", magnitude=0.0)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            cs.jsi_doubly_resonant(two_pass, pump, filters, grid_257)
+        assert not any("pump" in str(w.message) for w in record)
 
 
 class TestMarginal:
