@@ -23,8 +23,16 @@ step targets, omega_plus steps by q_plus h and omega_minus by q_minus h
 (integers q >= 1), so the signal and idler frequencies of every sample lie
 on two 1-D tables of q_plus (n_plus - 1) + q_minus (n_minus - 1) + 1 points
 spaced h / 2.  The spectral module's intensity model evaluates the factors
-once per table entry (the rate factors are multiplied on here); each chunk
-of columns passes gathered views of the tables to its kernel.
+once per table entry (the rate factors ride on the photon weights); each
+chunk of columns passes gathered views of the tables to its kernel.
+
+A degenerate source (equal signal and idler filters and mirrors, the
+stripe centred on omega_minus = 0) is exchange-symmetric: its idler table
+is the signal table reversed, so the integrand is even in omega_minus and
+the stripe is folded.  The kernel evaluates only the minus rows
+b <= (n_minus - 1) // 2 and counts each mirrored row twice, which halves
+the work and moves results only by rounding.  The same predicate decides
+the idler table and the fold, so a sweep row and its reference fold alike.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._parallel import map_blocks
 from .cavity import mode_width
 from .dispersion import group_slowness, refractive_index
-from .spectral import _factor_tables, _intensity, fwhm_to_sigma
+from .spectral import _exchange_symmetric, _factor_tables, _intensity, fwhm_to_sigma
 
 __all__ = [
     "BrightnessResult",
@@ -98,6 +106,11 @@ class _Stripe(NamedTuple):
     column's samples lie at a fixed stride in either table.  That stride is
     negative when a degenerate source reads its idler factors as the signal
     table reversed.
+
+    folded marks an exchange-symmetric source: the idler table is the signal
+    table reversed, so sample (a, n_minus - 1 - b) reads the entries of
+    (a, b) with signal and idler swapped and the kernel needs only the minus
+    rows b <= (n_minus - 1) // 2.
     """
 
     plus: np.ndarray
@@ -107,10 +120,15 @@ class _Stripe(NamedTuple):
     h: float
     omega_s: np.ndarray
     omega_i: np.ndarray
+    folded: bool
 
-    def gather(self, table, chunk, photon):
-        """View of a signal or idler table as the (column, minus) block of a plus chunk."""
-        windows = sliding_window_view(table, self.q_minus * (self.minus.size - 1) + 1)
+    def gather(self, table, chunk, photon, rows):
+        """View of a signal or idler table as the (column, minus) block of a plus chunk.
+
+        The block holds minus rows 0 to rows - 1: all n_minus, or
+        ceil(n_minus / 2) on a folded stripe.
+        """
+        windows = sliding_window_view(table, self.q_minus * (rows - 1) + 1)
         if photon == "signal":
             first, last = chunk.start, chunk.stop - 1
         else:
@@ -158,14 +176,17 @@ def _stripe_axes(cavity, pump, filters):
     n_plus = int(np.ceil(2 * half_plus / (q_plus * h))) + 1
     n_minus = int(np.ceil((hi_m - lo_m) / (q_minus * h))) + 1
     offsets = (h / 2.0) * centered(q_plus * (n_plus - 1) + q_minus * (n_minus - 1) + 1)
+    omega_s = (center_plus + center_minus) / 2.0 + offsets
+    omega_i = (center_plus - center_minus) / 2.0 - offsets
     return _Stripe(
         plus=center_plus + (q_plus * h) * centered(n_plus),
         minus=center_minus + (q_minus * h) * centered(n_minus),
         q_plus=q_plus,
         q_minus=q_minus,
         h=h,
-        omega_s=(center_plus + center_minus) / 2.0 + offsets,
-        omega_i=(center_plus - center_minus) / 2.0 - offsets,
+        omega_s=omega_s,
+        omega_i=omega_i,
+        folded=_exchange_symmetric(cavity, filters, omega_s, omega_i),
     )
 
 
@@ -174,15 +195,12 @@ def _stripe_tables(stripe, cavity, pump, filters, factor_mode):
     crystal = cavity.crystal
     if factor_mode not in ("central_approx", "exact_factors"):
         raise ValueError(f"unknown factor mode {factor_mode!r}")
+    exact = factor_mode == "exact_factors"
     signal, idler, plus = _factor_tables(
-        cavity, pump, filters, stripe.omega_s, stripe.omega_i, stripe.plus
+        cavity, pump, filters, stripe.omega_s, stripe.omega_i, stripe.plus,
+        rate=(lambda omega: _rate_factor(crystal, omega)) if exact else None,
     )
-    if factor_mode == "exact_factors":
-        signal, idler = (
-            t._replace(weight=t.weight * _rate_factor(crystal, omega))
-            for t, omega in ((signal, stripe.omega_s), (idler, stripe.omega_i))
-        )
-    else:
+    if not exact:
         f_s, f_i = filters
         central = _rate_factor(crystal, f_s.center) * _rate_factor(crystal, f_i.center)
         plus = plus._replace(weight=plus.weight * central)
@@ -190,15 +208,29 @@ def _stripe_tables(stripe, cavity, pump, filters, factor_mode):
 
 
 def _column_integrals(stripe, tables, cavity, chunk):
-    """Trapezoid over omega_minus of the integrand for one chunk of omega_plus columns."""
+    """Trapezoid over omega_minus of the integrand for one chunk of omega_plus columns.
+
+    A folded stripe evaluates the rows b <= m = (n_minus - 1) // 2 only.
+    Row n_minus - 1 - b equals row b, so the row sum is 2 sum_{b<m} s + s_m
+    for odd n_minus and 2 sum_{b<=m} s for even, and both end rows are s_0.
+    """
+    n_minus = stripe.minus.size
+    rows = (n_minus + 1) // 2 if stripe.folded else n_minus
     signal, idler, plus = tables
     s = _intensity(
         cavity,
-        signal.view(lambda t: stripe.gather(t, chunk, "signal")),
-        idler.view(lambda t: stripe.gather(t, chunk, "idler")),
+        signal.view(lambda t: stripe.gather(t, chunk, "signal", rows)),
+        idler.view(lambda t: stripe.gather(t, chunk, "idler", rows)),
         plus.view(lambda t: t[chunk, None]),
     )
-    return (stripe.q_minus * stripe.h) * (s.sum(axis=1) - 0.5 * (s[:, 0] + s[:, -1]))
+    dx = stripe.q_minus * stripe.h
+    if not stripe.folded:
+        return dx * (s.sum(axis=1) - 0.5 * (s[:, 0] + s[:, -1]))
+    if n_minus % 2:
+        total = 2.0 * s[:, :-1].sum(axis=1) + s[:, -1]
+    else:
+        total = 2.0 * s.sum(axis=1)
+    return dx * (total - s[:, 0])
 
 
 def _stripe_integral(cavity, pump, filters, factor_mode, threads=1):
@@ -295,8 +327,10 @@ def brightness_vs_r1p_sweep(
     """Doubly-resonant brightness vs pump reflectivity of mirror 1.
 
     Requires |r_2p| = 1 (pump enters and exits through mirror 1).  Rows are
-    (sigma, r1p, B_norm) normalized per sigma to the r1p = 0 value; at
-    r1p = 1 no pump enters the cavity and the brightness is exactly zero.
+    (sigma, r1p, B_norm) normalized per sigma to the r1p = 0 value, so an
+    r1p = 0 row is the reference itself and exactly one; at r1p = 1 no pump
+    enters the cavity and the brightness is exactly zero.  Neither row
+    takes an integral of its own.
     """
     if cavity.mirror(2, "pump").magnitude != 1.0:
         raise ValueError("the r1p sweep assumes a perfect pump reflectivity on mirror 2")
@@ -307,6 +341,9 @@ def brightness_vs_r1p_sweep(
             cavity.with_mirror(1, "pump", magnitude=0.0), swept_pump, filters, factor_mode, threads
         ).value
         for r1p in r1p_list:
+            if r1p == 0.0:
+                rows.append((float(sigma), 0.0, 1.0))
+                continue
             if r1p == 1.0:
                 rows.append((float(sigma), 1.0, 0.0))
                 continue

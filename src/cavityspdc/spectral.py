@@ -374,14 +374,28 @@ class _Factors(NamedTuple):
         return _Factors(*(None if t is None else index(t) for t in self))
 
 
-def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p):
+def _exchange_symmetric(cavity, filters, omega_s, omega_i):
+    """Whether swapping signal and idler maps the source onto itself.
+
+    True for equal signal and idler filters and mirrors and an idler table
+    that is the signal table reversed: then the idler factors are the signal
+    factors reversed, and a lattice reading the tables symmetrically holds
+    each sample twice.
+    """
+    f_s, f_i = filters or (None, None)
+    same_mirrors = all(cavity.mirror(nu, "signal") == cavity.mirror(nu, "idler") for nu in (1, 2))
+    return f_s == f_i and same_mirrors and np.array_equal(omega_s, omega_i[::-1])
+
+
+def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, rate=None):
     """Signal, idler and pump _Factors, each factor evaluated once per table entry.
 
     filters is a (signal, idler) pair or None; the pump Airy weight and P
     count when the cavity reflects the pump.  omega_p is the pump table, any
     1-D array of sums omega_s + omega_i: the rectangular grid's anti-diagonal
-    sums or the stripe's omega_plus axis.  A degenerate source whose idler
-    table is the signal table reversed reads the signal factors reversed.
+    sums or the stripe's omega_plus axis.  rate, if given, is a function of
+    omega multiplied onto both photon weights.  An exchange-symmetric source
+    reads the idler factors as the signal factors reversed.
     """
     half_l = cavity.crystal.length_l / 2.0
 
@@ -391,13 +405,14 @@ def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p):
         weight = _airy_from_phase(cavity, mode, _round_trip_phase(cavity, theta, mode))
         if filt is not None:
             weight = weight * filt.amplitude(omega) ** 2
+        if rate is not None:
+            weight = weight * rate(omega)
         phasor = np.exp(1j * theta) if cavity.reflects_pump else None
         return _Factors(n * omega / c * half_l, weight, phasor)
 
     f_s, f_i = filters or (None, None)
     signal = photon(omega_s, "signal", f_s)
-    same_mirrors = all(cavity.mirror(nu, "signal") == cavity.mirror(nu, "idler") for nu in (1, 2))
-    if f_s == f_i and same_mirrors and np.array_equal(omega_s, omega_i[::-1]):
+    if _exchange_symmetric(cavity, filters, omega_s, omega_i):
         idler = signal.view(lambda t: t[::-1])
     else:
         idler = photon(omega_i, "idler", f_i)

@@ -5,7 +5,9 @@ bench/workloads.py writes the configs every benchmark op loads, and
 bench/reference.json records the artifact names each shipped-config op
 writes.  A renamed or deleted traced function, a load-time rule that
 refuses a benchmark config, or an artifact named differently breaks the
-benchmark; these tests fail first.  The bench modules are loaded by path
+benchmark; these tests fail first.  The sweeps workload measures the
+folded brightness stripe, so its ops must build exchange-symmetric
+stripes only.  The bench modules are loaded by path
 and left unchanged.
 """
 
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import cavityspdc.brightness as brightness
 import cavityspdc.cli as cli
 from cavityspdc.config import load_config
 
@@ -92,3 +95,24 @@ def test_shipped_map_ops_write_the_recorded_artifacts(bench, tmp_path, name):
     bench["child"]._run_op({**op, "config": str(config)}, out)
     written = sorted(path.name for path in out.iterdir() if path.name != "manifest")
     assert written == sorted(reference[name])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sweeps_ops_fold_every_stripe(bench, tmp_path, monkeypatch, seed):
+    # a stand-in integral records each stripe a sweep row or reference
+    # builds; the shipped fig6 op is in every plan
+    monkeypatch.chdir(BENCH.parent)
+    folded = []
+
+    def stripe_only(cavity, pump, filters, factor_mode, threads=1):
+        folded.append(brightness._stripe_axes(cavity, pump, filters).folded)
+        return 1.0
+
+    monkeypatch.setattr(brightness, "_stripe_integral", stripe_only)
+    plan = bench["workloads"].make_plan("sweeps", seed, tmp_path)
+    assert any(op["config"] == "configs/fig6.cfg" for op in plan["ops"])
+    for op in plan["ops"]:
+        count = len(folded)
+        bench["child"]._run_op(op, tmp_path / op["name"])
+        assert len(folded) > count, op["name"]
+    assert all(folded)

@@ -129,18 +129,24 @@ class TestSigmaSweep:
         assert measured == pytest.approx(expected, rel=0.2)
 
 
+@pytest.fixture()
+def stripe_calls(monkeypatch):
+    """Arguments of every stripe integral taken while the test runs."""
+    calls = []
+    stripe_integral = stripe_module._stripe_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stripe_integral(*args, **kwargs)
+
+    monkeypatch.setattr(stripe_module, "_stripe_integral", counted)
+    return calls
+
+
 class TestPlateauSweep:
-    def test_no_reference_integral_at_zero_r2(self, flat_cavity, pump, filters, monkeypatch):
-        calls = []
-        stripe_integral = stripe_module._stripe_integral
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return stripe_integral(*args, **kwargs)
-
-        monkeypatch.setattr(stripe_module, "_stripe_integral", counted)
+    def test_no_reference_integral_at_zero_r2(self, flat_cavity, pump, filters, stripe_calls):
         cs.plateau_brightness_vs_r2(flat_cavity, pump, filters, [0.0, 0.5])
-        assert len(calls) == 2  # the r2 = 0.5 row and its reference
+        assert len(stripe_calls) == 2  # the r2 = 0.5 row and its reference
 
     def test_zero_r2_row_keeps_the_pump_mirrors(self, dr_base, pump, filters):
         # open signal/idler mirrors with a perfect pump back mirror: the two
@@ -200,6 +206,13 @@ class TestR1pSweep:
         table = cs.brightness_vs_r1p_sweep(dr_base, pump, filters, r1p, [2e11])
         b = table.column("B_norm")
         assert all(a < b_ for a, b_ in zip(b, b[1:]))
+
+    def test_no_integral_of_its_own_at_zero_or_unit_r1p(
+        self, dr_base, pump, filters, stripe_calls
+    ):
+        table = cs.brightness_vs_r1p_sweep(dr_base, pump, filters, [0.0, 0.5, 1.0], [2e11])
+        assert len(stripe_calls) == 2  # the r1p = 0.5 row and the reference
+        assert table.column("B_norm")[[0, 2]].tolist() == [1.0, 0.0]
 
     def test_zero_at_unit_reflectivity(self, dr_base, pump, filters):
         table = cs.brightness_vs_r1p_sweep(dr_base, pump, filters, [0.99, 1.0], [2e11])
@@ -278,11 +291,11 @@ def _pointwise_intensity(cavity, pump, filters, omega_s, omega_i):
     return s * cs.phase_balancing(ctx, cavity.mirror(2, "pump").magnitude)
 
 
-def _assert_matches_oracle(got, expect):
+def _assert_matches_oracle(got, expect, rtol=1e-12):
     # Floor: the DR oracle takes sin of the unfolded phase sum (~800 rad,
     # rounding ~1e-13 rad), so samples at a phase-balancing zero cancel.
     floor = 1e-13 * np.abs(expect).max()
-    assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect) + floor)
+    assert np.all(np.abs(got - expect) <= rtol * np.abs(expect) + floor)
 
 
 class TestStripeLattice:
@@ -338,6 +351,55 @@ class TestStripeLattice:
                 )
             expect.append(np.trapezoid(s, dx=stripe.q_minus * stripe.h, axis=1))
         _assert_matches_oracle(np.concatenate(got), np.concatenate(expect))
+
+    @pytest.mark.parametrize("fwhm_scale, parity", [(1.0, 1), (0.99, 0)])
+    @pytest.mark.parametrize("factor_mode", ["central_approx", "exact_factors"])
+    @pytest.mark.parametrize("doubly_resonant", [False, True])
+    def test_folded_columns_match_unfolded(
+        self, sr_cavity, dr_cavity, pump, filters, doubly_resonant, factor_mode, fwhm_scale,
+        parity,
+    ):
+        cavity = dr_cavity if doubly_resonant else sr_cavity
+        f = replace(filters[0], fwhm=fwhm_scale * filters[0].fwhm)
+        narrow = replace(pump, sigma=1e12)  # q_minus > 1: the gather strides over the tables
+        stripe = stripe_module._stripe_axes(cavity, narrow, (f, f))
+        assert stripe.folded and stripe.q_minus > 1
+        assert stripe.minus.size % 2 == parity
+        signal, idler, plus = stripe_module._stripe_tables(
+            stripe, cavity, narrow, (f, f), factor_mode
+        )
+        # flat photon weights keep the symmetry and make the end rows count
+        flat = signal._replace(weight=np.ones_like(signal.weight))
+        chunk = slice(0, stripe.plus.size)
+        unfolded = stripe._replace(folded=False)
+        for tables in ((signal, idler, plus), (flat, flat.view(lambda t: t[::-1]), plus)):
+            got = stripe_module._column_integrals(stripe, tables, cavity, chunk)
+            expect = stripe_module._column_integrals(unfolded, tables, cavity, chunk)
+            _assert_matches_oracle(got, expect, rtol=1e-13)
+
+    @pytest.mark.parametrize("source", ["degenerate", "distinct", "unequal_idler_mirror"])
+    @pytest.mark.parametrize("doubly_resonant", [False, True])
+    def test_kernel_sees_half_the_minus_rows_of_a_degenerate_source(
+        self, sr_cavity, dr_cavity, pump, filters, monkeypatch, doubly_resonant, source
+    ):
+        degenerate = source != "distinct"
+        cavity, filters = _source(sr_cavity, dr_cavity, filters, doubly_resonant, degenerate)
+        if source == "unequal_idler_mirror":  # degenerate frequencies, distinct idler mirror
+            cavity = cavity.with_mirror(2, "idler", magnitude=0.6)
+        shapes = []
+        intensity = stripe_module._intensity
+
+        def recorded(*args):
+            s = intensity(*args)
+            shapes.append(s.shape)
+            return s
+
+        monkeypatch.setattr(stripe_module, "_intensity", recorded)
+        narrow = replace(pump, sigma=1e12)
+        brightness_from_cavity(cavity, narrow, filters)
+        n_minus = stripe_module._stripe_axes(cavity, narrow, filters).minus.size
+        rows = (n_minus + 1) // 2 if source == "degenerate" else n_minus
+        assert {shape[1] for shape in shapes} == {rows}
 
     @pytest.mark.parametrize(
         "r2, sigma", [(0.5, 1e11), (0.9, 1e11), (0.9, 2e12), (0.5, 4.6e13)]

@@ -301,6 +301,26 @@ class TestThreads:
         for name in names:
             assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 
+    def test_sweep_artifacts_do_not_depend_on_threads(self, tmp_path):
+        # fig6 cut to two sigmas and r1p rows 0 and 1 (no integral of their
+        # own) around two integrated ones; each sigma has three 64-column chunks
+        shipped = (Path(__file__).resolve().parents[1] / "configs" / "fig6.cfg").read_text()
+        config = tmp_path / "fig6_small.cfg"
+        config.write_text(
+            shipped.replace("sigma_list_rad_s = 2e11 3.5e11 5e11", "sigma_list_rad_s = 2e11 5e11")
+            .replace("r1p_list = 0.0 0.15 0.3 0.45 0.6 0.75 0.9 0.95 0.99 0.999 1.0",
+                     "r1p_list = 0.0 0.5 0.9 1.0")
+        )
+        outs = {n: tmp_path / f"threads{n}" for n in ("1", "2")}
+        for n, out in outs.items():
+            assert run(["brightness-sweep", "--config", config, "--out", out, "--threads", n]) == 0
+        names = sorted(p.name for p in outs["1"].iterdir())
+        assert names == sorted(p.name for p in outs["2"].iterdir())
+        table = (outs["1"] / "brightness_r1p.tsv").read_text().splitlines()
+        assert len([line for line in table if not line.startswith("#")]) == 1 + 2 * 4
+        for name in names:
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
     def test_temporal_artifacts_do_not_depend_on_threads(self, fig2_cfg, tmp_path):
         outs = {n: tmp_path / f"threads{n}" for n in ("1", "2")}
         for n, out in outs.items():
