@@ -15,8 +15,9 @@ driver calls: an adaptive stripe in rotated coordinates (omega_plus =
 omega_s + omega_i bounded by the pump envelope, omega_minus = omega_s -
 omega_i by the filters), so that narrow cavity modes stay resolved at any
 reflectivity without gigantic rectangular grids.  The
-"equivalent source without a cavity" reference sets every SPDC-mode
-reflectivity to zero with identical pump and filters.
+"equivalent source without a cavity" reference opens mirror 2 for signal
+and idler and both mirrors for the pump, with identical pump and filters;
+the perfect mirror 1 of the cavity model then changes no factor.
 
 The stripe is a commensurate lattice.  With h the smaller of the two axis
 step targets, omega_plus steps by q_plus h and omega_minus by q_minus h
@@ -43,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._parallel import map_blocks
+from ._parallel import blocks, map_blocks
 from .cavity import mode_width
 from .dispersion import group_slowness, refractive_index
 from .spectral import _exchange_symmetric, _factor_tables, _intensity, fwhm_to_sigma
@@ -154,11 +155,11 @@ def _stripe_axes(cavity, pump, filters):
     # appears with width 2 dw along either rotated axis.
     scales_common = []
     for mode, center in (("signal", f_s.center), ("idler", f_i.center)):
-        if cavity.mirror(2, mode).magnitude > 0:
+        if cavity.loop_reflectivity(mode) > 0:
             scales_common.append(2.0 * mode_width(cavity, center, mode))
     d_plus_scales = [pump.sigma / 2.0] + scales_common
     d_minus_scales = [min(f_s.fwhm, f_i.fwhm)] + scales_common
-    if cavity.mirror(1, "pump").magnitude * cavity.mirror(2, "pump").magnitude > 0:
+    if cavity.loop_reflectivity("pump") > 0:
         d_plus_scales.append(mode_width(cavity, pump.omega_p0, "pump"))
     d_plus = min(d_plus_scales) / _SAMPLES_PER_SCALE
     d_minus = min(d_minus_scales) / _SAMPLES_PER_SCALE
@@ -241,9 +242,7 @@ def _stripe_integral(cavity, pump, filters, factor_mode, threads=1):
     def column_integrals(chunk):
         return _column_integrals(stripe, tables, cavity, chunk)
 
-    chunks = [
-        slice(k, min(k + _CHUNK, stripe.plus.size)) for k in range(0, stripe.plus.size, _CHUNK)
-    ]
+    chunks = blocks(0, stripe.plus.size, _CHUNK, 1)
     g = np.concatenate(map_blocks(threads, column_integrals, chunks))
     # Jacobian of (omega_s, omega_i) -> (omega_plus, omega_minus) is 1/2.
     return 0.5 * float(np.trapezoid(g, dx=stripe.q_plus * stripe.h))
@@ -262,7 +261,6 @@ def _no_cavity(cavity):
     out = cavity
     for mode in ("signal", "idler"):
         out = out.with_mirror(2, mode, magnitude=0.0)
-        out = out.with_mirror(1, mode, magnitude=0.0)
     for nu in (1, 2):
         out = out.with_mirror(nu, "pump", magnitude=0.0)
     return out

@@ -6,6 +6,12 @@ mu in {signal, idler, pump} and mirror nu in {1, 2} a complex amplitude
 reflectivity r = |r| exp(i delta) is stored; transmissivities follow the
 lossless relation |t|^2 = 1 - |r|^2.
 
+The cavity model, which CavitySpec enforces: mirror 1 fully reflects each
+photon that mirror 2 or a pump-reflecting cavity sends back.  Each mode then
+has one loop reflectivity r (CavitySpec.loop_reflectivity), |r_2mu| for
+signal and idler and |r_1p| |r_2p| for the pump; r sets the mode's
+coefficient of finesse, and the mode resonates when r > 0.
+
 Round-trip phase factor of every mode (signal, idler and pump):
 
     Delta_mu(omega) = 2 theta_mu(omega) + delta_1mu + delta_2mu
@@ -69,6 +75,9 @@ class CavitySpec:
 
     mirrors maps (nu, mode) with nu in {1, 2} and mode in MODES to a
     MirrorSpec.  Missing entries default to a perfectly transmissive mirror.
+    Construction enforces the cavity model: |r_1s| and |r_1i| equal 1
+    whenever mirror 2 reflects that photon or the cavity reflects_pump
+    (ValueError naming r_1s or r_1i otherwise).
     """
 
     length_L: float
@@ -85,14 +94,31 @@ class CavitySpec:
             nu, mode = key
             if nu not in (1, 2) or mode not in MODES:
                 raise ValueError(f"bad mirror key {key!r}")
+        for mode in ("signal", "idler"):
+            r1 = self.mirror(1, mode).magnitude
+            if r1 != 1.0 and (self.loop_reflectivity(mode) > 0 or self.reflects_pump):
+                raise ValueError(
+                    f"the cavity model needs |r_1{mode[0]}| = 1 when mirror 2 reflects the "
+                    f"{mode} or a mirror reflects the pump, got |r_1{mode[0]}| = {r1}"
+                )
 
     def mirror(self, nu, mode):
         return self.mirrors.get((nu, mode), MirrorSpec(0.0))
 
+    def loop_reflectivity(self, mode):
+        """Reflectivity r of one cavity loop, F = 4 r / (1 - r)^2; the mode resonates if r > 0.
+
+        |r_2mu| for signal and idler, whose mirror 1 is perfect, and
+        |r_1p| |r_2p| for the pump.
+        """
+        if mode == "pump":
+            return self.mirror(1, "pump").magnitude * self.mirror(2, "pump").magnitude
+        return self.mirror(2, mode).magnitude
+
     @property
     def reflects_pump(self):
         """Whether a mirror reflects the pump: the one test of a doubly-resonant cavity."""
-        return self.mirror(1, "pump").magnitude > 0 or self.mirror(2, "pump").magnitude > 0
+        return any(self.mirror(nu, "pump").magnitude > 0 for nu in (1, 2))
 
     def with_mirror(self, nu, mode, magnitude=None, phase=None):
         """Copy of the spec with one mirror entry replaced."""
@@ -154,8 +180,7 @@ def _round_trip_phase(cavity, theta, mode):
 def coefficient_of_finesse(r_eff):
     """Coefficient of finesse F = 4 r / (1 - r)^2 for effective reflectivity r.
 
-    r_eff is |r_2| for the SPDC modes (mirror 1 perfect) and |r_1p r_2p| for
-    the pump.
+    r_eff is a mode's CavitySpec.loop_reflectivity.
     """
     if not 0.0 <= r_eff < 1.0:
         if r_eff == 1.0:
@@ -164,32 +189,15 @@ def coefficient_of_finesse(r_eff):
     return 4.0 * r_eff / (1.0 - r_eff) ** 2
 
 
-def _check_perfect_mirror_1(cavity, mode):
-    """Reject |r_2mu| > 0 with |r_1mu| != 1, which no SR/DR formula here covers."""
-    r2 = cavity.mirror(2, mode).magnitude
-    r1 = cavity.mirror(1, mode).magnitude
-    if r2 > 0 and r1 != 1.0:
-        raise ValueError(
-            f"the cavity model needs |r_1{mode[0]}| = 1 when mirror 2 reflects the "
-            f"{mode} (|r_2{mode[0]}| = {r2}), got |r_1{mode[0]}| = {r1}"
-        )
-
-
 def _airy_from_phase(cavity, mode, delta):
     """Airy weight A_mu at the round-trip phase factor Delta_mu (see airy)."""
+    r_eff = cavity.loop_reflectivity(mode)
+    if r_eff >= 1.0:
+        loop = "|r_1p r_2p|" if mode == "pump" else f"|r_2{mode[0]}|"
+        raise DivergenceError(f"Airy function diverges at {loop} = 1")
     # port: the mirror the light crosses, mirror 1 into the cavity for the
     # pump and mirror 2 out of it for signal and idler
-    if mode == "pump":
-        port = cavity.mirror(1, "pump")
-        r_eff = port.magnitude * cavity.mirror(2, "pump").magnitude
-        if r_eff >= 1.0:
-            raise DivergenceError("pump Airy function diverges at |r_1p r_2p| = 1")
-    else:
-        port = cavity.mirror(2, mode)
-        r_eff = port.magnitude
-        if r_eff >= 1.0:
-            raise DivergenceError(f"Airy function diverges at |r_2{mode[0]}| = 1")
-        _check_perfect_mirror_1(cavity, mode)
+    port = cavity.mirror(1 if mode == "pump" else 2, mode)
     fin = coefficient_of_finesse(r_eff)
     prefactor = port.transmissivity**2 / (1.0 - r_eff) ** 2
     return prefactor / (1.0 + fin * np.sin(delta / 2.0) ** 2)
@@ -198,9 +206,8 @@ def _airy_from_phase(cavity, mode, delta):
 def airy(omega, mode, cavity):
     """Airy weight A_mu(omega) selecting the cavity-resonant frequencies.
 
-    SPDC modes: |t_2|^2/(1-|r_2|)^2 / (1 + F sin^2(Delta/2)), valid for
-    |r_1| = 1 (ValueError otherwise, unless |r_2| = 0).  The pump variant
-    uses |t_1p|^2/(1-|r_1p r_2p|)^2 and the pump phase factor.
+    SPDC modes: |t_2|^2/(1-|r_2|)^2 / (1 + F sin^2(Delta/2)).  The pump
+    variant uses |t_1p|^2/(1-|r_1p r_2p|)^2 and the pump phase factor.
     """
     return _airy_from_phase(cavity, mode, round_trip_phase_mismatch(cavity, omega, mode))
 
@@ -213,11 +220,7 @@ def _optical_length(cavity, omega0, mode):
 
 def mode_width(cavity, omega0, mode):
     """FWHM of one cavity resonance: delta_omega = 2c/(l n + (L - l)) F^(-1/2)."""
-    if mode == "pump":
-        r_eff = cavity.mirror(1, "pump").magnitude * cavity.mirror(2, "pump").magnitude
-    else:
-        r_eff = cavity.mirror(2, mode).magnitude
-    fin = coefficient_of_finesse(r_eff)
+    fin = coefficient_of_finesse(cavity.loop_reflectivity(mode))
     if fin == 0.0:
         raise InfiniteWidthError("mode width is unbounded for zero coefficient of finesse")
     return 2.0 * c / _optical_length(cavity, omega0, mode) / np.sqrt(fin)

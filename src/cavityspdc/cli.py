@@ -193,7 +193,7 @@ def _cmd_airy(cfg, out_dir, fmt, threads):
     omega_s0, omega_i0 = cfg.band_centers()
     paths = []
     modes = ["signal", "idler"]
-    if cavity.mirror(1, "pump").magnitude * cavity.mirror(2, "pump").magnitude > 0:
+    if cavity.loop_reflectivity("pump") > 0:
         modes.append("pump")
     for mode in modes:
         axis = grid.omega_s_axis if mode == "signal" else grid.omega_i_axis
@@ -202,7 +202,7 @@ def _cmd_airy(cfg, out_dir, fmt, threads):
         values = airy(axis, mode, cavity)
         meta = _metadata(cfg, {"mode": mode})
         center = omega_s0 if mode != "idler" else omega_i0
-        if mode != "pump":
+        if mode != "pump" and cavity.loop_reflectivity(mode) > 0:
             meta["mode_width_rad_s"] = f"{mode_width(cavity, center, mode):.17g}"
             meta["free_spectral_range_rad_s"] = f"{free_spectral_range(cavity, center):.17g}"
         path = out_dir / f"airy_{mode}.dat"

@@ -158,11 +158,11 @@ _SCHEMA = {
 }
 
 # [sweep] kind -> (its sweep function, the lists that function reads in the
-# order it takes them); of a pair of alternatives the first key present is read.
+# order it takes them).
 _SWEEPS = {
-    "sigma_r2": (brightness_vs_sigma_sweep, (("sigma_list",), ("r2_list",))),
-    "plateau_r2": (plateau_brightness_vs_r2, (("plateau_r2_list", "r2_list"),)),
-    "r1p": (brightness_vs_r1p_sweep, (("r1p_list",), ("sigma_list",))),
+    "sigma_r2": (brightness_vs_sigma_sweep, ("sigma_list", "r2_list")),
+    "plateau_r2": (plateau_brightness_vs_r2, ("plateau_r2_list",)),
+    "r1p": (brightness_vs_r1p_sweep, ("r1p_list", "sigma_list")),
 }
 
 # The mirror phases solve_resonance_phases sets (the r2 and pump phases) or
@@ -273,13 +273,10 @@ class RunConfig:
         """The requested [sweep] kinds, in order."""
         return self.require("sweep", "kind").split()
 
-    def _sweep_stem(self, alternatives):
-        return next((s for s in alternatives if self.has("sweep", s)), alternatives[0])
-
     def sweep(self, kind):
         """(function, lists) of the sweep of one kind: its lists in the order it takes them."""
-        function, alternatives = _SWEEPS[kind]
-        return function, [self.require("sweep", self._sweep_stem(alt)) for alt in alternatives]
+        function, stems = _SWEEPS[kind]
+        return function, [self.require("sweep", stem) for stem in stems]
 
     def normalized_text(self):
         """Canonical text rendering of the normalized values (hash input)."""
@@ -521,7 +518,7 @@ def _ignored_keys(cfg):
                "applies to neither mode; drop it")
     if cfg.has("sweep"):
         kinds = cfg.sweep_kinds()
-        read = {cfg._sweep_stem(alt) for kind in kinds for alt in _SWEEPS[kind][1]}
+        read = {stem for kind in kinds for stem in _SWEEPS[kind][1]}
         for stem in cfg.sections["sweep"]:
             if stem.endswith("_list") and stem not in read:
                 yield ("sweep", stem, f"kind = {' '.join(kinds)} reads no such list; drop the key")

@@ -89,7 +89,7 @@ def _pump_round_trip(ctx, cavity):
     """q = r_1p r_2p e^{i 2 theta_p} and the grouped product Y r_1p."""
     r1p = cavity.mirror(1, "pump")
     r2p = cavity.mirror(2, "pump")
-    if r1p.magnitude * r2p.magnitude >= 1.0:
+    if cavity.loop_reflectivity("pump") >= 1.0:
         raise DivergenceError("pump geometric sum diverges at |r_1p r_2p| = 1")
     r1p_c = r1p.magnitude * np.exp(1j * ctx.delta_1p)
     r2p_c = r2p.magnitude * np.exp(1j * ctx.delta_2p)
@@ -147,9 +147,10 @@ def jsi_doubly_resonant(cavity, pump, filters, grid, threads=1):
 
     The factored form assumes unit-magnitude mirror-1 reflectivities for the
     SPDC modes (the singly-resonant preset); then it equals |f_DR|^2 exactly.
-    A cavity that breaks the assumption raises ValueError, as does a grid
-    whose signal and idler steps differ.  The rows are filled on `threads`
-    threads, bit for bit alike at any count.
+    A cavity that breaks the assumption raises ValueError when it is built
+    (CavitySpec), and a grid whose signal and idler steps differ raises it
+    here.  The rows are filled on `threads` threads, bit for bit alike at
+    any count.
     """
     _warn_if_under_resolved(cavity, grid, "jsi_doubly_resonant")
     return _jsi_on_grid(cavity, pump, filters, grid, threads)

@@ -43,7 +43,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._parallel import blocks, map_blocks
 from .cavity import (
     _airy_from_phase,
-    _check_perfect_mirror_1,
     _round_trip_phase,
     _single_pass_phase,
     mode_width,
@@ -254,9 +253,8 @@ def _sr_ratio(cavity, omega, mode, n):
     n is the index n_mu(omega) already evaluated at omega.
     """
     m2 = cavity.mirror(2, mode)
-    if m2.magnitude >= 1.0:
+    if cavity.loop_reflectivity(mode) >= 1.0:
         raise DivergenceError(f"geometric sum diverges at |r_2{mode[0]}| = 1")
-    _check_perfect_mirror_1(cavity, mode)
     delta = _round_trip_phase(cavity, _single_pass_phase(cavity, omega, n), mode)
     return m2, m2.magnitude * np.exp(1j * np.asarray(delta))
 
@@ -316,19 +314,18 @@ def _jsa_sr_pointwise(cavity, pump, filters, omega_s, omega_i):
 def _warn_if_under_resolved(cavity, grid, where):
     """Warn when a grid step exceeds 1/8 of a cavity mode width.
 
-    The signal and idler widths are read along their axes; a resonant pump
-    (|r_1p r_2p| > 0) has its width read along the anti-diagonal table of
-    omega_s + omega_i, whose step is the signal step.
+    Each mode that resonates (loop_reflectivity > 0) counts: signal and idler
+    along their axes, the pump along the anti-diagonal table of omega_s +
+    omega_i, whose step is the signal step.
     """
     center_s = float(np.median(grid.omega_s_axis))
     center_i = float(np.median(grid.omega_i_axis))
-    pump_loop = cavity.mirror(1, "pump").magnitude * cavity.mirror(2, "pump").magnitude
-    for mode, resonant, axis_step, center in (
-        ("signal", cavity.mirror(2, "signal").magnitude > 0, grid.d_omega_s, center_s),
-        ("idler", cavity.mirror(2, "idler").magnitude > 0, grid.d_omega_i, center_i),
-        ("pump", pump_loop > 0, grid.d_omega_s, center_s + center_i),
+    for mode, axis_step, center in (
+        ("signal", grid.d_omega_s, center_s),
+        ("idler", grid.d_omega_i, center_i),
+        ("pump", grid.d_omega_s, center_s + center_i),
     ):
-        if not resonant:
+        if cavity.loop_reflectivity(mode) == 0.0:
             continue
         width = mode_width(cavity, center, mode)
         if width < 8 * axis_step:

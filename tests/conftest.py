@@ -18,6 +18,14 @@ settings.load_profile("tier1")
 OMEGA_800 = 2 * np.pi * c / 800e-9
 THETA_DEGENERATE = 0.5065859752980199  # rad, solved once in test_dispersion
 
+# A pump-reflecting mirror table outside the cavity model: mirror 1 at 0.5 for
+# both photons, mirror 2 open for both, r_1p = 0.5 and r_2p = 1.  Were it
+# accepted, its S_DR would miss |f_DR|^2 by about 0.6 of its maximum.
+OUT_OF_MODEL_DR_MIRRORS = {
+    (1, "signal"): cs.MirrorSpec(0.5), (1, "idler"): cs.MirrorSpec(0.5),
+    (1, "pump"): cs.MirrorSpec(0.5), (2, "pump"): cs.MirrorSpec(1.0),
+}
+
 
 @pytest.fixture(scope="session")
 def crystal():

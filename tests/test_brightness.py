@@ -77,6 +77,16 @@ class TestBrightnessIntegral:
         b_stripe = brightness_from_cavity(cav, pump, filters).value
         assert b_stripe == pytest.approx(_trapezoid_brightness(jsi, pump, crystal), rel=0.02)
 
+    def test_no_cavity_reference_ignores_mirror_1(self, crystal, dr_cavity, pump, filters):
+        # the reference keeps the perfect mirror 1; with mirror 2 and the pump
+        # mirrors open it matches the cavity with every mirror open
+        reference = stripe_module._no_cavity(dr_cavity)
+        assert reference.mirror(1, "signal").magnitude == 1.0
+        open_cavity = cs.CavitySpec(dr_cavity.length_L, crystal)
+        assert brightness_from_cavity(reference, pump, filters).value == (
+            brightness_from_cavity(open_cavity, pump, filters).value
+        )
+
 
 class TestSigmaSweep:
     def test_no_cavity_flat_over_two_decades(self, flat_cavity, pump, filters):
@@ -423,8 +433,3 @@ class TestStripeLattice:
         monkeypatch.setattr(stripe_module, "_SAMPLES_PER_SCALE", 16)
         halved = brightness_from_cavity(cav, swept, filters).value
         assert halved == pytest.approx(default, rel=1e-8, abs=0)
-
-    def test_rejects_imperfect_mirror_1(self, sr_cavity, pump, filters):
-        cav = sr_cavity.with_mirror(1, "signal", magnitude=0.9)
-        with pytest.raises(ValueError, match="r_1s"):
-            brightness_from_cavity(cav, pump, filters)

@@ -5,7 +5,7 @@ import cavityspdc as cs
 from cavityspdc.constants import c
 from cavityspdc.errors import DivergenceError, InfiniteWidthError
 
-from conftest import OMEGA_800
+from conftest import OMEGA_800, OUT_OF_MODEL_DR_MIRRORS
 
 
 def two_pi_residual(x):
@@ -96,18 +96,6 @@ class TestAiry:
     def test_no_cavity_with_open_mirror_1_is_flat(self, crystal):
         cav = cs.CavitySpec(20e-6, crystal)  # |r_1| = |r_2| = 0 for every mode
         assert cs.airy(OMEGA_800, "signal", cav) == 1.0
-
-    @pytest.mark.parametrize("mode", ["signal", "idler"])
-    def test_rejects_imperfect_mirror_1(self, sr_cavity, pump, filters, grid_257, dr_cavity, mode):
-        # the SR/DR intensities are exact only for |r_1| = 1
-        cav = sr_cavity.with_mirror(1, mode, magnitude=0.9)
-        with pytest.raises(ValueError, match=f"r_1{mode[0]}"):
-            cs.airy(OMEGA_800, mode, cav)
-        with pytest.raises(ValueError):
-            cs.jsi_singly_resonant(cav, pump, filters, grid_257)
-        with pytest.raises(ValueError):
-            cs.jsi_doubly_resonant(dr_cavity.with_mirror(1, mode, magnitude=0.9), pump, filters,
-                                   grid_257)
 
     def test_antiresonance_value(self, crystal):
         # Delta = pi exactly: peak / (1 + F)
@@ -214,7 +202,9 @@ class TestSolveResonancePhases:
 
     def test_already_resonant_keeps_zero_phases(self):
         flat = cs.CrystalSpec((2.25, 0.0, 1.0, 0.0), (2.25, 0.0, 1.0, 0.0), 0.0, 20e-6)
-        cav = cs.CavitySpec(20e-6, flat, {(2, "signal"): cs.MirrorSpec(0.5)})
+        cav = cs.CavitySpec(
+            20e-6, flat, {(1, "signal"): cs.MirrorSpec(1.0), (2, "signal"): cs.MirrorSpec(0.5)}
+        )
         # pick a frequency whose round-trip phase is an exact multiple of 2 pi
         theta = cs.single_pass_phase(cav, OMEGA_800, "signal")
         w = OMEGA_800 * (2 * np.pi * round(theta / np.pi) / (2 * theta))
@@ -242,3 +232,29 @@ def test_mirror_spec_validation():
 def test_cavity_shorter_than_crystal_rejected(crystal):
     with pytest.raises(ValueError):
         cs.CavitySpec(10e-6, crystal)
+
+
+class TestCavityModel:
+    """Construction enforces the perfect mirror 1; loop_reflectivity states each mode's r."""
+
+    @pytest.mark.parametrize("mode", ["signal", "idler"])
+    @pytest.mark.parametrize("trigger", [(2, "photon"), (1, "pump"), (2, "pump")],
+                             ids=["mirror_2_reflects_photon", "r1p", "r2p"])
+    def test_rejects_imperfect_mirror_1(self, crystal, mode, trigger):
+        nu, reflected = trigger
+        mirrors = {(1, "signal"): cs.MirrorSpec(1.0), (1, "idler"): cs.MirrorSpec(1.0)}
+        mirrors[(1, mode)] = cs.MirrorSpec(0.9)
+        mirrors[(nu, mode if reflected == "photon" else "pump")] = cs.MirrorSpec(0.5)
+        with pytest.raises(ValueError, match=f"r_1{mode[0]}"):
+            cs.CavitySpec(20e-6, crystal, mirrors)
+
+    def test_rejects_out_of_model_dr_cavity(self, crystal):
+        with pytest.raises(ValueError, match="r_1s"):
+            cs.CavitySpec(20e-6, crystal, OUT_OF_MODEL_DR_MIRRORS)
+
+    def test_loop_reflectivity(self, crystal, dr_cavity):
+        cav = cs.singly_resonant_cavity(20e-6, crystal, 0.73, 0.6)
+        assert [cav.loop_reflectivity(m) for m in ("signal", "idler", "pump")] == [0.73, 0.6, 0.0]
+        assert dr_cavity.loop_reflectivity("signal") == 0.73
+        assert dr_cavity.loop_reflectivity("pump") == 0.5 * 1.0
+        assert cs.CavitySpec(20e-6, crystal).loop_reflectivity("pump") == 0.0

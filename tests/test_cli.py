@@ -143,6 +143,20 @@ class TestSubcommands:
         data = np.loadtxt((out / "airy_signal.dat").read_text().splitlines())
         assert data[:, 1].max() == pytest.approx((1 + 0.73) / (1 - 0.73), rel=1e-3)
 
+    def test_airy_on_an_open_cavity(self, tmp_path):
+        # mirror 2 reflects neither photon: the Airy weight is flat and no mode
+        # width exists, so none is written
+        cfg = tmp_path / "open.cfg"
+        cfg.write_text(SMALL_FIG2.replace("samples = 129", "samples = 32")
+                       .replace("r2_signal = 0.73", "r2_signal = 0")
+                       .replace("r2_idler = 0.73", "r2_idler = 0"))
+        out = tmp_path / "out"
+        assert run(["airy", "--config", cfg, "--out", out]) == 0
+        text = (out / "airy_signal.dat").read_text()
+        data = np.loadtxt(text.splitlines())
+        assert data.shape == (32, 2) and np.all(data[:, 1] == 1.0)
+        assert "mode_width_rad_s" not in text
+
 
 def test_every_subcommand_runs_without_scipy(tmp_path):
     # numpy is the only runtime dependency; scipy is made unimportable in a

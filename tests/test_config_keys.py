@@ -57,7 +57,7 @@ DR = edited(SR, {"cavity": {"r1_pump": "0.5", "r2_pump": "1.0"}})
 DR_UNSOLVED = edited(DR, {"cavity": {"solve_phases": "false"}})
 SWEEP = edited(SR, {"sweep": {"kind": "sigma_r2 plateau_r2", "sigma_list_rad_s": "4.6e13",
                               "r2_list": "0.5", "plateau_r2_list": "0.5"}})
-PLATEAU = edited(SR, {"sweep": {"kind": "plateau_r2", "r2_list": "0.5"}})
+PLATEAU = edited(SR, {"sweep": {"kind": "plateau_r2", "plateau_r2_list": "0.5"}})
 DR_SWEEP = edited(DR, {"sweep": {"kind": "sigma_r2", "sigma_list_rad_s": "4.6e13",
                                  "r2_list": "0.5"}})
 R1P = edited(SR, {"cavity": {"r2_pump": "1.0"},
@@ -174,10 +174,9 @@ CASES = {
     ],
     ("sweep", "r2_list"): [
         _set("sweep", "r2_list", "0.7", SWEEP, "brightness-sweep"),
-        # plateau_r2 reads r2_list when plateau_r2_list is absent
-        _set("sweep", "r2_list", "0.7", PLATEAU, "brightness-sweep"),
         Rejected(R1P, {"sweep": {"r2_list": "0.3"}}),
-        Rejected(PLATEAU, {"sweep": {"plateau_r2_list": "0.7"}}),
+        # plateau_r2 reads plateau_r2_list alone
+        Rejected(PLATEAU, {"sweep": {"r2_list": "0.7"}}),
     ],
     ("sweep", "plateau_r2_list"): [
         _set("sweep", "plateau_r2_list", "0.7", SWEEP, "brightness-sweep"),
@@ -317,6 +316,14 @@ def test_reversed_validity_window_is_a_config_error(window, tmp_path, capsys):
     assert main(["jsi-sr", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: module=config:") and "[crystal] window_lo_um" in err
+
+
+def test_plateau_without_its_list_is_a_config_error(tmp_path):
+    # r2_list belongs to sigma_r2 and does not stand in for plateau_r2_list
+    path = tmp_path / "run.cfg"
+    path.write_text(render(edited(SWEEP, {"sweep": {"plateau_r2_list": None}})))
+    with pytest.raises(ConfigError, match=r"plateau_r2_list in \[sweep\]"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("kind, says", [("r1p bogus", "[sweep] kind"),

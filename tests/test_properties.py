@@ -5,12 +5,13 @@ every run draws the same inputs.
 """
 
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cavityspdc as cs
 from cavityspdc.constants import c
 
-from conftest import OMEGA_800, THETA_DEGENERATE
+from conftest import OMEGA_800, OUT_OF_MODEL_DR_MIRRORS, THETA_DEGENERATE
 
 CRYSTAL = cs.bbo(THETA_DEGENERATE, 20e-6)
 # Dispersionless crystal: the round-trip phase is exactly linear in omega.
@@ -21,8 +22,11 @@ reflectivities = st.floats(0.0, 0.95)
 
 
 @st.composite
-def sources(draw, degenerate=False):
-    """(cavity, pump, filters, grid) for a random SR or DR source around 800 nm."""
+def sources(draw, degenerate=False, mirror_1=st.just(1.0)):
+    """(length, mirrors, pump, filters, grid) for a random SR or DR source around 800 nm.
+
+    |r_1s| and |r_1i| are drawn from mirror_1.
+    """
     length = 20e-6 * draw(st.floats(1.0, 3.0))
     r2_s = draw(reflectivities)
     r2_i = r2_s if degenerate else draw(reflectivities)
@@ -31,12 +35,11 @@ def sources(draw, degenerate=False):
         if mode == "idler" and degenerate:
             mirrors[(1, mode)], mirrors[(2, mode)] = mirrors[(1, "signal")], mirrors[(2, "signal")]
             continue
-        mirrors[(1, mode)] = cs.MirrorSpec(1.0, draw(phases))
+        mirrors[(1, mode)] = cs.MirrorSpec(draw(mirror_1), draw(phases))
         mirrors[(2, mode)] = cs.MirrorSpec(r2, draw(phases))
     if draw(st.booleans()):  # doubly resonant
         mirrors[(1, "pump")] = cs.MirrorSpec(draw(st.floats(0.0, 0.95)), draw(phases))
         mirrors[(2, "pump")] = cs.MirrorSpec(draw(st.floats(0.0, 1.0)), draw(phases))
-    cavity = cs.CavitySpec(length, CRYSTAL, mirrors)
     pump = cs.PumpSpec.from_wavelength(400e-9, draw(st.floats(0.5, 10.0)) * 1e-9)
     fwhm_s = cs.wavelength_fwhm_to_angular(800e-9, draw(st.floats(5.0, 40.0)) * 1e-9)
     fwhm_i = fwhm_s if degenerate else cs.wavelength_fwhm_to_angular(
@@ -44,19 +47,37 @@ def sources(draw, degenerate=False):
     )
     filters = (cs.FilterSpec(OMEGA_800, fwhm_s), cs.FilterSpec(OMEGA_800, fwhm_i))
     grid = cs.default_grid(OMEGA_800, OMEGA_800, 2.0 * max(fwhm_s, fwhm_i), samples=48)
-    return cavity, pump, filters, grid
+    return length, mirrors, pump, filters, grid
+
+
+def built(source):
+    """(cavity, pump, filters, grid) of a drawn source."""
+    length, mirrors, *rest = source
+    return (cs.CavitySpec(length, CRYSTAL, mirrors), *rest)
+
+
+def in_model(mirrors):
+    """Whether mirror 1 fully reflects every photon that mirror 2 or the pump sends back."""
+    def magnitude(key):
+        return mirrors[key].magnitude if key in mirrors else 0.0
+
+    pumped = magnitude((1, "pump")) > 0 or magnitude((2, "pump")) > 0
+    return all(
+        magnitude((1, mode)) == 1.0 or (magnitude((2, mode)) == 0.0 and not pumped)
+        for mode in ("signal", "idler")
+    )
 
 
 @given(sources())
 def test_jsi_non_negative(source):
-    values = cs.jsi_singly_resonant(*source).values
+    values = cs.jsi_singly_resonant(*built(source)).values
     assert np.all(np.isfinite(values))
     assert values.min() >= 0.0
 
 
 @given(sources(degenerate=True))
 def test_degenerate_marginal_symmetric_under_exchange(source):
-    jsi = cs.jsi_singly_resonant(*source)
+    jsi = cs.jsi_singly_resonant(*built(source))
     signal = cs.marginal_spectrum(jsi, "signal").density
     idler = cs.marginal_spectrum(jsi, "idler").density
     assert np.abs(signal - idler).max() <= 1e-9 * signal.max()
@@ -81,9 +102,28 @@ def test_airy_period_mean_is_one(length_ratio, r2, phase_1, phase_2, mode, offse
     assert abs(cs.airy(omega, mode, cavity).mean() - 1.0) <= 1e-9
 
 
-@given(sources())
+_OUT_OF_MODEL_DR = (
+    20e-6,
+    OUT_OF_MODEL_DR_MIRRORS,
+    cs.PumpSpec.from_wavelength(400e-9, 5e-9),
+    (cs.FilterSpec(OMEGA_800, cs.wavelength_fwhm_to_angular(800e-9, 30e-9)),) * 2,
+    cs.default_grid(OMEGA_800, OMEGA_800, 3 * cs.wavelength_fwhm_to_angular(800e-9, 30e-9),
+                    samples=65),
+)
+
+
+@given(sources(mirror_1=st.sampled_from([1.0, 0.5])))
+@example(source=_OUT_OF_MODEL_DR)
+@settings(max_examples=100)
 def test_dr_factored_form_is_limit_amplitude_squared(source):
-    cavity, pump, filters, grid = source
+    # every cavity the constructor accepts meets the bound, and it rejects
+    # exactly the tables outside the model; about half the draws are
+    # rejected, so twice the profile's examples keep ~50 bound checks
+    if not in_model(source[1]):
+        with pytest.raises(ValueError, match="r_1[si]"):
+            built(source)
+        return
+    cavity, pump, filters, grid = built(source)
     s_dr = cs.jsi_doubly_resonant(cavity, pump, filters, grid).values
     ws, wi = grid.meshgrid()
     f_dr = cs.jsa_dr_limit(cavity, pump, filters, ws, wi)
