@@ -258,11 +258,18 @@ def brightness_from_cavity(cavity, pump, filters, factor_mode="central_approx", 
 
 
 def _no_cavity(cavity):
+    """The equivalent source without a cavity: mirror 2 and the pump mirrors open.
+
+    Mirror 1 keeps its magnitude.  Every mirror phase is zeroed: with mirror
+    2 open the Airy weight is 1 and no phasor is left, so the phases change
+    nothing but whether signal and idler compare equal, and a reference with
+    equal filters then folds its stripe.
+    """
     out = cavity
     for mode in ("signal", "idler"):
-        out = out.with_mirror(2, mode, magnitude=0.0)
+        out = out.with_mirror(1, mode, phase=0.0).with_mirror(2, mode, magnitude=0.0, phase=0.0)
     for nu in (1, 2):
-        out = out.with_mirror(nu, "pump", magnitude=0.0)
+        out = out.with_mirror(nu, "pump", magnitude=0.0, phase=0.0)
     return out
 
 

@@ -39,8 +39,7 @@ from .temporal import (
     check_minus_window,
     correlation_time,
     extract_peaks,
-    joint_temporal_intensity,
-    jsa_singly_resonant_rotated,
+    joint_temporal_intensity_from_cavity,
     rotated_lattice_axes,
     time_difference_marginal,
 )
@@ -106,11 +105,7 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
     )
     round_trip = group_round_trip_time(cavity, omega_s0)
     check_minus_window(minus, round_trip)  # before the costly fill, not after it
-    # Unbound, the amplitude is freed inside the transform once it is used.
-    tgrid = joint_temporal_intensity(
-        jsa_singly_resonant_rotated(cavity, pump, filters, plus, minus, threads=threads),
-        threads=threads,
-    )
+    tgrid = joint_temporal_intensity_from_cavity(cavity, pump, filters, plus, minus, threads)
     marg = time_difference_marginal(tgrid, threads=threads)
     peaks = extract_peaks(marg.axis, marg.density, cfg.get("temporal", "min_prominence"))
     t_c = correlation_time(peaks)

@@ -20,20 +20,27 @@ rotated_lattice_axes is the one sizing rule of the lattice the transform
 samples: its steps resolve the cavity mode width and its spans cover the
 filters and the pump.  The temporal subcommand and the tests call it.
 
-The transform streams in two stages.  Stage one transforms along
-omega_plus (the amplitude and this spectrum coexist); stage two transforms
-blocks of its columns along omega_minus and writes each block's |ft|^2
-into its fftshifted place.  Neither the padded complex spectrum nor a
-shifted copy of the intensity is ever formed, and an amplitude handed
-straight to joint_temporal_intensity is freed between the stages.  The
-output is bit for bit fftshift(|fft2|^2).
+The transform streams in two stages through one buffer of
+size_plus * max(n_minus, ceil(size_minus / 2)) complex slots.  Stage one
+runs inside the lattice fill: each block of omega_minus rows is evaluated,
+transformed along omega_plus and scattered, transposed and fftshifted, into
+the spectrum spec_t[q, m] at the buffer's tail, so the full amplitude is
+never formed.  Stage two transforms contiguous rows of spec_t along
+omega_minus and writes each row's scaled, fftshifted |ft|^2 into a float
+view of the buffer's head.  Intensity row q overlaps only spectrum rows
+<= q, so rows go in waves of `threads` blocks and every transform of a
+wave finishes before any of its writes.  The intensity is returned as a
+transposed view, bit for bit fftshift(|fft2|^2).
+joint_temporal_intensity_from_cavity is the temporal subcommand's route;
+joint_temporal_intensity feeds the same stages from the rows of a
+RotatedGrid.
 
-The blocked loops -- the lattice fill's omega_minus rows, stage two's
-omega_plus columns and the marginal's t_minus rows -- take a threads
-argument (default 1) and cut their blocks by _parallel.blocks.  Each
-block writes a disjoint slice of one preallocated output, and every row
-or column is computed alone whatever block holds it, so every result is
-bit for bit the serial one.
+The blocked loops -- the fill's omega_minus rows, stage two's spectrum
+rows and the marginal's t_minus rows -- take a threads argument (default
+1) and cut their blocks by _parallel.blocks.  Each block writes a disjoint
+slice of one preallocated output, and every row or column is computed
+alone whatever block holds it, so every result is bit for bit the serial
+one.
 """
 
 from __future__ import annotations
@@ -55,13 +62,14 @@ __all__ = [
     "check_minus_window",
     "jsa_singly_resonant_rotated",
     "joint_temporal_intensity",
+    "joint_temporal_intensity_from_cavity",
     "time_difference_marginal",
     "extract_peaks",
     "correlation_time",
 ]
 
-_BLOCK_ROWS = 64  # minus rows per block of the rotated amplitude fill and of the marginal
-_BLOCK_COLS = 32  # omega_plus columns per omega_minus transform of the stage-one spectrum
+_BLOCK_ROWS = 64  # minus rows per block of the lattice fill and of the marginal
+_BLOCK_PLUS = 32  # spectrum rows (omega_plus samples) per omega_minus transform
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,28 +190,56 @@ def check_minus_window(omega_minus_axis, round_trip_time):
         )
 
 
+def _sr_rows(cavity, pump, filters, plus, minus):
+    """rows -> the singly-resonant amplitude on the omega_minus rows `rows` of the lattice."""
+
+    def rows_of(rows):
+        mm = minus[rows, None]
+        return _jsa_sr_pointwise(cavity, pump, filters, (plus + mm) / 2.0, (plus - mm) / 2.0)
+
+    return rows_of
+
+
 def jsa_singly_resonant_rotated(cavity, pump, filters, omega_plus_axis, omega_minus_axis,
                                 threads=1):
     """Singly-resonant joint amplitude evaluated directly on a rotated lattice.
 
     Sampling the rotated axes directly avoids any resampling of a
-    (omega_s, omega_i) grid, which would blur high-finesse combs; this is the
-    input of the temporal transform.  The lattice is filled in blocks of
-    omega_minus rows on `threads` threads, so the temporaries of the
-    pointwise evaluation stay about the size of one serial block.
+    (omega_s, omega_i) grid, which would blur high-finesse combs.  The
+    lattice is filled in blocks of omega_minus rows on `threads` threads, so
+    the temporaries of the pointwise evaluation stay about the size of one
+    serial block.  joint_temporal_intensity_from_cavity evaluates the same
+    rows without keeping them; this full lattice is its oracle.
     """
     plus = _check_uniform_axis(omega_plus_axis, "omega_plus_axis")
     minus = _check_uniform_axis(omega_minus_axis, "omega_minus_axis")
+    rows_of = _sr_rows(cavity, pump, filters, plus, minus)
     values = np.empty((minus.size, plus.size), dtype=complex)
 
     def fill(rows):
-        mm = minus[rows, None]
-        values[rows] = _jsa_sr_pointwise(
-            cavity, pump, filters, (plus + mm) / 2.0, (plus - mm) / 2.0
-        )
+        values[rows] = rows_of(rows)
 
     map_blocks(threads, fill, blocks(0, minus.size, _BLOCK_ROWS, threads))
     return RotatedGrid(plus, minus, values)
+
+
+def joint_temporal_intensity_from_cavity(cavity, pump, filters, omega_plus_axis,
+                                         omega_minus_axis, threads=1, pad_plus=None,
+                                         pad_minus=None):
+    """Joint temporal intensity of the singly-resonant amplitude on a rotated lattice.
+
+    The same intensity as
+    joint_temporal_intensity(jsa_singly_resonant_rotated(...)), bit for bit,
+    but the amplitude is never formed: each block of omega_minus rows is
+    evaluated and transformed along omega_plus on `threads` threads, and
+    only its stage-one spectrum is kept.  The pads are
+    joint_temporal_intensity's.  The temporal subcommand's route.
+    """
+    plus = _check_uniform_axis(omega_plus_axis, "omega_plus_axis")
+    minus = _check_uniform_axis(omega_minus_axis, "omega_minus_axis")
+    spectrum = _stage_one(_sr_rows(cavity, pump, filters, plus, minus), plus.size, minus.size,
+                          pad_plus, pad_minus, threads)
+    return _stage_two(spectrum, float(plus[1] - plus[0]), float(minus[1] - minus[0]), threads)
 
 
 def joint_temporal_intensity(rot, pad_plus=None, pad_minus=None, threads=1):
@@ -214,19 +250,30 @@ def joint_temporal_intensity(rot, pad_plus=None, pad_minus=None, threads=1):
     cavity round trips is check_minus_window's question, asked of the axes
     before the amplitude is filled.
 
-    The result is bit for bit fftshift(|fft2|^2), computed in two stages.
-    Stage one transforms along omega_plus, as fft2 does first, and then drops
-    this function's reference to rot.  Stage two transforms the stage-one
-    spectrum along omega_minus in blocks of columns and writes each block's
-    scaled |.|^2 straight into its fftshifted place in the real intensity,
-    so the padded complex spectrum is never formed.  A caller that hands the
+    The result is bit for bit fftshift(|fft2|^2), transformed as the module
+    docstring describes from blocks of rot.values' rows.  This function
+    drops its reference to rot after stage one, so a caller that hands the
     amplitude over, joint_temporal_intensity(jsa_singly_resonant_rotated(...)),
     frees it before stage two; a caller that keeps rot gets the same result
-    without that saving.  Stage two runs its column blocks on `threads`
-    threads.
+    without that saving.  The values of the result are a transposed view.
     """
-    n_minus, n_plus = rot.values.shape
     d_plus, d_minus = rot.d_plus, rot.d_minus
+    n_minus, n_plus = rot.values.shape
+    spectrum = _stage_one(rot.values.__getitem__, n_plus, n_minus, pad_plus, pad_minus, threads)
+    del rot  # the last reference when the caller handed the amplitude over
+    return _stage_two(spectrum, d_plus, d_minus, threads)
+
+
+def _stage_one(rows_of, n_plus, n_minus, pad_plus, pad_minus, threads):
+    """The fill and the transform along omega_plus: (buffer, spec_t, size_minus).
+
+    rows_of(rows) returns the amplitude's omega_minus rows `rows`.  Each
+    block of rows is transformed along omega_plus (n = size_plus) and
+    scattered into spec_t[q, m], transposed and fftshifted along omega_plus.
+    spec_t is the tail of one buffer of size_plus * max(n_minus,
+    ceil(size_minus / 2)) complex slots, whose head _stage_two fills with
+    the intensity.
+    """
 
     def _pow2(n):
         return 1 << int(np.ceil(np.log2(n)))
@@ -236,51 +283,73 @@ def joint_temporal_intensity(rot, pad_plus=None, pad_minus=None, threads=1):
     if size_plus < n_plus or size_minus < n_minus:
         raise ValueError("padded size smaller than the input grid")
 
-    spectrum = np.fft.fft(rot.values, n=size_plus, axis=1)
-    del rot  # the last reference when the caller handed the amplitude over
+    buffer = np.empty(size_plus * max(n_minus, -(-size_minus // 2)), dtype=complex)
+    spec_t = buffer[buffer.size - size_plus * n_minus:].reshape(size_plus, n_minus)
+    # fftshift moves index k to (k + size // 2) % size: k < wrap lands at k + shift.
+    shift = size_plus // 2
+    wrap = size_plus - shift
 
+    def fill(rows):
+        spectrum = np.fft.fft(rows_of(rows), n=size_plus, axis=1)
+        spec_t[shift:, rows] = spectrum[:, :wrap].T
+        spec_t[:shift, rows] = spectrum[:, wrap:].T
+
+    map_blocks(threads, fill, blocks(0, n_minus, _BLOCK_ROWS, threads))
+    return buffer, spec_t, size_minus
+
+
+def _stage_two(spectrum, d_plus, d_minus, threads):
+    """The transform along omega_minus, in place: the TemporalGrid of the intensity.
+
+    Contiguous rows of spec_t are transformed (n = size_minus), and each
+    row's scaled, fftshifted |.|^2 goes to the same row of inten_t, a float
+    view of the buffer's head.  Intensity row q overlaps only spectrum rows
+    <= q, so rows go in waves of `threads` blocks and every transform of a
+    wave finishes before any of its writes: no write lands on an unread row.
+    """
+    buffer, spec_t, size_minus = spectrum
+    size_plus = spec_t.shape[0]
+    inten_t = buffer.view(float)[:size_plus * size_minus].reshape(size_plus, size_minus)
     scale = d_plus * d_minus / (2 * np.pi * np.sqrt(2.0))
-    intensity = np.empty((size_minus, size_plus))
-    # fftshift moves index k to (k + size // 2) % size: the minus rows of a
-    # block land in two slabs, and blocks never straddle the plus wrap point.
-    shift_minus, shift_plus = size_minus // 2, size_plus // 2
-    wrap_minus, wrap_plus = size_minus - shift_minus, size_plus - shift_plus
+    shift = size_minus // 2
+    wrap = size_minus - shift
 
-    def transform(columns):
-        block = np.fft.fft(spectrum[:, columns], n=size_minus, axis=0)
+    def transform(rows):
+        block = np.fft.fft(spec_t[rows], n=size_minus, axis=1)
         block *= scale
         power = np.abs(block)
         del block
         power *= power
-        dest = (columns.start + shift_plus) % size_plus
-        cols = slice(dest, dest + columns.stop - columns.start)
-        intensity[shift_minus:, cols] = power[:wrap_minus]
-        intensity[:shift_minus, cols] = power[wrap_minus:]
+        return power
 
-    map_blocks(threads, transform, blocks(0, wrap_plus, _BLOCK_COLS, threads)
-               + blocks(wrap_plus, size_plus, _BLOCK_COLS, threads))
-    del spectrum
+    row_blocks = blocks(0, size_plus, _BLOCK_PLUS, threads)
+    for start in range(0, len(row_blocks), threads):
+        wave = row_blocks[start:start + threads]
+        for rows, power in zip(wave, map_blocks(threads, transform, wave)):
+            inten_t[rows, shift:] = power[:, :wrap]
+            inten_t[rows, :shift] = power[:, wrap:]
     # Sample spacings of the conjugate axes; the factor 2 maps the raw
     # minus-conjugate onto the emission-time difference t_s - t_i.
     u_plus = np.fft.fftshift(np.fft.fftfreq(size_plus, d=d_plus / (2 * np.pi)))
     u_minus = np.fft.fftshift(np.fft.fftfreq(size_minus, d=d_minus / (2 * np.pi)))
-    t_plus = u_plus
-    t_minus = 2.0 * u_minus
-    return TemporalGrid(t_plus, t_minus, intensity)
+    return TemporalGrid(u_plus, 2.0 * u_minus, inten_t.T)
 
 
 def time_difference_marginal(tgrid, threads=1):
     """Distribution of emission-time differences S_minus(t_minus) = integral dt_plus |ft|^2.
 
     Integrated in blocks of t_minus rows on `threads` threads, so the
-    trapezoid's temporaries stay about the size of one serial block; each
-    row's sum is the unblocked one.
+    trapezoid's temporaries stay about the size of one serial block.  Each
+    block is gathered C-contiguous first, so each row's sum is the
+    unblocked, contiguous one whatever the layout of tgrid.values (the
+    transform returns a transposed view).
     """
     values = tgrid.values
     density = np.empty(values.shape[0])
 
     def integrate(rows):
-        density[rows] = np.trapezoid(values[rows], tgrid.t_plus_axis, axis=1)
+        block = np.ascontiguousarray(values[rows])
+        density[rows] = np.trapezoid(block, tgrid.t_plus_axis, axis=1)
 
     map_blocks(threads, integrate, blocks(0, values.shape[0], _BLOCK_ROWS, threads))
     return Marginal(tgrid.t_minus_axis, density)

@@ -67,11 +67,12 @@ def grid_257(filters):
 TEMPORAL = {stem: entry["default"] for stem, entry in _SCHEMA["temporal"].items()}
 
 
-def run_temporal_pipeline(crystal, r2, pump, filters,
-                          minus_span=TEMPORAL["minus_halfwidth_filter_fwhm"]):
-    """Shipped rotated lattice -> JSA -> 2-D transform: (cavity, RotatedGrid, TemporalGrid).
+def temporal_lattice(crystal, r2, pump, filters,
+                     minus_span=TEMPORAL["minus_halfwidth_filter_fwhm"]):
+    """(cavity, omega_plus axis, omega_minus axis) of the temporal subcommand at mirror-2 r2.
 
-    The lattice is the temporal subcommand's at its default resolution and w_+ span.
+    The lattice is the subcommand's at its default resolution and w_+ span,
+    and its t_minus window is checked as the subcommand checks it.
     """
     cav = cs.solve_resonance_phases(
         cs.singly_resonant_cavity(crystal.length_l, crystal, r2), OMEGA_800, OMEGA_800
@@ -81,6 +82,16 @@ def run_temporal_pipeline(crystal, r2, pump, filters,
         minus_span, TEMPORAL["plus_halfwidth_sigma"],
     )
     cs.check_minus_window(minus, cs.group_round_trip_time(cav, OMEGA_800))
+    return cav, plus, minus
+
+
+def run_temporal_pipeline(crystal, r2, pump, filters,
+                          minus_span=TEMPORAL["minus_halfwidth_filter_fwhm"]):
+    """Rotated lattice -> JSA -> 2-D transform: (cavity, RotatedGrid, TemporalGrid).
+
+    The temporal_lattice route with the amplitude kept, for tests that read it.
+    """
+    cav, plus, minus = temporal_lattice(crystal, r2, pump, filters, minus_span)
     rot = cs.jsa_singly_resonant_rotated(cav, pump, filters, plus, minus)
     tgrid = cs.joint_temporal_intensity(rot)
     return cav, rot, tgrid
@@ -88,16 +99,18 @@ def run_temporal_pipeline(crystal, r2, pump, filters,
 
 @pytest.fixture(scope="session")
 def temporal_marginal(crystal, pump, filters):
-    """(cavity, t_minus marginal) of the temporal pipeline at mirror-2 reflectivity r2.
+    """(cavity, t_minus marginal) of the temporal subcommand's route at mirror-2 reflectivity r2.
 
-    Memoized per r2 for the session; the marginal's arrays are read-only, so
-    no test can change what the next one reads.
+    The marginal comes from joint_temporal_intensity_from_cavity, as in the
+    subcommand.  Memoized per r2 for the session; the marginal's arrays are
+    read-only, so no test can change what the next one reads.
     """
     cache = {}
 
     def get(r2):
         if r2 not in cache:
-            cav, _, tgrid = run_temporal_pipeline(crystal, r2, pump, filters)
+            cav, plus, minus = temporal_lattice(crystal, r2, pump, filters)
+            tgrid = cs.joint_temporal_intensity_from_cavity(cav, pump, filters, plus, minus)
             marg = cs.time_difference_marginal(tgrid)
             for array in marg:
                 array.flags.writeable = False

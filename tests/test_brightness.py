@@ -87,6 +87,21 @@ class TestBrightnessIntegral:
             brightness_from_cavity(open_cavity, pump, filters).value
         )
 
+    def test_no_cavity_reference_folds_whatever_the_mirror_phases(self, sr_cavity, pump,
+                                                                   filters):
+        # mirror 2 open leaves no phasor, so unequal signal and idler phases
+        # must not keep the reference's exchange-symmetric stripe from folding
+        cavity = sr_cavity.with_mirror(1, "signal", phase=0.3).with_mirror(2, "idler", phase=0.2)
+        reference = stripe_module._no_cavity(cavity)
+        assert stripe_module._stripe_axes(reference, pump, filters).folded
+        phased = cavity
+        for mode in ("signal", "idler"):
+            phased = phased.with_mirror(2, mode, magnitude=0.0)
+        assert not stripe_module._stripe_axes(phased, pump, filters).folded
+        assert brightness_from_cavity(reference, pump, filters).value == pytest.approx(
+            brightness_from_cavity(phased, pump, filters).value, rel=1e-13, abs=0
+        )
+
 
 class TestSigmaSweep:
     def test_no_cavity_flat_over_two_decades(self, flat_cavity, pump, filters):

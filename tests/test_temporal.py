@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import cavityspdc as cs
+import cavityspdc.temporal
 
 from cavityspdc._parallel import map_blocks
 from cavityspdc.errors import EmptyPeakSetError, UnderResolvedError
 from cavityspdc.spectral import _jsa_sr_pointwise
-from cavityspdc.temporal import _BLOCK_ROWS
+from cavityspdc.temporal import _BLOCK_PLUS, _BLOCK_ROWS
 
 from conftest import OMEGA_800, run_temporal_pipeline
 
@@ -20,6 +21,28 @@ def random_rotated(n_minus, n_plus, seed=0):
     plus = 2 * OMEGA_800 + np.linspace(-1e13, 1e13, n_plus)
     minus = np.linspace(-3e13, 3e13, n_minus)
     return cs.RotatedGrid(plus, minus, values)
+
+
+def sr_lattice(n_minus, n_plus, pump, filters):
+    """Rotated axes over +-4 pump sigma and +-3 filter FWHMs around the 800 nm pair."""
+    half = 3 * filters[0].fwhm
+    plus = np.linspace(2 * OMEGA_800 - 4 * pump.sigma, 2 * OMEGA_800 + 4 * pump.sigma, n_plus)
+    return plus, np.linspace(-half, half, n_minus)
+
+
+def traced_peak(fn):
+    """(peak bytes numpy and Python allocate while fn runs, fn's result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def blocks_in_reverse(threads, fn, items):
+    """map_blocks with its blocks finishing in the reverse of their order."""
+    return [fn(item) for item in reversed(items)][::-1]
 
 
 class TestRotation:
@@ -43,9 +66,7 @@ class TestRotation:
     def test_blocks_match_full_lattice_evaluation(self, sr_cavity, pump, filters):
         # three full blocks of minus rows and a ragged fourth; three threads
         # fill ragged blocks of a third of that height
-        half = 3 * filters[0].fwhm
-        plus = np.linspace(2 * OMEGA_800 - 4 * pump.sigma, 2 * OMEGA_800 + 4 * pump.sigma, 37)
-        minus = np.linspace(-half, half, 3 * _BLOCK_ROWS + 11)
+        plus, minus = sr_lattice(3 * _BLOCK_ROWS + 11, 37, pump, filters)
         mm, pp = np.meshgrid(minus, plus, indexing="ij")
         full = _jsa_sr_pointwise(sr_cavity, pump, filters, (pp + mm) / 2.0, (pp - mm) / 2.0)
         for threads in (1, 3):
@@ -125,6 +146,63 @@ class TestJointTemporalIntensity:
                                            pad_plus=pad_plus, pad_minus=pad_minus)
         assert np.array_equal(tg.values, kept.values)
 
+    @pytest.mark.parametrize(
+        "n_minus, n_plus, pad_plus, pad_minus",
+        # n_minus below ceil(pad_minus / 2), so the spectrum sits at the tail of
+        # the buffer; above it, so the spectrum fills the buffer; odd pads
+        [(37, 29, 64, 128), (101, 29, 32, 128), (41, 29, 45, 99)],
+    )
+    def test_fused_transform_is_shifted_fft2_intensity(self, sr_cavity, pump, filters, monkeypatch,
+                                                       n_minus, n_plus, pad_plus, pad_minus):
+        plus, minus = sr_lattice(n_minus, n_plus, pump, filters)
+        rot = cs.jsa_singly_resonant_rotated(sr_cavity, pump, filters, plus, minus)
+        ft = np.fft.fft2(rot.values, s=(pad_minus, pad_plus))
+        ft *= rot.d_plus * rot.d_minus / (2 * np.pi * np.sqrt(2.0))
+        expected = np.fft.fftshift(np.abs(ft) ** 2)
+        axes = cs.joint_temporal_intensity(rot, pad_plus=pad_plus, pad_minus=pad_minus)
+
+        def fused(threads):
+            return cs.joint_temporal_intensity_from_cavity(
+                sr_cavity, pump, filters, plus, minus, threads, pad_plus=pad_plus,
+                pad_minus=pad_minus,
+            )
+
+        for threads in (1, 2, 3):
+            tg = fused(threads)
+            assert np.array_equal(tg.values, expected)
+            assert np.array_equal(tg.t_plus_axis, axes.t_plus_axis)
+            assert np.array_equal(tg.t_minus_axis, axes.t_minus_axis)
+        # The last block of a wave finishing first: a write that did not wait
+        # for the whole wave would land on spectrum rows not yet transformed.
+        monkeypatch.setattr(cavityspdc.temporal, "map_blocks", blocks_in_reverse)
+        assert np.array_equal(fused(3).values, expected)
+
+    def test_fused_transform_peaks_at_its_one_buffer(self, sr_cavity, pump, filters):
+        # peak bytes, not time: the amplitude is never formed, and the
+        # intensity fills the buffer that held the stage-one spectrum
+        n_minus, n_plus, pad_plus, pad_minus = 4000, 250, 256, 4096
+        plus, minus = sr_lattice(n_minus, n_plus, pump, filters)
+        buffer = 16 * pad_plus * max(n_minus, -(-pad_minus // 2))
+        amplitude, stage_one = 16 * n_minus * n_plus, 16 * n_minus * pad_plus
+        # one block's temporaries: a fill block evaluated and transformed
+        # along omega_plus, or a stage-two block transformed along omega_minus
+        fill_block, _ = traced_peak(lambda: np.fft.fft(
+            cs.jsa_singly_resonant_rotated(sr_cavity, pump, filters, plus,
+                                           minus[:_BLOCK_ROWS]).values, n=pad_plus, axis=1))
+        wave_block, _ = traced_peak(lambda: np.abs(np.fft.fft(
+            np.ones((_BLOCK_PLUS, n_minus), complex), n=pad_minus, axis=1)))
+        bound = 1.1 * buffer + max(fill_block, wave_block)
+        assert bound < amplitude + stage_one  # the lattice tells the two routes apart
+
+        fused_peak, fused = traced_peak(lambda: cs.joint_temporal_intensity_from_cavity(
+            sr_cavity, pump, filters, plus, minus, pad_plus=pad_plus, pad_minus=pad_minus))
+        assert fused_peak < bound
+        rot_peak, via_rot = traced_peak(lambda: cs.joint_temporal_intensity(
+            cs.jsa_singly_resonant_rotated(sr_cavity, pump, filters, plus, minus),
+            pad_plus=pad_plus, pad_minus=pad_minus))
+        assert rot_peak >= amplitude + stage_one
+        assert np.array_equal(fused.values, via_rot.values)
+
     def test_comb_spacing_equals_round_trip(self, temporal_marginal):
         cav, marg = temporal_marginal(0.73)
         peaks = cs.extract_peaks(marg.axis, marg.density, 1e-4)
@@ -143,6 +221,20 @@ class TestTimeDifferenceMarginal:
         for threads in (1, 3):
             marg = cs.time_difference_marginal(tg, threads)
             assert np.array_equal(marg.density, np.trapezoid(values, tg.t_plus_axis, axis=1))
+
+    def test_transposed_values_sum_as_their_contiguous_copy(self):
+        # the transform returns its intensity as a transposed view; each row
+        # must keep the pairwise sum of a contiguous row
+        rng = np.random.default_rng(5)
+        values_t = rng.random((301, 2 * _BLOCK_ROWS + 5))  # (t_plus, t_minus)
+        t_plus = np.linspace(-1e-12, 1e-12, values_t.shape[0])
+        t_minus = np.linspace(-2e-12, 2e-12, values_t.shape[1])
+        transposed = cs.TemporalGrid(t_plus, t_minus, values_t.T)
+        contiguous = cs.TemporalGrid(t_plus, t_minus, np.ascontiguousarray(values_t.T))
+        assert not transposed.values.flags.c_contiguous
+        for threads in (1, 3):
+            assert np.array_equal(cs.time_difference_marginal(transposed, threads).density,
+                                  cs.time_difference_marginal(contiguous, threads).density)
 
     def test_separable_grid(self):
         tp = np.linspace(-1.0, 1.0, 33)
