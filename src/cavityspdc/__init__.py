@@ -79,7 +79,6 @@ from .temporal import (
     correlation_time,
     extract_peaks,
     joint_temporal_intensity,
-    joint_temporal_intensity_from_cavity,
     jsa_singly_resonant_rotated,
     rotated_lattice_axes,
     time_difference_marginal,

@@ -224,21 +224,20 @@ def jsa_singly_resonant_rotated(cavity, pump, filters, omega_plus_axis, omega_mi
 
 
 def joint_temporal_intensity_from_cavity(cavity, pump, filters, omega_plus_axis,
-                                         omega_minus_axis, threads=1, pad_plus=None,
-                                         pad_minus=None):
+                                         omega_minus_axis, threads=1):
     """Joint temporal intensity of the singly-resonant amplitude on a rotated lattice.
 
     The same intensity as
     joint_temporal_intensity(jsa_singly_resonant_rotated(...)), bit for bit,
-    but the amplitude is never formed: each block of omega_minus rows is
-    evaluated and transformed along omega_plus on `threads` threads, and
-    only its stage-one spectrum is kept.  The pads are
-    joint_temporal_intensity's.  The temporal subcommand's route.
+    at joint_temporal_intensity's default pads, but the amplitude is never
+    formed: each block of omega_minus rows is evaluated and transformed
+    along omega_plus on `threads` threads, and only its stage-one spectrum
+    is kept.  The temporal subcommand's route.
     """
     plus = _check_uniform_axis(omega_plus_axis, "omega_plus_axis")
     minus = _check_uniform_axis(omega_minus_axis, "omega_minus_axis")
     spectrum = _stage_one(_sr_rows(cavity, pump, filters, plus, minus), plus.size, minus.size,
-                          pad_plus, pad_minus, threads)
+                          None, None, threads)
     return _stage_two(spectrum, float(plus[1] - plus[0]), float(minus[1] - minus[0]), threads)
 
 

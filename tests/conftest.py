@@ -5,6 +5,7 @@ from hypothesis import settings
 import cavityspdc as cs
 from cavityspdc.config import _SCHEMA
 from cavityspdc.constants import c
+from cavityspdc.temporal import joint_temporal_intensity_from_cavity
 
 # Property tests draw the same examples on every run; few examples keep the
 # suite fast, and no deadline keeps a loaded machine from failing them.
@@ -110,7 +111,7 @@ def temporal_marginal(crystal, pump, filters):
     def get(r2):
         if r2 not in cache:
             cav, plus, minus = temporal_lattice(crystal, r2, pump, filters)
-            tgrid = cs.joint_temporal_intensity_from_cavity(cav, pump, filters, plus, minus)
+            tgrid = joint_temporal_intensity_from_cavity(cav, pump, filters, plus, minus)
             marg = cs.time_difference_marginal(tgrid)
             for array in marg:
                 array.flags.writeable = False

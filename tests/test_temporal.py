@@ -9,7 +9,7 @@ import cavityspdc.temporal
 from cavityspdc._parallel import map_blocks
 from cavityspdc.errors import EmptyPeakSetError, UnderResolvedError
 from cavityspdc.spectral import _jsa_sr_pointwise
-from cavityspdc.temporal import _BLOCK_PLUS, _BLOCK_ROWS
+from cavityspdc.temporal import _BLOCK_PLUS, _BLOCK_ROWS, joint_temporal_intensity_from_cavity
 
 from conftest import OMEGA_800, run_temporal_pipeline
 
@@ -118,15 +118,23 @@ class TestJointTemporalIntensity:
         "n_minus, n_plus, pad_plus, pad_minus",
         [(37, 203, None, None), (65, 33, 64, 128), (301, 77, 256, 512), (41, 29, 45, 99)],
     )
-    def test_streamed_transform_is_shifted_fft2_intensity(self, n_minus, n_plus, pad_plus,
-                                                          pad_minus):
+    def test_streamed_transform_is_shifted_fft2_intensity(self, monkeypatch, n_minus, n_plus,
+                                                          pad_plus, pad_minus):
         rot = random_rotated(n_minus, n_plus)
+
+        def streamed(threads):
+            return cs.joint_temporal_intensity(rot, pad_plus=pad_plus, pad_minus=pad_minus,
+                                               threads=threads)
+
         for threads in (1, 3):
-            tg = cs.joint_temporal_intensity(rot, pad_plus=pad_plus, pad_minus=pad_minus,
-                                             threads=threads)
+            tg = streamed(threads)
             ft = np.fft.fft2(rot.values, s=tg.values.shape)
             ft *= rot.d_plus * rot.d_minus / (2 * np.pi * np.sqrt(2.0))
             assert np.array_equal(tg.values, np.fft.fftshift(np.abs(ft) ** 2))
+        # The last block of a wave finishing first: a write that did not wait
+        # for the whole wave would land on spectrum rows not yet transformed.
+        monkeypatch.setattr(cavityspdc.temporal, "map_blocks", blocks_in_reverse)
+        assert np.array_equal(streamed(3).values, tg.values)
 
     def test_handed_over_amplitude_is_freed_before_stage_two(self):
         # peak bytes, not time: the amplitude goes once the stage-one spectrum
@@ -147,59 +155,49 @@ class TestJointTemporalIntensity:
         assert np.array_equal(tg.values, kept.values)
 
     @pytest.mark.parametrize(
-        "n_minus, n_plus, pad_plus, pad_minus",
-        # n_minus below ceil(pad_minus / 2), so the spectrum sits at the tail of
-        # the buffer; above it, so the spectrum fills the buffer; odd pads
-        [(37, 29, 64, 128), (101, 29, 32, 128), (41, 29, 45, 99)],
+        "n_minus, n_plus",
+        # at the default 2048 x 2048 transform: n_minus below 1024, so the
+        # spectrum sits at the tail of the buffer, and above it, so it fills it
+        [(37, 29), (1031, 29)],
     )
-    def test_fused_transform_is_shifted_fft2_intensity(self, sr_cavity, pump, filters, monkeypatch,
-                                                       n_minus, n_plus, pad_plus, pad_minus):
+    def test_fused_transform_is_shifted_fft2_intensity(self, sr_cavity, pump, filters, n_minus,
+                                                       n_plus):
         plus, minus = sr_lattice(n_minus, n_plus, pump, filters)
         rot = cs.jsa_singly_resonant_rotated(sr_cavity, pump, filters, plus, minus)
-        ft = np.fft.fft2(rot.values, s=(pad_minus, pad_plus))
+        ft = np.fft.fft2(rot.values, s=(2048, 2048))
         ft *= rot.d_plus * rot.d_minus / (2 * np.pi * np.sqrt(2.0))
         expected = np.fft.fftshift(np.abs(ft) ** 2)
-        axes = cs.joint_temporal_intensity(rot, pad_plus=pad_plus, pad_minus=pad_minus)
-
-        def fused(threads):
-            return cs.joint_temporal_intensity_from_cavity(
-                sr_cavity, pump, filters, plus, minus, threads, pad_plus=pad_plus,
-                pad_minus=pad_minus,
-            )
-
+        del ft
+        axes = cs.joint_temporal_intensity(rot)
         for threads in (1, 2, 3):
-            tg = fused(threads)
+            tg = joint_temporal_intensity_from_cavity(sr_cavity, pump, filters, plus, minus,
+                                                      threads)
             assert np.array_equal(tg.values, expected)
             assert np.array_equal(tg.t_plus_axis, axes.t_plus_axis)
             assert np.array_equal(tg.t_minus_axis, axes.t_minus_axis)
-        # The last block of a wave finishing first: a write that did not wait
-        # for the whole wave would land on spectrum rows not yet transformed.
-        monkeypatch.setattr(cavityspdc.temporal, "map_blocks", blocks_in_reverse)
-        assert np.array_equal(fused(3).values, expected)
 
     def test_fused_transform_peaks_at_its_one_buffer(self, sr_cavity, pump, filters):
         # peak bytes, not time: the amplitude is never formed, and the
         # intensity fills the buffer that held the stage-one spectrum
-        n_minus, n_plus, pad_plus, pad_minus = 4000, 250, 256, 4096
+        n_minus, n_plus, size = 1100, 800, 2048  # the default pads on both axes
         plus, minus = sr_lattice(n_minus, n_plus, pump, filters)
-        buffer = 16 * pad_plus * max(n_minus, -(-pad_minus // 2))
-        amplitude, stage_one = 16 * n_minus * n_plus, 16 * n_minus * pad_plus
+        buffer = 16 * size * max(n_minus, size // 2)
+        amplitude, stage_one = 16 * n_minus * n_plus, 16 * n_minus * size
         # one block's temporaries: a fill block evaluated and transformed
         # along omega_plus, or a stage-two block transformed along omega_minus
         fill_block, _ = traced_peak(lambda: np.fft.fft(
             cs.jsa_singly_resonant_rotated(sr_cavity, pump, filters, plus,
-                                           minus[:_BLOCK_ROWS]).values, n=pad_plus, axis=1))
+                                           minus[:_BLOCK_ROWS]).values, n=size, axis=1))
         wave_block, _ = traced_peak(lambda: np.abs(np.fft.fft(
-            np.ones((_BLOCK_PLUS, n_minus), complex), n=pad_minus, axis=1)))
+            np.ones((_BLOCK_PLUS, n_minus), complex), n=size, axis=1)))
         bound = 1.1 * buffer + max(fill_block, wave_block)
         assert bound < amplitude + stage_one  # the lattice tells the two routes apart
 
-        fused_peak, fused = traced_peak(lambda: cs.joint_temporal_intensity_from_cavity(
-            sr_cavity, pump, filters, plus, minus, pad_plus=pad_plus, pad_minus=pad_minus))
+        fused_peak, fused = traced_peak(lambda: joint_temporal_intensity_from_cavity(
+            sr_cavity, pump, filters, plus, minus))
         assert fused_peak < bound
         rot_peak, via_rot = traced_peak(lambda: cs.joint_temporal_intensity(
-            cs.jsa_singly_resonant_rotated(sr_cavity, pump, filters, plus, minus),
-            pad_plus=pad_plus, pad_minus=pad_minus))
+            cs.jsa_singly_resonant_rotated(sr_cavity, pump, filters, plus, minus)))
         assert rot_peak >= amplitude + stage_one
         assert np.array_equal(fused.values, via_rot.values)
 
