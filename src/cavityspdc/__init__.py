@@ -48,7 +48,6 @@ from .dispersion import (
     wavevector,
 )
 from .doubly_resonant import (
-    DrPhaseContext,
     jsa_dr_limit,
     jsa_dr_partial,
     jsi_doubly_resonant,

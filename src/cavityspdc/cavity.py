@@ -177,6 +177,35 @@ def _round_trip_phase(cavity, theta, mode):
     return 2.0 * theta + d1 + d2
 
 
+def _balance_phase(cavity, theta_sum):
+    """Pass-to-pass phase Delta = theta_s + theta_i + theta_p + delta_1s + delta_1i + delta_2p.
+
+    theta_sum is theta_s + theta_i + theta_p, or theta_p alone for the
+    intensity model's pump phasor, whose photon phases ride on phasors of
+    their own.  The one place the mirror phases of Delta are added: the
+    resonance solver zeroes Delta, and P and the DR closed forms read it.
+    """
+    return (
+        theta_sum
+        + cavity.mirror(1, "signal").phase
+        + cavity.mirror(1, "idler").phase
+        + cavity.mirror(2, "pump").phase
+    )
+
+
+def _convergent_loop(cavity, mode):
+    """The mode's loop reflectivity r, below 1; DivergenceError at r = 1.
+
+    Every geometric sum over the mode's cavity loops, and so its Airy
+    weight, finesse and amplitude factors, diverges at r = 1.
+    """
+    r_eff = cavity.loop_reflectivity(mode)
+    if r_eff >= 1.0:
+        loop = "|r_1p r_2p|" if mode == "pump" else f"|r_2{mode[0]}|"
+        raise DivergenceError(f"the {mode} loop sum diverges at {loop} = 1")
+    return r_eff
+
+
 def coefficient_of_finesse(r_eff):
     """Coefficient of finesse F = 4 r / (1 - r)^2 for effective reflectivity r.
 
@@ -191,10 +220,7 @@ def coefficient_of_finesse(r_eff):
 
 def _airy_from_phase(cavity, mode, delta):
     """Airy weight A_mu at the round-trip phase factor Delta_mu (see airy)."""
-    r_eff = cavity.loop_reflectivity(mode)
-    if r_eff >= 1.0:
-        loop = "|r_1p r_2p|" if mode == "pump" else f"|r_2{mode[0]}|"
-        raise DivergenceError(f"Airy function diverges at {loop} = 1")
+    r_eff = _convergent_loop(cavity, mode)
     # port: the mirror the light crosses, mirror 1 into the cavity for the
     # pump and mirror 2 out of it for signal and idler
     port = cavity.mirror(1 if mode == "pump" else 2, mode)
@@ -220,7 +246,7 @@ def _optical_length(cavity, omega0, mode):
 
 def mode_width(cavity, omega0, mode):
     """FWHM of one cavity resonance: delta_omega = 2c/(l n + (L - l)) F^(-1/2)."""
-    fin = coefficient_of_finesse(cavity.loop_reflectivity(mode))
+    fin = coefficient_of_finesse(_convergent_loop(cavity, mode))
     if fin == 0.0:
         raise InfiniteWidthError("mode width is unbounded for zero coefficient of finesse")
     return 2.0 * c / _optical_length(cavity, omega0, mode) / np.sqrt(fin)
@@ -271,16 +297,7 @@ def solve_resonance_phases(cavity, omega_s0, omega_i0, omega_p0=None):
             + single_pass_phase(out, omega_i0, "idler")
             + single_pass_phase(out, omega_p0, "pump")
         )
-
-        def balance_residual(cav):
-            return (
-                theta_sum
-                + cav.mirror(1, "signal").phase
-                + cav.mirror(1, "idler").phase
-                + cav.mirror(2, "pump").phase
-            )
-
-        out = solve_condition(out, 2, "pump", balance_residual)
+        out = solve_condition(out, 2, "pump", lambda cav: _balance_phase(cav, theta_sum))
         out = solve_condition(
             out, 1, "pump", lambda cav: round_trip_phase_mismatch(cav, omega_p0, "pump")
         )

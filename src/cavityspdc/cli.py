@@ -89,8 +89,7 @@ def _cmd_jsi(cfg, out_dir, fmt, threads, marginal=False):
 
 
 def _cmd_temporal(cfg, out_dir, fmt, threads):
-    crystal = cfg.crystal()
-    cavity = cfg.cavity(crystal)
+    cavity = cfg.cavity()
     if cavity.reflects_pump:
         raise ConfigError("[cavity] r1_pump, r2_pump: the temporal model is singly "
                           "resonant and ignores the pump mirrors; set both to 0")
@@ -109,7 +108,7 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
     marg = time_difference_marginal(tgrid, threads=threads)
     peaks = extract_peaks(marg.axis, marg.density, cfg.get("temporal", "min_prominence"))
     t_c = correlation_time(peaks)
-    spacing = float(np.median(np.diff(peaks.positions))) if peaks.positions.size > 1 else 0.0
+    spacing = float(np.median(np.diff(peaks.positions)))
 
     marg_path = out_dir / "time_difference.dat"
     write_columns(
@@ -140,8 +139,7 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
 
 
 def _cmd_brightness_sweep(cfg, out_dir, fmt, threads):
-    crystal = cfg.crystal()
-    cavity = cfg.cavity(crystal)
+    cavity = cfg.cavity()
     pump = cfg.pump()
     filters = cfg.filters()
     factors = cfg.get("sweep", "factors")
@@ -182,8 +180,7 @@ def _cmd_design(cfg, out_dir, fmt, threads):
 
 
 def _cmd_airy(cfg, out_dir, fmt, threads):
-    crystal = cfg.crystal()
-    cavity = cfg.cavity(crystal)
+    cavity = cfg.cavity()
     grid = cfg.grid()
     omega_s0, omega_i0 = cfg.band_centers()
     paths = []

@@ -130,7 +130,7 @@ _SCHEMA = {
         _key("samples_per_mode_width", "int", lo=2, default=8),
         _key("minus_halfwidth_filter_fwhm", lo=0.1, default=3.0),
         _key("plus_halfwidth_sigma", lo=0.5, default=4.5),
-        _key("min_prominence", lo=0.0, default=1e-4),
+        _key("min_prominence", lo=0.0, hi=1.0, default=1e-4),
     ),
     "sweep": _section(
         _key("kind", "str", required=True),
@@ -334,8 +334,8 @@ class RunConfig:
             cut = phasematching_angle(probe, omega_s0 + omega_i0, omega_s0, omega_i0)
         return CrystalSpec(sell_o, sell_e, cut, length, window)
 
-    def cavity(self, crystal=None):
-        crystal = crystal or self.crystal()
+    def cavity(self):
+        crystal = self.crystal()
         length = self.get("cavity", "length")
         if length is None:
             length = crystal.length_l

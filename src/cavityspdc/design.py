@@ -43,6 +43,8 @@ __all__ = [
     "PAPER_REFERENCE",
 ]
 
+_CHECK_SAMPLES = 1025  # per axis of spectral_check's grid, +-40 mode widths
+
 # Published Ca+ worked-example values, kept as a golden reference for reports.
 PAPER_REFERENCE = {
     "cavity_length": 220e-6,
@@ -160,7 +162,7 @@ def _marginal_fwhm(marginal):
     return hi - lo, x[k]
 
 
-def spectral_check(target, result, samples=1025):
+def spectral_check(target, result):
     """Fig.-style verification: signal marginal of the central cavity mode.
 
     Uses a pump much broader than the mode so the marginal shape reduces to
@@ -172,7 +174,7 @@ def spectral_check(target, result, samples=1025):
     omega_i0 = 2 * np.pi * c / result.lambda_idler
     delta_omega = mode_width(cavity, omega_s0, "signal")
     pump = PumpSpec(omega_s0 + omega_i0, 20.0 * delta_omega)
-    grid = default_grid(omega_s0, omega_i0, 40.0 * delta_omega, samples)
+    grid = default_grid(omega_s0, omega_i0, 40.0 * delta_omega, _CHECK_SAMPLES)
     jsi = jsi_singly_resonant(cavity, pump, None, grid)
     fwhm, center = _marginal_fwhm(marginal_spectrum(jsi, "signal"))
     return fwhm, center

@@ -43,13 +43,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._parallel import blocks, map_blocks
 from .cavity import (
     _airy_from_phase,
+    _balance_phase,
+    _convergent_loop,
     _round_trip_phase,
     _single_pass_phase,
     mode_width,
 )
 from .constants import c
 from .dispersion import polarization_for_mode, refractive_index, wavevector
-from .errors import DivergenceError, UnderResolutionWarning
+from .errors import UnderResolutionWarning
 
 __all__ = [
     "PumpSpec",
@@ -253,10 +255,9 @@ def _sr_ratio(cavity, omega, mode, n):
     n is the index n_mu(omega) already evaluated at omega.
     """
     m2 = cavity.mirror(2, mode)
-    if cavity.loop_reflectivity(mode) >= 1.0:
-        raise DivergenceError(f"geometric sum diverges at |r_2{mode[0]}| = 1")
+    r_eff = _convergent_loop(cavity, mode)
     delta = _round_trip_phase(cavity, _single_pass_phase(cavity, omega, n), mode)
-    return m2, m2.magnitude * np.exp(1j * np.asarray(delta))
+    return m2, r_eff * np.exp(1j * np.asarray(delta))
 
 
 def _gamma_free_space(cavity, omega):
@@ -359,7 +360,8 @@ class _Factors(NamedTuple):
     """Factors on one table: k l / 2, a weight and, for DR, a phasor of P.
 
     Photon: Airy x filter^2 and e^{i theta}.  Pump, on omega_s + omega_i:
-    |alpha|^2 x pump Airy and e^{i(theta_p + delta_1s + delta_1i + delta_2p)}.
+    |alpha|^2 x pump Airy and e^{i(theta_p + delta_1s + delta_1i + delta_2p)}
+    (cavity._balance_phase of theta_p).
     """
 
     k: np.ndarray
@@ -420,9 +422,8 @@ def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, rate=None):
         theta_p = _single_pass_phase(cavity, omega_p, n_p)
         delta_p = _round_trip_phase(cavity, theta_p, "pump")
         weight_p = weight_p * _airy_from_phase(cavity, "pump", delta_p)
-        # the mirror phases delta_1s + delta_1i + delta_2p of P ride on the pump phasor
-        balance = sum(cavity.mirror(*key).phase for key in ((1, "signal"), (1, "idler"), (2, "pump")))
-        phasor_p = np.exp(1j * (theta_p + balance))
+        # the mirror phases of P's pass-to-pass phase ride on the pump phasor
+        phasor_p = np.exp(1j * _balance_phase(cavity, theta_p))
     return signal, idler, _Factors(n_p * omega_p / c * half_l, weight_p, phasor_p)
 
 

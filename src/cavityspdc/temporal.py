@@ -119,7 +119,8 @@ class TemporalGrid:
         )
         values = np.asarray(self.values)
         object.__setattr__(self, "values", values)
-        if np.iscomplexobj(values) or np.any(values < 0):
+        # min() allocates no temporary of the values' size, unlike values < 0
+        if np.iscomplexobj(values) or (values.size and values.min() < 0):
             raise ValueError("temporal intensity must be real and non-negative")
         if values.shape != (self.t_minus_axis.size, self.t_plus_axis.size):
             raise ValueError("values shape does not match (minus, plus) axes")
@@ -389,10 +390,13 @@ def correlation_time(peaks):
     """Height-weighted standard deviation of the peak positions.
 
     t_C = sqrt(sum h_k (tau_k - mean)^2 / sum h_k) with mean the
-    height-weighted average of the positions.
+    height-weighted average of the positions.  Raises EmptyPeakSetError for
+    fewer than 2 peaks, like extract_peaks for none.
     """
     if peaks.positions.size < 2:
-        raise ValueError("correlation time requires at least 2 peaks")
+        raise EmptyPeakSetError(
+            f"correlation time requires at least 2 peaks, got {peaks.positions.size}"
+        )
     w = peaks.heights
     tau = peaks.positions
     mean = np.sum(w * tau) / np.sum(w)

@@ -311,9 +311,8 @@ def _pointwise_intensity(cavity, pump, filters, omega_s, omega_i):
     """
     s = np.abs(cs.jsa_bare(pump, cavity.crystal, filters, omega_s, omega_i)) ** 2
     s = s * cs.airy(omega_s, "signal", cavity) * cs.airy(omega_i, "idler", cavity)
-    ctx = cs.DrPhaseContext.from_cavity(cavity, omega_s, omega_i)
     s = s * cs.airy(omega_s + omega_i, "pump", cavity)
-    return s * cs.phase_balancing(ctx, cavity.mirror(2, "pump").magnitude)
+    return s * cs.phase_balancing(cavity, omega_s, omega_i)
 
 
 def _assert_matches_oracle(got, expect, rtol=1e-12):

@@ -213,10 +213,8 @@ class TestSolveResonancePhases:
 
     def test_dr_solve_maximizes_pump_airy_and_balance(self, dr_cavity):
         assert cs.airy(2 * OMEGA_800, "pump", dr_cavity) == pytest.approx(3.0, rel=1e-9)
-        ctx = cs.DrPhaseContext.from_cavity(
-            dr_cavity, np.float64(OMEGA_800), np.float64(OMEGA_800)
-        )
-        assert cs.phase_balancing(ctx, 1.0) == pytest.approx(4.0, rel=1e-9)
+        w0 = np.float64(OMEGA_800)
+        assert cs.phase_balancing(dr_cavity, w0, w0) == pytest.approx(4.0, rel=1e-9)
 
     def test_solved_phases_smallest_nonnegative(self, sr_cavity):
         for (nu, mode), mirror in sr_cavity.mirrors.items():

@@ -259,6 +259,17 @@ class TestDeterminismAndErrors:
         )
         assert not (tmp_path / "o" / "time_difference.dat").exists()
 
+    def test_temporal_with_one_peak_fails_like_one_with_none(self, tmp_path, capsys):
+        # at 0.9 of the maximum only the central tooth of fig2's comb is a peak
+        cfg = tmp_path / "one_peak.cfg"
+        cfg.write_text(SMALL_FIG2 + "[temporal]\nmin_prominence = 0.9\n")
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["temporal", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: module=temporal: correlation time requires at least 2 peaks, got 1\n"
+        assert not [path for path in out.rglob("*") if path.is_file()]
+
     def test_temporal_refuses_pump_mirrors_before_the_fill(self, tmp_path, monkeypatch, capsys):
         # the temporal lattice holds the singly-resonant amplitude, which
         # has no pump mirrors

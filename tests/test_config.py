@@ -49,7 +49,8 @@ class TestLoadConfig:
         crystal = cfg.crystal()
         assert crystal.length_l == pytest.approx(20e-6)
         assert np.degrees(crystal.cut_angle) == pytest.approx(29.03, abs=0.05)
-        cavity = cfg.cavity(crystal)
+        cavity = cfg.cavity()
+        assert cavity.crystal == crystal
         assert cavity.mirror(2, "signal").magnitude == 0.73
         assert cavity.mirror(1, "signal").magnitude == 1.0  # preset default
         w0 = 2 * np.pi * c / 800e-9

@@ -160,7 +160,9 @@ CASES = {
     ("temporal", "plus_halfwidth_sigma"): [
         _set("temporal", "plus_halfwidth_sigma", "4", subcommand="temporal")],
     ("temporal", "min_prominence"): [
-        _set("temporal", "min_prominence", "0.05", subcommand="temporal")],
+        _set("temporal", "min_prominence", "0.05", subcommand="temporal"),
+        Rejected(SR, {"temporal": {"min_prominence": "1.5"}}),
+    ],
     ("sweep", "kind"): [
         Changes("brightness-sweep", SWEEP, {"sweep": {"kind": "sigma_r2",
                                                       "plateau_r2_list": None}}),

@@ -318,7 +318,7 @@ class TestCorrelationTime:
         assert cs.correlation_time(peaks) == pytest.approx(expected, rel=1e-10, abs=0)
 
     def test_needs_two_peaks(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyPeakSetError, match="at least 2 peaks"):
             cs.correlation_time(cs.PeakSet(np.array([0.0]), np.array([1.0])))
 
     @pytest.mark.parametrize("r2", [0.5, 0.7, 0.9])
@@ -338,6 +338,18 @@ class TestCorrelationTime:
 def test_temporal_grid_validation():
     with pytest.raises(ValueError):
         cs.TemporalGrid(np.linspace(0, 1, 4), np.linspace(0, 1, 4), -np.ones((4, 4)))
+    with pytest.raises(ValueError, match="non-negative"):
+        cs.TemporalGrid(np.linspace(0, 1, 4), np.linspace(0, 1, 3), -np.ones((4, 3)).T)
+
+
+def test_temporal_grid_check_allocates_no_full_size_temporary():
+    # stage two's layout: the intensity is the transposed view of a (t_plus, t_minus) array
+    n_plus, n_minus = 1024, 2048
+    values_t = np.ones((n_plus, n_minus))
+    t_plus, t_minus = np.linspace(-1, 1, n_plus), np.linspace(-1, 1, n_minus)
+    peak, grid = traced_peak(lambda: cs.TemporalGrid(t_plus, t_minus, values_t.T))
+    assert grid.values.base is values_t
+    assert peak < 2**20  # a bool mask of the values would take 2 MiB
 
 def test_peakset_validation():
     with pytest.raises(ValueError):
