@@ -74,7 +74,6 @@ from .temporal import (
     PeakSet,
     RotatedGrid,
     TemporalGrid,
-    check_minus_window,
     correlation_time,
     extract_peaks,
     joint_temporal_intensity,

@@ -12,8 +12,10 @@ over N threads without changing a bit of their output; design and airy
 run on one.  Every run writes its artifacts plus a manifest listing each
 file with the sha256 hash of the normalized configuration; identical
 configuration and package version give bitwise-identical binary outputs.
-Physics errors exit nonzero with a single machine-parsable line on
-stderr: error: module=<module>: <message>.
+Errors exit nonzero with a single machine-parsable line on stderr,
+error: module=<module>: <message>: a package error exits 2 naming the
+module that raised it, cli included, and an OSError or ValueError exits 3
+as module=cli.
 """
 
 from __future__ import annotations
@@ -36,26 +38,12 @@ from .errors import CavitySpdcError, ConfigError
 from .gridfile import config_hash, write_columns, write_grid, write_text
 from .spectral import jsi_singly_resonant, marginal_spectrum
 from .temporal import (
-    check_minus_window,
     correlation_time,
     extract_peaks,
     joint_temporal_intensity_from_cavity,
     rotated_lattice_axes,
     time_difference_marginal,
 )
-
-_SUBCOMMANDS = ("jsi-sr", "jsi-dr", "marginal", "temporal", "brightness-sweep", "design", "airy")
-
-_REQUIRED_SECTIONS = {
-    "jsi-sr": ("crystal", "cavity", "pump", "grid"),
-    "jsi-dr": ("crystal", "cavity", "pump", "grid"),
-    "marginal": ("crystal", "cavity", "pump", "grid"),
-    "temporal": ("crystal", "cavity", "pump", "filters", "grid"),
-    "brightness-sweep": ("crystal", "cavity", "pump", "filters", "grid", "sweep"),
-    "design": ("design",),
-    "airy": ("crystal", "cavity", "grid"),
-}
-
 
 def _metadata(cfg, extra=None):
     meta = {
@@ -102,8 +90,6 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
         cfg.get("temporal", "minus_halfwidth_filter_fwhm"),
         cfg.get("temporal", "plus_halfwidth_sigma"),
     )
-    round_trip = group_round_trip_time(cavity, omega_s0)
-    check_minus_window(minus, round_trip)  # before the costly fill, not after it
     tgrid = joint_temporal_intensity_from_cavity(cavity, pump, filters, plus, minus, threads)
     marg = time_difference_marginal(tgrid, threads=threads)
     peaks = extract_peaks(marg.axis, marg.density, cfg.get("temporal", "min_prominence"))
@@ -130,7 +116,7 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
         (
             f"correlation_time_s = {t_c:.17g}\n"
             f"peak_spacing_s = {spacing:.17g}\n"
-            f"round_trip_time_s = {round_trip:.17g}\n"
+            f"round_trip_time_s = {group_round_trip_time(cavity, omega_s0):.17g}\n"
             f"peak_count = {peaks.positions.size}\n"
         ),
         _metadata(cfg),
@@ -203,28 +189,18 @@ def _cmd_airy(cfg, out_dir, fmt, threads):
     return paths
 
 
-_HANDLERS = {
-    "jsi-sr": _cmd_jsi,
-    "jsi-dr": _cmd_jsi,
-    "marginal": partial(_cmd_jsi, marginal=True),
-    "temporal": _cmd_temporal,
-    "brightness-sweep": _cmd_brightness_sweep,
-    "design": _cmd_design,
-    "airy": _cmd_airy,
+# subcommand -> (its handler, the configuration sections it requires)
+_SUBCOMMANDS = {
+    "jsi-sr": (_cmd_jsi, ("crystal", "cavity", "pump", "grid")),
+    "jsi-dr": (_cmd_jsi, ("crystal", "cavity", "pump", "grid")),
+    "marginal": (partial(_cmd_jsi, marginal=True), ("crystal", "cavity", "pump", "grid")),
+    "temporal": (_cmd_temporal, ("crystal", "cavity", "pump", "filters", "grid")),
+    "brightness-sweep": (
+        _cmd_brightness_sweep, ("crystal", "cavity", "pump", "filters", "grid", "sweep")
+    ),
+    "design": (_cmd_design, ("design",)),
+    "airy": (_cmd_airy, ("crystal", "cavity", "grid")),
 }
-
-
-def _attribute_module(exc):
-    """Name the physics module an error originated from, for the error line."""
-    best = "cavityspdc"
-    for frame in traceback.extract_tb(exc.__traceback__):
-        name = Path(frame.filename).stem
-        if name in (
-            "dispersion", "cavity", "spectral", "doubly_resonant",
-            "temporal", "brightness", "design", "config", "gridfile",
-        ):
-            best = name
-    return best
 
 
 def _write_manifest(out_dir, cfg, paths):
@@ -271,20 +247,22 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-
+    handler, sections = _SUBCOMMANDS[args.subcommand]
     try:
-        cfg = load_config(args.config, require=_REQUIRED_SECTIONS[args.subcommand])
+        cfg = load_config(args.config, require=sections)
         out_dir = Path(args.out or cfg.get("output", "directory"))
         out_dir.mkdir(parents=True, exist_ok=True)
         fmt = args.format or cfg.get("output", "format")
         sys.stdout.write(f"# normalized configuration\n{cfg.normalized_text()}")
-        paths = _HANDLERS[args.subcommand](cfg, out_dir, fmt, args.threads)
+        paths = handler(cfg, out_dir, fmt, args.threads)
         manifest = _write_manifest(out_dir, cfg, paths)
         for path in paths + [manifest]:
             sys.stdout.write(f"wrote {path}\n")
         return 0
     except CavitySpdcError as exc:
-        sys.stderr.write(f"error: module={_attribute_module(exc)}: {exc}\n")
+        # the innermost frame is the one that raised, in a pool thread too
+        raising = traceback.extract_tb(exc.__traceback__)[-1]
+        sys.stderr.write(f"error: module={Path(raising.filename).stem}: {exc}\n")
         return 2
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: module=cli: {exc}\n")

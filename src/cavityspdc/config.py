@@ -174,13 +174,6 @@ _SOLVED_PHASES = (
     "phase_r1_pump", "phase_r2_pump",
 )
 
-_REQUIRED_NOTE = (
-    "a run configuration needs [crystal], [cavity], [pump] and [grid] "
-    "(plus [filters]/[sweep] as applicable), or [crystal] and [design] "
-    "for the design subcommand"
-)
-
-
 def _match_entry(section, key):
     """Schema entry and unit suffix for a raw key; (None, None) when unknown."""
     for entry in _SCHEMA[section].values():
@@ -412,8 +405,12 @@ def load_config(path, require=()):
     """Parse and validate a configuration file into a RunConfig.
 
     require lists section names that must be present for the intended
-    subcommand; an empty or sectionless file is always an error.
+    subcommand; an empty or sectionless file is always an error.  Both
+    section errors list the sections of require, or without it every known
+    section.
     """
+    listed = ", ".join(f"[{name}]" for name in require or _SCHEMA)
+    needed = f"it needs {listed}" if require else f"known sections: {listed}"
     parser = configparser.ConfigParser(
         interpolation=None, strict=True, delimiters=("=",), comment_prefixes=("#", ";")
     )
@@ -431,7 +428,7 @@ def load_config(path, require=()):
         raise ConfigError(f"malformed configuration: {exc}")
 
     if not parser.sections():
-        raise ConfigError(f"configuration file {path} has no sections; {_REQUIRED_NOTE}")
+        raise ConfigError(f"configuration file {path} has no sections; {needed}")
 
     sections, units = {}, {}
     for section in parser.sections():
@@ -468,7 +465,7 @@ def load_config(path, require=()):
     if missing:
         raise ConfigError(
             f"configuration is missing required section(s) "
-            f"{', '.join('[' + m + ']' for m in missing)}; {_REQUIRED_NOTE}"
+            f"{', '.join(f'[{name}]' for name in missing)}; {needed}"
         )
     cfg = RunConfig(sections, units)
     if "filters" in require and cfg.get("filters", "shape") == "none":

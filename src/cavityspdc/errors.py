@@ -21,10 +21,6 @@ class InfiniteWidthError(CavitySpdcError):
     """Cavity mode width is unbounded (zero coefficient of finesse)."""
 
 
-class UnderResolvedError(CavitySpdcError):
-    """A sampling grid is too coarse for the requested computation."""
-
-
 class EmptyPeakSetError(CavitySpdcError):
     """Peak extraction found no peaks above the requested prominence."""
 

@@ -17,8 +17,9 @@ Gaussian of width sigma_t = 2/sigma on the t_plus axis; on the t_minus axis
 the emission-difference convention doubles that width.
 
 rotated_lattice_axes is the one sizing rule of the lattice the transform
-samples: its steps resolve the cavity mode width and its spans cover the
-filters and the pump.  The temporal subcommand and the tests call it.
+samples: its steps resolve the cavity mode width, finely enough for a
+t_minus window of 20 round trips, and its spans cover the filters and the
+pump.  The temporal subcommand and the tests call it.
 
 The transform streams in two stages through one buffer of
 size_plus * max(n_minus, ceil(size_minus / 2)) complex slots.  Stage one
@@ -50,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import blocks, map_blocks
-from .cavity import mode_width
-from .errors import EmptyPeakSetError, UnderResolvedError
+from .cavity import group_round_trip_time, mode_width
+from .errors import EmptyPeakSetError
 from .spectral import Marginal, _jsa_sr_pointwise, check_uniform_axis as _check_uniform_axis
 
 __all__ = [
@@ -59,7 +60,6 @@ __all__ = [
     "TemporalGrid",
     "PeakSet",
     "rotated_lattice_axes",
-    "check_minus_window",
     "jsa_singly_resonant_rotated",
     "joint_temporal_intensity",
     "joint_temporal_intensity_from_cavity",
@@ -152,16 +152,20 @@ def rotated_lattice_axes(cavity, pump, filters, omega_s0, omega_i0, per_width, m
 
     With w the narrower of the signal and idler mode widths at the band
     centers, omega_minus steps by w / per_width and omega_plus by
-    w / max(per_width // 2, 2).  omega_minus spans +- minus_span FWHMs of
-    the narrower filter around omega_s0 - omega_i0, omega_plus +- plus_span
-    sigma around the pump center.  Every sizing argument is required, so
-    the [temporal] defaults live in the configuration schema alone.
+    w / max(per_width // 2, 2).  w is capped at 4 pi per_width / (20 tau_g),
+    tau_g the group round trip at omega_s0, so the t_minus window
+    4 pi / d omega_minus spans at least 20 round trips of the comb.
+    omega_minus spans +- minus_span FWHMs of the narrower filter around
+    omega_s0 - omega_i0, omega_plus +- plus_span sigma around the pump
+    center.  Every sizing argument is required, so the [temporal] defaults
+    live in the configuration schema alone.
     """
     if filters is None:
         raise ValueError("the rotated lattice spans filter widths; it needs gaussian filters")
     minus_half = minus_span * min(filters[0].fwhm, filters[1].fwhm)
     plus_half = plus_span * pump.sigma
-    width = min(mode_width(cavity, omega_s0, "signal"), mode_width(cavity, omega_i0, "idler"))
+    width = min(mode_width(cavity, omega_s0, "signal"), mode_width(cavity, omega_i0, "idler"),
+                4 * np.pi * per_width / (20 * group_round_trip_time(cavity, omega_s0)))
     d_minus = width / per_width
     d_plus = width / max(per_width // 2, 2)
     n_minus = int(np.ceil(2 * minus_half / d_minus)) + 1
@@ -170,25 +174,6 @@ def rotated_lattice_axes(cavity, pump, filters, omega_s0, omega_i0, per_width, m
     plus = np.linspace(pump.omega_p0 - plus_half, pump.omega_p0 + plus_half, n_plus)
     minus = np.linspace(center_minus - minus_half, center_minus + minus_half, n_minus)
     return plus, minus
-
-
-def check_minus_window(omega_minus_axis, round_trip_time):
-    """Raise UnderResolvedError unless the t_minus window spans 20 round trips.
-
-    The reachable t_minus window of a uniform omega_minus axis is
-    4 pi / d omega_minus; the error reports the sampling that would reach 20
-    round trips of round_trip_time over the same span.  It reads the axis
-    alone, so it runs before the lattice is filled.
-    """
-    minus = _check_uniform_axis(omega_minus_axis, "omega_minus_axis")
-    window = 4 * np.pi / float(minus[1] - minus[0])
-    if window < 20 * round_trip_time:
-        need = int(np.ceil((minus[-1] - minus[0]) / (4 * np.pi / (20 * round_trip_time))))
-        raise UnderResolvedError(
-            f"t_minus window {window:.3e} s spans fewer than 20 round trips "
-            f"({round_trip_time:.3e} s each); need <= {need} minus-axis samples "
-            f"over the current span (finer d omega_minus)"
-        )
 
 
 def _sr_rows(cavity, pump, filters, plus, minus):
@@ -246,9 +231,7 @@ def joint_temporal_intensity(rot, pad_plus=None, pad_minus=None, threads=1):
     """Joint temporal intensity |ft(t_plus, t_minus)|^2 of a rotated amplitude.
 
     FFT sizes are padded to powers of two (at least 2048 per axis, or the
-    pad_plus/pad_minus overrides).  Whether the t_minus window spans enough
-    cavity round trips is check_minus_window's question, asked of the axes
-    before the amplitude is filled.
+    pad_plus/pad_minus overrides).
 
     The result is bit for bit fftshift(|fft2|^2), transformed as the module
     docstring describes from blocks of rot.values' rows.  This function

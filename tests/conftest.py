@@ -72,8 +72,7 @@ def temporal_lattice(crystal, r2, pump, filters,
                      minus_span=TEMPORAL["minus_halfwidth_filter_fwhm"]):
     """(cavity, omega_plus axis, omega_minus axis) of the temporal subcommand at mirror-2 r2.
 
-    The lattice is the subcommand's at its default resolution and w_+ span,
-    and its t_minus window is checked as the subcommand checks it.
+    The lattice is the subcommand's at its default resolution and w_+ span.
     """
     cav = cs.solve_resonance_phases(
         cs.singly_resonant_cavity(crystal.length_l, crystal, r2), OMEGA_800, OMEGA_800
@@ -82,7 +81,6 @@ def temporal_lattice(crystal, r2, pump, filters,
         cav, pump, filters, OMEGA_800, OMEGA_800, TEMPORAL["samples_per_mode_width"],
         minus_span, TEMPORAL["plus_halfwidth_sigma"],
     )
-    cs.check_minus_window(minus, cs.group_round_trip_time(cav, OMEGA_800))
     return cav, plus, minus
 
 

@@ -74,7 +74,7 @@ def test_every_benchmark_config_loads(bench, tmp_path, monkeypatch, workload, se
     monkeypatch.chdir(BENCH.parent)  # shipped configs are named relative to the repo root
     plan = bench["workloads"].make_plan(workload, seed, tmp_path)
     for op in plan["ops"]:
-        load_config(op["config"], require=cli._REQUIRED_SECTIONS[op["argv"][0]])
+        load_config(op["config"], require=cli._SUBCOMMANDS[op["argv"][0]][1])
 
 
 @pytest.mark.parametrize(

@@ -213,13 +213,19 @@ class TestDeterminismAndErrors:
         _, meta2 = read_grid(out2 / "jsi_sr.grid")
         assert meta1["config_sha256"] != meta2["config_sha256"]
 
-    def test_missing_section_error_line(self, tmp_path, capsys):
+    def test_missing_section_error_line(self, fig2_cfg, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[pump]\nwavelength_nm = 400\nfwhm_nm = 5\n")
         code = run(["jsi-sr", "--config", cfg, "--out", tmp_path / "o"])
         assert code != 0
         err = capsys.readouterr().err
         assert err.startswith("error: module=") and err.count("\n") == 1
+        # the line names the sections of the subcommand, not of another one
+        assert run(["design", "--config", fig2_cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "error: module=config: configuration is missing required section(s) [design]; "
+            "it needs [design]\n"
+        )
 
     def test_out_of_bound_quantity_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -237,27 +243,29 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert "module=cavity" in err
 
-    def test_under_resolved_window_fails_before_the_fill(self, tmp_path, monkeypatch, capsys):
-        # r2 = 0.3 at 2 samples per mode width: the t_minus window spans
-        # about 10 round trips
+    def test_pool_thread_error_names_the_raising_module(self, tmp_path, capsys):
+        # the fill leaves the Sellmeier window inside a worker thread
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text(SMALL_FIG2.replace("kind = bbo", "kind = bbo\nwindow_hi_um = 0.83"))
+        capsys.readouterr()
+        assert run(["temporal", "--config", cfg, "--out", tmp_path / "o", "--threads", 2]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: module=dispersion: angular frequency outside the Sellmeier validity window"
+        )
+
+    def test_low_finesse_lattice_holds_twenty_round_trips(self, tmp_path):
+        # r2 = 0.3 at 2 samples per mode width: a step of half the mode
+        # width would give a t_minus window of about 10 round trips
         cfg = tmp_path / "coarse.cfg"
         cfg.write_text(
             SMALL_FIG2.replace("0.73", "0.3") + "[temporal]\nsamples_per_mode_width = 2\n"
         )
-
-        def unreachable(*args):
-            raise AssertionError("the lattice fill ran")
-
-        monkeypatch.setattr(cavityspdc.temporal, "_jsa_sr_pointwise", unreachable)
-        capsys.readouterr()
-        assert run(["temporal", "--config", cfg, "--out", tmp_path / "o"]) == 2
-        # the line the check gave when it ran after the fill
-        assert capsys.readouterr().err == (
-            "error: module=temporal: t_minus window 2.182e-12 s spans fewer than 20 round "
-            "trips (2.249e-13 s each); need <= 190 minus-axis samples over the current span "
-            "(finer d omega_minus)\n"
-        )
-        assert not (tmp_path / "o" / "time_difference.dat").exists()
+        out = tmp_path / "o"
+        assert run(["temporal", "--config", cfg, "--out", out]) == 0
+        t_minus = np.loadtxt(out / "time_difference.dat")[:, 0]
+        summary = (out / "temporal_summary.kv").read_text()
+        round_trip = float(summary.split("round_trip_time_s = ")[1].split()[0])
+        assert t_minus[-1] - t_minus[0] >= 20 * round_trip
 
     def test_temporal_with_one_peak_fails_like_one_with_none(self, tmp_path, capsys):
         # at 0.9 of the maximum only the central tooth of fig2's comb is a peak
@@ -284,8 +292,8 @@ class TestDeterminismAndErrors:
         out = tmp_path / "o"
         assert run(["temporal", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: module=") and err.count("\n") == 1
-        assert "r2_pump" in err
+        assert err.startswith("error: module=cli: [cavity] r1_pump, r2_pump")
+        assert err.count("\n") == 1
         assert not [path for path in out.rglob("*") if path.is_file()]
 
     def test_text_format_flag(self, fig2_cfg, tmp_path):

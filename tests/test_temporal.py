@@ -7,11 +7,11 @@ import cavityspdc as cs
 import cavityspdc.temporal
 
 from cavityspdc._parallel import map_blocks
-from cavityspdc.errors import EmptyPeakSetError, UnderResolvedError
+from cavityspdc.errors import EmptyPeakSetError
 from cavityspdc.spectral import _jsa_sr_pointwise
 from cavityspdc.temporal import _BLOCK_PLUS, _BLOCK_ROWS, joint_temporal_intensity_from_cavity
 
-from conftest import OMEGA_800, run_temporal_pipeline
+from conftest import OMEGA_800, TEMPORAL, run_temporal_pipeline
 
 
 def random_rotated(n_minus, n_plus, seed=0):
@@ -107,12 +107,19 @@ class TestJointTemporalIntensity:
         )
         assert temporal_power == pytest.approx(spectral_power, rel=1e-6)
 
-    def test_under_resolution_error(self):
-        minus = np.linspace(-1e13, 1e13, 64)
-        # reachable window 4 pi / d_minus ~ 4e-11 s; demand 20 x 1e-11 s trips
-        with pytest.raises(UnderResolvedError, match="need <= 319 minus-axis samples"):
-            cs.check_minus_window(minus, 1e-11)
-        cs.check_minus_window(minus, 1e-13)  # 20 x 1e-13 s fit
+    def test_lattice_holds_twenty_round_trips(self, crystal, pump, filters):
+        # r2 = 0.3 at 2 samples per mode width: a step of half the mode width
+        # would give a t_minus window of about 10 round trips
+        cav = cs.solve_resonance_phases(
+            cs.singly_resonant_cavity(crystal.length_l, crystal, 0.3), OMEGA_800, OMEGA_800
+        )
+        round_trip = cs.group_round_trip_time(cav, OMEGA_800)
+        assert 4 * np.pi / (cs.mode_width(cav, OMEGA_800, "signal") / 2) < 11 * round_trip
+        _, minus = cs.rotated_lattice_axes(
+            cav, pump, filters, OMEGA_800, OMEGA_800, 2,
+            TEMPORAL["minus_halfwidth_filter_fwhm"], TEMPORAL["plus_halfwidth_sigma"],
+        )
+        assert 4 * np.pi / (minus[1] - minus[0]) >= 20 * round_trip * (1 - 1e-12)
 
     @pytest.mark.parametrize(
         "n_minus, n_plus, pad_plus, pad_minus",
