@@ -9,13 +9,13 @@ reflects the pump and jsi_sr.grid otherwise; temporal refuses such a cavity.
 --threads N (default: the CPUs this process may run on) spreads the
 blocked work of jsi-sr, jsi-dr, marginal, temporal and brightness-sweep
 over N threads without changing a bit of their output; design and airy
-run on one.  Every run writes its artifacts plus a manifest listing each
-file with the sha256 hash of the normalized configuration; identical
-configuration and package version give bitwise-identical binary outputs.
-Errors exit nonzero with a single machine-parsable line on stderr,
-error: module=<module>: <message>: a package error exits 2 naming the
-module that raised it, cli included, and an OSError or ValueError exits 3
-as module=cli.
+run on one.  Each artifact opens with one '# key = value' header closed by
+'#end' (package version, sha256 of the normalized configuration); the
+manifest holds that header, then the run's artifact names one a line.
+Identical configuration and version give bitwise-identical binary outputs.
+Errors exit nonzero with one machine-parsable stderr line, error:
+module=<module>: <message>: a package error exits 2 naming the module that
+raised it, cli included, and an OSError or ValueError exits 3 as module=cli.
 """
 
 from __future__ import annotations
@@ -76,6 +76,11 @@ def _cmd_jsi(cfg, out_dir, fmt, threads, marginal=False):
     return paths
 
 
+def _key_values(**values):
+    """'key = value' lines, each number at %.17g."""
+    return "".join(f"{key} = {value:.17g}\n" for key, value in values.items())
+
+
 def _cmd_temporal(cfg, out_dir, fmt, threads):
     cavity = cfg.cavity()
     if cavity.reflects_pump:
@@ -111,16 +116,12 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
         _metadata(cfg),
     )
     summary_path = out_dir / "temporal_summary.kv"
-    write_text(
-        summary_path,
-        (
-            f"correlation_time_s = {t_c:.17g}\n"
-            f"peak_spacing_s = {spacing:.17g}\n"
-            f"round_trip_time_s = {group_round_trip_time(cavity, omega_s0):.17g}\n"
-            f"peak_count = {peaks.positions.size}\n"
-        ),
-        _metadata(cfg),
-    )
+    write_text(summary_path, _key_values(
+        correlation_time_s=t_c,
+        peak_spacing_s=spacing,
+        round_trip_time_s=group_round_trip_time(cavity, omega_s0),
+        peak_count=peaks.positions.size,
+    ), _metadata(cfg))
     return [marg_path, peaks_path, summary_path]
 
 
@@ -148,20 +149,16 @@ def _cmd_design(cfg, out_dir, fmt, threads):
     report_path = out_dir / "design_report.txt"
     write_text(report_path, report, _metadata(cfg))
     kv_path = out_dir / "design.kv"
-    write_text(
-        kv_path,
-        (
-            f"lambda_idler_m = {result.lambda_idler:.17g}\n"
-            f"cut_angle_rad = {result.cut_angle:.17g}\n"
-            f"cavity_length_m = {result.cavity_length:.17g}\n"
-            f"r2_magnitude = {result.r2_magnitude:.17g}\n"
-            f"finesse = {result.finesse:.17g}\n"
-            f"sigma_max_rad_s = {result.sigma_max:.17g}\n"
-            f"check_marginal_fwhm_rad_s = {check[0]:.17g}\n"
-            f"check_marginal_center_rad_s = {check[1]:.17g}\n"
-        ),
-        _metadata(cfg),
-    )
+    write_text(kv_path, _key_values(
+        lambda_idler_m=result.lambda_idler,
+        cut_angle_rad=result.cut_angle,
+        cavity_length_m=result.cavity_length,
+        r2_magnitude=result.r2_magnitude,
+        finesse=result.finesse,
+        sigma_max_rad_s=result.sigma_max,
+        check_marginal_fwhm_rad_s=check[0],
+        check_marginal_center_rad_s=check[1],
+    ), _metadata(cfg))
     return [report_path, kv_path]
 
 
@@ -201,16 +198,6 @@ _SUBCOMMANDS = {
     "design": (_cmd_design, ("design",)),
     "airy": (_cmd_airy, ("crystal", "cavity", "grid")),
 }
-
-
-def _write_manifest(out_dir, cfg, paths):
-    manifest = out_dir / "manifest"
-    digest = config_hash(cfg.normalized_text())
-    lines = [f"# generator = cavityspdc {__version__}"]
-    for path in paths:
-        lines.append(f"{path.name}\t{digest}")
-    manifest.write_text("\n".join(lines) + "\n")
-    return manifest
 
 
 def _available_cpus():
@@ -255,7 +242,8 @@ def main(argv=None):
         fmt = args.format or cfg.get("output", "format")
         sys.stdout.write(f"# normalized configuration\n{cfg.normalized_text()}")
         paths = handler(cfg, out_dir, fmt, args.threads)
-        manifest = _write_manifest(out_dir, cfg, paths)
+        manifest = out_dir / "manifest"
+        write_text(manifest, "".join(f"{path.name}\n" for path in paths), _metadata(cfg))
         for path in paths + [manifest]:
             sys.stdout.write(f"wrote {path}\n")
         return 0

@@ -278,13 +278,17 @@ class RunConfig:
             lines.append(f"[{section}]")
             for stem in sorted(self.sections[section]):
                 value = self.sections[section][stem]
+                name = stem
+                # a wavelength or a frequency: the number alone cannot say which
+                if set(_SCHEMA[section][stem]["units"]) >= {"nm", "rad_s"}:
+                    name += "_m" if self._is_wavelength(section, stem) else "_rad_s"
                 if isinstance(value, float):
                     rendered = f"{value:.17g}"
                 elif isinstance(value, list):
                     rendered = " ".join(f"{v:.17g}" for v in value)
                 else:
                     rendered = str(value)
-                lines.append(f"{stem} = {rendered}")
+                lines.append(f"{name} = {rendered}")
         return "\n".join(lines) + "\n"
 
     # -- builders ---------------------------------------------------------

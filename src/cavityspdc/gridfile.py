@@ -1,17 +1,19 @@
 """Grid, column and table serialization with reproducibility metadata.
 
-A grid file starts with '#'-prefixed header lines (key = value), closed by a
-literal '#end' line.  The body is either text rows 'omega_i omega_s value'
-with 17 significant digits, or a little-endian binary block of two int64
-dimensions (n_i, n_s) followed by the row-major float64 matrix.  Axes are
-reconstructed from their header min/max/count via linspace, so binary files
-written from linspace-built grids round-trip bitwise.
+Every artifact starts with '#'-prefixed header lines (key = value), closed by
+a literal '#end' line, and its body states each number once.  A grid body is
+the row-major matrix values[i, s], one idler row per line of omega_s_count
+numbers at 17 significant digits (text), or a little-endian block of two
+int64 dimensions (n_i, n_s) followed by the float64 matrix (binary).  The
+axes live only in the header: they are rebuilt from their min/max/count via
+linspace, so binary files written from linspace-built grids round-trip
+bitwise, and a body of any other shape than the header's counts is refused.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
+import os
 
 import numpy as np
 
@@ -28,23 +30,16 @@ def config_hash(normalized_text):
     return hashlib.sha256(normalized_text.encode()).hexdigest()
 
 
-def _header_lines(grid, metadata, fmt):
-    lines = []
-    items = {
-        "format": fmt,
-        "omega_s_min_rad_s": f"{grid.omega_s_axis[0]:.17g}",
-        "omega_s_max_rad_s": f"{grid.omega_s_axis[-1]:.17g}",
-        "omega_s_count": str(grid.omega_s_axis.size),
-        "omega_i_min_rad_s": f"{grid.omega_i_axis[0]:.17g}",
-        "omega_i_max_rad_s": f"{grid.omega_i_axis[-1]:.17g}",
-        "omega_i_count": str(grid.omega_i_axis.size),
-        "units": "rad/s, dimensionless intensity",
-    }
-    items.update(metadata or {})
-    for key, value in items.items():
-        lines.append(f"# {key} = {value}")
-    lines.append(_END)
-    return lines
+def _header(metadata):
+    """'# key = value' lines closed by '#end'."""
+    return "".join(f"# {key} = {value}\n" for key, value in metadata.items()) + _END + "\n"
+
+
+def _write_rows(fh, rows):
+    """One line per row of a 2-D float array, each number at %.17g."""
+    # row by row: converting the whole matrix at once holds every float object
+    for row in rows:
+        fh.write(" ".join([f"{value:.17g}" for value in row.tolist()]) + "\n")
 
 
 def write_grid(grid, path, fmt="binary", metadata=None):
@@ -53,23 +48,26 @@ def write_grid(grid, path, fmt="binary", metadata=None):
         raise ValueError("grid files hold real values; write intensities, not amplitudes")
     if fmt not in ("text", "binary"):
         raise ValueError(f"unknown grid format {fmt!r}")
-    header = "\n".join(_header_lines(grid, metadata, fmt)) + "\n"
+    header = _header({
+        "format": fmt,
+        "omega_s_min_rad_s": f"{grid.omega_s_axis[0]:.17g}",
+        "omega_s_max_rad_s": f"{grid.omega_s_axis[-1]:.17g}",
+        "omega_s_count": grid.omega_s_axis.size,
+        "omega_i_min_rad_s": f"{grid.omega_i_axis[0]:.17g}",
+        "omega_i_max_rad_s": f"{grid.omega_i_axis[-1]:.17g}",
+        "omega_i_count": grid.omega_i_axis.size,
+        "units": "rad/s, dimensionless intensity",
+        **(metadata or {}),
+    })
     if fmt == "binary":
         with open(path, "wb") as fh:
             fh.write(header.encode())
-            fh.write(struct.pack("<qq", grid.omega_i_axis.size, grid.omega_s_axis.size))
-            fh.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
+            fh.write(np.array(grid.values.shape, dtype="<i8"))
+            fh.write(np.ascontiguousarray(grid.values, dtype="<f8"))
     else:
-        # each omega_s is formatted once; each row is converted and written at once
-        s_fields = [f" {omega_s:.17g} " for omega_s in grid.omega_s_axis.tolist()]
         with open(path, "w") as fh:
             fh.write(header)
-            for omega_i, row in zip(grid.omega_i_axis.tolist(), grid.values):
-                prefix = f"{omega_i:.17g}"
-                fh.write("".join(
-                    f"{prefix}{s_field}{value:.17g}\n"
-                    for s_field, value in zip(s_fields, row.tolist())
-                ))
+            _write_rows(fh, grid.values)
 
 
 def _read_header(fh):
@@ -78,8 +76,7 @@ def _read_header(fh):
         line = fh.readline()
         if not line:
             raise ConfigError("grid file ended inside the header")
-        text = line.decode() if isinstance(line, bytes) else line
-        text = text.rstrip("\n")
+        text = line.decode().rstrip("\n")
         if text == _END:
             return meta
         if not text.startswith("#"):
@@ -92,58 +89,52 @@ def read_grid(path):
     """Read a grid file of either format; returns (SpectralGrid, metadata)."""
     with open(path, "rb") as fh:
         meta = _read_header(fh)
+        # the header's counts are the body's shape; any other shape is refused
+        shape = (int(meta["omega_i_count"]), int(meta["omega_s_count"]))
         fmt = meta.get("format", "binary")
+
+        def mismatch(body):
+            return ConfigError(f"{fmt} grid body holds {body}; the header gives "
+                               f"{shape[0]} x {shape[1]}")
+
         if fmt == "text":
-            # the third column of the 'omega_i omega_s value' rows
-            body = np.loadtxt(fh, usecols=2, ndmin=1)
+            try:
+                # loadtxt warns on an empty body; the shape check reports it instead
+                values = np.loadtxt(fh, ndmin=2) if fh.peek(1) else np.empty((0, 0))
+            except ValueError as exc:
+                raise mismatch(f"ragged rows ({str(exc).partition(';')[0]})") from exc
+            if values.shape != shape:
+                raise mismatch(f"{values.shape[0]} x {values.shape[1]}")
+        elif fmt == "binary":
+            dims = np.zeros(2, dtype="<i8")
+            fh.readinto(dims)
+            if tuple(dims) != shape:
+                raise mismatch(f"dimensions {dims[0]} x {dims[1]}")
+            values = np.empty(shape, dtype="<f8")
+            body_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+            if body_bytes != values.nbytes:
+                raise mismatch(f"{body_bytes} bytes of float64")
+            fh.readinto(values)
         else:
-            body = fh.read()
+            raise ConfigError(f"unknown grid format {fmt!r} in header")
     s_axis = np.linspace(
-        float(meta["omega_s_min_rad_s"]),
-        float(meta["omega_s_max_rad_s"]),
-        int(meta["omega_s_count"]),
+        float(meta["omega_s_min_rad_s"]), float(meta["omega_s_max_rad_s"]), shape[1]
     )
     i_axis = np.linspace(
-        float(meta["omega_i_min_rad_s"]),
-        float(meta["omega_i_max_rad_s"]),
-        int(meta["omega_i_count"]),
+        float(meta["omega_i_min_rad_s"]), float(meta["omega_i_max_rad_s"]), shape[0]
     )
-    if fmt == "text":
-        if body.size != i_axis.size * s_axis.size:
-            raise ConfigError(
-                f"text body holds {body.size} values; the header gives "
-                f"{i_axis.size} x {s_axis.size}"
-            )
-        values = body.reshape(i_axis.size, s_axis.size)
-    elif fmt == "binary":
-        n_i, n_s = struct.unpack_from("<qq", body, 0)
-        if (n_i, n_s) != (i_axis.size, s_axis.size):
-            raise ConfigError(
-                f"binary dimensions ({n_i}, {n_s}) disagree with header "
-                f"({i_axis.size}, {s_axis.size})"
-            )
-        values = np.frombuffer(body, dtype="<f8", offset=16, count=n_i * n_s)
-        values = values.reshape(n_i, n_s).copy()
-    else:
-        raise ConfigError(f"unknown grid format {fmt!r} in header")
     return SpectralGrid(s_axis, i_axis, values), meta
 
 
 def write_columns(path, columns, names, metadata=None):
-    """Two-or-more-column text file (one sample per line) with a '#' header."""
-    columns = [np.asarray(col, dtype=float) for col in columns]
+    """Text file of equal-length columns, one sample per line, under a '#' header."""
     with open(path, "w") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key} = {value}\n")
-        fh.write("# columns = " + " ".join(names) + "\n")
-        fh.write(_END + "\n")
-        for row in zip(*columns):
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(_header({**(metadata or {}), "columns": " ".join(names)}))
+        _write_rows(fh, np.column_stack([np.asarray(col, dtype=float) for col in columns]))
 
 
 def write_text(path, text, metadata=None):
-    """Plain text artifact (report or table) with an optional '#' header."""
+    """Plain text artifact (report, table or list) under a '#' header."""
     with open(path, "w") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key} = {value}\n")
+        fh.write(_header(metadata or {}))
         fh.write(text)

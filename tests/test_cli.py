@@ -67,10 +67,13 @@ class TestSubcommands:
         grid, meta = read_grid(out / "jsi_sr.grid")
         assert grid.values.shape == (129, 129)
         assert grid.values.min() >= 0
-        manifest = (out / "manifest").read_text().splitlines()
-        assert any("jsi_sr.grid" in line for line in manifest)
-        digest = meta["config_sha256"]
-        assert all(digest in line for line in manifest if not line.startswith("#"))
+        # the run's header, with the configuration hash once, then one name a line
+        assert (out / "manifest").read_text() == (
+            f"# generator = cavityspdc {cs.__version__}\n"
+            f"# config_sha256 = {meta['config_sha256']}\n"
+            "#end\n"
+            "jsi_sr.grid\n"
+        )
         echoed = capsys.readouterr().out
         assert "normalized configuration" in echoed and "wavelength = " in echoed
 

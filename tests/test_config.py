@@ -200,6 +200,16 @@ class TestLoadConfig:
         changed = load_config(write(tmp_path, FIG2.replace("0.73", "0.74"), "c.cfg"))
         assert changed.normalized_text() != cfg1.normalized_text()
 
+    def test_normalized_text_keeps_the_unit_kind(self, tmp_path):
+        # one number after normalization, but filter widths 22 orders of
+        # magnitude apart: the hash input must tell a wavelength from a frequency
+        nm = load_config(write(tmp_path, FIG2, "nm.cfg"))
+        as_rad_s = FIG2.replace("fwhm_nm = 30", "fwhm_rad_s = 3.0000000000000004e-08")
+        rad_s = load_config(write(tmp_path, as_rad_s, "rad_s.cfg"))
+        assert nm.get("filters", "fwhm") == rad_s.get("filters", "fwhm")
+        assert rad_s.filters()[0].fwhm / nm.filters()[0].fwhm < 1e-21
+        assert nm.normalized_text() != rad_s.normalized_text()
+
     def test_custom_sellmeier(self, tmp_path):
         text = FIG2.replace(
             "kind = bbo",

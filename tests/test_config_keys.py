@@ -208,13 +208,7 @@ CASES = {
 
 def _body(data):
     """An artifact without its '#' header, which carries the configuration hash."""
-    end = data.find(b"#end\n")
-    if end >= 0:
-        return data[end + 5 :]
-    lines = data.splitlines(keepends=True)
-    while lines and lines[0].startswith(b"#"):
-        lines.pop(0)
-    return b"".join(lines)
+    return data[data.index(b"#end\n") + 5 :]
 
 
 def run(run_dir, subcommand, config):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,14 @@ class TestBinaryRoundTrip:
         with pytest.raises(ConfigError):
             read_grid(path)
 
+    @pytest.mark.parametrize("cut", [8, 8 * 37, 1])
+    def test_short_body_detected(self, grid, tmp_path, cut):
+        path = tmp_path / "g.grid"
+        write_grid(grid, path, "binary")
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ConfigError, match="the header gives 23 x 37"):
+            read_grid(path)
+
 
 class TestTextRoundTrip:
     @pytest.mark.parametrize("drop", [1, 23])
@@ -58,16 +68,40 @@ class TestTextRoundTrip:
         back, _ = read_grid(path)
         assert np.array_equal(back.values, grid.values)  # %.17g round-trips float64
 
-    def test_row_layout(self, grid, tmp_path):
+    def test_matrix_layout(self, grid, tmp_path):
+        # the body is the binary body's matrix: one idler row per line, axes
+        # only in the header; the reader takes every field of it
         path = tmp_path / "g.txt"
         write_grid(grid, path, "text")
         lines = path.read_text().splitlines()
-        body = [ln for ln in lines[lines.index("#end") + 1 :] if ln]
-        assert len(body) == grid.values.size
-        first = body[0].split()
-        assert float(first[0]) == grid.omega_i_axis[0]
-        assert float(first[1]) == grid.omega_s_axis[0]
-        assert float(first[2]) == grid.values[0, 0]
+        body = lines[lines.index("#end") + 1 :]
+        assert len(body) == grid.omega_i_axis.size
+        assert all(len(line.split()) == grid.omega_s_axis.size for line in body)
+        assert np.array_equal([[float(v) for v in line.split()] for line in body], grid.values)
+        assert np.array_equal(read_grid(path)[0].values, grid.values)
+
+    @pytest.mark.parametrize("edit, body", [
+        ("missing_row", "22 x 37"),
+        ("ragged_row", "ragged rows"),
+        ("header_only", "0 x 0"),
+    ])
+    def test_body_shape_mismatch_names_both_shapes(self, grid, tmp_path, edit, body):
+        path = tmp_path / "g.txt"
+        write_grid(grid, path, "text")
+        lines = path.read_text().splitlines(keepends=True)
+        end = lines.index("#end\n") + 1
+        if edit == "missing_row":
+            lines.pop(end + 5)
+        elif edit == "ragged_row":
+            lines[end + 5] = lines[end + 5].rsplit(" ", 1)[0] + "\n"
+        else:
+            del lines[end:]
+        path.write_text("".join(lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=body) as info:
+                read_grid(path)
+        assert "the header gives 23 x 37" in str(info.value)
 
 
 def test_complex_grid_rejected(tmp_path):
