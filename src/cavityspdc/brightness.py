@@ -142,8 +142,9 @@ def _stripe_axes(cavity, pump, filters):
     """Commensurate stripe resolving pump, filters and cavity modes.
 
     Each rotated axis gets a step target of 1/_SAMPLES_PER_SCALE of its
-    finest structure; h is the smaller target and each axis steps by the
-    largest multiple of h within its own target.
+    finest structure, the min over its scales, in which the infinite width
+    of a mode that does not resonate drops out; h is the smaller target and
+    each axis steps by the largest multiple of h within its own target.
     """
     if filters is None:
         raise ValueError("sweep integration requires gaussian filters on both modes")
@@ -153,16 +154,11 @@ def _stripe_axes(cavity, pump, filters):
 
     # Finest structure along each rotated axis; a cavity mode of width dw
     # appears with width 2 dw along either rotated axis.
-    scales_common = []
-    for mode, center in (("signal", f_s.center), ("idler", f_i.center)):
-        if cavity.loop_reflectivity(mode) > 0:
-            scales_common.append(2.0 * mode_width(cavity, center, mode))
-    d_plus_scales = [pump.sigma / 2.0] + scales_common
-    d_minus_scales = [min(f_s.fwhm, f_i.fwhm)] + scales_common
-    if cavity.loop_reflectivity("pump") > 0:
-        d_plus_scales.append(mode_width(cavity, pump.omega_p0, "pump"))
-    d_plus = min(d_plus_scales) / _SAMPLES_PER_SCALE
-    d_minus = min(d_minus_scales) / _SAMPLES_PER_SCALE
+    photon_scale = 2.0 * min(mode_width(cavity, f_s.center, "signal"),
+                             mode_width(cavity, f_i.center, "idler"))
+    d_plus = min(pump.sigma / 2.0, photon_scale,
+                 mode_width(cavity, pump.omega_p0, "pump")) / _SAMPLES_PER_SCALE
+    d_minus = min(f_s.fwhm, f_i.fwhm, photon_scale) / _SAMPLES_PER_SCALE
     h = min(d_plus, d_minus)
     q_plus, q_minus = int(d_plus // h), int(d_minus // h)
 

@@ -10,7 +10,8 @@ The cavity model, which CavitySpec enforces: mirror 1 fully reflects each
 photon that mirror 2 or a pump-reflecting cavity sends back.  Each mode then
 has one loop reflectivity r (CavitySpec.loop_reflectivity), |r_2mu| for
 signal and idler and |r_1p| |r_2p| for the pump; r sets the mode's
-coefficient of finesse, and the mode resonates when r > 0.
+coefficient of finesse F, and mode_width is the one resonance rule: a
+mode with F = 0 has a flat Airy weight and an infinite width.
 
 Round-trip phase factor of every mode (signal, idler and pump):
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .constants import c
 from .dispersion import group_slowness, polarization_for_mode, refractive_index
-from .errors import DivergenceError, InfiniteWidthError
+from .errors import DivergenceError
 
 __all__ = [
     "MODES",
@@ -106,7 +107,7 @@ class CavitySpec:
         return self.mirrors.get((nu, mode), MirrorSpec(0.0))
 
     def loop_reflectivity(self, mode):
-        """Reflectivity r of one cavity loop, F = 4 r / (1 - r)^2; the mode resonates if r > 0.
+        """Reflectivity r of one cavity loop, setting F = 4 r / (1 - r)^2.
 
         |r_2mu| for signal and idler, whose mirror 1 is perfect, and
         |r_1p| |r_2p| for the pump.
@@ -245,10 +246,14 @@ def _optical_length(cavity, omega0, mode):
 
 
 def mode_width(cavity, omega0, mode):
-    """FWHM of one cavity resonance: delta_omega = 2c/(l n + (L - l)) F^(-1/2)."""
+    """FWHM of one cavity resonance: delta_omega = 2c/(l n + (L - l)) F^(-1/2).
+
+    np.inf when F = 0, before the index is read: a mode that does not
+    resonate drops out of every min over scales and resolves on any grid.
+    """
     fin = coefficient_of_finesse(_convergent_loop(cavity, mode))
     if fin == 0.0:
-        raise InfiniteWidthError("mode width is unbounded for zero coefficient of finesse")
+        return np.inf
     return 2.0 * c / _optical_length(cavity, omega0, mode) / np.sqrt(fin)
 
 

@@ -166,20 +166,19 @@ def _cmd_airy(cfg, out_dir, fmt, threads):
     cavity = cfg.cavity()
     grid = cfg.grid()
     omega_s0, omega_i0 = cfg.band_centers()
-    paths = []
-    modes = ["signal", "idler"]
+    # (mode, its center, its axis); an open pump loop has no curve
+    curves = [("signal", omega_s0, grid.omega_s_axis), ("idler", omega_i0, grid.omega_i_axis)]
     if cavity.loop_reflectivity("pump") > 0:
-        modes.append("pump")
-    for mode in modes:
-        axis = grid.omega_s_axis if mode == "signal" else grid.omega_i_axis
-        if mode == "pump":
-            axis = grid.omega_s_axis + omega_i0
+        curves.append(("pump", omega_s0 + omega_i0, grid.omega_s_axis + omega_i0))
+    paths = []
+    for mode, center, axis in curves:
         values = airy(axis, mode, cavity)
         meta = _metadata(cfg, {"mode": mode})
-        center = omega_s0 if mode != "idler" else omega_i0
-        if mode != "pump" and cavity.loop_reflectivity(mode) > 0:
-            meta["mode_width_rad_s"] = f"{mode_width(cavity, center, mode):.17g}"
-            meta["free_spectral_range_rad_s"] = f"{free_spectral_range(cavity, center):.17g}"
+        width = mode_width(cavity, center, mode)
+        if width < np.inf:
+            meta["mode_width_rad_s"] = f"{width:.17g}"
+            meta["free_spectral_range_rad_s"] = (
+                f"{free_spectral_range(cavity, center, mode):.17g}")
         path = out_dir / f"airy_{mode}.dat"
         write_columns(path, (axis, values), ("omega_rad_s", "airy"), meta)
         paths.append(path)

@@ -20,8 +20,10 @@ mirror phases the solver sets or absorbs while solve_phases is true (the
 default), the Sellmeier coefficients unless kind = custom, both pump widths
 at once, any [filters] key besides shape = none, [filters] fwhm when
 both per-mode widths are given, and a [sweep] list that no requested kind
-reads (_SWEEPS), beside unknown or repeated kinds and shape = none
-for a subcommand that requires [filters].
+reads (_SWEEPS), beside unknown or repeated kinds, kind = r1p without
+r2_pump = 1, and shape = none for a subcommand that requires [filters].
+The builders raise a spec's own ValueError (a cavity shorter than its
+crystal, say) as a ConfigError naming the section.
 """
 
 from __future__ import annotations
@@ -327,9 +329,9 @@ class RunConfig:
         cut = self.get("crystal", "cut_angle")
         if cut is None:
             omega_s0, omega_i0 = self.band_centers()
-            probe = CrystalSpec(sell_o, sell_e, 0.0, length, window)
+            probe = _built("crystal", CrystalSpec, sell_o, sell_e, 0.0, length, window)
             cut = phasematching_angle(probe, omega_s0 + omega_i0, omega_s0, omega_i0)
-        return CrystalSpec(sell_o, sell_e, cut, length, window)
+        return _built("crystal", CrystalSpec, sell_o, sell_e, cut, length, window)
 
     def cavity(self):
         crystal = self.crystal()
@@ -346,7 +348,7 @@ class RunConfig:
                 else:
                     mag = self.get("cavity", f"r{nu}_{mode}")
                 mirrors[(nu, mode)] = MirrorSpec(mag, self.get("cavity", f"phase_r{nu}_{mode}"))
-        cavity = CavitySpec(length, crystal, mirrors)
+        cavity = _built("cavity", CavitySpec, length, crystal, mirrors)
         if self.get("cavity", "solve_phases"):
             omega_s0, omega_i0 = self.band_centers()
             omega_p0 = None
@@ -396,13 +398,22 @@ class RunConfig:
 
     def design_target(self):
         sec = self.require("design")
-        return DesignTarget(
+        return _built(
+            "design", DesignTarget,
             sec["signal_wavelength"],
             sec["transition_fwhm"],
             sec["pump_wavelength"],
             sec["delta_lambda_max"],
             *self._sellmeier(),
         )
+
+
+def _built(section, spec, *args):
+    """spec(*args), a ValueError of the spec's own checks raised as a ConfigError on section."""
+    try:
+        return spec(*args)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def load_config(path, require=()):
@@ -493,6 +504,9 @@ def _check_sweep_kinds(cfg):
                           f"{', '.join(_SWEEPS)}, each at most once")
     for kind in kinds:
         cfg.sweep(kind)  # a ConfigError naming the list when one is missing
+    r2_pump = cfg.get("cavity", "r2_pump")
+    if "r1p" in kinds and r2_pump != 1.0:
+        raise ConfigError(f"[sweep] kind = r1p needs [cavity] r2_pump = 1, got {r2_pump:g}")
 
 
 def _ignored_keys(cfg):

@@ -17,10 +17,6 @@ class DivergenceError(CavitySpdcError):
     """A geometric sum or Airy expression diverges (unit reflectivity)."""
 
 
-class InfiniteWidthError(CavitySpdcError):
-    """Cavity mode width is unbounded (zero coefficient of finesse)."""
-
-
 class EmptyPeakSetError(CavitySpdcError):
     """Peak extraction found no peaks above the requested prominence."""
 

@@ -315,9 +315,9 @@ def _jsa_sr_pointwise(cavity, pump, filters, omega_s, omega_i):
 def _warn_if_under_resolved(cavity, grid, where):
     """Warn when a grid step exceeds 1/8 of a cavity mode width.
 
-    Each mode that resonates (loop_reflectivity > 0) counts: signal and idler
-    along their axes, the pump along the anti-diagonal table of omega_s +
-    omega_i, whose step is the signal step.
+    Every mode counts, signal and idler along their axes and the pump along
+    the anti-diagonal table of omega_s + omega_i, whose step is the signal
+    step; the infinite width of a mode that does not resonate never warns.
     """
     center_s = float(np.median(grid.omega_s_axis))
     center_i = float(np.median(grid.omega_i_axis))
@@ -326,8 +326,6 @@ def _warn_if_under_resolved(cavity, grid, where):
         ("idler", grid.d_omega_i, center_i),
         ("pump", grid.d_omega_s, center_s + center_i),
     ):
-        if cavity.loop_reflectivity(mode) == 0.0:
-            continue
         width = mode_width(cavity, center, mode)
         if width < 8 * axis_step:
             axis = "omega_s + omega_i anti-diagonal" if mode == "pump" else f"{mode} axis"
@@ -503,7 +501,7 @@ def marginal_spectrum(grid, axis):
     raise ValueError(f"axis must be 'signal' or 'idler', got {axis!r}")
 
 
-def default_grid(center_s, center_i, halfwidth, samples=1024):
+def default_grid(center_s, center_i, halfwidth, samples):
     """Empty square grid spanning center +- halfwidth on both axes."""
     s_axis = np.linspace(center_s - halfwidth, center_s + halfwidth, samples)
     i_axis = np.linspace(center_i - halfwidth, center_i + halfwidth, samples)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import cavityspdc as cs
 import cavityspdc.brightness as stripe_module
 from cavityspdc.brightness import brightness_from_cavity
+from cavityspdc.config import load_config
 
 from conftest import OMEGA_800
 
@@ -438,6 +440,17 @@ class TestStripeLattice:
         assert brightness_from_cavity(cav, swept, filters).value == pytest.approx(
             default, rel=1e-8, abs=0
         )
+
+    def test_plus_step_resolves_the_pump_mode(self):
+        # fig6's r1p = 0.999 row: the pump width, about 9e9 rad/s, is the
+        # finest omega_plus scale, finer than sigma / 2 and the photon modes
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "fig6.cfg")
+        cavity = cfg.cavity().with_mirror(1, "pump", magnitude=0.999)
+        pump, filters = cfg.pump(), cfg.filters()
+        width = cs.mode_width(cavity, pump.omega_p0, "pump")
+        assert width < pump.sigma / 2
+        stripe = stripe_module._stripe_axes(cavity, pump, filters)
+        assert stripe.q_plus * stripe.h <= width / 8 * (1 + 1e-12)
 
     @pytest.mark.parametrize("r1p", [0.0, 0.9])
     def test_halved_steps_agree_dr(self, dr_cavity, pump, filters, monkeypatch, r1p):

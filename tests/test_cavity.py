@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import cavityspdc as cs
+from cavityspdc.config import load_config
 from cavityspdc.constants import c
-from cavityspdc.errors import DivergenceError, InfiniteWidthError
+from cavityspdc.errors import DivergenceError
 
 from conftest import OMEGA_800, OUT_OF_MODEL_DR_MIRRORS
 
@@ -150,10 +153,15 @@ class TestModeGeometry:
         )
         assert ratio == pytest.approx(2 / (np.pi * np.sqrt(fin)), rel=1e-12)
 
-    def test_infinite_width_without_cavity(self, crystal):
-        cav = cs.singly_resonant_cavity(20e-6, crystal, 0.0)
-        with pytest.raises(InfiniteWidthError):
-            cs.mode_width(cav, OMEGA_800, "signal")
+    def test_width_is_infinite_for_a_mode_that_does_not_resonate(self, crystal):
+        open_mirror_2 = cs.singly_resonant_cavity(20e-6, crystal, 0.0)
+        assert cs.mode_width(open_mirror_2, OMEGA_800, "signal") == np.inf
+        # decided before the index is read: no Sellmeier window at omega = 1 rad/s
+        assert cs.mode_width(open_mirror_2, 1.0, "signal") == np.inf
+        sr = cs.singly_resonant_cavity(20e-6, crystal, 0.73)
+        assert cs.mode_width(sr, 2 * OMEGA_800, "pump") == np.inf
+        fig3 = load_config(Path(__file__).resolve().parents[1] / "configs" / "fig3.cfg")
+        assert 0 < cs.mode_width(fig3.cavity(), 2 * OMEGA_800, "pump") < np.inf
 
     def test_both_scale_inversely_with_length(self, crystal):
         double = cs.CrystalSpec(

@@ -10,6 +10,7 @@ import pytest
 import cavityspdc as cs
 import cavityspdc.temporal
 from cavityspdc.cli import _parser, main
+from cavityspdc.config import load_config
 from cavityspdc.constants import c
 from cavityspdc.gridfile import read_grid
 
@@ -160,6 +161,19 @@ class TestSubcommands:
         assert data.shape == (32, 2) and np.all(data[:, 1] == 1.0)
         assert "mode_width_rad_s" not in text
 
+    def test_airy_pump_headers_read_the_pump_mode(self, tmp_path):
+        cfg = tmp_path / "dr.cfg"
+        cfg.write_text(SMALL_FIG2.replace("[pump]", "r1_pump = 0.5\nr2_pump = 1.0\n\n[pump]"))
+        out = tmp_path / "out"
+        assert run(["airy", "--config", cfg, "--out", out]) == 0
+        head = (out / "airy_pump.dat").read_text().split("#end\n")[0]
+        header = dict(line[2:].split(" = ", 1) for line in head.splitlines())
+        loaded = load_config(cfg)
+        cavity, center = loaded.cavity(), sum(loaded.band_centers())
+        assert header["mode_width_rad_s"] == f"{cs.mode_width(cavity, center, 'pump'):.17g}"
+        assert header["free_spectral_range_rad_s"] == (
+            f"{cs.free_spectral_range(cavity, center, 'pump'):.17g}")
+
 
 def test_every_subcommand_runs_without_scipy(tmp_path):
     # numpy is the only runtime dependency; scipy is made unimportable in a
@@ -237,6 +251,31 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: module=config") and "cut_angle_deg" in err
 
+    @pytest.mark.parametrize("subcommand, text, section", [
+        ("airy", SMALL_FIG2.replace("[cavity]", "[cavity]\nlength_um = 10"), "cavity"),
+        ("airy", SMALL_FIG2.replace("kind = bbo", "kind = custom\n"
+                                    "sellmeier_ordinary = 0.5 0 0 0\n"
+                                    "sellmeier_extraordinary = 2.3753 0.01224 -0.01667 -0.01516"),
+         "crystal"),
+        ("brightness-sweep",
+         (SMALL_FIG2 + "\n[sweep]\nkind = sigma_r2 r1p\nsigma_list_rad_s = 2e11\n"
+          "r2_list = 0.5\nr1p_list = 0 0.5\n").replace("[pump]", "r2_pump = 0.9\n\n[pump]"),
+         "sweep"),
+        ("design", DESIGN.replace("pump_wavelength_nm = 400", "pump_wavelength_nm = 900"),
+         "design"),
+    ], ids=["cavity_shorter_than_crystal", "sellmeier_n2_below_one", "r1p_without_r2_pump_1",
+            "pump_redder_than_signal"])
+    def test_configuration_a_spec_refuses_is_a_config_error(self, tmp_path, capsys, subcommand,
+                                                            text, section):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run([subcommand, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: module=config: [{section}] ") and err.count("\n") == 1
+        assert not [path for path in out.rglob("*") if path.is_file()]
+
     def test_physics_error_attributed(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         # r2 = 1 makes the Airy weight diverge inside the cavity module
@@ -280,6 +319,16 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert err == "error: module=temporal: correlation time requires at least 2 peaks, got 1\n"
         assert not [path for path in out.rglob("*") if path.is_file()]
+
+    def test_temporal_on_an_open_cavity_stops_at_the_correlation_time(self, tmp_path, capsys):
+        # infinite mode widths leave the lattice to the 20-round-trip cap,
+        # and with no comb only the central peak stands
+        cfg = tmp_path / "open.cfg"
+        cfg.write_text(SMALL_FIG2.replace("0.73", "0"))
+        capsys.readouterr()
+        assert run(["temporal", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: module=temporal: correlation time requires at least 2 peaks, got 1\n"
 
     def test_temporal_refuses_pump_mirrors_before_the_fill(self, tmp_path, monkeypatch, capsys):
         # the temporal lattice holds the singly-resonant amplitude, which

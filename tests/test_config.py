@@ -190,7 +190,7 @@ class TestLoadConfig:
 
     def test_single_element_list(self, tmp_path):
         text = FIG2 + "\n[sweep]\nkind = r1p\nsigma_list_hz = 1e9\nr1p_list = 0.5\n"
-        cfg = load_config(write(tmp_path, text))
+        cfg = load_config(write(tmp_path, text.replace("[pump]", "r2_pump = 1.0\n\n[pump]")))
         assert cfg.get("sweep", "sigma_list") == [2 * np.pi * 1e9]
 
     def test_normalized_text_stable_and_sensitive(self, tmp_path):

@@ -300,6 +300,16 @@ class TestAntiDiagonalPumpTable:
             cs.jsi_doubly_resonant(two_pass, pump, filters, grid_257)
         assert not any("pump" in str(w.message) for w in record)
 
+    def test_every_mode_width_is_checked(self, sr_cavity, pump, filters, grid_257, monkeypatch):
+        # resonance is mode_width's to decide: a width it reports for the
+        # open pump loop of an SR cavity is checked like any other
+        monkeypatch.setattr(cavityspdc.spectral, "mode_width", lambda cavity, omega0, mode: 1.0)
+        with pytest.warns(UnderResolutionWarning) as record:
+            cs.jsi_singly_resonant(sr_cavity, pump, filters, grid_257)
+        assert [str(w.message).split(" resolves the ")[1].split()[0] for w in record] == [
+            "signal", "idler", "pump"
+        ]
+
 
 class TestMarginal:
     def test_separable_grid(self):

@@ -121,6 +121,16 @@ class TestJointTemporalIntensity:
         )
         assert 4 * np.pi / (minus[1] - minus[0]) >= 20 * round_trip * (1 - 1e-12)
 
+    def test_open_cavity_lattice_is_the_twenty_round_trip_cap(self, crystal, pump, filters):
+        # infinite signal and idler widths: the cap alone sets the minus step
+        cav = cs.singly_resonant_cavity(crystal.length_l, crystal, 0.0)
+        round_trip = cs.group_round_trip_time(cav, OMEGA_800)
+        _, minus = cs.rotated_lattice_axes(
+            cav, pump, filters, OMEGA_800, OMEGA_800, TEMPORAL["samples_per_mode_width"],
+            TEMPORAL["minus_halfwidth_filter_fwhm"], TEMPORAL["plus_halfwidth_sigma"],
+        )
+        assert 4 * np.pi / (minus[1] - minus[0]) >= 20 * round_trip * (1 - 1e-12)
+
     @pytest.mark.parametrize(
         "n_minus, n_plus, pad_plus, pad_minus",
         [(37, 203, None, None), (65, 33, 64, 128), (301, 77, 256, 512), (41, 29, 45, 99)],
