@@ -27,6 +27,13 @@ spaced h / 2.  The spectral module's intensity model evaluates the factors
 once per table entry (the rate factors ride on the photon weights); each
 chunk of columns passes gathered views of the tables to its kernel.
 
+The stripe's memory is its factor tables plus a fixed working set.  The
+frequency tables are never stored: the table builder evaluates them and
+the photon factors in blocks of _BLOCK_SAMPLES entries, and each kernel
+call takes max(1, _BLOCK_SAMPLES // rows) columns of `rows` evaluated
+minus rows, whatever the thread count.  Each column sums its minus rows in
+one fixed order, so the result does not depend on the blocks.
+
 A degenerate source (equal signal and idler filters and mirrors, the
 stripe centred on omega_minus = 0) is exchange-symmetric: its idler table
 is the signal table reversed, so the integrand is even in omega_minus and
@@ -47,7 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._parallel import blocks, map_blocks
 from .cavity import mode_width
 from .dispersion import group_slowness, refractive_index
-from .spectral import _exchange_symmetric, _factor_tables, _intensity, fwhm_to_sigma
+from .spectral import _factor_tables, _intensity, fwhm_to_sigma
 
 __all__ = [
     "BrightnessResult",
@@ -59,7 +66,7 @@ __all__ = [
 ]
 
 _SAMPLES_PER_SCALE = 8  # stripe samples across the finest structure of each axis
-_CHUNK = 64  # omega_plus columns per kernel call, whatever the thread count
+_BLOCK_SAMPLES = 1 << 15  # table entries per builder block, samples per kernel call
 
 
 @dataclass(frozen=True)
@@ -97,21 +104,41 @@ def _rate_factor(crystal, omega):
     return kp * omega / n**2
 
 
+@dataclass(frozen=True)
+class _Ramp:
+    """The 1-D table center + step (j - (size - 1) / 2), j = 0 .. size - 1, never stored.
+
+    table[index] evaluates the entries at a slice or an integer array of
+    table indices, the values the stored table would hold there.
+    """
+
+    center: float
+    step: float
+    size: int
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            index = np.arange(*index.indices(self.size))
+        return self.center + self.step * (index - (self.size - 1) / 2.0)
+
+
 class _Stripe(NamedTuple):
     """Commensurate rotated lattice whose photon frequencies fall on 1-D tables.
 
     plus[a] = plus[0] + a q_plus h and minus[b] = minus[0] + b q_minus h, so
-    omega_s(a, b) = omega_s[q_plus a + q_minus b] and
-    omega_i(a, b) = omega_i[q_plus (n_plus - 1 - a) + q_minus b].  Both
-    tables are spaced h / 2, omega_s ascending and omega_i descending, so a
+    omega_s(a, b) = signal[q_plus a + q_minus b] and
+    omega_i(a, b) = idler[q_plus (n_plus - 1 - a) + q_minus b].  Both
+    tables are spaced h / 2, signal ascending and idler descending, so a
     column's samples lie at a fixed stride in either table.  That stride is
     negative when a degenerate source reads its idler factors as the signal
-    table reversed.
+    table reversed.  The tables are _Ramps: the stripe keeps their rule,
+    center +- (h / 2) (j - (N - 1) / 2), and the table builder evaluates
+    them block by block, so no table-length frequency axis is stored.
 
     folded marks an exchange-symmetric source: the idler table is the signal
     table reversed, so sample (a, n_minus - 1 - b) reads the entries of
-    (a, b) with signal and idler swapped and the kernel needs only the minus
-    rows b <= (n_minus - 1) // 2.
+    (a, b) with signal and idler swapped and the kernel needs only the
+    first `rows` minus rows, b <= (n_minus - 1) // 2.
     """
 
     plus: np.ndarray
@@ -119,23 +146,47 @@ class _Stripe(NamedTuple):
     q_plus: int
     q_minus: int
     h: float
-    omega_s: np.ndarray
-    omega_i: np.ndarray
+    signal: _Ramp
+    idler: _Ramp
     folded: bool
 
-    def gather(self, table, chunk, photon, rows):
-        """View of a signal or idler table as the (column, minus) block of a plus chunk.
+    @property
+    def rows(self):
+        """Minus rows the kernel evaluates: all n_minus, or ceil(n_minus / 2) when folded."""
+        n_minus = self.minus.size
+        return (n_minus + 1) // 2 if self.folded else n_minus
 
-        The block holds minus rows 0 to rows - 1: all n_minus, or
-        ceil(n_minus / 2) on a folded stripe.
+    def columns(self, tables):
+        """Signal, idler and plus factor tables as views of shape (n_plus, rows).
+
+        Entry [a, b] holds the factors of sample (a, b), b < rows:
+        signal[q_plus a + q_minus b], idler[q_plus (n_plus - 1 - a) + q_minus b]
+        and plus[a].  A kernel call slices its chunk of columns from them.
         """
-        windows = sliding_window_view(table, self.q_minus * (rows - 1) + 1)
-        if photon == "signal":
-            first, last = chunk.start, chunk.stop - 1
-        else:
-            first, last = self.plus.size - chunk.stop, self.plus.size - 1 - chunk.start
-        rows = windows[self.q_plus * first : self.q_plus * last + 1 : self.q_plus, :: self.q_minus]
-        return rows if photon == "signal" else rows[::-1]
+        def gathered(table):
+            windows = sliding_window_view(table, self.q_minus * (self.rows - 1) + 1)
+            return windows[: self.q_plus * (self.plus.size - 1) + 1 : self.q_plus, :: self.q_minus]
+
+        signal, idler, plus = tables
+        return (signal.view(gathered), idler.view(lambda t: gathered(t)[::-1]),
+                plus.view(lambda t: t[:, None]))
+
+
+def _exchange_symmetric(cavity, filters, signal, idler):
+    """Whether swapping signal and idler maps the source onto itself.
+
+    True for equal signal and idler filters and mirrors and an idler table
+    that is the signal table reversed, compared block by block: then the
+    idler factors are the signal factors reversed, and the stripe, which
+    reads the tables symmetrically, holds each sample twice.
+    """
+    f_s, f_i = filters
+    same_mirrors = all(cavity.mirror(nu, "signal") == cavity.mirror(nu, "idler") for nu in (1, 2))
+    n = signal.size
+    return f_s == f_i and same_mirrors and all(
+        np.array_equal(signal[b], idler[n - b.stop : n - b.start][::-1])
+        for b in blocks(0, n, _BLOCK_SAMPLES, 1)
+    )
 
 
 def _stripe_axes(cavity, pump, filters):
@@ -172,18 +223,18 @@ def _stripe_axes(cavity, pump, filters):
 
     n_plus = int(np.ceil(2 * half_plus / (q_plus * h))) + 1
     n_minus = int(np.ceil((hi_m - lo_m) / (q_minus * h))) + 1
-    offsets = (h / 2.0) * centered(q_plus * (n_plus - 1) + q_minus * (n_minus - 1) + 1)
-    omega_s = (center_plus + center_minus) / 2.0 + offsets
-    omega_i = (center_plus - center_minus) / 2.0 - offsets
+    size = q_plus * (n_plus - 1) + q_minus * (n_minus - 1) + 1
+    signal = _Ramp((center_plus + center_minus) / 2.0, h / 2.0, size)
+    idler = _Ramp((center_plus - center_minus) / 2.0, -(h / 2.0), size)
     return _Stripe(
         plus=center_plus + (q_plus * h) * centered(n_plus),
         minus=center_minus + (q_minus * h) * centered(n_minus),
         q_plus=q_plus,
         q_minus=q_minus,
         h=h,
-        omega_s=omega_s,
-        omega_i=omega_i,
-        folded=_exchange_symmetric(cavity, filters, omega_s, omega_i),
+        signal=signal,
+        idler=idler,
+        folded=_exchange_symmetric(cavity, filters, signal, idler),
     )
 
 
@@ -194,8 +245,9 @@ def _stripe_tables(stripe, cavity, pump, filters, factor_mode):
         raise ValueError(f"unknown factor mode {factor_mode!r}")
     exact = factor_mode == "exact_factors"
     signal, idler, plus = _factor_tables(
-        cavity, pump, filters, stripe.omega_s, stripe.omega_i, stripe.plus,
+        cavity, pump, filters, stripe.signal, None if stripe.folded else stripe.idler, stripe.plus,
         rate=(lambda omega: _rate_factor(crystal, omega)) if exact else None,
+        block=_BLOCK_SAMPLES,
     )
     if not exact:
         f_s, f_i = filters
@@ -204,41 +256,46 @@ def _stripe_tables(stripe, cavity, pump, filters, factor_mode):
     return signal, idler, plus
 
 
-def _column_integrals(stripe, tables, cavity, chunk):
+def _column_integrals(stripe, columns, cavity, chunk):
     """Trapezoid over omega_minus of the integrand for one chunk of omega_plus columns.
 
     A folded stripe evaluates the rows b <= m = (n_minus - 1) // 2 only.
     Row n_minus - 1 - b equals row b, so the row sum is 2 sum_{b<m} s + s_m
     for odd n_minus and 2 sum_{b<=m} s for even, and both end rows are s_0.
+
+    Each column sums its rows in one order whatever the chunk's width: in
+    sequence when q_plus < q_minus, pairwise otherwise.  These are numpy's
+    orders on a chunk of several columns, whose intensities it lays out in
+    the tables' memory order, omega_plus fastest when q_plus < q_minus; it
+    would sum a one-column chunk pairwise.
     """
-    n_minus = stripe.minus.size
-    rows = (n_minus + 1) // 2 if stripe.folded else n_minus
-    signal, idler, plus = tables
-    s = _intensity(
-        cavity,
-        signal.view(lambda t: stripe.gather(t, chunk, "signal", rows)),
-        idler.view(lambda t: stripe.gather(t, chunk, "idler", rows)),
-        plus.view(lambda t: t[chunk, None]),
-    )
+    s = _intensity(cavity, *(f.view(lambda t: t[chunk]) for f in columns))
+    if stripe.q_plus < stripe.q_minus:
+        def row_sum(t):
+            return np.cumsum(t, axis=1)[:, -1]
+    else:
+        def row_sum(t):
+            return t.sum(axis=1)
+
     dx = stripe.q_minus * stripe.h
     if not stripe.folded:
-        return dx * (s.sum(axis=1) - 0.5 * (s[:, 0] + s[:, -1]))
-    if n_minus % 2:
-        total = 2.0 * s[:, :-1].sum(axis=1) + s[:, -1]
+        return dx * (row_sum(s) - 0.5 * (s[:, 0] + s[:, -1]))
+    if stripe.minus.size % 2:
+        total = 2.0 * row_sum(s[:, :-1]) + s[:, -1]
     else:
-        total = 2.0 * s.sum(axis=1)
+        total = 2.0 * row_sum(s)
     return dx * (total - s[:, 0])
 
 
 def _stripe_integral(cavity, pump, filters, factor_mode, threads=1):
     """Integral of D_s D_i S over the plane, evaluated on the rotated stripe."""
     stripe = _stripe_axes(cavity, pump, filters)
-    tables = _stripe_tables(stripe, cavity, pump, filters, factor_mode)
+    columns = stripe.columns(_stripe_tables(stripe, cavity, pump, filters, factor_mode))
 
     def column_integrals(chunk):
-        return _column_integrals(stripe, tables, cavity, chunk)
+        return _column_integrals(stripe, columns, cavity, chunk)
 
-    chunks = blocks(0, stripe.plus.size, _CHUNK, 1)
+    chunks = blocks(0, stripe.plus.size, max(1, _BLOCK_SAMPLES // stripe.rows), 1)
     g = np.concatenate(map_blocks(threads, column_integrals, chunks))
     # Jacobian of (omega_s, omega_i) -> (omega_plus, omega_minus) is 1/2.
     return 0.5 * float(np.trapezoid(g, dx=stripe.q_plus * stripe.h))

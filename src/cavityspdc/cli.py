@@ -166,9 +166,9 @@ def _cmd_airy(cfg, out_dir, fmt, threads):
     cavity = cfg.cavity()
     grid = cfg.grid()
     omega_s0, omega_i0 = cfg.band_centers()
-    # (mode, its center, its axis); an open pump loop has no curve
+    # (mode, its center, its axis); the pump has a curve when a mirror reflects it
     curves = [("signal", omega_s0, grid.omega_s_axis), ("idler", omega_i0, grid.omega_i_axis)]
-    if cavity.loop_reflectivity("pump") > 0:
+    if cavity.reflects_pump:
         curves.append(("pump", omega_s0 + omega_i0, grid.omega_s_axis + omega_i0))
     paths = []
     for mode, center, axis in curves:

@@ -371,28 +371,21 @@ class _Factors(NamedTuple):
         return _Factors(*(None if t is None else index(t) for t in self))
 
 
-def _exchange_symmetric(cavity, filters, omega_s, omega_i):
-    """Whether swapping signal and idler maps the source onto itself.
-
-    True for equal signal and idler filters and mirrors and an idler table
-    that is the signal table reversed: then the idler factors are the signal
-    factors reversed, and a lattice reading the tables symmetrically holds
-    each sample twice.
-    """
-    f_s, f_i = filters or (None, None)
-    same_mirrors = all(cavity.mirror(nu, "signal") == cavity.mirror(nu, "idler") for nu in (1, 2))
-    return f_s == f_i and same_mirrors and np.array_equal(omega_s, omega_i[::-1])
-
-
-def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, rate=None):
+def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, rate=None, block=None):
     """Signal, idler and pump _Factors, each factor evaluated once per table entry.
 
     filters is a (signal, idler) pair or None; the pump Airy weight and P
-    count when the cavity reflects the pump.  omega_p is the pump table, any
-    1-D array of sums omega_s + omega_i: the rectangular grid's anti-diagonal
-    sums or the stripe's omega_plus axis.  rate, if given, is a function of
-    omega multiplied onto both photon weights.  An exchange-symmetric source
-    reads the idler factors as the signal factors reversed.
+    count when the cavity reflects the pump.  omega_s and omega_i are the
+    photon tables: 1-D arrays, or any 1-D table with a size that a slice
+    turns into an array (the brightness stripe's, never stored whole).
+    omega_i None marks a source that signal-idler exchange maps onto itself
+    (the caller decides): the idler factors are the signal factors reversed.
+    omega_p is the pump table, any 1-D array of sums omega_s + omega_i: the
+    rectangular grid's anti-diagonal sums or the stripe's omega_plus axis.
+    rate, if given, is a function of omega multiplied onto both photon
+    weights.  The photon factors are evaluated in blocks of `block` entries
+    (default: the whole table) into preallocated tables; every entry is the
+    same whatever the blocking.
     """
     half_l = cavity.crystal.length_l / 2.0
 
@@ -407,12 +400,22 @@ def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, rate=None):
         phasor = np.exp(1j * theta) if cavity.reflects_pump else None
         return _Factors(n * omega / c * half_l, weight, phasor)
 
+    def photon_table(omega, mode, filt):
+        size = omega.size
+        table = _Factors(np.empty(size), np.empty(size),
+                         np.empty(size, complex) if cavity.reflects_pump else None)
+        for b in blocks(0, size, block or size, 1):
+            for whole, part in zip(table, photon(omega[b], mode, filt)):
+                if whole is not None:
+                    whole[b] = part
+        return table
+
     f_s, f_i = filters or (None, None)
-    signal = photon(omega_s, "signal", f_s)
-    if _exchange_symmetric(cavity, filters, omega_s, omega_i):
+    signal = photon_table(omega_s, "signal", f_s)
+    if omega_i is None:
         idler = signal.view(lambda t: t[::-1])
     else:
-        idler = photon(omega_i, "idler", f_i)
+        idler = photon_table(omega_i, "idler", f_i)
     n_p = refractive_index(cavity.crystal, omega_p, "extraordinary")
     weight_p = pump_envelope(pump, omega_p) ** 2
     phasor_p = None

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -117,3 +119,13 @@ def temporal_marginal(crystal, pump, filters):
         return cache[r2]
 
     return get
+
+
+def traced_peak(fn):
+    """(peak bytes numpy and Python allocate while fn runs, fn's result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()

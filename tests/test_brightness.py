@@ -9,9 +9,10 @@ import cavityspdc.brightness as stripe_module
 from cavityspdc.brightness import brightness_from_cavity
 from cavityspdc.config import load_config
 
-from conftest import OMEGA_800
+from conftest import OMEGA_800, traced_peak
 
 SQRT_2LN2 = np.sqrt(2 * np.log(2))
+FIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -324,6 +325,21 @@ def _assert_matches_oracle(got, expect, rtol=1e-12):
     assert np.all(np.abs(got - expect) <= rtol * np.abs(expect) + floor)
 
 
+@pytest.fixture()
+def kernel_shapes(monkeypatch):
+    """(columns, minus rows) of every kernel call taken while the test runs."""
+    shapes = []
+    intensity = stripe_module._intensity
+
+    def recorded(*args):
+        s = intensity(*args)
+        shapes.append(s.shape)
+        return s
+
+    monkeypatch.setattr(stripe_module, "_intensity", recorded)
+    return shapes
+
+
 class TestStripeLattice:
     @pytest.mark.parametrize("filtered", [True, False])
     @pytest.mark.parametrize("degenerate", [True, False])
@@ -352,18 +368,19 @@ class TestStripeLattice:
         cavity, filters = _source(sr_cavity, dr_cavity, filters, doubly_resonant, degenerate)
         stripe = stripe_module._stripe_axes(cavity, pump, filters)
         tables = stripe_module._stripe_tables(stripe, cavity, pump, filters, factor_mode)
+        columns = stripe.columns(tables)
         n_plus, n_minus = stripe.plus.size, stripe.minus.size
-        assert stripe.omega_s.size == (
+        assert stripe.signal.size == stripe.idler.size == (
             stripe.q_plus * (n_plus - 1) + stripe.q_minus * (n_minus - 1) + 1
         )
         got, expect = [], []
         for start in (0, n_plus // 2 - 32):
             chunk = slice(start, start + 64)
-            got.append(stripe_module._column_integrals(stripe, tables, cavity, chunk))
+            got.append(stripe_module._column_integrals(stripe, columns, cavity, chunk))
             a = np.arange(start, start + 64)[:, None]
             b = np.arange(n_minus)[None, :]
-            omega_s = stripe.omega_s[stripe.q_plus * a + stripe.q_minus * b]
-            omega_i = stripe.omega_i[stripe.q_plus * (n_plus - 1 - a) + stripe.q_minus * b]
+            omega_s = stripe.signal[stripe.q_plus * a + stripe.q_minus * b]
+            omega_i = stripe.idler[stripe.q_plus * (n_plus - 1 - a) + stripe.q_minus * b]
             plus, minus = stripe.plus[a], stripe.minus[b]
             # the tables sit on the rotated lattice
             assert np.abs(omega_s - (plus + minus) / 2).max() <= 4e-16 * OMEGA_800
@@ -399,33 +416,26 @@ class TestStripeLattice:
         chunk = slice(0, stripe.plus.size)
         unfolded = stripe._replace(folded=False)
         for tables in ((signal, idler, plus), (flat, flat.view(lambda t: t[::-1]), plus)):
-            got = stripe_module._column_integrals(stripe, tables, cavity, chunk)
-            expect = stripe_module._column_integrals(unfolded, tables, cavity, chunk)
+            got = stripe_module._column_integrals(stripe, stripe.columns(tables), cavity, chunk)
+            expect = stripe_module._column_integrals(
+                unfolded, unfolded.columns(tables), cavity, chunk
+            )
             _assert_matches_oracle(got, expect, rtol=1e-13)
 
     @pytest.mark.parametrize("source", ["degenerate", "distinct", "unequal_idler_mirror"])
     @pytest.mark.parametrize("doubly_resonant", [False, True])
     def test_kernel_sees_half_the_minus_rows_of_a_degenerate_source(
-        self, sr_cavity, dr_cavity, pump, filters, monkeypatch, doubly_resonant, source
+        self, sr_cavity, dr_cavity, pump, filters, kernel_shapes, doubly_resonant, source
     ):
         degenerate = source != "distinct"
         cavity, filters = _source(sr_cavity, dr_cavity, filters, doubly_resonant, degenerate)
         if source == "unequal_idler_mirror":  # degenerate frequencies, distinct idler mirror
             cavity = cavity.with_mirror(2, "idler", magnitude=0.6)
-        shapes = []
-        intensity = stripe_module._intensity
-
-        def recorded(*args):
-            s = intensity(*args)
-            shapes.append(s.shape)
-            return s
-
-        monkeypatch.setattr(stripe_module, "_intensity", recorded)
         narrow = replace(pump, sigma=1e12)
         brightness_from_cavity(cavity, narrow, filters)
         n_minus = stripe_module._stripe_axes(cavity, narrow, filters).minus.size
         rows = (n_minus + 1) // 2 if source == "degenerate" else n_minus
-        assert {shape[1] for shape in shapes} == {rows}
+        assert {shape[1] for shape in kernel_shapes} == {rows}
 
     @pytest.mark.parametrize(
         "r2, sigma", [(0.5, 1e11), (0.9, 1e11), (0.9, 2e12), (0.5, 4.6e13)]
@@ -444,9 +454,7 @@ class TestStripeLattice:
     def test_plus_step_resolves_the_pump_mode(self):
         # fig6's r1p = 0.999 row: the pump width, about 9e9 rad/s, is the
         # finest omega_plus scale, finer than sigma / 2 and the photon modes
-        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "fig6.cfg")
-        cavity = cfg.cavity().with_mirror(1, "pump", magnitude=0.999)
-        pump, filters = cfg.pump(), cfg.filters()
+        cavity, pump, filters = _fig6_point()
         width = cs.mode_width(cavity, pump.omega_p0, "pump")
         assert width < pump.sigma / 2
         stripe = stripe_module._stripe_axes(cavity, pump, filters)
@@ -460,3 +468,75 @@ class TestStripeLattice:
         monkeypatch.setattr(stripe_module, "_SAMPLES_PER_SCALE", 16)
         halved = brightness_from_cavity(cav, swept, filters).value
         assert halved == pytest.approx(default, rel=1e-8, abs=0)
+
+
+def _fig6_point():
+    """fig6's r1p = 0.999, sigma = 2e11 row: 1.03 M table entries, 1419 x 819 kernel samples."""
+    cfg = load_config(FIGS / "fig6.cfg")
+    cavity = cfg.cavity().with_mirror(1, "pump", magnitude=0.999)
+    return cavity, replace(cfg.pump(), sigma=2e11), cfg.filters()
+
+
+def _fig5_tallest_point():
+    """fig5's plateau row at r2 = 0.99: 60 535 minus rows, 30 268 of them evaluated."""
+    cfg = load_config(FIGS / "fig5.cfg")
+    cavity = cfg.cavity()
+    for mode in ("signal", "idler"):
+        cavity = cavity.with_mirror(2, mode, magnitude=0.99)
+    filters = cfg.filters()
+    sigma = cs.fwhm_to_sigma(cs.mode_width(cavity, filters[0].center, "signal"))
+    return cavity, replace(cfg.pump(), sigma=sigma), filters
+
+
+class TestBlocking:
+    # 1000 samples per block: one column per kernel call on these stripes
+    # (819 to 1527 minus rows evaluated) and table blocks that divide no
+    # table length
+    SMALL = 1000
+
+    @pytest.mark.parametrize("sigma", [1e12, None])  # q_minus = 11, and q_plus = q_minus = 1
+    @pytest.mark.parametrize("degenerate", [True, False])
+    @pytest.mark.parametrize("factor_mode", ["central_approx", "exact_factors"])
+    @pytest.mark.parametrize("doubly_resonant", [False, True])
+    def test_results_do_not_depend_on_the_blocks(
+        self, sr_cavity, dr_cavity, pump, filters, monkeypatch, kernel_shapes,
+        doubly_resonant, factor_mode, degenerate, sigma,
+    ):
+        cavity, filters = _source(sr_cavity, dr_cavity, filters, doubly_resonant, degenerate)
+        swept = replace(pump, sigma=sigma or pump.sigma)
+        stripe = stripe_module._stripe_axes(cavity, swept, filters)
+        assert stripe.folded == degenerate and stripe.signal.size % self.SMALL
+        default = brightness_from_cavity(cavity, swept, filters, factor_mode).value
+        kernel_shapes.clear()
+        monkeypatch.setattr(stripe_module, "_BLOCK_SAMPLES", self.SMALL)
+        blocked = brightness_from_cavity(cavity, swept, filters, factor_mode).value
+        assert [shape[0] for shape in kernel_shapes] == [1] * stripe.plus.size
+        assert blocked == default
+
+    def test_fig6_point_on_two_threads(self, monkeypatch, kernel_shapes):
+        cavity, pump, filters = _fig6_point()
+        default = brightness_from_cavity(cavity, pump, filters).value
+        monkeypatch.setattr(stripe_module, "_BLOCK_SAMPLES", self.SMALL)
+        kernel_shapes.clear()
+        assert brightness_from_cavity(cavity, pump, filters, threads=2).value == default
+        assert {shape[0] for shape in kernel_shapes} == {1}
+
+
+class TestWorkingSet:
+    # The stripe keeps its factor tables and a working set that does not grow
+    # with them: a table builder block and a kernel call of at most 2^15
+    # samples each.  Table-length frequency axes and 64-column kernel calls,
+    # the earlier design, traced 41 MB (fig6) and 37 MB (fig5) over the
+    # tables.
+    WORKING_SET = 8 * 2**20
+
+    @pytest.mark.parametrize("point", [_fig6_point, _fig5_tallest_point])
+    def test_peak_is_the_tables_plus_a_fixed_bound(self, point):
+        cavity, pump, filters = point()
+        stripe = stripe_module._stripe_axes(cavity, pump, filters)
+        tables = stripe_module._stripe_tables(stripe, cavity, pump, filters, "central_approx")
+        # the kept arrays: a folded idler table is a view of the signal table
+        kept = sum(t.nbytes for f in tables for t in f if t is not None and t.base is None)
+        del tables
+        peak, _ = traced_peak(lambda: brightness_from_cavity(cavity, pump, filters))
+        assert peak <= kept + self.WORKING_SET

@@ -161,6 +161,20 @@ class TestSubcommands:
         assert data.shape == (32, 2) and np.all(data[:, 1] == 1.0)
         assert "mode_width_rad_s" not in text
 
+    def test_airy_pump_curve_of_an_open_pump_loop(self, tmp_path):
+        # r1_pump = 0.5 and r2_pump = 0: the loop does not resonate, but every
+        # pair is weighed by |t_1p|^2 = 0.75, as jsi-dr weighs it
+        cfg = tmp_path / "half.cfg"
+        cfg.write_text(SMALL_FIG2.replace("samples = 129", "samples = 32")
+                       .replace("[pump]", "r1_pump = 0.5\nr2_pump = 0\n\n[pump]"))
+        out = tmp_path / "out"
+        assert run(["airy", "--config", cfg, "--out", out]) == 0
+        text = (out / "airy_pump.dat").read_text()
+        data = np.loadtxt(text.splitlines())
+        assert data.shape == (32, 2)
+        assert data[:, 1] == pytest.approx(np.full(32, 0.75), rel=1e-15, abs=0)
+        assert "mode_width_rad_s" not in text and "free_spectral_range_rad_s" not in text
+
     def test_airy_pump_headers_read_the_pump_mode(self, tmp_path):
         cfg = tmp_path / "dr.cfg"
         cfg.write_text(SMALL_FIG2.replace("[pump]", "r1_pump = 0.5\nr2_pump = 1.0\n\n[pump]"))

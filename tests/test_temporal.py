@@ -11,7 +11,7 @@ from cavityspdc.errors import EmptyPeakSetError
 from cavityspdc.spectral import _jsa_sr_pointwise
 from cavityspdc.temporal import _BLOCK_PLUS, _BLOCK_ROWS, joint_temporal_intensity_from_cavity
 
-from conftest import OMEGA_800, TEMPORAL, run_temporal_pipeline
+from conftest import OMEGA_800, TEMPORAL, run_temporal_pipeline, traced_peak
 
 
 def random_rotated(n_minus, n_plus, seed=0):
@@ -28,16 +28,6 @@ def sr_lattice(n_minus, n_plus, pump, filters):
     half = 3 * filters[0].fwhm
     plus = np.linspace(2 * OMEGA_800 - 4 * pump.sigma, 2 * OMEGA_800 + 4 * pump.sigma, n_plus)
     return plus, np.linspace(-half, half, n_minus)
-
-
-def traced_peak(fn):
-    """(peak bytes numpy and Python allocate while fn runs, fn's result)."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
 
 
 def blocks_in_reverse(threads, fn, items):
