@@ -29,8 +29,8 @@ chunk of columns passes gathered views of the tables to its kernel.
 
 The stripe's memory is its factor tables plus a fixed working set.  The
 frequency tables are never stored: the table builder evaluates them and
-the photon factors in blocks of _BLOCK_SAMPLES entries, and each kernel
-call takes max(1, _BLOCK_SAMPLES // rows) columns of `rows` evaluated
+the photon factors in blocks of spectral._BLOCK_SAMPLES entries, and each
+kernel call takes max(1, _BLOCK_SAMPLES // rows) columns of `rows` evaluated
 minus rows, whatever the thread count.  Each column sums its minus rows in
 one fixed order, so the result does not depend on the blocks.
 
@@ -54,6 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._parallel import blocks, map_blocks
 from .cavity import mode_width
 from .dispersion import group_slowness, refractive_index
+from . import spectral
 from .spectral import _factor_tables, _intensity, fwhm_to_sigma
 
 __all__ = [
@@ -66,7 +67,6 @@ __all__ = [
 ]
 
 _SAMPLES_PER_SCALE = 8  # stripe samples across the finest structure of each axis
-_BLOCK_SAMPLES = 1 << 15  # table entries per builder block, samples per kernel call
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def _exchange_symmetric(cavity, filters, signal, idler):
     n = signal.size
     return f_s == f_i and same_mirrors and all(
         np.array_equal(signal[b], idler[n - b.stop : n - b.start][::-1])
-        for b in blocks(0, n, _BLOCK_SAMPLES, 1)
+        for b in blocks(0, n, spectral._BLOCK_SAMPLES, 1)
     )
 
 
@@ -247,7 +247,6 @@ def _stripe_tables(stripe, cavity, pump, filters, factor_mode):
     signal, idler, plus = _factor_tables(
         cavity, pump, filters, stripe.signal, None if stripe.folded else stripe.idler, stripe.plus,
         rate=(lambda omega: _rate_factor(crystal, omega)) if exact else None,
-        block=_BLOCK_SAMPLES,
     )
     if not exact:
         f_s, f_i = filters
@@ -295,7 +294,7 @@ def _stripe_integral(cavity, pump, filters, factor_mode, threads=1):
     def column_integrals(chunk):
         return _column_integrals(stripe, columns, cavity, chunk)
 
-    chunks = blocks(0, stripe.plus.size, max(1, _BLOCK_SAMPLES // stripe.rows), 1)
+    chunks = blocks(0, stripe.plus.size, max(1, spectral._BLOCK_SAMPLES // stripe.rows), 1)
     g = np.concatenate(map_blocks(threads, column_integrals, chunks))
     # Jacobian of (omega_s, omega_i) -> (omega_plus, omega_minus) is 1/2.
     return 0.5 * float(np.trapezoid(g, dx=stripe.q_plus * stripe.h))

@@ -73,6 +73,7 @@ __all__ = [
 
 _LN2 = np.log(2.0)
 _BLOCK_ROWS = 64  # idler rows per block of the rectangular grid's kernel
+_BLOCK_SAMPLES = 1 << 15  # table entries per factor-table block (the stripe's kernel calls too)
 
 
 def wavelength_fwhm_to_angular(lambda0, fwhm_lambda):
@@ -371,7 +372,7 @@ class _Factors(NamedTuple):
         return _Factors(*(None if t is None else index(t) for t in self))
 
 
-def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, rate=None, block=None):
+def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, rate=None):
     """Signal, idler and pump _Factors, each factor evaluated once per table entry.
 
     filters is a (signal, idler) pair or None; the pump Airy weight and P
@@ -383,9 +384,9 @@ def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, rate=None, 
     omega_p is the pump table, any 1-D array of sums omega_s + omega_i: the
     rectangular grid's anti-diagonal sums or the stripe's omega_plus axis.
     rate, if given, is a function of omega multiplied onto both photon
-    weights.  The photon factors are evaluated in blocks of `block` entries
-    (default: the whole table) into preallocated tables; every entry is the
-    same whatever the blocking.
+    weights.  The photon factors are evaluated in blocks of _BLOCK_SAMPLES
+    entries into preallocated tables; every entry is the same whatever the
+    blocking, and a grid's table of at most 2047 entries is one block.
     """
     half_l = cavity.crystal.length_l / 2.0
 
@@ -404,7 +405,7 @@ def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, rate=None, 
         size = omega.size
         table = _Factors(np.empty(size), np.empty(size),
                          np.empty(size, complex) if cavity.reflects_pump else None)
-        for b in blocks(0, size, block or size, 1):
+        for b in blocks(0, size, _BLOCK_SAMPLES, 1):
             for whole, part in zip(table, photon(omega[b], mode, filt)):
                 if whole is not None:
                     whole[b] = part

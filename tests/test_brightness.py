@@ -6,6 +6,7 @@ import pytest
 
 import cavityspdc as cs
 import cavityspdc.brightness as stripe_module
+import cavityspdc.spectral as spectral_module
 from cavityspdc.brightness import brightness_from_cavity
 from cavityspdc.config import load_config
 
@@ -508,7 +509,7 @@ class TestBlocking:
         assert stripe.folded == degenerate and stripe.signal.size % self.SMALL
         default = brightness_from_cavity(cavity, swept, filters, factor_mode).value
         kernel_shapes.clear()
-        monkeypatch.setattr(stripe_module, "_BLOCK_SAMPLES", self.SMALL)
+        monkeypatch.setattr(spectral_module, "_BLOCK_SAMPLES", self.SMALL)
         blocked = brightness_from_cavity(cavity, swept, filters, factor_mode).value
         assert [shape[0] for shape in kernel_shapes] == [1] * stripe.plus.size
         assert blocked == default
@@ -516,7 +517,7 @@ class TestBlocking:
     def test_fig6_point_on_two_threads(self, monkeypatch, kernel_shapes):
         cavity, pump, filters = _fig6_point()
         default = brightness_from_cavity(cavity, pump, filters).value
-        monkeypatch.setattr(stripe_module, "_BLOCK_SAMPLES", self.SMALL)
+        monkeypatch.setattr(spectral_module, "_BLOCK_SAMPLES", self.SMALL)
         kernel_shapes.clear()
         assert brightness_from_cavity(cavity, pump, filters, threads=2).value == default
         assert {shape[0] for shape in kernel_shapes} == {1}
