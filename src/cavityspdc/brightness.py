@@ -10,22 +10,41 @@ constant b):
 Every reported number is a ratio to the equivalent source without a cavity
 driven by the same pump, in which b U cancels, so b U is set to one here.
 
-The integral has one route, brightness_from_cavity, which every sweep
-driver calls: an adaptive stripe in rotated coordinates (omega_plus =
+The integral has one route, which brightness_from_cavity and every sweep
+driver take: an adaptive stripe in rotated coordinates (omega_plus =
 omega_s + omega_i bounded by the pump envelope, omega_minus = omega_s -
 omega_i by the filters), so that narrow cavity modes stay resolved at any
-reflectivity without gigantic rectangular grids.  The
+reflectivity without gigantic rectangular grids, and a 1-D integral over
+its columns (below).  The
 "equivalent source without a cavity" reference opens mirror 2 for signal
 and idler and both mirrors for the pump, with identical pump and filters;
 the perfect mirror 1 of the cavity model then changes no factor.
+
+The pump envelope |alpha|^2 and, for a resonant pump, its Airy weight A_p
+depend on omega_plus alone, so they leave the lattice:
+
+    B sigma = 0.5 integral |alpha|^2 A_p g d omega_plus,
+
+with g(omega_plus) the stripe's column integrals over omega_minus of
+D_s D_i S / (|alpha|^2 A_p).  g depends on neither the pump envelope nor
+|r_1p| (P reads r_2p and the mirror phases only), and it varies no faster
+than sigma and the photon modes allow, so the stripe never resolves the
+pump mode: its tables keep their open-loop size however narrow the pump
+resonance.  The 1-D integral evaluates |alpha|^2 A_p exactly on an axis
+that resolves the pump mode width with _SAMPLES_PER_SCALE samples: the
+stripe's own columns when their step is fine enough, as for every cavity
+that does not reflect the pump, and otherwise a finer axis on which g is
+interpolated (six-point Lagrange).  An r1p sweep builds one stripe per
+sigma, and its reference and every row are 1-D integrals over the same g.
 
 The stripe is a commensurate lattice.  With h the smaller of the two axis
 step targets, omega_plus steps by q_plus h and omega_minus by q_minus h
 (integers q >= 1), so the signal and idler frequencies of every sample lie
 on two 1-D tables of q_plus (n_plus - 1) + q_minus (n_minus - 1) + 1 points
 spaced h / 2.  The spectral module's intensity model evaluates the factors
-once per table entry (the rate factors ride on the photon weights); each
-chunk of columns passes gathered views of the tables to its kernel.
+once per table entry (the rate factors ride on the photon weights, or in
+central_approx mode on the plus table as one constant); each chunk of
+columns passes gathered views of the tables to its kernel.
 
 The stripe's memory is its factor tables plus a fixed working set.  The
 frequency tables are never stored: the table builder evaluates them and
@@ -190,12 +209,15 @@ def _exchange_symmetric(cavity, filters, signal, idler):
 
 
 def _stripe_axes(cavity, pump, filters):
-    """Commensurate stripe resolving pump, filters and cavity modes.
+    """Commensurate stripe resolving the pump envelope, the filters and the photon modes.
 
     Each rotated axis gets a step target of 1/_SAMPLES_PER_SCALE of its
     finest structure, the min over its scales, in which the infinite width
     of a mode that does not resonate drops out; h is the smaller target and
     each axis steps by the largest multiple of h within its own target.
+    The pump's own cavity mode is no scale of the stripe: its Airy weight
+    depends on omega_plus alone and is applied on _plus_integral's axis, so
+    the stripe, and its tables, are the same at every |r_1p|.
     """
     if filters is None:
         raise ValueError("sweep integration requires gaussian filters on both modes")
@@ -207,8 +229,7 @@ def _stripe_axes(cavity, pump, filters):
     # appears with width 2 dw along either rotated axis.
     photon_scale = 2.0 * min(mode_width(cavity, f_s.center, "signal"),
                              mode_width(cavity, f_i.center, "idler"))
-    d_plus = min(pump.sigma / 2.0, photon_scale,
-                 mode_width(cavity, pump.omega_p0, "pump")) / _SAMPLES_PER_SCALE
+    d_plus = min(pump.sigma / 2.0, photon_scale) / _SAMPLES_PER_SCALE
     d_minus = min(f_s.fwhm, f_i.fwhm, photon_scale) / _SAMPLES_PER_SCALE
     h = min(d_plus, d_minus)
     q_plus, q_minus = int(d_plus // h), int(d_minus // h)
@@ -238,20 +259,24 @@ def _stripe_axes(cavity, pump, filters):
     )
 
 
-def _stripe_tables(stripe, cavity, pump, filters, factor_mode):
-    """Signal, idler and plus factor tables of the stripe integrand D_s D_i S."""
+def _stripe_tables(stripe, cavity, filters, factor_mode):
+    """Signal, idler and plus factor tables of the integrand of g: D_s D_i S / (|alpha|^2 A_p).
+
+    The plus table keeps k_p l / 2 and, for DR, the phasor of P; its weight
+    is the constant rate factor in central_approx mode and none otherwise.
+    """
     crystal = cavity.crystal
     if factor_mode not in ("central_approx", "exact_factors"):
         raise ValueError(f"unknown factor mode {factor_mode!r}")
     exact = factor_mode == "exact_factors"
     signal, idler, plus = _factor_tables(
-        cavity, pump, filters, stripe.signal, None if stripe.folded else stripe.idler, stripe.plus,
+        cavity, None, filters, stripe.signal, None if stripe.folded else stripe.idler, stripe.plus,
         rate=(lambda omega: _rate_factor(crystal, omega)) if exact else None,
     )
     if not exact:
         f_s, f_i = filters
         central = _rate_factor(crystal, f_s.center) * _rate_factor(crystal, f_i.center)
-        plus = plus._replace(weight=plus.weight * central)
+        plus = plus._replace(weight=np.full(stripe.plus.size, central))
     return signal, idler, plus
 
 
@@ -286,18 +311,67 @@ def _column_integrals(stripe, columns, cavity, chunk):
     return dx * (total - s[:, 0])
 
 
-def _stripe_integral(cavity, pump, filters, factor_mode, threads=1):
-    """Integral of D_s D_i S over the plane, evaluated on the rotated stripe."""
+def _stripe_columns(cavity, pump, filters, factor_mode, threads=1):
+    """The stripe and its column integrals g(omega_plus) over omega_minus.
+
+    g integrates D_s D_i S / (|alpha|^2 A_p), which depends on neither the
+    pump envelope nor |r_1p|: P reads r_2p and the mirror phases only.
+    """
     stripe = _stripe_axes(cavity, pump, filters)
-    columns = stripe.columns(_stripe_tables(stripe, cavity, pump, filters, factor_mode))
+    columns = stripe.columns(_stripe_tables(stripe, cavity, filters, factor_mode))
 
     def column_integrals(chunk):
         return _column_integrals(stripe, columns, cavity, chunk)
 
     chunks = blocks(0, stripe.plus.size, max(1, spectral._BLOCK_SAMPLES // stripe.rows), 1)
-    g = np.concatenate(map_blocks(threads, column_integrals, chunks))
-    # Jacobian of (omega_s, omega_i) -> (omega_plus, omega_minus) is 1/2.
-    return 0.5 * float(np.trapezoid(g, dx=stripe.q_plus * stripe.h))
+    return stripe, np.concatenate(map_blocks(threads, column_integrals, chunks))
+
+
+def _interpolate(values, index):
+    """Six-point Lagrange interpolation of a uniform table at fractional indices.
+
+    Each index reads the six entries from two below its floor to three
+    above, a stencil shifted inward at the table's ends, so polynomials of
+    degree 5 are reproduced to rounding.
+    """
+    nodes = range(-2, 4)
+    base = np.clip(np.floor(index).astype(int), 2, values.size - 4)
+    s = index - base
+    out = np.zeros_like(s)
+    for m in nodes:
+        weight = np.ones_like(s)
+        for k in nodes:
+            if k != m:
+                weight *= (s - k) / (m - k)
+        out += weight * values[base + m]
+    return out
+
+
+def _plus_integral(stripe, g, cavity, pump):
+    """0.5 integral of |alpha|^2 A_p g over the stripe's omega_plus span (Jacobian 1/2).
+
+    |alpha|^2 A_p is evaluated exactly on a uniform axis with a step of at
+    most 1/_SAMPLES_PER_SCALE of the pump mode width: the stripe's own
+    columns when their step is that fine already (always without a pump
+    resonance, whose width is infinite), and otherwise a finer axis over
+    the same span, on which g is interpolated between the columns.  The
+    integrand is evaluated in blocks of spectral._BLOCK_SAMPLES entries.
+    """
+    n_columns = stripe.plus.size
+    step = stripe.q_plus * stripe.h
+    width = mode_width(cavity, pump.omega_p0, "pump")
+    n = max(n_columns, int(np.ceil((n_columns - 1) * step * _SAMPLES_PER_SCALE / width)) + 1)
+    ratio = (n_columns - 1) / (n - 1)  # column steps per axis step
+    axis = _Ramp(pump.omega_p0, step * ratio, n)  # the columns' own rule when n = n_columns
+
+    def integrand(b):
+        omega = axis[b]
+        n_p = refractive_index(cavity.crystal, omega, "extraordinary")
+        g_b = g[b] if n == n_columns else _interpolate(g, np.arange(b.start, b.stop) * ratio)
+        return spectral._pump_weight(cavity, pump, omega, n_p) * g_b
+
+    y = np.concatenate([integrand(b) for b in blocks(0, n, spectral._BLOCK_SAMPLES, 1)])
+    return 0.5 * float(np.trapezoid(y, dx=axis.step))
 
 
 def brightness_from_cavity(cavity, pump, filters, factor_mode="central_approx", threads=1):
@@ -305,8 +379,8 @@ def brightness_from_cavity(cavity, pump, filters, factor_mode="central_approx", 
 
     The integrand is the cavity's S_SR, or S_DR when it reflects the pump.
     """
-    raw = _stripe_integral(cavity, pump, filters, factor_mode, threads)
-    return BrightnessResult(raw / pump.sigma)
+    stripe, g = _stripe_columns(cavity, pump, filters, factor_mode, threads)
+    return BrightnessResult(_plus_integral(stripe, g, cavity, pump) / pump.sigma)
 
 
 def _no_cavity(cavity):
@@ -387,16 +461,18 @@ def brightness_vs_r1p_sweep(
     (sigma, r1p, B_norm) normalized per sigma to the r1p = 0 value, so an
     r1p = 0 row is the reference itself and exactly one; at r1p = 1 no pump
     enters the cavity and the brightness is exactly zero.  Neither row
-    takes an integral of its own.
+    takes an integral of its own.  Each sigma builds one stripe: its column
+    integrals g do not depend on r1p, so the reference and every row are
+    1-D integrals over them.
     """
     if cavity.mirror(2, "pump").magnitude != 1.0:
         raise ValueError("the r1p sweep assumes a perfect pump reflectivity on mirror 2")
+    single = cavity.with_mirror(1, "pump", magnitude=0.0)
     rows = []
     for sigma in sigma_list:
         swept_pump = replace(pump, sigma=sigma)
-        reference = brightness_from_cavity(
-            cavity.with_mirror(1, "pump", magnitude=0.0), swept_pump, filters, factor_mode, threads
-        ).value
+        stripe, g = _stripe_columns(single, swept_pump, filters, factor_mode, threads)
+        reference = _plus_integral(stripe, g, single, swept_pump)
         for r1p in r1p_list:
             if r1p == 0.0:
                 rows.append((float(sigma), 0.0, 1.0))
@@ -405,6 +481,6 @@ def brightness_vs_r1p_sweep(
                 rows.append((float(sigma), 1.0, 0.0))
                 continue
             cav = cavity.with_mirror(1, "pump", magnitude=r1p)
-            b = brightness_from_cavity(cav, swept_pump, filters, factor_mode, threads).value
-            rows.append((float(sigma), float(r1p), b / reference))
+            rows.append((float(sigma), float(r1p),
+                         _plus_integral(stripe, g, cav, swept_pump) / reference))
     return SweepTable(("sigma_rad_s", "r1p", "B_norm"), rows)

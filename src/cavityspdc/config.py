@@ -21,7 +21,8 @@ default), the Sellmeier coefficients unless kind = custom, both pump widths
 at once, any [filters] key besides shape = none, [filters] fwhm when
 both per-mode widths are given, and a [sweep] list that no requested kind
 reads (_SWEEPS), beside unknown or repeated kinds, kind = r1p without
-r2_pump = 1, and shape = none for a subcommand that requires [filters].
+r2_pump = 1, an r2 sweep list that holds 1 (the loop sums diverge), and
+shape = none for a subcommand that requires [filters].
 The builders raise a spec's own ValueError (a cavity shorter than its
 crystal, say) as a ConfigError naming the section.
 """
@@ -504,6 +505,10 @@ def _check_sweep_kinds(cfg):
                           f"{', '.join(_SWEEPS)}, each at most once")
     for kind in kinds:
         cfg.sweep(kind)  # a ConfigError naming the list when one is missing
+    for stem in ("r2_list", "plateau_r2_list"):
+        if 1.0 in cfg.sections["sweep"].get(stem, ()):
+            raise ConfigError(f"[sweep] {stem}: the signal and idler loop sums diverge at "
+                              f"r2 = 1; every entry must be below 1")
     r2_pump = cfg.get("cavity", "r2_pump")
     if "r1p" in kinds and r2_pump != 1.0:
         raise ConfigError(f"[sweep] kind = r1p needs [cavity] r2_pump = 1, got {r2_pump:g}")

@@ -359,8 +359,8 @@ class _Factors(NamedTuple):
     """Factors on one table: k l / 2, a weight and, for DR, a phasor of P.
 
     Photon: Airy x filter^2 and e^{i theta}.  Pump, on omega_s + omega_i:
-    |alpha|^2 x pump Airy and e^{i(theta_p + delta_1s + delta_1i + delta_2p)}
-    (cavity._balance_phase of theta_p).
+    _pump_weight and e^{i(theta_p + delta_1s + delta_1i + delta_2p)}
+    (cavity._balance_phase of theta_p); a weight of None counts as 1.
     """
 
     k: np.ndarray
@@ -376,9 +376,11 @@ def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, rate=None):
     """Signal, idler and pump _Factors, each factor evaluated once per table entry.
 
     filters is a (signal, idler) pair or None; the pump Airy weight and P
-    count when the cavity reflects the pump.  omega_s and omega_i are the
-    photon tables: 1-D arrays, or any 1-D table with a size that a slice
-    turns into an array (the brightness stripe's, never stored whole).
+    count when the cavity reflects the pump.  pump None leaves the pump
+    table without a weight: the brightness stripe weighs omega_plus on an
+    axis of its own.  omega_s and omega_i are the photon tables: 1-D
+    arrays, or any 1-D table with a size that a slice turns into an array
+    (the brightness stripe's, never stored whole).
     omega_i None marks a source that signal-idler exchange maps onto itself
     (the caller decides): the idler factors are the signal factors reversed.
     omega_p is the pump table, any 1-D array of sums omega_s + omega_i: the
@@ -418,15 +420,25 @@ def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, rate=None):
     else:
         idler = photon_table(omega_i, "idler", f_i)
     n_p = refractive_index(cavity.crystal, omega_p, "extraordinary")
-    weight_p = pump_envelope(pump, omega_p) ** 2
+    weight_p = None if pump is None else _pump_weight(cavity, pump, omega_p, n_p)
     phasor_p = None
+    if cavity.reflects_pump:
+        # the mirror phases of P's pass-to-pass phase ride on the pump phasor
+        phasor_p = np.exp(1j * _balance_phase(cavity, _single_pass_phase(cavity, omega_p, n_p)))
+    return signal, idler, _Factors(n_p * omega_p / c * half_l, weight_p, phasor_p)
+
+
+def _pump_weight(cavity, pump, omega_p, n_p):
+    """|alpha|^2 at omega_p = omega_s + omega_i, times A_p when the cavity reflects the pump.
+
+    n_p is the extraordinary index at omega_p, already evaluated.
+    """
+    weight = pump_envelope(pump, omega_p) ** 2
     if cavity.reflects_pump:
         theta_p = _single_pass_phase(cavity, omega_p, n_p)
         delta_p = _round_trip_phase(cavity, theta_p, "pump")
-        weight_p = weight_p * _airy_from_phase(cavity, "pump", delta_p)
-        # the mirror phases of P's pass-to-pass phase ride on the pump phasor
-        phasor_p = np.exp(1j * _balance_phase(cavity, theta_p))
-    return signal, idler, _Factors(n_p * omega_p / c * half_l, weight_p, phasor_p)
+        weight = weight * _airy_from_phase(cavity, "pump", delta_p)
+    return weight
 
 
 def _intensity(cavity, signal, idler, pump):
@@ -444,7 +456,8 @@ def _intensity(cavity, signal, idler, pump):
     s *= s
     s *= signal.weight
     s *= idler.weight
-    s *= pump.weight
+    if pump.weight is not None:
+        s *= pump.weight
     if pump.phasor is not None:
         phasor = signal.phasor * idler.phasor
         phasor *= pump.phasor

@@ -17,6 +17,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cavityspdc.brightness as brightness
@@ -99,16 +100,18 @@ def test_shipped_map_ops_write_the_recorded_artifacts(bench, tmp_path, name):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_sweeps_ops_fold_every_stripe(bench, tmp_path, monkeypatch, seed):
-    # a stand-in integral records each stripe a sweep row or reference
-    # builds; the shipped fig6 op is in every plan
+    # a stand-in for the stripe's column integrals records each stripe a
+    # sweep row or reference builds, and hands the omega_plus integral flat
+    # columns; the shipped fig6 op is in every plan
     monkeypatch.chdir(BENCH.parent)
     folded = []
 
     def stripe_only(cavity, pump, filters, factor_mode, threads=1):
-        folded.append(brightness._stripe_axes(cavity, pump, filters).folded)
-        return 1.0
+        stripe = brightness._stripe_axes(cavity, pump, filters)
+        folded.append(stripe.folded)
+        return stripe, np.ones(stripe.plus.size)
 
-    monkeypatch.setattr(brightness, "_stripe_integral", stripe_only)
+    monkeypatch.setattr(brightness, "_stripe_columns", stripe_only)
     plan = bench["workloads"].make_plan("sweeps", seed, tmp_path)
     assert any(op["config"] == "configs/fig6.cfg" for op in plan["ops"])
     for op in plan["ops"]:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -160,15 +161,15 @@ class TestSigmaSweep:
 
 @pytest.fixture()
 def stripe_calls(monkeypatch):
-    """Arguments of every stripe integral taken while the test runs."""
+    """Arguments of every stripe built while the test runs."""
     calls = []
-    stripe_integral = stripe_module._stripe_integral
+    stripe_columns = stripe_module._stripe_columns
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return stripe_integral(*args, **kwargs)
+        return stripe_columns(*args, **kwargs)
 
-    monkeypatch.setattr(stripe_module, "_stripe_integral", counted)
+    monkeypatch.setattr(stripe_module, "_stripe_columns", counted)
     return calls
 
 
@@ -240,7 +241,7 @@ class TestR1pSweep:
         self, dr_base, pump, filters, stripe_calls
     ):
         table = cs.brightness_vs_r1p_sweep(dr_base, pump, filters, [0.0, 0.5, 1.0], [2e11])
-        assert len(stripe_calls) == 2  # the r1p = 0.5 row and the reference
+        assert len(stripe_calls) == 1  # the reference's stripe, which the r1p = 0.5 row reuses
         assert table.column("B_norm")[[0, 2]].tolist() == [1.0, 0.0]
 
     def test_zero_at_unit_reflectivity(self, dr_base, pump, filters):
@@ -319,6 +320,11 @@ def _pointwise_intensity(cavity, pump, filters, omega_s, omega_i):
     return s * cs.phase_balancing(cavity, omega_s, omega_i)
 
 
+def _plus_weight(cavity, pump, omega_plus):
+    """Oracle |alpha|^2 A_p at omega_plus = omega_s + omega_i: 1-D factors of S_DR."""
+    return np.abs(cs.pump_envelope(pump, omega_plus)) ** 2 * cs.airy(omega_plus, "pump", cavity)
+
+
 def _assert_matches_oracle(got, expect, rtol=1e-12):
     # Floor: the DR oracle takes sin of the unfolded phase sum (~800 rad,
     # rounding ~1e-13 rad), so samples at a phase-balancing zero cancel.
@@ -368,7 +374,7 @@ class TestStripeLattice:
     ):
         cavity, filters = _source(sr_cavity, dr_cavity, filters, doubly_resonant, degenerate)
         stripe = stripe_module._stripe_axes(cavity, pump, filters)
-        tables = stripe_module._stripe_tables(stripe, cavity, pump, filters, factor_mode)
+        tables = stripe_module._stripe_tables(stripe, cavity, filters, factor_mode)
         columns = stripe.columns(tables)
         n_plus, n_minus = stripe.plus.size, stripe.minus.size
         assert stripe.signal.size == stripe.idler.size == (
@@ -386,7 +392,10 @@ class TestStripeLattice:
             # the tables sit on the rotated lattice
             assert np.abs(omega_s - (plus + minus) / 2).max() <= 4e-16 * OMEGA_800
             assert np.abs(omega_i - (plus - minus) / 2).max() <= 4e-16 * OMEGA_800
-            s = _pointwise_intensity(cavity, pump, filters, omega_s, omega_i)
+            # the columns integrate S without the plus weight |alpha|^2 A_p
+            s = _pointwise_intensity(cavity, pump, filters, omega_s, omega_i) / _plus_weight(
+                cavity, pump, omega_s + omega_i
+            )
             if factor_mode == "exact_factors":
                 s = s * _rate_factor(crystal, omega_s) * _rate_factor(crystal, omega_i)
             else:
@@ -409,9 +418,7 @@ class TestStripeLattice:
         stripe = stripe_module._stripe_axes(cavity, narrow, (f, f))
         assert stripe.folded and stripe.q_minus > 1
         assert stripe.minus.size % 2 == parity
-        signal, idler, plus = stripe_module._stripe_tables(
-            stripe, cavity, narrow, (f, f), factor_mode
-        )
+        signal, idler, plus = stripe_module._stripe_tables(stripe, cavity, (f, f), factor_mode)
         # flat photon weights keep the symmetry and make the end rows count
         flat = signal._replace(weight=np.ones_like(signal.weight))
         chunk = slice(0, stripe.plus.size)
@@ -452,14 +459,32 @@ class TestStripeLattice:
             default, rel=1e-8, abs=0
         )
 
-    def test_plus_step_resolves_the_pump_mode(self):
+    def test_plus_step_resolves_the_pump_mode(self, monkeypatch):
         # fig6's r1p = 0.999 row: the pump width, about 9e9 rad/s, is the
-        # finest omega_plus scale, finer than sigma / 2 and the photon modes
+        # finest omega_plus scale, finer than sigma / 2 and the photon modes.
+        # The omega_plus axis of the pump weight resolves it, over the
+        # stripe's span, and the stripe is the one of the open pump loop.
         cavity, pump, filters = _fig6_point()
         width = cs.mode_width(cavity, pump.omega_p0, "pump")
         assert width < pump.sigma / 2
         stripe = stripe_module._stripe_axes(cavity, pump, filters)
-        assert stripe.q_plus * stripe.h <= width / 8 * (1 + 1e-12)
+        open_loop = stripe_module._stripe_axes(
+            cavity.with_mirror(1, "pump", magnitude=0.0), pump, filters
+        )
+        assert _same_stripe(stripe, open_loop)
+        assert stripe.q_plus * stripe.h > width / 8
+        axes = []
+        pump_weight = spectral_module._pump_weight
+
+        def recorded(cavity, pump, omega_p, n_p):
+            axes.append(omega_p)
+            return pump_weight(cavity, pump, omega_p, n_p)
+
+        monkeypatch.setattr(spectral_module, "_pump_weight", recorded)
+        brightness_from_cavity(cavity, pump, filters)
+        axis = np.concatenate(axes)
+        assert np.diff(axis).max() <= width / 8 * (1 + 1e-12)
+        assert axis[[0, -1]] == pytest.approx(stripe.plus[[0, -1]], rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("r1p", [0.0, 0.9])
     def test_halved_steps_agree_dr(self, dr_cavity, pump, filters, monkeypatch, r1p):
@@ -471,11 +496,21 @@ class TestStripeLattice:
         assert halved == pytest.approx(default, rel=1e-8, abs=0)
 
 
-def _fig6_point():
-    """fig6's r1p = 0.999, sigma = 2e11 row: 1.03 M table entries, 1419 x 819 kernel samples."""
+def _same_stripe(a, b):
+    """Whether two stripes have the same lattice and tables, field by field."""
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in zip(a, b))
+
+
+def _fig6_point(r1p=0.999, sigma=2e11):
+    """fig6's row at r1p and sigma; at sigma = 2e11: 93 381 table entries, 129 x 819 kernel samples.
+
+    Its 1-D omega_plus axis resolves the pump mode width: 1 419 points at
+    the shipped r1p = 0.999, 14 188 at 0.9999 and 141 869 at 0.99999.
+    """
     cfg = load_config(FIGS / "fig6.cfg")
-    cavity = cfg.cavity().with_mirror(1, "pump", magnitude=0.999)
-    return cavity, replace(cfg.pump(), sigma=2e11), cfg.filters()
+    cavity = cfg.cavity().with_mirror(1, "pump", magnitude=r1p)
+    return cavity, replace(cfg.pump(), sigma=sigma), cfg.filters()
 
 
 def _fig5_tallest_point():
@@ -491,8 +526,8 @@ def _fig5_tallest_point():
 
 class TestBlocking:
     # 1000 samples per block: one column per kernel call on these stripes
-    # (819 to 1527 minus rows evaluated) and table blocks that divide no
-    # table length
+    # (819 to 1527 minus rows evaluated), table blocks that divide no table
+    # length, and two blocks of the fig6 point's 1 419-point omega_plus axis
     SMALL = 1000
 
     @pytest.mark.parametrize("sigma", [1e12, None])  # q_minus = 11, and q_plus = q_minus = 1
@@ -526,18 +561,115 @@ class TestBlocking:
 class TestWorkingSet:
     # The stripe keeps its factor tables and a working set that does not grow
     # with them: a table builder block and a kernel call of at most 2^15
-    # samples each.  Table-length frequency axes and 64-column kernel calls,
-    # the earlier design, traced 41 MB (fig6) and 37 MB (fig5) over the
-    # tables.
+    # samples each, and the omega_plus integrand, evaluated in blocks as
+    # well.  Table-length frequency axes and 64-column kernel calls, an
+    # earlier design, traced 41 MB (fig6) and 37 MB (fig5) over the tables.
+    # A stripe that resolved the pump mode held 1.03 M table entries at
+    # r1p = 0.999 and 10.35 M at 0.9999; the tables now keep the r1p = 0
+    # size at every r1p.
     WORKING_SET = 8 * 2**20
 
-    @pytest.mark.parametrize("point", [_fig6_point, _fig5_tallest_point])
+    @pytest.mark.parametrize("point", [
+        _fig6_point, _fig5_tallest_point,
+        pytest.param(partial(_fig6_point, 0.9999), id="_fig6_point_r1p_0.9999"),
+        pytest.param(partial(_fig6_point, 0.99999), id="_fig6_point_r1p_0.99999"),
+    ])
     def test_peak_is_the_tables_plus_a_fixed_bound(self, point):
         cavity, pump, filters = point()
         stripe = stripe_module._stripe_axes(cavity, pump, filters)
-        tables = stripe_module._stripe_tables(stripe, cavity, pump, filters, "central_approx")
+        tables = stripe_module._stripe_tables(stripe, cavity, filters, "central_approx")
         # the kept arrays: a folded idler table is a view of the signal table
         kept = sum(t.nbytes for f in tables for t in f if t is not None and t.base is None)
         del tables
         peak, _ = traced_peak(lambda: brightness_from_cavity(cavity, pump, filters))
         assert peak <= kept + self.WORKING_SET
+
+
+def _lattice_brightness(cavity, pump, filters):
+    """Oracle: trapezoid of _pointwise_intensity on a rotated lattice, divided by sigma.
+
+    No factor leaves the lattice.  omega_plus spans the stripe's columns at
+    a step of at most 1/8 of the finest of sigma / 2, the photon modes and
+    the pump mode; omega_minus spans the stripe's rows at 1/8 of the finest
+    of the filter width and the photon modes.  The source is degenerate, so
+    the integrand is even in omega_minus: the half omega_minus >= 0 counts
+    twice.  Central rate factors, as central_approx.
+    """
+    f_s, f_i = filters
+    stripe = stripe_module._stripe_axes(cavity, pump, filters)
+    photon = 2 * cs.mode_width(cavity, f_s.center, "signal")
+    d_plus = min(pump.sigma / 2, photon, cs.mode_width(cavity, pump.omega_p0, "pump")) / 8
+    d_minus = min(f_s.fwhm, photon) / 8
+    span = stripe.plus[-1] - stripe.plus[0]
+    plus = np.linspace(stripe.plus[0], stripe.plus[-1], int(np.ceil(span / d_plus)) + 1)
+    half = stripe.minus[-1]
+    minus = np.linspace(0.0, half, int(np.ceil(half / d_minus)) + 1)
+    columns = []
+    for start in range(0, plus.size, 64):
+        p = plus[start : start + 64, None]
+        s = _pointwise_intensity(cavity, pump, filters, (p + minus) / 2, (p - minus) / 2)
+        columns.append(2 * np.trapezoid(s, minus, axis=1))
+    central = _rate_factor(cavity.crystal, f_s.center) * _rate_factor(cavity.crystal, f_i.center)
+    return 0.5 * central * np.trapezoid(np.concatenate(columns), plus) / pump.sigma
+
+
+class TestPlusAxis:
+    # The pump's Airy weight and |alpha|^2 depend on omega_plus alone: they
+    # are evaluated exactly on a 1-D axis that resolves the pump mode, and
+    # the stripe's column integrals g are interpolated onto it.
+
+    def test_interpolant_reproduces_quintics(self):
+        rng = np.random.default_rng(5)
+        coefficients = rng.normal(size=6)
+        table = np.polyval(coefficients, np.arange(40.0))
+        index = np.linspace(0.0, 39.0, 1001)  # the ends read shifted stencils
+        expect = np.polyval(coefficients, index)
+        got = stripe_module._interpolate(table, index)
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("r1p", [0.9, 0.99, 0.999])
+    def test_matches_a_lattice_that_resolves_the_pump_mode(self, r1p):
+        # fig6 at sigma = 5e11: the pump width sets the oracle's omega_plus
+        # step from r1p = 0.99 on
+        cavity, pump, filters = _fig6_point(r1p, sigma=5e11)
+        got = brightness_from_cavity(cavity, pump, filters).value
+        assert got == pytest.approx(_lattice_brightness(cavity, pump, filters), rel=5e-10, abs=0)
+
+    @pytest.mark.parametrize("r1p", [0.9999, 0.99999])
+    def test_photon_tables_keep_the_open_loop_size(self, r1p):
+        # a stripe that resolved the pump mode held 10.35 M entries per
+        # table at r1p = 0.9999, and about 100 M at 0.99999
+        cavity, pump, filters = _fig6_point(r1p)
+        stripe = stripe_module._stripe_axes(cavity, pump, filters)
+        open_loop = stripe_module._stripe_axes(
+            cavity.with_mirror(1, "pump", magnitude=0.0), pump, filters
+        )
+        assert _same_stripe(stripe, open_loop)
+        assert stripe.signal.size == open_loop.signal.size == 93381
+
+    @pytest.mark.parametrize("sigma", [2e11, 5e11])
+    def test_build_up_approaches_the_narrow_resonance_limit(self, sigma):
+        # With r_2p = 1 the pump Airy weight averages to 1 over a pump period
+        # and narrows as r1p -> 1 to a comb of weights 2 pi / Delta_p' at the
+        # pump resonances; one lies in the stripe's span, at omega_p0.  So
+        # B_norm -> (2 pi / Delta_p') (|alpha|^2 g)(omega_p0) / integral
+        # |alpha|^2 g, and the distance shrinks like 1 - r1p.
+        cavity, pump, filters = _fig6_point(0.0, sigma)
+        omega = pump.omega_p0
+        phase = cs.round_trip_phase_mismatch(cavity, omega, "pump")
+        assert abs(np.remainder(phase + np.pi, 2 * np.pi) - np.pi) < 1e-12
+        h = 1e9
+        slope = (cs.round_trip_phase_mismatch(cavity, omega + h, "pump")
+                 - cs.round_trip_phase_mismatch(cavity, omega - h, "pump")) / (2 * h)
+        stripe, g = stripe_module._stripe_columns(cavity, pump, filters, "central_approx")
+        alpha2 = np.abs(cs.pump_envelope(pump, stripe.plus)) ** 2
+        at_resonance = stripe_module._interpolate(
+            g, np.array([(omega - stripe.plus[0]) / (stripe.q_plus * stripe.h)])
+        )[0] * np.abs(cs.pump_envelope(pump, omega)) ** 2
+        limit = 2 * np.pi / slope * at_resonance / np.trapezoid(alpha2 * g, stripe.plus)
+        table = cs.brightness_vs_r1p_sweep(
+            cavity, pump, filters, [0.999, 0.9999, 0.99999], [sigma]
+        )
+        distance = np.abs(table.column("B_norm") / limit - 1)
+        assert np.all(distance[1:] < 0.2 * distance[:-1])
+        assert distance[-1] < 1e-3

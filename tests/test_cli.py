@@ -277,8 +277,12 @@ class TestDeterminismAndErrors:
          "sweep"),
         ("design", DESIGN.replace("pump_wavelength_nm = 400", "pump_wavelength_nm = 900"),
          "design"),
+        ("brightness-sweep",
+         SMALL_FIG2 + "\n[sweep]\nkind = sigma_r2 plateau_r2\nsigma_list_rad_s = 2e11\n"
+         "r2_list = 0.5\nplateau_r2_list = 0.5 1.0\n",
+         "sweep"),
     ], ids=["cavity_shorter_than_crystal", "sellmeier_n2_below_one", "r1p_without_r2_pump_1",
-            "pump_redder_than_signal"])
+            "pump_redder_than_signal", "unit_r2_in_a_sweep_list"])
     def test_configuration_a_spec_refuses_is_a_config_error(self, tmp_path, capsys, subcommand,
                                                             text, section):
         cfg = tmp_path / "bad.cfg"
