@@ -31,20 +31,21 @@ D_s D_i S / (|alpha|^2 A_p).  g depends on neither the pump envelope nor
 than sigma and the photon modes allow, so the stripe never resolves the
 pump mode: its tables keep their open-loop size however narrow the pump
 resonance.  The 1-D integral evaluates |alpha|^2 A_p exactly on an axis
-that resolves the pump mode width with _SAMPLES_PER_SCALE samples: the
-stripe's own columns when their step is fine enough, as for every cavity
-that does not reflect the pump, and otherwise a finer axis on which g is
-interpolated (six-point Lagrange).  An r1p sweep builds one stripe per
-sigma, and its reference and every row are 1-D integrals over the same g.
+that resolves the pump mode width with _SAMPLES_PER_SCALE samples and is
+never coarser than the columns, and reads g there by six-point Lagrange
+interpolation between the columns.  On the columns' own axis, the one for
+every cavity that does not reflect the pump, the interpolant returns the
+columns bit for bit.  An r1p sweep builds one stripe per sigma, and its
+reference and every row are 1-D integrals over the same g.
 
 The stripe is a commensurate lattice.  With h the smaller of the two axis
 step targets, omega_plus steps by q_plus h and omega_minus by q_minus h
 (integers q >= 1), so the signal and idler frequencies of every sample lie
 on two 1-D tables of q_plus (n_plus - 1) + q_minus (n_minus - 1) + 1 points
 spaced h / 2.  The spectral module's intensity model evaluates the factors
-once per table entry (the rate factors ride on the photon weights, or in
-central_approx mode on the plus table as one constant); each chunk of
-columns passes gathered views of the tables to its kernel.
+once per table entry (exact rate factors ride on the photon weights; the
+central_approx constant multiplies g once); each chunk of columns passes
+gathered views of the tables to its kernel.
 
 The stripe's memory is its factor tables plus a fixed working set.  The
 frequency tables are never stored: the table builder evaluates them and
@@ -262,22 +263,18 @@ def _stripe_axes(cavity, pump, filters):
 def _stripe_tables(stripe, cavity, filters, factor_mode):
     """Signal, idler and plus factor tables of the integrand of g: D_s D_i S / (|alpha|^2 A_p).
 
-    The plus table keeps k_p l / 2 and, for DR, the phasor of P; its weight
-    is the constant rate factor in central_approx mode and none otherwise.
+    The plus table keeps k_p l / 2 and, for DR, the phasor of P, with no
+    weight.  exact_factors puts the rate factors on the photon weights;
+    central_approx leaves its constant to _stripe_columns.
     """
     crystal = cavity.crystal
     if factor_mode not in ("central_approx", "exact_factors"):
         raise ValueError(f"unknown factor mode {factor_mode!r}")
     exact = factor_mode == "exact_factors"
-    signal, idler, plus = _factor_tables(
+    return _factor_tables(
         cavity, None, filters, stripe.signal, None if stripe.folded else stripe.idler, stripe.plus,
         rate=(lambda omega: _rate_factor(crystal, omega)) if exact else None,
     )
-    if not exact:
-        f_s, f_i = filters
-        central = _rate_factor(crystal, f_s.center) * _rate_factor(crystal, f_i.center)
-        plus = plus._replace(weight=np.full(stripe.plus.size, central))
-    return signal, idler, plus
 
 
 def _column_integrals(stripe, columns, cavity, chunk):
@@ -315,7 +312,9 @@ def _stripe_columns(cavity, pump, filters, factor_mode, threads=1):
     """The stripe and its column integrals g(omega_plus) over omega_minus.
 
     g integrates D_s D_i S / (|alpha|^2 A_p), which depends on neither the
-    pump envelope nor |r_1p|: P reads r_2p and the mirror phases only.
+    pump envelope nor |r_1p|: P reads r_2p and the mirror phases only.  In
+    central_approx mode g carries the rate factors at the filter centres,
+    one constant multiplied in after the kernel.
     """
     stripe = _stripe_axes(cavity, pump, filters)
     columns = stripe.columns(_stripe_tables(stripe, cavity, filters, factor_mode))
@@ -324,7 +323,11 @@ def _stripe_columns(cavity, pump, filters, factor_mode, threads=1):
         return _column_integrals(stripe, columns, cavity, chunk)
 
     chunks = blocks(0, stripe.plus.size, max(1, spectral._BLOCK_SAMPLES // stripe.rows), 1)
-    return stripe, np.concatenate(map_blocks(threads, column_integrals, chunks))
+    g = np.concatenate(map_blocks(threads, column_integrals, chunks))
+    if factor_mode == "central_approx":
+        f_s, f_i = filters
+        g *= _rate_factor(cavity.crystal, f_s.center) * _rate_factor(cavity.crystal, f_i.center)
+    return stripe, g
 
 
 def _interpolate(values, index):
@@ -350,12 +353,13 @@ def _interpolate(values, index):
 def _plus_integral(stripe, g, cavity, pump):
     """0.5 integral of |alpha|^2 A_p g over the stripe's omega_plus span (Jacobian 1/2).
 
-    |alpha|^2 A_p is evaluated exactly on a uniform axis with a step of at
-    most 1/_SAMPLES_PER_SCALE of the pump mode width: the stripe's own
-    columns when their step is that fine already (always without a pump
-    resonance, whose width is infinite), and otherwise a finer axis over
-    the same span, on which g is interpolated between the columns.  The
-    integrand is evaluated in blocks of spectral._BLOCK_SAMPLES entries.
+    |alpha|^2 A_p is evaluated exactly on a uniform axis over the same span
+    with a step of at most 1/_SAMPLES_PER_SCALE of the pump mode width and
+    never coarser than the columns, on which g is interpolated between the
+    columns.  Without a pump resonance (an infinite width) the axis is the
+    columns' own, where the interpolant's indices are whole and it returns
+    the columns bit for bit.  The integrand is evaluated in blocks of
+    spectral._BLOCK_SAMPLES entries.
     """
     n_columns = stripe.plus.size
     step = stripe.q_plus * stripe.h
@@ -367,7 +371,7 @@ def _plus_integral(stripe, g, cavity, pump):
     def integrand(b):
         omega = axis[b]
         n_p = refractive_index(cavity.crystal, omega, "extraordinary")
-        g_b = g[b] if n == n_columns else _interpolate(g, np.arange(b.start, b.stop) * ratio)
+        g_b = _interpolate(g, np.arange(b.start, b.stop) * ratio)
         return spectral._pump_weight(cavity, pump, omega, n_p) * g_b
 
     y = np.concatenate([integrand(b) for b in blocks(0, n, spectral._BLOCK_SAMPLES, 1)])

@@ -13,7 +13,8 @@ whitelisted individually.
 _SCHEMA is the one place that states each key's units, bounds and default.
 Unknown keys, missing unit suffixes, duplicates, non-finite numbers and
 values outside a declared bound (each entry of a list included; lengths,
-wavelengths, centers, widths, sigma and the halfwidth must be > 0) are all
+wavelengths, centers, widths, sigma and the halfwidth must be > 0, and
+each entry of an r2 sweep list < 1, where the loop sums diverge) are all
 load-time errors, and RunConfig.get returns the schema default for an absent
 key.  So is a key that another setting makes the builders ignore: the six
 mirror phases the solver sets or absorbs while solve_phases is true (the
@@ -21,8 +22,7 @@ default), the Sellmeier coefficients unless kind = custom, both pump widths
 at once, any [filters] key besides shape = none, [filters] fwhm when
 both per-mode widths are given, and a [sweep] list that no requested kind
 reads (_SWEEPS), beside unknown or repeated kinds, kind = r1p without
-r2_pump = 1, an r2 sweep list that holds 1 (the loop sums diverge), and
-shape = none for a subcommand that requires [filters].
+r2_pump = 1, and shape = none for a subcommand that requires [filters].
 The builders raise a spec's own ValueError (a cavity shorter than its
 crystal, say) as a ConfigError naming the section.
 """
@@ -62,16 +62,17 @@ _UNIT_FACTORS = {
 
 
 def _key(stem, kind="float", units=(), lo=None, hi=None, many=False, choices=None,
-         required=False, default=None, positive=False):
+         required=False, default=None, positive=False, hi_open=False):
     """Schema entry; a key with units is written stem_<unit> for one of them.
 
     positive marks a strictly positive quantity: its bound 0 is exclusive.
+    hi_open makes the upper bound hi exclusive.
     """
     if positive:
         lo = 0.0
     return {"stem": stem, "kind": kind, "units": units, "lo": lo, "hi": hi, "many": many,
             "choices": choices, "required": required, "default": default,
-            "lo_open": positive}
+            "lo_open": positive, "hi_open": hi_open}
 
 
 _LENGTH = ("m", "um", "nm")
@@ -138,8 +139,9 @@ _SCHEMA = {
     "sweep": _section(
         _key("kind", "str", required=True),
         _key("sigma_list", units=_FREQ, positive=True, many=True),
-        _key("r2_list", lo=0.0, hi=1.0, many=True),
-        _key("plateau_r2_list", lo=0.0, hi=1.0, many=True),
+        # the signal and idler loop sums diverge at r2 = 1
+        _key("r2_list", lo=0.0, hi=1.0, hi_open=True, many=True),
+        _key("plateau_r2_list", lo=0.0, hi=1.0, hi_open=True, many=True),
         _key("r1p_list", lo=0.0, hi=1.0, many=True),
         _key("factors", "choice", choices=("central_approx", "exact_factors"),
              default="central_approx"),
@@ -222,8 +224,11 @@ def _parse_value(entry, unit, raw, section, key):
                 fail(f"value {value} not above exclusive lower bound {lo}")
             elif lo is not None and value < lo:
                 fail(f"value {value} below lower bound {lo}")
-            if entry["hi"] is not None and value > entry["hi"]:
-                fail(f"value {value} above upper bound {entry['hi']}")
+            hi = entry["hi"]
+            if entry["hi_open"] and value >= hi:
+                fail(f"value {value} not below exclusive upper bound {hi}")
+            elif hi is not None and value > hi:
+                fail(f"value {value} above upper bound {hi}")
         return values if entry["many"] else values[0]
     if kind == "bool":
         lowered = raw.strip().lower()
@@ -505,10 +510,6 @@ def _check_sweep_kinds(cfg):
                           f"{', '.join(_SWEEPS)}, each at most once")
     for kind in kinds:
         cfg.sweep(kind)  # a ConfigError naming the list when one is missing
-    for stem in ("r2_list", "plateau_r2_list"):
-        if 1.0 in cfg.sections["sweep"].get(stem, ()):
-            raise ConfigError(f"[sweep] {stem}: the signal and idler loop sums diverge at "
-                              f"r2 = 1; every entry must be below 1")
     r2_pump = cfg.get("cavity", "r2_pump")
     if "r1p" in kinds and r2_pump != 1.0:
         raise ConfigError(f"[sweep] kind = r1p needs [cavity] r2_pump = 1, got {r2_pump:g}")

@@ -380,10 +380,15 @@ class TestStripeLattice:
         assert stripe.signal.size == stripe.idler.size == (
             stripe.q_plus * (n_plus - 1) + stripe.q_minus * (n_minus - 1) + 1
         )
+        # central_approx multiplies its constant into g after the kernel
+        _, g = stripe_module._stripe_columns(cavity, pump, filters, factor_mode)
         got, expect = [], []
         for start in (0, n_plus // 2 - 32):
             chunk = slice(start, start + 64)
-            got.append(stripe_module._column_integrals(stripe, columns, cavity, chunk))
+            column = stripe_module._column_integrals(stripe, columns, cavity, chunk)
+            if factor_mode == "exact_factors":
+                assert np.array_equal(column, g[chunk])
+            got.append(g[chunk])
             a = np.arange(start, start + 64)[:, None]
             b = np.arange(n_minus)[None, :]
             omega_s = stripe.signal[stripe.q_plus * a + stripe.q_minus * b]

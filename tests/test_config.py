@@ -114,6 +114,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("line", [
         "r2_list = 0.5 1.5",
         "plateau_r2_list = 0 -0.1",
+        "plateau_r2_list = 0.5 1.0",  # exclusive: the loop sums diverge at r2 = 1
         "r1p_list = 0.5 1.01",
         "sigma_list_rad_s = 1e11 -1e12",
     ])
