@@ -196,17 +196,18 @@ def _exchange_symmetric(cavity, filters, signal, idler):
     """Whether swapping signal and idler maps the source onto itself.
 
     True for equal signal and idler filters and mirrors and an idler table
-    that is the signal table reversed, compared block by block: then the
-    idler factors are the signal factors reversed, and the stripe, which
-    reads the tables symmetrically, holds each sample twice.
+    that is the signal table reversed: then the idler factors are the signal
+    factors reversed, and the stripe, which reads the tables symmetrically,
+    holds each sample twice.  Two _Ramps are each other's reverse, entry for
+    entry, when their centers are equal, their steps opposite and their
+    sizes equal: the offsets j - (N - 1) / 2 are exact, and an IEEE multiply
+    is sign-symmetric.
     """
     f_s, f_i = filters
     same_mirrors = all(cavity.mirror(nu, "signal") == cavity.mirror(nu, "idler") for nu in (1, 2))
-    n = signal.size
-    return f_s == f_i and same_mirrors and all(
-        np.array_equal(signal[b], idler[n - b.stop : n - b.start][::-1])
-        for b in blocks(0, n, spectral._BLOCK_SAMPLES, 1)
-    )
+    reversed_tables = (signal.center == idler.center and signal.step == -idler.step
+                       and signal.size == idler.size)
+    return f_s == f_i and same_mirrors and reversed_tables
 
 
 def _stripe_axes(cavity, pump, filters):

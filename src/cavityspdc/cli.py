@@ -36,7 +36,7 @@ from .design import design_source, report_design, spectral_check
 from .doubly_resonant import jsi_doubly_resonant
 from .errors import CavitySpdcError, ConfigError
 from .gridfile import config_hash, write_columns, write_grid, write_text
-from .spectral import jsi_singly_resonant, marginal_spectrum
+from .spectral import _median, jsi_singly_resonant, marginal_spectrum
 from .temporal import (
     correlation_time,
     extract_peaks,
@@ -99,7 +99,7 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
     marg = time_difference_marginal(tgrid, threads=threads)
     peaks = extract_peaks(marg.axis, marg.density, cfg.get("temporal", "min_prominence"))
     t_c = correlation_time(peaks)
-    spacing = float(np.median(np.diff(peaks.positions)))
+    spacing = _median(np.diff(peaks.positions))
 
     marg_path = out_dir / "time_difference.dat"
     write_columns(

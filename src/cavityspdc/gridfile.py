@@ -37,9 +37,11 @@ def _header(metadata):
 
 def _write_rows(fh, rows):
     """One line per row of a 2-D float array, each number at %.17g."""
-    # row by row: converting the whole matrix at once holds every float object
+    # row by row: converting the whole matrix at once holds every float object;
+    # one % format per row gives the bytes of per-number f"{value:.17g}"
+    line = " ".join(["%.17g"] * rows.shape[1]) + "\n"
     for row in rows:
-        fh.write(" ".join([f"{value:.17g}" for value in row.tolist()]) + "\n")
+        fh.write(line % tuple(row.tolist()))
 
 
 def write_grid(grid, path, fmt="binary", metadata=None):

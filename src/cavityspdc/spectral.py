@@ -72,7 +72,7 @@ __all__ = [
 ]
 
 _LN2 = np.log(2.0)
-_BLOCK_ROWS = 64  # idler rows per block of the rectangular grid's kernel
+_BLOCK_ROWS = 64  # rows per block of the rectangular grid's kernel and of _row_trapezoid
 _BLOCK_SAMPLES = 1 << 15  # table entries per factor-table block (the stripe's kernel calls too)
 
 
@@ -313,6 +313,13 @@ def _jsa_sr_pointwise(cavity, pump, filters, omega_s, omega_i):
     )
 
 
+def _median(values):
+    """float(np.median(values)) of a 1-D array, without the numpy.ma import np.median makes."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    return float(ordered[mid] if ordered.size % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def _warn_if_under_resolved(cavity, grid, where):
     """Warn when a grid step exceeds 1/8 of a cavity mode width.
 
@@ -320,8 +327,8 @@ def _warn_if_under_resolved(cavity, grid, where):
     the anti-diagonal table of omega_s + omega_i, whose step is the signal
     step; the infinite width of a mode that does not resonate never warns.
     """
-    center_s = float(np.median(grid.omega_s_axis))
-    center_i = float(np.median(grid.omega_i_axis))
+    center_s = _median(grid.omega_s_axis)
+    center_i = _median(grid.omega_i_axis)
     for mode, axis_step, center in (
         ("signal", grid.d_omega_s, center_s),
         ("idler", grid.d_omega_i, center_i),
@@ -504,18 +511,34 @@ def marginal_spectrum(grid, axis):
     """Marginal density over one frequency axis of a real-valued grid.
 
     axis names the kept axis: 'signal' integrates over omega_i and returns a
-    density on the signal axis, 'idler' the converse.
+    density on the signal axis, 'idler' the converse.  Both run through
+    _row_trapezoid, the signal marginal on the transposed values, so no
+    grid-sized temporary is formed.
     """
     values = grid.values
     if np.iscomplexobj(values):
         raise ValueError("marginal_spectrum expects a real-valued grid")
     if axis == "signal":
-        density = np.trapezoid(values, grid.omega_i_axis, axis=0)
-        return Marginal(grid.omega_s_axis, density)
+        return Marginal(grid.omega_s_axis, _row_trapezoid(values.T, grid.omega_i_axis))
     if axis == "idler":
-        density = np.trapezoid(values, grid.omega_s_axis, axis=1)
-        return Marginal(grid.omega_i_axis, density)
+        return Marginal(grid.omega_i_axis, _row_trapezoid(values, grid.omega_s_axis))
     raise ValueError(f"axis must be 'signal' or 'idler', got {axis!r}")
+
+
+def _row_trapezoid(values, x, threads=1):
+    """Trapezoid over x of each row of a 2-D array of any layout: every marginal's rule.
+
+    Blocks of _BLOCK_ROWS rows run on `threads` threads, each gathered
+    C-contiguous first, so no temporary outgrows a block and each row's sum
+    is the contiguous one whatever the layout of values and the threads.
+    """
+    density = np.empty(values.shape[0])
+
+    def integrate(rows):
+        density[rows] = np.trapezoid(np.ascontiguousarray(values[rows]), x, axis=1)
+
+    map_blocks(threads, integrate, blocks(0, values.shape[0], _BLOCK_ROWS, threads))
+    return density
 
 
 def default_grid(center_s, center_i, halfwidth, samples):

@@ -38,10 +38,11 @@ RotatedGrid.
 
 The blocked loops -- the fill's omega_minus rows, stage two's spectrum
 rows and the marginal's t_minus rows -- take a threads argument (default
-1) and cut their blocks by _parallel.blocks.  Each block writes a disjoint
-slice of one preallocated output, and every row or column is computed
-alone whatever block holds it, so every result is bit for bit the serial
-one.
+1) and cut their blocks by _parallel.blocks.  The marginal's loop is
+spectral._row_trapezoid, the one the spectral marginals run too.  Each
+block writes a disjoint slice of one preallocated output, and every row or
+column is computed alone whatever block holds it, so every result is bit
+for bit the serial one.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ import numpy as np
 from ._parallel import blocks, map_blocks
 from .cavity import group_round_trip_time, mode_width
 from .errors import EmptyPeakSetError
-from .spectral import Marginal, _jsa_sr_pointwise, check_uniform_axis as _check_uniform_axis
+from .spectral import Marginal, _jsa_sr_pointwise, _row_trapezoid
+from .spectral import check_uniform_axis as _check_uniform_axis
 
 __all__ = [
     "RotatedGrid",
@@ -68,7 +70,7 @@ __all__ = [
     "correlation_time",
 ]
 
-_BLOCK_ROWS = 64  # minus rows per block of the lattice fill and of the marginal
+_BLOCK_ROWS = 64  # minus rows per block of the lattice fill
 _BLOCK_PLUS = 32  # spectrum rows (omega_plus samples) per omega_minus transform
 
 
@@ -321,21 +323,12 @@ def _stage_two(spectrum, d_plus, d_minus, threads):
 def time_difference_marginal(tgrid, threads=1):
     """Distribution of emission-time differences S_minus(t_minus) = integral dt_plus |ft|^2.
 
-    Integrated in blocks of t_minus rows on `threads` threads, so the
-    trapezoid's temporaries stay about the size of one serial block.  Each
-    block is gathered C-contiguous first, so each row's sum is the
-    unblocked, contiguous one whatever the layout of tgrid.values (the
-    transform returns a transposed view).
+    spectral._row_trapezoid integrates it in blocks of t_minus rows on
+    `threads` threads, each gathered C-contiguous first, so each row's sum
+    is the unblocked, contiguous one whatever the layout of tgrid.values
+    (the transform returns a transposed view).
     """
-    values = tgrid.values
-    density = np.empty(values.shape[0])
-
-    def integrate(rows):
-        block = np.ascontiguousarray(values[rows])
-        density[rows] = np.trapezoid(block, tgrid.t_plus_axis, axis=1)
-
-    map_blocks(threads, integrate, blocks(0, values.shape[0], _BLOCK_ROWS, threads))
-    return Marginal(tgrid.t_minus_axis, density)
+    return Marginal(tgrid.t_minus_axis, _row_trapezoid(tgrid.values, tgrid.t_plus_axis, threads))
 
 
 def extract_peaks(axis, values, min_prominence=1e-4):

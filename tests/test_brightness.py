@@ -8,6 +8,7 @@ import pytest
 import cavityspdc as cs
 import cavityspdc.brightness as stripe_module
 import cavityspdc.spectral as spectral_module
+from cavityspdc._parallel import blocks
 from cavityspdc.brightness import brightness_from_cavity
 from cavityspdc.config import load_config
 
@@ -527,6 +528,75 @@ def _fig5_tallest_point():
     filters = cfg.filters()
     sigma = cs.fwhm_to_sigma(cs.mode_width(cavity, filters[0].center, "signal"))
     return cavity, replace(cfg.pump(), sigma=sigma), filters
+
+
+def _fold_oracle(cavity, filters, signal, idler):
+    """Oracle of _exchange_symmetric: equal filters and mirrors, and the idler
+    table equal to the signal table reversed, compared entry by entry in
+    blocks of spectral._BLOCK_SAMPLES."""
+    f_s, f_i = filters
+    same_mirrors = all(cavity.mirror(nu, "signal") == cavity.mirror(nu, "idler") for nu in (1, 2))
+    n = signal.size
+    return f_s == f_i and same_mirrors and idler.size == n and all(
+        np.array_equal(signal[b], idler[n - b.stop : n - b.start][::-1])
+        for b in blocks(0, n, spectral_module._BLOCK_SAMPLES, 1)
+    )
+
+
+@pytest.fixture()
+def folds(monkeypatch):
+    """(closed-form fold, oracle fold) of every stripe built while the test runs."""
+    record = []
+    predicate = stripe_module._exchange_symmetric
+
+    def both(*args):
+        record.append((predicate(*args), _fold_oracle(*args)))
+        return record[-1][0]
+
+    monkeypatch.setattr(stripe_module, "_exchange_symmetric", both)
+    return record
+
+
+class TestFoldPredicate:
+    @pytest.mark.parametrize("fig", ["fig5", "fig6"])
+    def test_agrees_with_the_table_comparison_on_the_shipped_sweeps(self, folds, fig):
+        cfg = load_config(FIGS / f"{fig}.cfg")
+        for kind in cfg.sweep_kinds():
+            sweep, lists = cfg.sweep(kind)
+            sweep(cfg.cavity(), cfg.pump(), cfg.filters(), *lists, cfg.get("sweep", "factors"))
+        assert folds and all(got == expect for got, expect in folds)
+        assert any(got for got, _ in folds)
+
+    @pytest.mark.parametrize("sigma", [1e12, None])
+    @pytest.mark.parametrize("source", ["degenerate", "distinct", "unequal_idler_mirror",
+                                        "phased_reference"])
+    @pytest.mark.parametrize("doubly_resonant", [False, True])
+    def test_agrees_on_the_sources_of_the_stripe_tests(
+        self, sr_cavity, dr_cavity, pump, filters, folds, doubly_resonant, source, sigma,
+    ):
+        cavity, filters = _source(sr_cavity, dr_cavity, filters, doubly_resonant,
+                                  source != "distinct")
+        if source == "unequal_idler_mirror":
+            cavity = cavity.with_mirror(2, "idler", magnitude=0.6)
+        if source == "phased_reference":  # folds whatever the mirror phases
+            cavity = stripe_module._no_cavity(
+                cavity.with_mirror(1, "signal", phase=0.3).with_mirror(2, "idler", phase=0.2))
+        stripe = stripe_module._stripe_axes(cavity, replace(pump, sigma=sigma or pump.sigma),
+                                            filters)
+        assert folds == [(stripe.folded, stripe.folded)]
+        assert stripe.folded == (source in ("degenerate", "phased_reference"))
+
+    @pytest.mark.parametrize("idler, folded", [
+        (stripe_module._Ramp(2.0e15, -(1e9 / 2), 4001), True),
+        (stripe_module._Ramp(2.0e15, -(1e9 / 2), 4000), False),  # sizes differ
+        (stripe_module._Ramp(2.0e15 + 1e9, -(1e9 / 2), 4001), False),  # a non-degenerate source
+        (stripe_module._Ramp(2.0e15, 1e9 / 2, 4001), False),  # both ascending
+    ])
+    def test_agrees_on_tables_of_equal_filters_and_mirrors(self, sr_cavity, filters, idler,
+                                                           folded):
+        signal = stripe_module._Ramp(2.0e15, 1e9 / 2, 4001)
+        got = stripe_module._exchange_symmetric(sr_cavity, filters, signal, idler)
+        assert got == _fold_oracle(sr_cavity, filters, signal, idler) == folded
 
 
 class TestBlocking:

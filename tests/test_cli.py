@@ -189,6 +189,18 @@ class TestSubcommands:
             f"{cs.free_spectral_range(cavity, center, 'pump'):.17g}")
 
 
+def _run_fresh(script):
+    """The completed process of script, run by a fresh interpreter on this tree's package."""
+    src = str(Path(cs.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_every_subcommand_runs_without_scipy(tmp_path):
     # numpy is the only runtime dependency; scipy is made unimportable in a
     # fresh interpreter before the package is imported
@@ -216,15 +228,23 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         "codes = {sub: main([sub, '--config', cfg, '--out', out]) for sub, cfg, out in runs}\n"
         "print(json.dumps(codes))\n"
     )
-    src = str(Path(cs.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = _run_fresh(script)
     codes = json.loads(proc.stdout.splitlines()[-1])
     assert codes == {sub: 0 for sub, _, _ in runs}, proc.stderr
+
+
+def test_jsi_run_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call (about 11 ms and 1.2 MB);
+    # the package takes its medians without it
+    fig2 = Path(__file__).resolve().parents[1] / "configs" / "fig2.cfg"
+    script = (
+        "import sys\n"
+        "from cavityspdc.cli import main\n"
+        f"code = main(['jsi-sr', '--config', {str(fig2)!r}, '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = _run_fresh(script)
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 class TestDeterminismAndErrors:

@@ -104,6 +104,19 @@ class TestTextRoundTrip:
         assert "the header gives 23 x 37" in str(info.value)
 
 
+def test_text_rows_format_each_number_as_its_own_17g(tmp_path):
+    # one % format per row writes the bytes of f"{value:.17g}" per number
+    rng = np.random.default_rng(11)
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308]
+    values = np.concatenate((special, rng.standard_normal(10**5 - len(special))))
+    path = tmp_path / "c.dat"
+    write_columns(path, (values[::2], values[1::2]), ("a", "b"))
+    lines = path.read_text().split("#end\n", 1)[1].splitlines()
+    expect = [f"{a:.17g} {b:.17g}" for a, b in values.reshape(-1, 2).tolist()]
+    assert len(lines) == len(expect)
+    assert [k for k, (got, want) in enumerate(zip(lines, expect)) if got != want] == []
+
+
 def test_complex_grid_rejected(tmp_path):
     grid = cs.SpectralGrid(
         np.linspace(0, 1, 4), np.linspace(0, 1, 4), np.zeros((4, 4), dtype=complex)

@@ -12,7 +12,9 @@ from cavityspdc.constants import c
 from cavityspdc.errors import UnderResolutionWarning
 from cavityspdc.spectral import _factor_tables, _intensity
 
-from conftest import OMEGA_800
+from conftest import OMEGA_800, traced_peak
+
+FIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestPumpEnvelope:
@@ -245,7 +247,7 @@ class TestAntiDiagonalPumpTable:
     def test_shipped_grids_match_the_mesh_route(self, fig):
         # the table sums round differently from the mesh sums; measured
         # 1.5e-14 (fig2), 1.0e-13 (fig3) and 2.2e-12 (fig4) of the maximum
-        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{fig}.cfg")
+        cfg = load_config(FIGS / f"{fig}.cfg")
         cavity, pump, filters, grid = cfg.cavity(), cfg.pump(), cfg.filters(), cfg.grid()
         jsi = cs.jsi_singly_resonant(cavity, pump, filters, grid)
         mesh = _mesh_route(cavity, pump, filters, grid)
@@ -344,6 +346,76 @@ class TestMarginal:
     def test_unknown_axis(self, grid_257):
         with pytest.raises(ValueError):
             cs.marginal_spectrum(grid_257, "pump")
+
+
+def _equal_step_grid(cavity, pump, filters, n_i, n_s):
+    """The cavity's JSI on an n_i x n_s grid of equal signal and idler steps around 800 nm."""
+    step = 6 * filters[0].fwhm / 1024
+
+    def axis(n):
+        return OMEGA_800 + step * (np.arange(n) - (n - 1) / 2)
+
+    empty = cs.SpectralGrid(axis(n_s), axis(n_i), np.zeros((n_i, n_s)))
+    return cs.jsi_singly_resonant(cavity, pump, filters, empty)
+
+
+def _fig2_jsi():
+    cfg = load_config(FIGS / "fig2.cfg")
+    return cs.jsi_singly_resonant(cfg.cavity(), cfg.pump(), cfg.filters(), cfg.grid())
+
+
+class TestRowTrapezoid:
+    # marginal_spectrum and time_difference_marginal share one blocked
+    # trapezoid: 64-row blocks, each gathered C-contiguous
+
+    # the signal marginal's pairwise row sums against numpy's sequential sum
+    # down axis 0, in units of its maximum: 1.4e-15 measured on fig2's grid,
+    # at most 1.5e-15 on this module's equal-step grids
+    SIGNAL_BOUND = 2e-15
+
+    @pytest.mark.parametrize("shape", [(1024, 1024), (1025, 1025), (2, 1025), (17, 1025)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("doubly_resonant", [False, True], ids=["SR", "DR"])
+    def test_row_marginals_are_numpys_trapezoid(self, sr_cavity, dr_cavity, pump, filters,
+                                                doubly_resonant, shape):
+        cavity = dr_cavity if doubly_resonant else sr_cavity
+        jsi = _equal_step_grid(cavity, pump, filters, *shape)
+        expect = np.trapezoid(jsi.values, jsi.omega_s_axis, axis=1)
+        assert np.array_equal(cs.marginal_spectrum(jsi, "idler").density, expect)
+        # the intensity of the temporal transform is a transposed view
+        for values in (jsi.values, np.ascontiguousarray(jsi.values.T).T):
+            tgrid = cs.TemporalGrid(jsi.omega_s_axis, jsi.omega_i_axis, values)
+            for threads in (1, 2):
+                marg = cs.time_difference_marginal(tgrid, threads)
+                assert np.array_equal(marg.density, expect)
+        signal = cs.marginal_spectrum(jsi, "signal").density
+        oracle = np.trapezoid(jsi.values, jsi.omega_i_axis, axis=0)
+        assert np.abs(signal - oracle).max() <= self.SIGNAL_BOUND * oracle.max()
+
+    def test_signal_marginal_of_fig2_within_the_bound(self):
+        jsi = _fig2_jsi()
+        got = cs.marginal_spectrum(jsi, "signal").density
+        oracle = np.trapezoid(jsi.values, jsi.omega_i_axis, axis=0)
+        assert not np.array_equal(got, oracle)  # the summation order did change
+        assert np.abs(got - oracle).max() <= self.SIGNAL_BOUND * oracle.max()
+
+    @pytest.mark.parametrize("axis", ["signal", "idler"])
+    def test_no_grid_sized_temporary(self, axis):
+        # np.trapezoid on the whole 1024^2 grid traced 16.1 MiB: two
+        # grid-sized temporaries; one block's are about 1 MiB
+        jsi = _fig2_jsi()
+        peak, _ = traced_peak(lambda: cs.marginal_spectrum(jsi, axis))
+        assert peak <= 2 * 2**20
+
+
+class TestMedian:
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 1024, 1025])
+    def test_returns_numpys_median(self, size):
+        rng = np.random.default_rng(size)
+        for values in (rng.standard_normal(size), 1e-13 * rng.random(size) + 1e15):
+            got = cavityspdc.spectral._median(values)
+            assert type(got) is float
+            assert got == float(np.median(values))
 
 
 class TestSpectralGridType:

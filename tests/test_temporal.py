@@ -8,7 +8,7 @@ import cavityspdc.temporal
 
 from cavityspdc._parallel import map_blocks
 from cavityspdc.errors import EmptyPeakSetError
-from cavityspdc.spectral import _jsa_sr_pointwise
+from cavityspdc.spectral import _BLOCK_ROWS as _MARGINAL_ROWS, _jsa_sr_pointwise
 from cavityspdc.temporal import _BLOCK_PLUS, _BLOCK_ROWS, joint_temporal_intensity_from_cavity
 
 from conftest import OMEGA_800, TEMPORAL, run_temporal_pipeline, traced_peak
@@ -220,7 +220,7 @@ class TestTimeDifferenceMarginal:
         # two full blocks of t_minus rows and a ragged third, and under three
         # threads ragged blocks of a third of that height
         rng = np.random.default_rng(3)
-        values = rng.random((2 * _BLOCK_ROWS + 5, 48))
+        values = rng.random((2 * _MARGINAL_ROWS + 5, 48))
         tg = cs.TemporalGrid(np.linspace(-1e-12, 1e-12, 48),
                              np.linspace(-2e-12, 2e-12, values.shape[0]), values)
         for threads in (1, 3):
@@ -231,7 +231,7 @@ class TestTimeDifferenceMarginal:
         # the transform returns its intensity as a transposed view; each row
         # must keep the pairwise sum of a contiguous row
         rng = np.random.default_rng(5)
-        values_t = rng.random((301, 2 * _BLOCK_ROWS + 5))  # (t_plus, t_minus)
+        values_t = rng.random((301, 2 * _MARGINAL_ROWS + 5))  # (t_plus, t_minus)
         t_plus = np.linspace(-1e-12, 1e-12, values_t.shape[0])
         t_minus = np.linspace(-2e-12, 2e-12, values_t.shape[1])
         transposed = cs.TemporalGrid(t_plus, t_minus, values_t.T)
