@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import free_spectral_range, mode_width, singly_resonant_cavity, solve_resonance_phases
+from .cavity import (
+    free_spectral_range,
+    group_round_trip_time,
+    mode_width,
+    singly_resonant_cavity,
+    solve_resonance_phases,
+)
 from .constants import c
 from .dispersion import (
     BBO_EXTRAORDINARY,
@@ -195,6 +201,13 @@ def report_design(target, result, check=None):
     fwhm, center = check
     lam_center = 2 * np.pi * c / center
     fsr_lambda = fsr * target.lambda_signal**2 / (2 * np.pi * c)
+    # the Airy resonances are 2 pi / tau_g apart, tau_g the group round trip
+    tau_g = group_round_trip_time(cavity, omega_s0)
+    spacing_lambda = target.lambda_signal**2 / (c * tau_g)
+    spacing_note = ""
+    if spacing_lambda < target.delta_lambda_max:
+        spacing_note = (f"; below the {target.delta_lambda_max * 1e9:.4f} nm "
+                        "isolation threshold")
     ref = PAPER_REFERENCE
 
     lines = [
@@ -216,6 +229,8 @@ def report_design(target, result, check=None):
         f"({delta_omega / (2 * np.pi) / 1e6:.3f} MHz cyclic)",
         f"  free spectral range     : {fsr:.6e} rad/s "
         f"({fsr_lambda * 1e9:.4f} nm at the signal wavelength)",
+        f"  resonance spacing       : {2 * np.pi / tau_g:.6e} rad/s "
+        f"({spacing_lambda * 1e9:.4f} nm, 2 pi / group round trip{spacing_note})",
         "",
         "spectral check (broad-pump signal marginal of the central mode)",
         f"  center                  : {lam_center * 1e9:.4f} nm",

@@ -132,7 +132,13 @@ class FilterSpec:
 
 @dataclass(frozen=True, eq=False)
 class SpectralGrid:
-    """Rectangular (omega_s, omega_i) sample lattice with values[i, s]."""
+    """Rectangular (omega_s, omega_i) sample lattice with values[i, s].
+
+    A grid spec from default_grid holds no samples: its values are a
+    read-only zero view that owns no memory, and the kernels read only its
+    axes.  A caller who wants writable values builds a SpectralGrid of
+    their own on the spec's axes.
+    """
 
     omega_s_axis: np.ndarray
     omega_i_axis: np.ndarray
@@ -542,7 +548,12 @@ def _row_trapezoid(values, x, threads=1):
 
 
 def default_grid(center_s, center_i, halfwidth, samples):
-    """Empty square grid spanning center +- halfwidth on both axes."""
+    """Square grid spec spanning center +- halfwidth on both axes.
+
+    Its values are np.broadcast_to(0.0, (samples, samples)): a read-only
+    zero view of one float that owns no memory, since every kernel reads
+    only the axes.  For writable values, build a SpectralGrid on the axes.
+    """
     s_axis = np.linspace(center_s - halfwidth, center_s + halfwidth, samples)
     i_axis = np.linspace(center_i - halfwidth, center_i + halfwidth, samples)
-    return SpectralGrid(s_axis, i_axis, np.zeros((samples, samples)))
+    return SpectralGrid(s_axis, i_axis, np.broadcast_to(0.0, (samples, samples)))

@@ -12,7 +12,9 @@ import cavityspdc.temporal
 from cavityspdc.cli import _parser, main
 from cavityspdc.config import load_config
 from cavityspdc.constants import c
+from cavityspdc.design import _CHECK_SAMPLES
 from cavityspdc.gridfile import read_grid
+from conftest import traced_peak
 
 SMALL_FIG2 = """
 [crystal]
@@ -59,6 +61,9 @@ def fig2_cfg(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+FIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestSubcommands:
@@ -391,6 +396,32 @@ class TestDeterminismAndErrors:
         assert run(["jsi-sr", "--config", fig2_cfg, "--out", out, "--format", "text"]) == 0
         head = (out / "jsi_sr.grid").read_text().splitlines()[0]
         assert head.startswith("# format = text")
+
+
+class TestGridWorkingSet:
+    # A grid spec owns no samples, so a grid op holds its largest grid and
+    # blocks of a fixed size; a spec that owned its N^2 zeros would pass
+    # each bound by 8 MiB.
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("subcommand, fig", [
+        ("jsi-sr", "fig2"), ("marginal", "fig2"), ("jsi-dr", "fig3"), ("design", "fig7"),
+    ])
+    def test_traced_peak_is_the_largest_grid_plus_a_fixed_bound(self, tmp_path, subcommand,
+                                                                fig, threads):
+        config = FIGS / f"{fig}.cfg"
+        samples = (_CHECK_SAMPLES if subcommand == "design"
+                   else load_config(config).get("grid", "samples"))
+        args = [subcommand, "--config", config, "--out", tmp_path, "--threads", threads]
+        peak, code = traced_peak(lambda: run(args))
+        assert code == 0
+        assert peak <= 8 * samples**2 + 4 * 2**20
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_airy_holds_no_grid(self, tmp_path, threads):
+        args = ["airy", "--config", FIGS / "fig2.cfg", "--out", tmp_path, "--threads", threads]
+        peak, code = traced_peak(lambda: run(args))
+        assert code == 0
+        assert peak <= 2**20
 
 
 class TestThreads:

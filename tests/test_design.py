@@ -127,6 +127,19 @@ class TestSpectralCheckAndReport:
         assert "sigma_max" in report
         assert "220.0 um" in report  # published reference with annotation
         assert "twice the published length" in report
+        # the resonances sit 2 pi / tau_g apart, below the 0.5 nm threshold
+        omega_s0 = 2 * np.pi * c / CA_TARGET.lambda_signal
+        tau_g = cs.group_round_trip_time(cs.designed_cavity(CA_TARGET, ca_result), omega_s0)
+        spacing_nm = CA_TARGET.lambda_signal**2 / (c * tau_g) * 1e9
+        assert spacing_nm == pytest.approx(0.4932, abs=5e-5)
+        assert (f"resonance spacing       : {2 * np.pi / tau_g:.6e} rad/s ({spacing_nm:.4f} nm, "
+                "2 pi / group round trip; below the 0.5000 nm isolation threshold)") in report
+
+    def test_report_names_no_shortfall_above_the_threshold(self):
+        # the published 220 um length spaces the resonances about 0.99 nm apart
+        report = cs.report_design(CA_TARGET, cs.design_source(CA_TARGET, pin_cavity_length=220e-6))
+        assert "nm, 2 pi / group round trip)" in report
+        assert "below the" not in report
 
     def test_degenerate_design_symmetric_widths(self):
         target = cs.DesignTarget(800e-9, 2 * np.pi * 50e6, 400e-9, 0.5e-9)

@@ -431,6 +431,22 @@ class TestSpectralGridType:
         with pytest.raises(ValueError):
             cs.SpectralGrid(np.linspace(1, 0, 3), np.linspace(0, 1, 3), np.zeros((3, 3)))
 
+    def test_default_grid_spec_owns_no_samples(self, grid_257):
+        values = grid_257.values
+        assert values.shape == (257, 257) and not values.any()
+        assert values.strides == (0, 0)
+        assert not values.flags.writeable
+
+    @pytest.mark.parametrize("jsi_of, cavity", [
+        (cs.jsi_singly_resonant, "sr_cavity"), (cs.jsi_doubly_resonant, "dr_cavity"),
+    ])
+    def test_kernels_read_only_the_axes(self, jsi_of, cavity, request, pump, filters, grid_257):
+        cavity = request.getfixturevalue(cavity)
+        noise = np.random.default_rng(257).random(grid_257.values.shape)
+        filled = cs.SpectralGrid(grid_257.omega_s_axis, grid_257.omega_i_axis, noise)
+        assert np.array_equal(jsi_of(cavity, pump, filters, grid_257).values,
+                              jsi_of(cavity, pump, filters, filled).values)
+
 
 def test_filterspec_validation():
     with pytest.raises(ValueError):
