@@ -4,6 +4,8 @@ numpy's ufuncs and FFTs release the GIL on large arrays, so blocks of array
 work overlap on threads.  Each caller's blocks are independent: a block
 either returns its own result or writes a disjoint slice of one
 preallocated output, so a result never depends on the thread count.
+map_blocks returns every result at once; stream_blocks yields them in
+order with a bounded number in flight, for a consumer that keeps none.
 
 blocks is the one blocking rule.  With threads > 1 the blocks narrow by
 that factor: the blocks in flight together hold about one serial block's
@@ -13,6 +15,7 @@ keep after the loop.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 
@@ -34,3 +37,28 @@ def map_blocks(threads, fn, items):
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def stream_blocks(threads, fn, items):
+    """fn(item) for each item of a list, yielded in order: a generator.
+
+    One pool of min(threads, len(items)) threads lives as long as the
+    generator, with at most that many items in flight: the next item is
+    submitted as each result is yielded, so the results alive at once are
+    the ones in flight plus the one the consumer holds.  The error of the
+    first failing item in order re-raises when its turn comes; closing the
+    generator early waits for the items in flight.
+    """
+    workers = min(threads, len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(fn, item) for item in items[:workers])
+        for item in items[workers:]:
+            result = pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+            yield result
+            del result  # the consumer's block, not kept while the next one waits
+        while pending:
+            yield pending.popleft().result()

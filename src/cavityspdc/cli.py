@@ -9,9 +9,13 @@ reflects the pump and jsi_sr.grid otherwise; temporal refuses such a cavity.
 --threads N (default: the CPUs this process may run on) spreads the
 blocked work of jsi-sr, jsi-dr, marginal, temporal and brightness-sweep
 over N threads without changing a bit of their output; design and airy
-run on one.  Each artifact opens with one '# key = value' header closed by
-'#end' (package version, sha256 of the normalized configuration); the
-manifest holds that header, then the run's artifact names one a line.
+run on one.  jsi-sr, jsi-dr and marginal stream the grid: the kernel's
+row blocks pass, in row order, through the marginal (marginal only) into
+gridfile.write_grid, the one grid writer, so no N^2 array is held and the
+bytes are those of the whole grid.  Each artifact opens with one
+'# key = value' header closed by '#end' (package version, sha256 of the
+normalized configuration); the manifest holds that header, then the run's
+artifact names one a line.
 Identical configuration and version give bitwise-identical binary outputs.
 Errors exit nonzero with one machine-parsable stderr line, error:
 module=<module>: <message>: a package error exits 2 naming the module that
@@ -33,10 +37,9 @@ from . import __version__
 from .cavity import airy, free_spectral_range, group_round_trip_time, mode_width
 from .config import load_config
 from .design import design_source, report_design, spectral_check
-from .doubly_resonant import jsi_doubly_resonant
 from .errors import CavitySpdcError, ConfigError
 from .gridfile import config_hash, write_columns, write_grid, write_text
-from .spectral import _median, jsi_singly_resonant, marginal_spectrum
+from .spectral import _MarginalSum, _jsi_stream, _median, _warn_if_under_resolved
 from .temporal import (
     correlation_time,
     extract_peaks,
@@ -55,17 +58,26 @@ def _metadata(cfg, extra=None):
 
 
 def _cmd_jsi(cfg, out_dir, fmt, threads, marginal=False):
-    """The cavity's JSI grid, plus its marginal for the marginal subcommand."""
+    """The cavity's JSI grid, plus its marginal for the marginal subcommand.
+
+    The kernel's row blocks stream through the marginal, when there is one,
+    into the grid writer, so the grid is never held whole.
+    """
     cavity = cfg.cavity()
-    # the same intensity either way; the name keeps warnings and traces apart
-    jsi_of, name = ((jsi_doubly_resonant, "jsi_dr") if cavity.reflects_pump
-                    else (jsi_singly_resonant, "jsi_sr"))
-    jsi = jsi_of(cavity, cfg.pump(), cfg.filters(), cfg.grid(), threads)
-    paths = [out_dir / f"{name}.grid"]
-    write_grid(jsi, paths[0], fmt, _metadata(cfg, {"quantity": name}))
+    grid = cfg.grid()
+    # the same intensity either way; the names keep warnings and files apart
+    where, name = (("jsi_doubly_resonant", "jsi_dr") if cavity.reflects_pump
+                   else ("jsi_singly_resonant", "jsi_sr"))
+    _warn_if_under_resolved(cavity, grid, where)
+    stream = _jsi_stream(cavity, cfg.pump(), cfg.filters(), grid, threads)
     if marginal:
         axis = cfg.get("marginal", "axis")
-        marg = marginal_spectrum(jsi, axis)
+        total = _MarginalSum(grid.omega_s_axis, grid.omega_i_axis, axis)
+        stream = stream._replace(blocks=total.tap(stream.blocks))
+    paths = [out_dir / f"{name}.grid"]
+    write_grid(stream, paths[0], fmt, _metadata(cfg, {"quantity": name}))
+    if marginal:
+        marg = total.marginal()
         paths.append(out_dir / f"marginal_{axis}.dat")
         write_columns(
             paths[1],

@@ -31,7 +31,13 @@ from __future__ import annotations
 import numpy as np
 
 from .cavity import _balance_phase, _convergent_loop, _round_trip_phase, single_pass_phase
-from .spectral import _gamma_free_space, _jsa_sr_pointwise, _jsi_on_grid, _warn_if_under_resolved
+from .spectral import (
+    _collect_rows,
+    _gamma_free_space,
+    _jsa_sr_pointwise,
+    _jsi_stream,
+    _warn_if_under_resolved,
+)
 
 __all__ = [
     "jsa_dr_partial",
@@ -105,4 +111,4 @@ def jsi_doubly_resonant(cavity, pump, filters, grid, threads=1):
     any count.
     """
     _warn_if_under_resolved(cavity, grid, "jsi_doubly_resonant")
-    return _jsi_on_grid(cavity, pump, filters, grid, threads)
+    return _collect_rows(_jsi_stream(cavity, pump, filters, grid, threads))

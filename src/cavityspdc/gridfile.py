@@ -8,6 +8,12 @@ int64 dimensions (n_i, n_s) followed by the float64 matrix (binary).  The
 axes live only in the header: they are rebuilt from their min/max/count via
 linspace, so binary files written from linspace-built grids round-trip
 bitwise, and a body of any other shape than the header's counts is refused.
+
+write_grid has one body for a whole grid and for a stream of row blocks
+(spectral.GridStream, the CLI's JSI): it writes the header, then each block
+as it comes, so a stream's grid is never held whole.  A SpectralGrid is the
+one-block case.  Both formats write each row on its own, so the bytes do
+not depend on where the blocks begin or end.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import SpectralGrid
+from .spectral import GridStream, SpectralGrid
 
 __all__ = ["write_grid", "read_grid", "write_columns", "write_text", "config_hash"]
 
@@ -44,32 +50,49 @@ def _write_rows(fh, rows):
         fh.write(line % tuple(row.tolist()))
 
 
-def write_grid(grid, path, fmt="binary", metadata=None):
-    """Write one real-valued grid with header metadata; fmt is 'text' or 'binary'."""
-    if np.iscomplexobj(grid.values):
+def _real(block):
+    if np.iscomplexobj(block):
         raise ValueError("grid files hold real values; write intensities, not amplitudes")
+    return block
+
+
+def write_grid(grid, path, fmt="binary", metadata=None):
+    """Write one real-valued grid with header metadata; fmt is 'text' or 'binary'.
+
+    grid is a SpectralGrid or a GridStream, whose row blocks are written as
+    they come.  A complex block raises ValueError; the file is opened once
+    the first block is in hand, so a grid refused there leaves no file.
+    """
     if fmt not in ("text", "binary"):
         raise ValueError(f"unknown grid format {fmt!r}")
+    rows = map(_real, grid.blocks if isinstance(grid, GridStream) else (grid.values,))
+    block = next(rows)
+    shape = (grid.omega_i_axis.size, grid.omega_s_axis.size)
     header = _header({
         "format": fmt,
         "omega_s_min_rad_s": f"{grid.omega_s_axis[0]:.17g}",
         "omega_s_max_rad_s": f"{grid.omega_s_axis[-1]:.17g}",
-        "omega_s_count": grid.omega_s_axis.size,
+        "omega_s_count": shape[1],
         "omega_i_min_rad_s": f"{grid.omega_i_axis[0]:.17g}",
         "omega_i_max_rad_s": f"{grid.omega_i_axis[-1]:.17g}",
-        "omega_i_count": grid.omega_i_axis.size,
+        "omega_i_count": shape[0],
         "units": "rad/s, dimensionless intensity",
         **(metadata or {}),
     })
-    if fmt == "binary":
-        with open(path, "wb") as fh:
+    binary = fmt == "binary"
+    with open(path, "wb" if binary else "w") as fh:
+        if binary:
             fh.write(header.encode())
-            fh.write(np.array(grid.values.shape, dtype="<i8"))
-            fh.write(np.ascontiguousarray(grid.values, dtype="<f8"))
-    else:
-        with open(path, "w") as fh:
+            fh.write(np.array(shape, dtype="<i8"))
+        else:
             fh.write(header)
-            _write_rows(fh, grid.values)
+        while block is not None:
+            if binary:
+                fh.write(np.ascontiguousarray(block, dtype="<f8"))
+            else:
+                _write_rows(fh, block)
+            del block  # not kept while the next block is computed
+            block = next(rows, None)
 
 
 def _read_header(fh):

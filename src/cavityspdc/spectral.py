@@ -20,9 +20,17 @@ combines broadcast or gathered views of the tables, whatever lattice they
 come from.  On a rectangular grid the signal and idler steps are equal, so
 omega_s + omega_i takes one value per anti-diagonal: the pump table holds
 those N_s + N_i - 1 sums and the kernel reads it through a Hankel view,
-table[i + j] at (omega_i_axis[i], omega_s_axis[j]).  The kernel fills the
-grid in blocks of idler rows on a threads argument (default 1); every row
-is computed alone, so the grid is bit for bit the same at any thread count.
+table[i + j] at (omega_i_axis[i], omega_s_axis[j]).
+
+The rectangular kernel is one ordered stream, _jsi_stream: it evaluates the
+tables (and with them every check a configuration can fail) before it
+returns, then yields blocks of idler rows in row order, computed on one
+thread pool of `threads` threads (default 1) with at most that many blocks
+in flight.  Every row is computed alone, so the rows are bit for bit the
+same at any thread count, although the block boundaries move with it.
+jsi_singly_resonant and jsi_doubly_resonant collect the stream into one
+SpectralGrid; the CLI hands it to gridfile.write_grid and, through
+_MarginalSum, to the marginal, so no N^2 array is formed on that path.
 The complex amplitude f A_s A_i has one evaluator, _jsa_sr_pointwise, which
 jsa_singly_resonant runs on a rectangular grid's mesh and the temporal
 module on the rotated lattice.
@@ -34,13 +42,14 @@ Grid convention: SpectralGrid.values[i, j] belongs to
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._parallel import blocks, map_blocks
+from ._parallel import blocks, map_blocks, stream_blocks
 from .cavity import (
     _airy_from_phase,
     _balance_phase,
@@ -72,8 +81,9 @@ __all__ = [
 ]
 
 _LN2 = np.log(2.0)
-_BLOCK_ROWS = 64  # rows per block of the rectangular grid's kernel and of _row_trapezoid
+_BLOCK_ROWS = 64  # rows per block of a whole grid's marginals and of _row_trapezoid
 _BLOCK_SAMPLES = 1 << 15  # table entries per factor-table block (the stripe's kernel calls too)
+_GRID_BLOCK_SAMPLES = 1 << 16  # samples per block of the rectangular kernel: 64 rows of 1024
 
 
 def wavelength_fwhm_to_angular(lambda0, fwhm_lambda):
@@ -198,6 +208,20 @@ class Marginal(NamedTuple):
 
     axis: np.ndarray
     density: np.ndarray
+
+
+class GridStream(NamedTuple):
+    """A rectangular grid's axes and its values[i, s] as row blocks, yielded once in row order.
+
+    The rectangular kernel's output (_jsi_stream) on the grid path of the
+    package: gridfile.write_grid writes one and marginal_spectrum
+    integrates one, each block as it comes; the library's jsi functions
+    return the collected SpectralGrid instead.
+    """
+
+    omega_s_axis: np.ndarray
+    omega_i_axis: np.ndarray
+    blocks: Iterator[np.ndarray]
 
 
 def pump_envelope(pump, omega):
@@ -365,7 +389,7 @@ def jsi_singly_resonant(cavity, pump, filters, grid, threads=1):
     the rows are filled on `threads` threads, bit for bit alike at any count.
     """
     _warn_if_under_resolved(cavity, grid, "jsi_singly_resonant")
-    return _jsi_on_grid(cavity, pump, filters, grid, threads)
+    return _collect_rows(_jsi_stream(cavity, pump, filters, grid, threads))
 
 
 class _Factors(NamedTuple):
@@ -466,6 +490,7 @@ def _intensity(cavity, signal, idler, pump):
     with np.errstate(invalid="ignore"):
         s = np.sin(x) / x
     s[x == 0.0] = 1.0
+    del x  # one block-sized temporary fewer in the DR factor below
     s *= s
     s *= signal.weight
     s *= idler.weight
@@ -475,19 +500,29 @@ def _intensity(cavity, signal, idler, pump):
         phasor = signal.phasor * idler.phasor
         phasor *= pump.phasor
         r = cavity.mirror(2, "pump").magnitude
-        s *= (1.0 + r * r) + (2.0 * r) * phasor.real
+        balance = phasor.real  # P formed in place, in the phasor's memory
+        balance *= 2.0 * r
+        balance += 1.0 + r * r
+        s *= balance
     return s
 
 
-def _jsi_on_grid(cavity, pump, filters, grid, threads):
-    """The cavity's JSI on a rectangular grid: photon tables on the axes, pump on anti-diagonals.
+def _jsi_stream(cavity, pump, filters, grid, threads=1):
+    """The cavity's JSI on a rectangular grid as a GridStream of idler-row blocks.
 
     With equal signal and idler steps, omega_s_axis[j] + omega_i_axis[i]
     depends on i + j alone, so the pump table is the N_s + N_i - 1 sums
     along the first idler row and the last signal column, and the kernel
     reads it as table[i + j] through a Hankel view.  A grid whose steps
     differ by more than check_uniform_axis's tolerance raises ValueError.
-    The kernel runs in blocks of idler rows on `threads` threads.
+    The factor tables are evaluated here, before the stream is returned,
+    so every error of the evaluation (a frequency outside the Sellmeier
+    window, a diverging Airy weight) is raised before a consumer opens a
+    file; the blocks only combine table entries.  The blocks are
+    _parallel.blocks of _GRID_BLOCK_SAMPLES // N_s rows (64 on a 1024-sample
+    row), so a block's temporaries do not grow with the grid; stream_blocks
+    computes them on one pool of `threads` threads and yields them in row
+    order.
     """
     s_axis, i_axis = grid.omega_s_axis, grid.omega_i_axis
     step_s, step_i = np.diff(s_axis).mean(), np.diff(i_axis).mean()
@@ -499,40 +534,106 @@ def _jsi_on_grid(cavity, pump, filters, grid, threads):
         )
     sums = np.concatenate((s_axis + i_axis[0], s_axis[-1] + i_axis[1:]))
     signal, idler, plus = _factor_tables(cavity, pump, filters, s_axis, i_axis, sums)
-    values = np.empty((i_axis.size, s_axis.size))
 
-    def fill(rows):
-        values[rows] = _intensity(
+    def block(rows):
+        return _intensity(
             cavity,
             signal.view(lambda t: t[None, :]),
             idler.view(lambda t: t[rows, None]),
             plus.view(lambda t: sliding_window_view(t, s_axis.size)[rows]),
         )
 
-    map_blocks(threads, fill, blocks(0, i_axis.size, _BLOCK_ROWS, threads))
-    return SpectralGrid(s_axis, i_axis, values)
+    rows = blocks(0, i_axis.size, max(1, _GRID_BLOCK_SAMPLES // s_axis.size), threads)
+    return GridStream(s_axis, i_axis, stream_blocks(threads, block, rows))
+
+
+def _collect_rows(stream):
+    """The SpectralGrid of a GridStream: its blocks copied in turn into one array."""
+    values = np.empty((stream.omega_i_axis.size, stream.omega_s_axis.size))
+    start = 0
+    for block in stream.blocks:
+        values[start:start + block.shape[0]] = block
+        start += block.shape[0]
+    return SpectralGrid(stream.omega_s_axis, stream.omega_i_axis, values)
 
 
 def marginal_spectrum(grid, axis):
     """Marginal density over one frequency axis of a real-valued grid.
 
     axis names the kept axis: 'signal' integrates over omega_i and returns a
-    density on the signal axis, 'idler' the converse.  Both run through
-    _row_trapezoid, the signal marginal on the transposed values, so no
-    grid-sized temporary is formed.
+    density on the signal axis, 'idler' the converse.  grid is a
+    SpectralGrid, read in blocks of _BLOCK_ROWS rows, or a GridStream, whose
+    blocks it consumes.  Either way the rows go through _MarginalSum, whose
+    rules do not depend on the blocks, so no grid-sized temporary is formed
+    and the density is the same whatever the blocking.
     """
-    values = grid.values
-    if np.iscomplexobj(values):
-        raise ValueError("marginal_spectrum expects a real-valued grid")
-    if axis == "signal":
-        return Marginal(grid.omega_s_axis, _row_trapezoid(values.T, grid.omega_i_axis))
-    if axis == "idler":
-        return Marginal(grid.omega_i_axis, _row_trapezoid(values, grid.omega_s_axis))
-    raise ValueError(f"axis must be 'signal' or 'idler', got {axis!r}")
+    total = _MarginalSum(grid.omega_s_axis, grid.omega_i_axis, axis)
+    if isinstance(grid, GridStream):
+        rows = grid.blocks
+    else:
+        rows = (grid.values[b] for b in blocks(0, grid.values.shape[0], _BLOCK_ROWS, 1))
+    for block in rows:
+        total.add(block)
+    return total.marginal()
+
+
+class _MarginalSum:
+    """A marginal accumulated over a grid's row blocks, fed in row order.
+
+    The idler marginal is each row's trapezoid over omega_s, _row_trapezoid
+    of each block.  The signal marginal adds the trapezoid term of each pair
+    of neighbouring rows, step_k (row_k+1 + row_k) / 2, onto the density in
+    row order: the terms and the order of np.trapezoid(values,
+    omega_i_axis, axis=0), which numpy sums down the rows in turn.  So
+    neither depends on where the blocks begin or end, nor on the thread
+    count that set them.
+    """
+
+    def __init__(self, omega_s_axis, omega_i_axis, axis):
+        if axis not in ("signal", "idler"):
+            raise ValueError(f"axis must be 'signal' or 'idler', got {axis!r}")
+        self.axis = axis
+        self._kept, self._over = ((omega_s_axis, omega_i_axis) if axis == "signal"
+                                  else (omega_i_axis, omega_s_axis))
+        self._density = np.zeros(self._kept.size)
+        self._rows = 0
+        self._last = None  # the previous block's last row, for the signal term across blocks
+
+    def add(self, block):
+        """Add the next rows of the grid (a 2-D block of any layout)."""
+        if np.iscomplexobj(block):
+            raise ValueError("marginal_spectrum expects a real-valued grid")
+        start, self._rows = self._rows, self._rows + block.shape[0]
+        if self.axis == "idler":
+            self._density[start:self._rows] = _row_trapezoid(block, self._over)
+            return
+        if not block.shape[0]:
+            return
+        steps = np.diff(self._over[max(start - 1, 0):self._rows])
+        if self._last is not None:
+            self._density += steps[0] * (block[0] + self._last) / 2.0
+            steps = steps[1:]
+        terms = block[1:] + block[:-1]
+        terms *= steps[:, None]
+        terms /= 2.0
+        for term in terms:
+            self._density += term
+        self._last = block[-1].copy()
+
+    def tap(self, blocks):
+        """The blocks passed on unchanged, each added on its way through."""
+        for block in blocks:
+            self.add(block)
+            yield block
+            del block  # not kept while the next block is computed
+
+    def marginal(self):
+        """The Marginal of the rows added so far."""
+        return Marginal(self._kept, self._density)
 
 
 def _row_trapezoid(values, x, threads=1):
-    """Trapezoid over x of each row of a 2-D array of any layout: every marginal's rule.
+    """Trapezoid over x of each row of a 2-D array of any layout: the idler and t_minus marginals.
 
     Blocks of _BLOCK_ROWS rows run on `threads` threads, each gathered
     C-contiguous first, so no temporary outgrows a block and each row's sum

@@ -18,8 +18,8 @@ the emission-difference convention doubles that width.
 
 rotated_lattice_axes is the one sizing rule of the lattice the transform
 samples: its steps resolve the cavity mode width, finely enough for a
-t_minus window of 20 round trips, and its spans cover the filters and the
-pump.  The temporal subcommand and the tests call it.
+t_minus window of 20 round trips of the slower photon, and its spans cover
+the filters and the pump.  The temporal subcommand and the tests call it.
 
 The transform streams in two stages through one buffer of
 size_plus * max(n_minus, ceil(size_minus / 2)) complex slots.  Stage one
@@ -155,8 +155,9 @@ def rotated_lattice_axes(cavity, pump, filters, omega_s0, omega_i0, per_width, m
     With w the narrower of the signal and idler mode widths at the band
     centers, omega_minus steps by w / per_width and omega_plus by
     w / max(per_width // 2, 2).  w is capped at 4 pi per_width / (20 tau_g),
-    tau_g the group round trip at omega_s0, so the t_minus window
-    4 pi / d omega_minus spans at least 20 round trips of the comb.
+    tau_g the longer of the group round trips at omega_s0 and omega_i0, so
+    the t_minus window 4 pi / d omega_minus spans at least 20 round trips
+    of the slower photon's comb.
     omega_minus spans +- minus_span FWHMs of the narrower filter around
     omega_s0 - omega_i0, omega_plus +- plus_span sigma around the pump
     center.  Every sizing argument is required, so the [temporal] defaults
@@ -166,8 +167,10 @@ def rotated_lattice_axes(cavity, pump, filters, omega_s0, omega_i0, per_width, m
         raise ValueError("the rotated lattice spans filter widths; it needs gaussian filters")
     minus_half = minus_span * min(filters[0].fwhm, filters[1].fwhm)
     plus_half = plus_span * pump.sigma
+    round_trip = max(group_round_trip_time(cavity, omega_s0),
+                     group_round_trip_time(cavity, omega_i0))
     width = min(mode_width(cavity, omega_s0, "signal"), mode_width(cavity, omega_i0, "idler"),
-                4 * np.pi * per_width / (20 * group_round_trip_time(cavity, omega_s0)))
+                4 * np.pi * per_width / (20 * round_trip))
     d_minus = width / per_width
     d_plus = width / max(per_width // 2, 2)
     n_minus = int(np.ceil(2 * minus_half / d_minus)) + 1

@@ -12,7 +12,7 @@ import cavityspdc.temporal
 from cavityspdc.cli import _parser, main
 from cavityspdc.config import load_config
 from cavityspdc.constants import c
-from cavityspdc.design import _CHECK_SAMPLES
+from cavityspdc.errors import UnderResolutionWarning
 from cavityspdc.gridfile import read_grid
 from conftest import traced_peak
 
@@ -328,6 +328,22 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert "module=cavity" in err
 
+    @pytest.mark.parametrize("subcommand", ["jsi-sr", "marginal"])
+    def test_a_refused_grid_writes_no_grid_file(self, tmp_path, capsys, subcommand):
+        # +-2e15 rad/s around 800 nm leaves the Sellmeier window: the factor
+        # tables refuse the grid before the writer opens its file
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text((FIGS / "fig2.cfg").read_text().replace(
+            "samples = 1024", "samples = 64\nhalfwidth_rad_s = 2e15"))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        with pytest.warns(UnderResolutionWarning):
+            assert run([subcommand, "--config", cfg, "--out", out, "--threads", 2]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: module=dispersion: angular frequency outside the Sellmeier validity window"
+        )
+        assert not [path for path in out.rglob("*") if path.is_file()]  # no grid, no manifest
+
     def test_pool_thread_error_names_the_raising_module(self, tmp_path, capsys):
         # the fill leaves the Sellmeier window inside a worker thread
         cfg = tmp_path / "window.cfg"
@@ -399,22 +415,36 @@ class TestDeterminismAndErrors:
 
 
 class TestGridWorkingSet:
-    # A grid spec owns no samples, so a grid op holds its largest grid and
-    # blocks of a fixed size; a spec that owned its N^2 zeros would pass
-    # each bound by 8 MiB.
+    # The grid ops stream their JSI in blocks of a fixed number of samples
+    # through the marginal into the writer, so the largest grid such an op
+    # holds is none: traced 1.2-2.3 MiB at 1, 2 and 3 threads (fig2 at 1024
+    # and 2048 samples, fig3 jsi-dr, fig7 design), where holding the output
+    # grid took 9.2-10.7 MiB at 1024 samples.  The bound does not grow with N.
+    BOUND = 4 * 2**20
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("subcommand, fig", [
         ("jsi-sr", "fig2"), ("marginal", "fig2"), ("jsi-dr", "fig3"), ("design", "fig7"),
     ])
     def test_traced_peak_is_the_largest_grid_plus_a_fixed_bound(self, tmp_path, subcommand,
                                                                 fig, threads):
-        config = FIGS / f"{fig}.cfg"
-        samples = (_CHECK_SAMPLES if subcommand == "design"
-                   else load_config(config).get("grid", "samples"))
-        args = [subcommand, "--config", config, "--out", tmp_path, "--threads", threads]
+        args = [subcommand, "--config", FIGS / f"{fig}.cfg", "--out", tmp_path,
+                "--threads", threads]
         peak, code = traced_peak(lambda: run(args))
         assert code == 0
-        assert peak <= 8 * samples**2 + 4 * 2**20
+        assert peak <= self.BOUND
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_traced_peak_does_not_grow_with_the_grid(self, tmp_path, threads):
+        # fig2 at 2048 samples: a 32 MiB grid, 32 rows a block
+        config = tmp_path / "fig2_2048.cfg"
+        config.write_text((FIGS / "fig2.cfg").read_text().replace(
+            "samples = 1024", "samples = 2048"))
+        args = ["marginal", "--config", config, "--out", tmp_path / "o", "--threads", threads]
+        peak, code = traced_peak(lambda: run(args))
+        assert code == 0
+        assert (tmp_path / "o" / "jsi_sr.grid").stat().st_size > 8 * 2048**2
+        assert peak <= self.BOUND
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_airy_holds_no_grid(self, tmp_path, threads):
@@ -422,6 +452,20 @@ class TestGridWorkingSet:
         peak, code = traced_peak(lambda: run(args))
         assert code == 0
         assert peak <= 2**20
+
+
+def _assert_same_at_any_thread_count(tmp_path, subcommand, config, fmt):
+    """The run's artifacts, a grid among them, are byte for byte the same at 1, 2 and 3 threads."""
+    outs = {n: tmp_path / f"threads{n}" for n in ("1", "2", "3")}
+    for n, out in outs.items():
+        args = [subcommand, "--config", config, "--out", out, "--format", fmt]
+        assert run([*args, "--threads", n]) == 0
+    names = sorted(p.name for p in outs["1"].iterdir())
+    assert any(name.endswith(".grid") for name in names)
+    for n in ("2", "3"):
+        assert names == sorted(p.name for p in outs[n].iterdir())
+        for name in names:
+            assert (outs["1"] / name).read_bytes() == (outs[n] / name).read_bytes(), name
 
 
 class TestThreads:
@@ -440,20 +484,19 @@ class TestThreads:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # the kernel's block boundaries move with the thread count; the bytes do not
     @pytest.mark.parametrize(
         "subcommand, fig", [("jsi-sr", "fig2"), ("jsi-dr", "fig3"), ("marginal", "fig2")]
     )
     def test_grid_artifacts_do_not_depend_on_threads(self, tmp_path, subcommand, fig):
-        config = Path(__file__).resolve().parents[1] / "configs" / f"{fig}.cfg"
-        outs = {n: tmp_path / f"threads{n}" for n in ("1", "2")}
-        for n, out in outs.items():
-            args = [subcommand, "--config", config, "--out", out, "--format", "binary"]
-            assert run([*args, "--threads", n]) == 0
-        names = sorted(p.name for p in outs["1"].iterdir())
-        assert names == sorted(p.name for p in outs["2"].iterdir())
-        assert any(name.endswith(".grid") for name in names)
-        for name in names:
-            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+        _assert_same_at_any_thread_count(tmp_path, subcommand, FIGS / f"{fig}.cfg", "binary")
+
+    def test_text_grid_and_idler_marginal_do_not_depend_on_threads(self, tmp_path):
+        # fig3 at 512 samples: 128 rows a block, 4, 8 and 12 blocks of text
+        config = tmp_path / "fig3_512.cfg"
+        config.write_text((FIGS / "fig3.cfg").read_text().replace(
+            "samples = 1024", "samples = 512") + "\n[marginal]\naxis = idler\n")
+        _assert_same_at_any_thread_count(tmp_path, "marginal", config, "text")
 
     def test_sweep_artifacts_do_not_depend_on_threads(self, tmp_path):
         # fig6 cut to two sigmas and r1p rows 0 and 1 (no integral of their

@@ -6,6 +6,7 @@ import pytest
 import cavityspdc as cs
 from cavityspdc.errors import ConfigError
 from cavityspdc.gridfile import config_hash, read_grid, write_columns, write_grid
+from cavityspdc.spectral import GridStream
 
 
 @pytest.fixture()
@@ -123,6 +124,28 @@ def test_complex_grid_rejected(tmp_path):
     )
     with pytest.raises(ValueError):
         write_grid(grid, tmp_path / "g.grid", "binary")
+    assert not (tmp_path / "g.grid").exists()
+
+
+class TestStreamedWrite:
+    # a whole grid is the one-block case of the one writer
+    @pytest.mark.parametrize("fmt", ["binary", "text"])
+    @pytest.mark.parametrize("cuts", [[], [1], [5, 6, 22], list(range(1, 23)), [0, 0, 23]],
+                             ids=["one", "1+22", "uneven", "rows", "empty_blocks"])
+    def test_blocks_write_the_bytes_of_the_whole_grid(self, grid, tmp_path, fmt, cuts):
+        whole, streamed = tmp_path / "whole.grid", tmp_path / "streamed.grid"
+        write_grid(grid, whole, fmt, {"config_sha256": "abc"})
+        parts = iter(np.split(grid.values, cuts))
+        stream = GridStream(grid.omega_s_axis, grid.omega_i_axis, parts)
+        write_grid(stream, streamed, fmt, {"config_sha256": "abc"})
+        assert streamed.read_bytes() == whole.read_bytes()
+
+    def test_a_refused_first_block_leaves_no_file(self, grid, tmp_path):
+        parts = iter([grid.values[:3].astype(complex), grid.values[3:]])
+        stream = GridStream(grid.omega_s_axis, grid.omega_i_axis, parts)
+        with pytest.raises(ValueError, match="real values"):
+            write_grid(stream, tmp_path / "g.grid")
+        assert not (tmp_path / "g.grid").exists()
 
 
 def test_unknown_format_rejected(grid, tmp_path):

@@ -1,3 +1,5 @@
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -6,11 +8,18 @@ import pytest
 
 import cavityspdc as cs
 import cavityspdc.spectral
+from cavityspdc._parallel import blocks, stream_blocks
 from cavityspdc.cavity import single_pass_phase
 from cavityspdc.config import load_config
 from cavityspdc.constants import c
-from cavityspdc.errors import UnderResolutionWarning
-from cavityspdc.spectral import _factor_tables, _intensity
+from cavityspdc.errors import DispersionWindowError, UnderResolutionWarning
+from cavityspdc.spectral import (
+    _GRID_BLOCK_SAMPLES,
+    _factor_tables,
+    _intensity,
+    _jsi_stream,
+    _row_trapezoid,
+)
 
 from conftest import OMEGA_800, traced_peak
 
@@ -365,12 +374,15 @@ def _fig2_jsi():
 
 
 class TestRowTrapezoid:
-    # marginal_spectrum and time_difference_marginal share one blocked
-    # trapezoid: 64-row blocks, each gathered C-contiguous
+    # The idler marginal and time_difference_marginal share one blocked
+    # trapezoid: 64-row blocks, each gathered C-contiguous.  The signal
+    # marginal adds each pair of neighbouring rows' trapezoid term in row
+    # order: numpy's np.trapezoid down axis 0, bit for bit.
 
-    # the signal marginal's pairwise row sums against numpy's sequential sum
-    # down axis 0, in units of its maximum: 1.4e-15 measured on fig2's grid,
-    # at most 1.5e-15 on this module's equal-step grids
+    # the signal marginal's row-order sums against the pairwise sums of
+    # _row_trapezoid on the transposed values, in units of its maximum:
+    # 1.4e-15 measured on fig2's grid, at most 1.5e-15 on this module's
+    # equal-step grids
     SIGNAL_BOUND = 2e-15
 
     @pytest.mark.parametrize("shape", [(1024, 1024), (1025, 1025), (2, 1025), (17, 1025)],
@@ -389,15 +401,24 @@ class TestRowTrapezoid:
                 marg = cs.time_difference_marginal(tgrid, threads)
                 assert np.array_equal(marg.density, expect)
         signal = cs.marginal_spectrum(jsi, "signal").density
-        oracle = np.trapezoid(jsi.values, jsi.omega_i_axis, axis=0)
-        assert np.abs(signal - oracle).max() <= self.SIGNAL_BOUND * oracle.max()
+        assert np.array_equal(signal, np.trapezoid(jsi.values, jsi.omega_i_axis, axis=0))
+        pairwise = _row_trapezoid(jsi.values.T, jsi.omega_i_axis)
+        assert np.abs(signal - pairwise).max() <= self.SIGNAL_BOUND * pairwise.max()
 
     def test_signal_marginal_of_fig2_within_the_bound(self):
         jsi = _fig2_jsi()
         got = cs.marginal_spectrum(jsi, "signal").density
-        oracle = np.trapezoid(jsi.values, jsi.omega_i_axis, axis=0)
-        assert not np.array_equal(got, oracle)  # the summation order did change
-        assert np.abs(got - oracle).max() <= self.SIGNAL_BOUND * oracle.max()
+        pairwise = _row_trapezoid(jsi.values.T, jsi.omega_i_axis)
+        assert not np.array_equal(got, pairwise)  # the summation order did change
+        assert np.abs(got - pairwise).max() <= self.SIGNAL_BOUND * pairwise.max()
+
+    def test_signal_marginal_of_any_layout(self):
+        # the same terms in the same order whatever the strides of the rows
+        jsi = _fig2_jsi()
+        got = cs.marginal_spectrum(jsi, "signal").density
+        transposed = np.ascontiguousarray(jsi.values.T).T
+        grid = cs.SpectralGrid(jsi.omega_s_axis, jsi.omega_i_axis, transposed)
+        assert np.array_equal(cs.marginal_spectrum(grid, "signal").density, got)
 
     @pytest.mark.parametrize("axis", ["signal", "idler"])
     def test_no_grid_sized_temporary(self, axis):
@@ -406,6 +427,106 @@ class TestRowTrapezoid:
         jsi = _fig2_jsi()
         peak, _ = traced_peak(lambda: cs.marginal_spectrum(jsi, axis))
         assert peak <= 2 * 2**20
+
+
+def _stream_grid(n_i, n_s):
+    """A spec of n_i x n_s samples at fig2's step around 800 nm: several kernel blocks."""
+    step = 6 * cs.wavelength_fwhm_to_angular(800e-9, 30e-9) / 1024
+
+    def axis(n):
+        return OMEGA_800 + step * (np.arange(n) - (n - 1) / 2)
+
+    return cs.SpectralGrid(axis(n_s), axis(n_i), np.broadcast_to(0.0, (n_i, n_s)))
+
+
+class TestGridStream:
+    # _jsi_stream is the rectangular kernel: the jsi functions collect it,
+    # the CLI writes it and integrates it block by block
+    GRID = (301, 1025)  # 63 rows a block: 5 blocks at one thread, 10 at two, 15 at three
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("jsi_of, cavity", [
+        (cs.jsi_singly_resonant, "sr_cavity"), (cs.jsi_doubly_resonant, "dr_cavity"),
+    ], ids=["SR", "DR"])
+    def test_collected_stream_is_the_grid_at_any_thread_count(self, jsi_of, cavity, request,
+                                                              pump, filters, threads):
+        cavity = request.getfixturevalue(cavity)
+        grid = _stream_grid(*self.GRID)
+        whole = jsi_of(cavity, pump, filters, grid).values
+        stream = _jsi_stream(cavity, pump, filters, grid, threads)
+        assert stream.omega_s_axis is grid.omega_s_axis
+        assert stream.omega_i_axis is grid.omega_i_axis
+        parts = list(stream.blocks)
+        rows = blocks(0, self.GRID[0], _GRID_BLOCK_SAMPLES // self.GRID[1], threads)
+        assert [part.shape for part in parts] == [(b.stop - b.start, self.GRID[1]) for b in rows]
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert np.array_equal(jsi_of(cavity, pump, filters, grid, threads=threads).values, whole)
+
+    def test_blocks_hold_a_fixed_number_of_samples(self, sr_cavity, pump, filters):
+        # 64 rows of a 1024-sample row, 32 of a 2048-sample one
+        for n_s, rows in ((1024, 64), (2048, 32), (129, 508)):
+            stream = _jsi_stream(sr_cavity, pump, filters, _stream_grid(600, n_s))
+            assert next(stream.blocks).shape == (min(rows, 600), n_s)
+
+    def test_tables_are_evaluated_before_the_stream_returns(self, sr_cavity, pump, filters):
+        # +-2e15 rad/s around 800 nm leaves the Sellmeier window
+        grid = cs.default_grid(OMEGA_800, OMEGA_800, 2e15, 64)
+        with pytest.raises(DispersionWindowError):
+            _jsi_stream(sr_cavity, pump, filters, grid)
+
+    @pytest.mark.parametrize("cavity", ["sr_cavity", "dr_cavity"])
+    def test_streamed_marginals_do_not_depend_on_threads(self, cavity, request, pump, filters):
+        cavity = request.getfixturevalue(cavity)
+        grid = _stream_grid(*self.GRID)
+        whole = cs.jsi_singly_resonant(cavity, pump, filters, grid)
+        pairwise = _row_trapezoid(whole.values.T, grid.omega_i_axis)
+        # the idler marginal is _row_trapezoid of the rows, bit for bit
+        idler = _row_trapezoid(whole.values, grid.omega_s_axis)
+        signal = cs.marginal_spectrum(whole, "signal").density
+        assert np.abs(signal - pairwise).max() <= TestRowTrapezoid.SIGNAL_BOUND * pairwise.max()
+        for threads in (1, 2, 3):
+            for axis, expect in (("signal", signal), ("idler", idler)):
+                stream = _jsi_stream(cavity, pump, filters, grid, threads)
+                marg = cs.marginal_spectrum(stream, axis)
+                assert np.array_equal(marg.density, expect), (axis, threads)
+                kept = grid.omega_s_axis if axis == "signal" else grid.omega_i_axis
+                assert marg.axis is kept
+
+
+class TestStreamBlocks:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_in_order_with_at_most_threads_in_flight(self, threads):
+        started = []
+        ahead = []
+
+        def work(k):
+            started.append(k)
+            time.sleep(0.002 * (k % 3))  # later items often finish first
+            return k * k
+
+        for k, value in enumerate(stream_blocks(threads, work, list(range(12)))):
+            assert value == k * k
+            # item k is in the consumer's hands; at most `threads` after it started
+            ahead.append(len(started) - (k + 1))
+        assert max(ahead) <= threads
+
+    def test_first_failing_item_in_order_raises(self):
+        lock = threading.Lock()
+        started = []
+
+        def work(k):
+            with lock:
+                started.append(k)
+            if k in (3, 5):
+                raise DispersionWindowError(f"item {k}")
+            return k
+
+        got = []
+        with pytest.raises(DispersionWindowError, match="item 3"):
+            for value in stream_blocks(2, work, list(range(40))):
+                got.append(value)
+        assert got == [0, 1, 2]
+        assert max(started) <= 3 + 2
 
 
 class TestMedian:

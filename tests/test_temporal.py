@@ -7,6 +7,7 @@ import cavityspdc as cs
 import cavityspdc.temporal
 
 from cavityspdc._parallel import map_blocks
+from cavityspdc.constants import c
 from cavityspdc.errors import EmptyPeakSetError
 from cavityspdc.spectral import _BLOCK_ROWS as _MARGINAL_ROWS, _jsa_sr_pointwise
 from cavityspdc.temporal import _BLOCK_PLUS, _BLOCK_ROWS, joint_temporal_intensity_from_cavity
@@ -110,6 +111,27 @@ class TestJointTemporalIntensity:
             TEMPORAL["minus_halfwidth_filter_fwhm"], TEMPORAL["plus_halfwidth_sigma"],
         )
         assert 4 * np.pi / (minus[1] - minus[0]) >= 20 * round_trip * (1 - 1e-12)
+
+    @pytest.mark.parametrize("signal_nm, idler_nm", [(780.0, 821.05), (821.05, 780.0)])
+    def test_non_degenerate_lattice_holds_twenty_round_trips_of_the_slower_photon(
+            self, crystal, pump, filters, signal_nm, idler_nm):
+        # the 780 nm photon's round trip is 0.15% the longer; capped at the
+        # signal's alone, the second window held 19.97 of them.  Spanning 40
+        # filter FWHMs, omega_minus has about 2500 samples, so rounding the
+        # sample count widens the window by only 0.04%.
+        omega_s0, omega_i0 = (2 * np.pi * c / (nm * 1e-9) for nm in (signal_nm, idler_nm))
+        cav = cs.solve_resonance_phases(
+            cs.singly_resonant_cavity(crystal.length_l, crystal, 0.3), omega_s0, omega_i0
+        )
+        fwhm = filters[0].fwhm
+        shifted = (cs.FilterSpec(omega_s0, fwhm), cs.FilterSpec(omega_i0, fwhm))
+        slower = cs.group_round_trip_time(cav, 2 * np.pi * c / 780e-9)
+        assert slower > cs.group_round_trip_time(cav, 2 * np.pi * c / 821.05e-9)
+        _, minus = cs.rotated_lattice_axes(
+            cav, pump, shifted, omega_s0, omega_i0, 2, 40.0, TEMPORAL["plus_halfwidth_sigma"],
+        )
+        assert minus.size > 2500
+        assert 4 * np.pi / (minus[1] - minus[0]) >= 20 * slower
 
     def test_open_cavity_lattice_is_the_twenty_round_trip_cap(self, crystal, pump, filters):
         # infinite signal and idler widths: the cap alone sets the minus step
