@@ -4,8 +4,9 @@ numpy's ufuncs and FFTs release the GIL on large arrays, so blocks of array
 work overlap on threads.  Each caller's blocks are independent: a block
 either returns its own result or writes a disjoint slice of one
 preallocated output, so a result never depends on the thread count.
-map_blocks returns every result at once; stream_blocks yields them in
-order with a bounded number in flight, for a consumer that keeps none.
+stream_blocks is the one pool loop: it yields the results in order with a
+bounded number in flight, for a consumer that keeps none.  map_blocks
+collects that stream into a list.
 
 blocks is the one blocking rule.  With threads > 1 the blocks narrow by
 that factor: the blocks in flight together hold about one serial block's
@@ -26,17 +27,12 @@ def blocks(start, stop, size, threads):
 
 
 def map_blocks(threads, fn, items):
-    """[fn(item) for item in items] for a list of items, on min(threads, len(items)) threads.
+    """[fn(item) for item in items] for a list of items: stream_blocks, collected.
 
-    The pool lives for this call only.  Results keep the order of items; the
-    error of the first failing block in that order re-raises here, and
-    blocks not yet started are cancelled.
+    Results keep the order of items; the error of the first failing block in
+    that order re-raises here, and blocks not yet submitted never start.
     """
-    workers = min(threads, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return list(stream_blocks(threads, fn, items))
 
 
 def stream_blocks(threads, fn, items):

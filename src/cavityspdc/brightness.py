@@ -51,8 +51,9 @@ The stripe's memory is its factor tables plus a fixed working set.  The
 frequency tables are never stored: the table builder evaluates them and
 the photon factors in blocks of spectral._BLOCK_SAMPLES entries, and each
 kernel call takes max(1, _BLOCK_SAMPLES // rows) columns of `rows` evaluated
-minus rows, whatever the thread count.  Each column sums its minus rows in
-one fixed order, so the result does not depend on the blocks.
+minus rows, whatever the thread count.  Each column sums its minus rows
+pairwise from C-contiguous intensities, one order for every stripe, so the
+result does not depend on the blocks.
 
 A degenerate source (equal signal and idler filters and mirrors, the
 stripe centred on omega_minus = 0) is exchange-symmetric: its idler table
@@ -285,27 +286,19 @@ def _column_integrals(stripe, columns, cavity, chunk):
     Row n_minus - 1 - b equals row b, so the row sum is 2 sum_{b<m} s + s_m
     for odd n_minus and 2 sum_{b<=m} s for even, and both end rows are s_0.
 
-    Each column sums its rows in one order whatever the chunk's width: in
-    sequence when q_plus < q_minus, pairwise otherwise.  These are numpy's
-    orders on a chunk of several columns, whose intensities it lays out in
-    the tables' memory order, omega_plus fastest when q_plus < q_minus; it
-    would sum a one-column chunk pairwise.
+    The intensities are made C-contiguous (numpy lays them out in the
+    tables' memory order, omega_plus fastest when q_plus < q_minus), so
+    each column's rows lie contiguous and numpy sums them pairwise, whatever
+    the chunk's width.
     """
-    s = _intensity(cavity, *(f.view(lambda t: t[chunk]) for f in columns))
-    if stripe.q_plus < stripe.q_minus:
-        def row_sum(t):
-            return np.cumsum(t, axis=1)[:, -1]
-    else:
-        def row_sum(t):
-            return t.sum(axis=1)
-
+    s = np.ascontiguousarray(_intensity(cavity, *(f.view(lambda t: t[chunk]) for f in columns)))
     dx = stripe.q_minus * stripe.h
     if not stripe.folded:
-        return dx * (row_sum(s) - 0.5 * (s[:, 0] + s[:, -1]))
+        return dx * (s.sum(axis=1) - 0.5 * (s[:, 0] + s[:, -1]))
     if stripe.minus.size % 2:
-        total = 2.0 * row_sum(s[:, :-1]) + s[:, -1]
+        total = 2.0 * s[:, :-1].sum(axis=1) + s[:, -1]
     else:
-        total = 2.0 * row_sum(s)
+        total = 2.0 * s.sum(axis=1)
     return dx * (total - s[:, 0])
 
 

@@ -82,7 +82,7 @@ __all__ = [
 
 _LN2 = np.log(2.0)
 _BLOCK_ROWS = 64  # rows per block of a whole grid's marginals and of _row_trapezoid
-_BLOCK_SAMPLES = 1 << 15  # table entries per factor-table block (the stripe's kernel calls too)
+_BLOCK_SAMPLES = 1 << 15  # samples per factor-table, stripe-kernel and lattice-fill block
 _GRID_BLOCK_SAMPLES = 1 << 16  # samples per block of the rectangular kernel: 64 rows of 1024
 
 

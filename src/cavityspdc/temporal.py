@@ -28,15 +28,16 @@ transformed along omega_plus and scattered, transposed and fftshifted, into
 the spectrum spec_t[q, m] at the buffer's tail, so the full amplitude is
 never formed.  Stage two transforms contiguous rows of spec_t along
 omega_minus and writes each row's scaled, fftshifted |ft|^2 into a float
-view of the buffer's head.  Intensity row q overlaps only spectrum rows
-<= q, so rows go in waves of `threads` blocks and every transform of a
-wave finishes before any of its writes.  The intensity is returned as a
-transposed view, bit for bit fftshift(|fft2|^2).
+view of the buffer's head as its block arrives.  Intensity row q overlaps
+only spectrum rows <= q, and the blocks still in flight read rows above
+the one being written, so no write lands on an unread row.  The intensity
+is returned as a transposed view, bit for bit fftshift(|fft2|^2).
 joint_temporal_intensity_from_cavity is the temporal subcommand's route;
 joint_temporal_intensity feeds the same stages from the rows of a
 RotatedGrid.
 
-The blocked loops -- the fill's omega_minus rows, stage two's spectrum
+The blocked loops -- the fill's omega_minus rows (spectral._BLOCK_SAMPLES
+points a block, every pointwise kernel's budget), stage two's spectrum
 rows and the marginal's t_minus rows -- take a threads argument (default
 1) and cut their blocks by _parallel.blocks.  The marginal's loop is
 spectral._row_trapezoid, the one the spectral marginals run too.  Each
@@ -51,9 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import blocks, map_blocks
+from ._parallel import blocks, map_blocks, stream_blocks
 from .cavity import group_round_trip_time, mode_width
 from .errors import EmptyPeakSetError
+from . import spectral
 from .spectral import Marginal, _jsa_sr_pointwise, _row_trapezoid
 from .spectral import check_uniform_axis as _check_uniform_axis
 
@@ -70,7 +72,6 @@ __all__ = [
     "correlation_time",
 ]
 
-_BLOCK_ROWS = 64  # minus rows per block of the lattice fill
 _BLOCK_PLUS = 32  # spectrum rows (omega_plus samples) per omega_minus transform
 
 
@@ -181,6 +182,11 @@ def rotated_lattice_axes(cavity, pump, filters, omega_s0, omega_i0, per_width, m
     return plus, minus
 
 
+def _fill_blocks(n_minus, n_plus, threads):
+    """Blocks of omega_minus rows of the lattice fill, _BLOCK_SAMPLES points each."""
+    return blocks(0, n_minus, max(1, spectral._BLOCK_SAMPLES // n_plus), threads)
+
+
 def _sr_rows(cavity, pump, filters, plus, minus):
     """rows -> the singly-resonant amplitude on the omega_minus rows `rows` of the lattice."""
 
@@ -210,7 +216,7 @@ def jsa_singly_resonant_rotated(cavity, pump, filters, omega_plus_axis, omega_mi
     def fill(rows):
         values[rows] = rows_of(rows)
 
-    map_blocks(threads, fill, blocks(0, minus.size, _BLOCK_ROWS, threads))
+    map_blocks(threads, fill, _fill_blocks(minus.size, plus.size, threads))
     return RotatedGrid(plus, minus, values)
 
 
@@ -282,7 +288,7 @@ def _stage_one(rows_of, n_plus, n_minus, pad_plus, pad_minus, threads):
         spec_t[shift:, rows] = spectrum[:, :wrap].T
         spec_t[:shift, rows] = spectrum[:, wrap:].T
 
-    map_blocks(threads, fill, blocks(0, n_minus, _BLOCK_ROWS, threads))
+    map_blocks(threads, fill, _fill_blocks(n_minus, n_plus, threads))
     return buffer, spec_t, size_minus
 
 
@@ -291,9 +297,10 @@ def _stage_two(spectrum, d_plus, d_minus, threads):
 
     Contiguous rows of spec_t are transformed (n = size_minus), and each
     row's scaled, fftshifted |.|^2 goes to the same row of inten_t, a float
-    view of the buffer's head.  Intensity row q overlaps only spectrum rows
-    <= q, so rows go in waves of `threads` blocks and every transform of a
-    wave finishes before any of its writes: no write lands on an unread row.
+    view of the buffer's head, as each block arrives from stream_blocks.
+    Intensity row q overlaps only spectrum rows <= q.  When a block is
+    written, every block before it has been read, and the blocks still in
+    flight read rows above it: no write lands on an unread row.
     """
     buffer, spec_t, size_minus = spectrum
     size_plus = spec_t.shape[0]
@@ -311,11 +318,9 @@ def _stage_two(spectrum, d_plus, d_minus, threads):
         return power
 
     row_blocks = blocks(0, size_plus, _BLOCK_PLUS, threads)
-    for start in range(0, len(row_blocks), threads):
-        wave = row_blocks[start:start + threads]
-        for rows, power in zip(wave, map_blocks(threads, transform, wave)):
-            inten_t[rows, shift:] = power[:, :wrap]
-            inten_t[rows, :shift] = power[:, wrap:]
+    for rows, power in zip(row_blocks, stream_blocks(threads, transform, row_blocks)):
+        inten_t[rows, shift:] = power[:, :wrap]
+        inten_t[rows, :shift] = power[:, wrap:]
     # Sample spacings of the conjugate axes; the factor 2 maps the raw
     # minus-conjugate onto the emission-time difference t_s - t_i.
     u_plus = np.fft.fftshift(np.fft.fftfreq(size_plus, d=d_plus / (2 * np.pi)))

@@ -1,16 +1,19 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import cavityspdc as cs
+import cavityspdc._parallel
+import cavityspdc.spectral
 import cavityspdc.temporal
 
 from cavityspdc._parallel import map_blocks
 from cavityspdc.constants import c
 from cavityspdc.errors import EmptyPeakSetError
 from cavityspdc.spectral import _BLOCK_ROWS as _MARGINAL_ROWS, _jsa_sr_pointwise
-from cavityspdc.temporal import _BLOCK_PLUS, _BLOCK_ROWS, joint_temporal_intensity_from_cavity
+from cavityspdc.temporal import _BLOCK_PLUS, joint_temporal_intensity_from_cavity
 
 from conftest import OMEGA_800, TEMPORAL, run_temporal_pipeline, traced_peak
 
@@ -31,9 +34,9 @@ def sr_lattice(n_minus, n_plus, pump, filters):
     return plus, np.linspace(-half, half, n_minus)
 
 
-def blocks_in_reverse(threads, fn, items):
-    """map_blocks with its blocks finishing in the reverse of their order."""
-    return [fn(item) for item in reversed(items)][::-1]
+def fill_rows(monkeypatch, rows, n_plus):
+    """Make a lattice-fill block of n_plus columns hold `rows` omega_minus rows."""
+    monkeypatch.setattr(cavityspdc.spectral, "_BLOCK_SAMPLES", rows * n_plus + n_plus // 2)
 
 
 class TestRotation:
@@ -54,10 +57,12 @@ class TestRotation:
         minus_extent = (minus_profile > 0.1 * minus_profile.max()).sum() * rot.d_minus
         assert minus_extent > 2 * plus_extent
 
-    def test_blocks_match_full_lattice_evaluation(self, sr_cavity, pump, filters):
+    def test_blocks_match_full_lattice_evaluation(self, monkeypatch, sr_cavity, pump, filters):
         # three full blocks of minus rows and a ragged fourth; three threads
         # fill ragged blocks of a third of that height
-        plus, minus = sr_lattice(3 * _BLOCK_ROWS + 11, 37, pump, filters)
+        rows, n_plus = 20, 37
+        fill_rows(monkeypatch, rows, n_plus)
+        plus, minus = sr_lattice(3 * rows + 11, n_plus, pump, filters)
         mm, pp = np.meshgrid(minus, plus, indexing="ij")
         full = _jsa_sr_pointwise(sr_cavity, pump, filters, (pp + mm) / 2.0, (pp - mm) / 2.0)
         for threads in (1, 3):
@@ -143,27 +148,50 @@ class TestJointTemporalIntensity:
         )
         assert 4 * np.pi / (minus[1] - minus[0]) >= 20 * round_trip * (1 - 1e-12)
 
+    # n_minus against size_minus / 2: below it the spectrum sits at the tail
+    # of the buffer (37 of 1024, 41 of 50); at it intensity row q takes the
+    # memory of spectrum row q (64 of 64); above it the spectrum fills the
+    # buffer and intensity row q also reaches into row q - 1 (65 of 64, 301
+    # of 256).
     @pytest.mark.parametrize(
         "n_minus, n_plus, pad_plus, pad_minus",
-        [(37, 203, None, None), (65, 33, 64, 128), (301, 77, 256, 512), (41, 29, 45, 99)],
+        [(37, 203, None, None), (64, 33, 64, 128), (65, 33, 64, 128), (301, 77, 256, 512),
+         (41, 29, 45, 99)],
     )
     def test_streamed_transform_is_shifted_fft2_intensity(self, monkeypatch, n_minus, n_plus,
                                                           pad_plus, pad_minus):
         rot = random_rotated(n_minus, n_plus)
+        ft = np.fft.fft2(rot.values, s=(pad_minus or 2048, pad_plus or 2048))
+        ft *= rot.d_plus * rot.d_minus / (2 * np.pi * np.sqrt(2.0))
+        expected = np.fft.fftshift(np.abs(ft) ** 2)
+        # Stage two writes each block as it arrives while up to `threads`
+        # later blocks are still read: one-row and ragged five-row blocks
+        # put every write next to a spectrum row in flight.
+        for block_plus in (1, 5, _BLOCK_PLUS):
+            monkeypatch.setattr(cavityspdc.temporal, "_BLOCK_PLUS", block_plus)
+            for threads in (1, 2, 3):
+                tg = cs.joint_temporal_intensity(rot, pad_plus=pad_plus, pad_minus=pad_minus,
+                                                 threads=threads)
+                assert np.array_equal(tg.values, expected)
 
-        def streamed(threads):
-            return cs.joint_temporal_intensity(rot, pad_plus=pad_plus, pad_minus=pad_minus,
-                                               threads=threads)
-
-        for threads in (1, 3):
-            tg = streamed(threads)
-            ft = np.fft.fft2(rot.values, s=tg.values.shape)
-            ft *= rot.d_plus * rot.d_minus / (2 * np.pi * np.sqrt(2.0))
-            assert np.array_equal(tg.values, np.fft.fftshift(np.abs(ft) ** 2))
-        # The last block of a wave finishing first: a write that did not wait
-        # for the whole wave would land on spectrum rows not yet transformed.
-        monkeypatch.setattr(cavityspdc.temporal, "map_blocks", blocks_in_reverse)
-        assert np.array_equal(streamed(3).values, tg.values)
+    def test_streamed_writes_hold_under_fast_thread_switching(self, monkeypatch):
+        # more threads than cores, one-row stage-two blocks, and a switch
+        # interval short enough that the consumer's writes interleave with
+        # the reads of the blocks in flight; intensity row q overlaps
+        # spectrum rows q - 1 and q
+        monkeypatch.setattr(cavityspdc.temporal, "_BLOCK_PLUS", 1)
+        rot = random_rotated(65, 33)
+        ft = np.fft.fft2(rot.values, s=(128, 64))
+        ft *= rot.d_plus * rot.d_minus / (2 * np.pi * np.sqrt(2.0))
+        expected = np.fft.fftshift(np.abs(ft) ** 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                tg = cs.joint_temporal_intensity(rot, pad_plus=64, pad_minus=128, threads=8)
+                assert np.array_equal(tg.values, expected)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_handed_over_amplitude_is_freed_before_stage_two(self):
         # peak bytes, not time: the amplitude goes once the stage-one spectrum
@@ -189,8 +217,8 @@ class TestJointTemporalIntensity:
         # spectrum sits at the tail of the buffer, and above it, so it fills it
         [(37, 29), (1031, 29)],
     )
-    def test_fused_transform_is_shifted_fft2_intensity(self, sr_cavity, pump, filters, n_minus,
-                                                       n_plus):
+    def test_fused_transform_is_shifted_fft2_intensity(self, monkeypatch, sr_cavity, pump,
+                                                       filters, n_minus, n_plus):
         plus, minus = sr_lattice(n_minus, n_plus, pump, filters)
         rot = cs.jsa_singly_resonant_rotated(sr_cavity, pump, filters, plus, minus)
         ft = np.fft.fft2(rot.values, s=(2048, 2048))
@@ -198,17 +226,41 @@ class TestJointTemporalIntensity:
         expected = np.fft.fftshift(np.abs(ft) ** 2)
         del ft
         axes = cs.joint_temporal_intensity(rot)
-        for threads in (1, 2, 3):
-            tg = joint_temporal_intensity_from_cavity(sr_cavity, pump, filters, plus, minus,
-                                                      threads)
-            assert np.array_equal(tg.values, expected)
-            assert np.array_equal(tg.t_plus_axis, axes.t_plus_axis)
-            assert np.array_equal(tg.t_minus_axis, axes.t_minus_axis)
+        assert np.array_equal(axes.values, expected)
+        for block_plus in (1, 5, _BLOCK_PLUS):  # one-row, ragged and full stage-two blocks
+            monkeypatch.setattr(cavityspdc.temporal, "_BLOCK_PLUS", block_plus)
+            for threads in (1, 2, 3):
+                tg = joint_temporal_intensity_from_cavity(sr_cavity, pump, filters, plus, minus,
+                                                          threads)
+                assert np.array_equal(tg.values, expected)
+                assert np.array_equal(tg.t_plus_axis, axes.t_plus_axis)
+                assert np.array_equal(tg.t_minus_axis, axes.t_minus_axis)
 
-    def test_fused_transform_peaks_at_its_one_buffer(self, sr_cavity, pump, filters):
+    def test_transform_opens_one_pool_per_stage(self, monkeypatch, sr_cavity, pump, filters):
+        # five fill blocks on two threads, and 128 stage-two blocks of 16
+        # spectrum rows: the pool count does not grow with the blocks
+        pools = []
+
+        class CountingPool(cavityspdc._parallel.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cavityspdc._parallel, "ThreadPoolExecutor", CountingPool)
+        plus, minus = sr_lattice(200, 400, pump, filters)
+        tg = joint_temporal_intensity_from_cavity(sr_cavity, pump, filters, plus, minus, threads=2)
+        assert 1 <= len(pools) <= 2
+        monkeypatch.undo()
+        serial = joint_temporal_intensity_from_cavity(sr_cavity, pump, filters, plus, minus)
+        assert np.array_equal(tg.values, serial.values)
+
+    def test_fused_transform_peaks_at_its_one_buffer(self, monkeypatch, sr_cavity, pump,
+                                                     filters):
         # peak bytes, not time: the amplitude is never formed, and the
         # intensity fills the buffer that held the stage-one spectrum
         n_minus, n_plus, size = 1100, 800, 2048  # the default pads on both axes
+        rows = 48  # 22 full fill blocks and a ragged one of 44 rows
+        fill_rows(monkeypatch, rows, n_plus)
         plus, minus = sr_lattice(n_minus, n_plus, pump, filters)
         buffer = 16 * size * max(n_minus, size // 2)
         amplitude, stage_one = 16 * n_minus * n_plus, 16 * n_minus * size
@@ -216,10 +268,10 @@ class TestJointTemporalIntensity:
         # along omega_plus, or a stage-two block transformed along omega_minus
         fill_block, _ = traced_peak(lambda: np.fft.fft(
             cs.jsa_singly_resonant_rotated(sr_cavity, pump, filters, plus,
-                                           minus[:_BLOCK_ROWS]).values, n=size, axis=1))
-        wave_block, _ = traced_peak(lambda: np.abs(np.fft.fft(
+                                           minus[:rows]).values, n=size, axis=1))
+        row_block, _ = traced_peak(lambda: np.abs(np.fft.fft(
             np.ones((_BLOCK_PLUS, n_minus), complex), n=size, axis=1)))
-        bound = 1.1 * buffer + max(fill_block, wave_block)
+        bound = 1.1 * buffer + max(fill_block, row_block)
         assert bound < amplitude + stage_one  # the lattice tells the two routes apart
 
         fused_peak, fused = traced_peak(lambda: joint_temporal_intensity_from_cavity(
