@@ -8,10 +8,14 @@ stream_blocks is the one pool loop: it yields the results in order with a
 bounded number in flight, for a consumer that keeps none.  map_blocks
 collects that stream into a list.
 
-blocks is the one blocking rule.  With threads > 1 the blocks narrow by
-that factor: the blocks in flight together hold about one serial block's
-temporaries, which the allocator of each worker thread would otherwise
-keep after the loop.
+blocks is the one blocking rule, with one sample budget for every blocked
+loop: a block of rows of row_len samples (the longest row it holds or
+forms; 1 for a 1-D table) holds max(1, _BLOCK_SAMPLES // row_len) of them,
+so no block holds more than the budget or one row, whatever the lattice or
+its padding.  With threads > 1 the blocks narrow by that factor: the
+blocks in flight together hold about one serial block's temporaries,
+which the allocator of each worker thread would otherwise keep after the
+loop.
 """
 
 from __future__ import annotations
@@ -19,11 +23,13 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
+_BLOCK_SAMPLES = 1 << 16  # samples per block of every blocked loop
 
-def blocks(start, stop, size, threads):
-    """Consecutive slices covering [start, stop), ceil(size / threads) long."""
-    step = -(-size // threads)
-    return [slice(k, min(k + step, stop)) for k in range(start, stop, step)]
+
+def blocks(n_rows, row_len, threads):
+    """Slices of range(n_rows), ceil(max(1, _BLOCK_SAMPLES // row_len) / threads) rows each."""
+    step = -(-max(1, _BLOCK_SAMPLES // row_len) // threads)
+    return [slice(k, min(k + step, n_rows)) for k in range(0, n_rows, step)]
 
 
 def map_blocks(threads, fn, items):

@@ -49,11 +49,11 @@ gathered views of the tables to its kernel.
 
 The stripe's memory is its factor tables plus a fixed working set.  The
 frequency tables are never stored: the table builder evaluates them and
-the photon factors in blocks of spectral._BLOCK_SAMPLES entries, and each
-kernel call takes max(1, _BLOCK_SAMPLES // rows) columns of `rows` evaluated
-minus rows, whatever the thread count.  Each column sums its minus rows
-pairwise from C-contiguous intensities, one order for every stripe, so the
-result does not depend on the blocks.
+the photon factors in _parallel.blocks of entries, and each kernel call
+takes a _parallel.blocks chunk of columns of `rows` evaluated minus rows:
+one sample budget either way, whatever the thread count.  Each column
+sums its minus rows pairwise from C-contiguous intensities, one order for
+every stripe, so the result does not depend on the blocks.
 
 A degenerate source (equal signal and idler filters and mirrors, the
 stripe centred on omega_minus = 0) is exchange-symmetric: its idler table
@@ -286,12 +286,11 @@ def _column_integrals(stripe, columns, cavity, chunk):
     Row n_minus - 1 - b equals row b, so the row sum is 2 sum_{b<m} s + s_m
     for odd n_minus and 2 sum_{b<=m} s for even, and both end rows are s_0.
 
-    The intensities are made C-contiguous (numpy lays them out in the
-    tables' memory order, omega_plus fastest when q_plus < q_minus), so
-    each column's rows lie contiguous and numpy sums them pairwise, whatever
-    the chunk's width.
+    _intensity writes C order, also where the gathered views run omega_plus
+    fastest (q_plus < q_minus), so each column's rows lie contiguous and
+    numpy sums them pairwise, whatever the chunk's width.
     """
-    s = np.ascontiguousarray(_intensity(cavity, *(f.view(lambda t: t[chunk]) for f in columns)))
+    s = _intensity(cavity, *(f.view(lambda t: t[chunk]) for f in columns))
     dx = stripe.q_minus * stripe.h
     if not stripe.folded:
         return dx * (s.sum(axis=1) - 0.5 * (s[:, 0] + s[:, -1]))
@@ -316,7 +315,7 @@ def _stripe_columns(cavity, pump, filters, factor_mode, threads=1):
     def column_integrals(chunk):
         return _column_integrals(stripe, columns, cavity, chunk)
 
-    chunks = blocks(0, stripe.plus.size, max(1, spectral._BLOCK_SAMPLES // stripe.rows), 1)
+    chunks = blocks(stripe.plus.size, stripe.rows, 1)
     g = np.concatenate(map_blocks(threads, column_integrals, chunks))
     if factor_mode == "central_approx":
         f_s, f_i = filters
@@ -352,8 +351,8 @@ def _plus_integral(stripe, g, cavity, pump):
     never coarser than the columns, on which g is interpolated between the
     columns.  Without a pump resonance (an infinite width) the axis is the
     columns' own, where the interpolant's indices are whole and it returns
-    the columns bit for bit.  The integrand is evaluated in blocks of
-    spectral._BLOCK_SAMPLES entries.
+    the columns bit for bit.  The integrand is evaluated in
+    _parallel.blocks of entries.
     """
     n_columns = stripe.plus.size
     step = stripe.q_plus * stripe.h
@@ -368,7 +367,7 @@ def _plus_integral(stripe, g, cavity, pump):
         g_b = _interpolate(g, np.arange(b.start, b.stop) * ratio)
         return spectral._pump_weight(cavity, pump, omega, n_p) * g_b
 
-    y = np.concatenate([integrand(b) for b in blocks(0, n, spectral._BLOCK_SAMPLES, 1)])
+    y = np.concatenate([integrand(b) for b in blocks(n, 1, 1)])
     return 0.5 * float(np.trapezoid(y, dx=axis.step))
 
 

@@ -107,7 +107,7 @@ def polarization_for_mode(mode):
 def _check_window(crystal, omega):
     lo, hi = crystal.omega_window
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega < lo) or np.any(omega > hi):
+    if omega.size and not (lo <= omega.min() and omega.max() <= hi):  # NaN fails too
         lo_um, hi_um = crystal.window_um
         raise DispersionWindowError(
             f"angular frequency outside the Sellmeier validity window "

@@ -28,9 +28,11 @@ returns, then yields blocks of idler rows in row order, computed on one
 thread pool of `threads` threads (default 1) with at most that many blocks
 in flight.  Every row is computed alone, so the rows are bit for bit the
 same at any thread count, although the block boundaries move with it.
-jsi_singly_resonant and jsi_doubly_resonant collect the stream into one
-SpectralGrid; the CLI hands it to gridfile.write_grid and, through
-_MarginalSum, to the marginal, so no N^2 array is formed on that path.
+Like the factor tables' and the marginals' blocks, they hold _parallel's
+one sample budget.  jsi_singly_resonant and jsi_doubly_resonant collect
+the stream into one SpectralGrid; the CLI hands it to gridfile.write_grid
+and, through _MarginalSum, to the marginal, so no N^2 array is formed on
+that path.
 The complex amplitude f A_s A_i has one evaluator, _jsa_sr_pointwise, which
 jsa_singly_resonant runs on a rectangular grid's mesh and the temporal
 module on the rotated lattice.
@@ -81,9 +83,6 @@ __all__ = [
 ]
 
 _LN2 = np.log(2.0)
-_BLOCK_ROWS = 64  # rows per block of a whole grid's marginals and of _row_trapezoid
-_BLOCK_SAMPLES = 1 << 15  # samples per factor-table, stripe-kernel and lattice-fill block
-_GRID_BLOCK_SAMPLES = 1 << 16  # samples per block of the rectangular kernel: 64 rows of 1024
 
 
 def wavelength_fwhm_to_angular(lambda0, fwhm_lambda):
@@ -423,7 +422,7 @@ def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, rate=None):
     omega_p is the pump table, any 1-D array of sums omega_s + omega_i: the
     rectangular grid's anti-diagonal sums or the stripe's omega_plus axis.
     rate, if given, is a function of omega multiplied onto both photon
-    weights.  The photon factors are evaluated in blocks of _BLOCK_SAMPLES
+    weights.  The photon factors are evaluated in _parallel.blocks of
     entries into preallocated tables; every entry is the same whatever the
     blocking, and a grid's table of at most 2047 entries is one block.
     """
@@ -444,7 +443,7 @@ def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, rate=None):
         size = omega.size
         table = _Factors(np.empty(size), np.empty(size),
                          np.empty(size, complex) if cavity.reflects_pump else None)
-        for b in blocks(0, size, _BLOCK_SAMPLES, 1):
+        for b in blocks(size, 1, 1):
             for whole, part in zip(table, photon(omega[b], mode, filt)):
                 if whole is not None:
                     whole[b] = part
@@ -484,9 +483,11 @@ def _intensity(cavity, signal, idler, pump):
     Only sinc^2(k_p - k_s - k_i) and, for DR, the phase-balancing weight
     P = 1 + |r_2p|^2 + 2 |r_2p| Re(product of the three phasors) combine
     frequencies: the phase_balancing value without the sine of the large
-    unfolded phase sum.
+    unfolded phase sum.  The first operation writes C order, whatever the
+    views' order, so the intensity is C-contiguous.
     """
-    x = pump.k - signal.k - idler.k
+    x = np.subtract(pump.k, signal.k, order="C")
+    x -= idler.k
     with np.errstate(invalid="ignore"):
         s = np.sin(x) / x
     s[x == 0.0] = 1.0
@@ -519,10 +520,9 @@ def _jsi_stream(cavity, pump, filters, grid, threads=1):
     so every error of the evaluation (a frequency outside the Sellmeier
     window, a diverging Airy weight) is raised before a consumer opens a
     file; the blocks only combine table entries.  The blocks are
-    _parallel.blocks of _GRID_BLOCK_SAMPLES // N_s rows (64 on a 1024-sample
-    row), so a block's temporaries do not grow with the grid; stream_blocks
-    computes them on one pool of `threads` threads and yields them in row
-    order.
+    _parallel.blocks of N_s-sample rows, so a block's temporaries do not
+    grow with the grid; stream_blocks computes them on one pool of
+    `threads` threads and yields them in row order.
     """
     s_axis, i_axis = grid.omega_s_axis, grid.omega_i_axis
     step_s, step_i = np.diff(s_axis).mean(), np.diff(i_axis).mean()
@@ -543,7 +543,7 @@ def _jsi_stream(cavity, pump, filters, grid, threads=1):
             plus.view(lambda t: sliding_window_view(t, s_axis.size)[rows]),
         )
 
-    rows = blocks(0, i_axis.size, max(1, _GRID_BLOCK_SAMPLES // s_axis.size), threads)
+    rows = blocks(i_axis.size, s_axis.size, threads)
     return GridStream(s_axis, i_axis, stream_blocks(threads, block, rows))
 
 
@@ -562,7 +562,7 @@ def marginal_spectrum(grid, axis):
 
     axis names the kept axis: 'signal' integrates over omega_i and returns a
     density on the signal axis, 'idler' the converse.  grid is a
-    SpectralGrid, read in blocks of _BLOCK_ROWS rows, or a GridStream, whose
+    SpectralGrid, read in _parallel.blocks of its rows, or a GridStream, whose
     blocks it consumes.  Either way the rows go through _MarginalSum, whose
     rules do not depend on the blocks, so no grid-sized temporary is formed
     and the density is the same whatever the blocking.
@@ -571,7 +571,7 @@ def marginal_spectrum(grid, axis):
     if isinstance(grid, GridStream):
         rows = grid.blocks
     else:
-        rows = (grid.values[b] for b in blocks(0, grid.values.shape[0], _BLOCK_ROWS, 1))
+        rows = (grid.values[b] for b in blocks(*grid.values.shape, 1))
     for block in rows:
         total.add(block)
     return total.marginal()
@@ -635,7 +635,7 @@ class _MarginalSum:
 def _row_trapezoid(values, x, threads=1):
     """Trapezoid over x of each row of a 2-D array of any layout: the idler and t_minus marginals.
 
-    Blocks of _BLOCK_ROWS rows run on `threads` threads, each gathered
+    _parallel.blocks of the rows run on `threads` threads, each gathered
     C-contiguous first, so no temporary outgrows a block and each row's sum
     is the contiguous one whatever the layout of values and the threads.
     """
@@ -644,7 +644,7 @@ def _row_trapezoid(values, x, threads=1):
     def integrate(rows):
         density[rows] = np.trapezoid(np.ascontiguousarray(values[rows]), x, axis=1)
 
-    map_blocks(threads, integrate, blocks(0, values.shape[0], _BLOCK_ROWS, threads))
+    map_blocks(threads, integrate, blocks(*values.shape, threads))
     return density
 
 

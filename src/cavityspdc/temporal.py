@@ -36,10 +36,11 @@ joint_temporal_intensity_from_cavity is the temporal subcommand's route;
 joint_temporal_intensity feeds the same stages from the rows of a
 RotatedGrid.
 
-The blocked loops -- the fill's omega_minus rows (spectral._BLOCK_SAMPLES
-points a block, every pointwise kernel's budget), stage two's spectrum
+The blocked loops -- the fill's omega_minus rows, stage two's spectrum
 rows and the marginal's t_minus rows -- take a threads argument (default
-1) and cut their blocks by _parallel.blocks.  The marginal's loop is
+1) and cut their blocks by _parallel.blocks, one sample budget a block
+(rows of size_plus samples in the fill, size_minus in stage two), so none
+grows with the lattice or its padding.  The marginal's loop is
 spectral._row_trapezoid, the one the spectral marginals run too.  Each
 block writes a disjoint slice of one preallocated output, and every row or
 column is computed alone whatever block holds it, so every result is bit
@@ -55,7 +56,6 @@ import numpy as np
 from ._parallel import blocks, map_blocks, stream_blocks
 from .cavity import group_round_trip_time, mode_width
 from .errors import EmptyPeakSetError
-from . import spectral
 from .spectral import Marginal, _jsa_sr_pointwise, _row_trapezoid
 from .spectral import check_uniform_axis as _check_uniform_axis
 
@@ -71,8 +71,6 @@ __all__ = [
     "extract_peaks",
     "correlation_time",
 ]
-
-_BLOCK_PLUS = 32  # spectrum rows (omega_plus samples) per omega_minus transform
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,11 +180,6 @@ def rotated_lattice_axes(cavity, pump, filters, omega_s0, omega_i0, per_width, m
     return plus, minus
 
 
-def _fill_blocks(n_minus, n_plus, threads):
-    """Blocks of omega_minus rows of the lattice fill, _BLOCK_SAMPLES points each."""
-    return blocks(0, n_minus, max(1, spectral._BLOCK_SAMPLES // n_plus), threads)
-
-
 def _sr_rows(cavity, pump, filters, plus, minus):
     """rows -> the singly-resonant amplitude on the omega_minus rows `rows` of the lattice."""
 
@@ -216,7 +209,7 @@ def jsa_singly_resonant_rotated(cavity, pump, filters, omega_plus_axis, omega_mi
     def fill(rows):
         values[rows] = rows_of(rows)
 
-    map_blocks(threads, fill, _fill_blocks(minus.size, plus.size, threads))
+    map_blocks(threads, fill, blocks(minus.size, plus.size, threads))
     return RotatedGrid(plus, minus, values)
 
 
@@ -288,7 +281,7 @@ def _stage_one(rows_of, n_plus, n_minus, pad_plus, pad_minus, threads):
         spec_t[shift:, rows] = spectrum[:, :wrap].T
         spec_t[:shift, rows] = spectrum[:, wrap:].T
 
-    map_blocks(threads, fill, _fill_blocks(n_minus, n_plus, threads))
+    map_blocks(threads, fill, blocks(n_minus, size_plus, threads))
     return buffer, spec_t, size_minus
 
 
@@ -317,7 +310,7 @@ def _stage_two(spectrum, d_plus, d_minus, threads):
         power *= power
         return power
 
-    row_blocks = blocks(0, size_plus, _BLOCK_PLUS, threads)
+    row_blocks = blocks(size_plus, size_minus, threads)
     for rows, power in zip(row_blocks, stream_blocks(threads, transform, row_blocks)):
         inten_t[rows, shift:] = power[:, :wrap]
         inten_t[rows, :shift] = power[:, wrap:]
@@ -348,8 +341,8 @@ def extract_peaks(axis, values, min_prominence=1e-4):
     """
     axis = np.asarray(axis, dtype=float)
     values = np.asarray(values, dtype=float)
-    if np.any(values < 0):
-        raise ValueError("density must be non-negative")
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise ValueError("density must be finite and non-negative")
     threshold = min_prominence * values.max()
     inner = values[1:-1]
     idx = np.flatnonzero((inner > values[:-2]) & (inner > values[2:]) & (inner >= threshold)) + 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cavityspdc as cs
+import cavityspdc._parallel
 import cavityspdc.brightness as stripe_module
 import cavityspdc.spectral as spectral_module
 from cavityspdc._parallel import blocks
@@ -533,13 +534,13 @@ def _fig5_tallest_point():
 def _fold_oracle(cavity, filters, signal, idler):
     """Oracle of _exchange_symmetric: equal filters and mirrors, and the idler
     table equal to the signal table reversed, compared entry by entry in
-    blocks of spectral._BLOCK_SAMPLES."""
+    _parallel.blocks of entries."""
     f_s, f_i = filters
     same_mirrors = all(cavity.mirror(nu, "signal") == cavity.mirror(nu, "idler") for nu in (1, 2))
     n = signal.size
     return f_s == f_i and same_mirrors and idler.size == n and all(
         np.array_equal(signal[b], idler[n - b.stop : n - b.start][::-1])
-        for b in blocks(0, n, spectral_module._BLOCK_SAMPLES, 1)
+        for b in blocks(n, 1, 1)
     )
 
 
@@ -619,7 +620,7 @@ class TestBlocking:
         assert stripe.folded == degenerate and stripe.signal.size % self.SMALL
         default = brightness_from_cavity(cavity, swept, filters, factor_mode).value
         kernel_shapes.clear()
-        monkeypatch.setattr(spectral_module, "_BLOCK_SAMPLES", self.SMALL)
+        monkeypatch.setattr(cavityspdc._parallel, "_BLOCK_SAMPLES", self.SMALL)
         blocked = brightness_from_cavity(cavity, swept, filters, factor_mode).value
         assert [shape[0] for shape in kernel_shapes] == [1] * stripe.plus.size
         assert blocked == default
@@ -627,7 +628,7 @@ class TestBlocking:
     def test_fig6_point_on_two_threads(self, monkeypatch, kernel_shapes):
         cavity, pump, filters = _fig6_point()
         default = brightness_from_cavity(cavity, pump, filters).value
-        monkeypatch.setattr(spectral_module, "_BLOCK_SAMPLES", self.SMALL)
+        monkeypatch.setattr(cavityspdc._parallel, "_BLOCK_SAMPLES", self.SMALL)
         kernel_shapes.clear()
         assert brightness_from_cavity(cavity, pump, filters, threads=2).value == default
         assert {shape[0] for shape in kernel_shapes} == {1}
@@ -635,7 +636,7 @@ class TestBlocking:
 
 class TestWorkingSet:
     # The stripe keeps its factor tables and a working set that does not grow
-    # with them: a table builder block and a kernel call of at most 2^15
+    # with them: a table builder block and a kernel call of at most 2^16
     # samples each, and the omega_plus integrand, evaluated in blocks as
     # well.  Table-length frequency axes and 64-column kernel calls, an
     # earlier design, traced 41 MB (fig6) and 37 MB (fig5) over the tables.

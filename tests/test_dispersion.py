@@ -58,6 +58,18 @@ class TestRefractiveIndex:
             cs.wavevector(crystal, 0.0, "ordinary")
 
 
+# NaN compares False with both window edges, so a test for "below or above"
+# lets it through; the window refuses anything not inside it.
+@pytest.mark.parametrize("omega", [np.nan, [omega_of(800e-9), np.nan], [np.nan] * 3],
+                         ids=["scalar", "one-of-two", "all"])
+@pytest.mark.parametrize("evaluate", [cs.refractive_index, cs.wavevector, cs.group_slowness],
+                         ids=["refractive_index", "wavevector", "group_slowness"])
+@pytest.mark.parametrize("polarization", ["ordinary", "extraordinary"])
+def test_nan_frequency_rejected(crystal, evaluate, omega, polarization):
+    with pytest.raises(DispersionWindowError):
+        evaluate(crystal, omega, polarization)
+
+
 class TestWavevector:
     def test_800nm_value(self, crystal):
         k = cs.wavevector(crystal, omega_of(800e-9), "ordinary")

@@ -14,7 +14,6 @@ from cavityspdc.config import load_config
 from cavityspdc.constants import c
 from cavityspdc.errors import DispersionWindowError, UnderResolutionWarning
 from cavityspdc.spectral import (
-    _GRID_BLOCK_SAMPLES,
     _factor_tables,
     _intensity,
     _jsi_stream,
@@ -457,7 +456,7 @@ class TestGridStream:
         assert stream.omega_s_axis is grid.omega_s_axis
         assert stream.omega_i_axis is grid.omega_i_axis
         parts = list(stream.blocks)
-        rows = blocks(0, self.GRID[0], _GRID_BLOCK_SAMPLES // self.GRID[1], threads)
+        rows = blocks(*self.GRID, threads)
         assert [part.shape for part in parts] == [(b.stop - b.start, self.GRID[1]) for b in rows]
         assert np.array_equal(np.concatenate(parts), whole)
         assert np.array_equal(jsi_of(cavity, pump, filters, grid, threads=threads).values, whole)

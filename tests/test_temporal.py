@@ -12,8 +12,8 @@ import cavityspdc.temporal
 from cavityspdc._parallel import map_blocks
 from cavityspdc.constants import c
 from cavityspdc.errors import EmptyPeakSetError
-from cavityspdc.spectral import _BLOCK_ROWS as _MARGINAL_ROWS, _jsa_sr_pointwise
-from cavityspdc.temporal import _BLOCK_PLUS, joint_temporal_intensity_from_cavity
+from cavityspdc.spectral import _jsa_sr_pointwise, _row_trapezoid
+from cavityspdc.temporal import joint_temporal_intensity_from_cavity
 
 from conftest import OMEGA_800, TEMPORAL, run_temporal_pipeline, traced_peak
 
@@ -34,9 +34,12 @@ def sr_lattice(n_minus, n_plus, pump, filters):
     return plus, np.linspace(-half, half, n_minus)
 
 
-def fill_rows(monkeypatch, rows, n_plus):
-    """Make a lattice-fill block of n_plus columns hold `rows` omega_minus rows."""
-    monkeypatch.setattr(cavityspdc.spectral, "_BLOCK_SAMPLES", rows * n_plus + n_plus // 2)
+BUDGET = cavityspdc._parallel._BLOCK_SAMPLES  # samples per block of every blocked loop
+
+
+def block_rows(monkeypatch, rows, row_len):
+    """Make a block of row_len-sample rows hold `rows` rows, by the one sample budget."""
+    monkeypatch.setattr(cavityspdc._parallel, "_BLOCK_SAMPLES", rows * row_len + row_len // 2)
 
 
 class TestRotation:
@@ -61,7 +64,7 @@ class TestRotation:
         # three full blocks of minus rows and a ragged fourth; three threads
         # fill ragged blocks of a third of that height
         rows, n_plus = 20, 37
-        fill_rows(monkeypatch, rows, n_plus)
+        block_rows(monkeypatch, rows, n_plus)
         plus, minus = sr_lattice(3 * rows + 11, n_plus, pump, filters)
         mm, pp = np.meshgrid(minus, plus, indexing="ij")
         full = _jsa_sr_pointwise(sr_cavity, pump, filters, (pp + mm) / 2.0, (pp - mm) / 2.0)
@@ -167,8 +170,9 @@ class TestJointTemporalIntensity:
         # Stage two writes each block as it arrives while up to `threads`
         # later blocks are still read: one-row and ragged five-row blocks
         # put every write next to a spectrum row in flight.
-        for block_plus in (1, 5, _BLOCK_PLUS):
-            monkeypatch.setattr(cavityspdc.temporal, "_BLOCK_PLUS", block_plus)
+        size_minus = pad_minus or 2048
+        for budget in (size_minus, 5 * size_minus, BUDGET):
+            monkeypatch.setattr(cavityspdc._parallel, "_BLOCK_SAMPLES", budget)
             for threads in (1, 2, 3):
                 tg = cs.joint_temporal_intensity(rot, pad_plus=pad_plus, pad_minus=pad_minus,
                                                  threads=threads)
@@ -179,7 +183,7 @@ class TestJointTemporalIntensity:
         # interval short enough that the consumer's writes interleave with
         # the reads of the blocks in flight; intensity row q overlaps
         # spectrum rows q - 1 and q
-        monkeypatch.setattr(cavityspdc.temporal, "_BLOCK_PLUS", 1)
+        block_rows(monkeypatch, 1, 128)
         rot = random_rotated(65, 33)
         ft = np.fft.fft2(rot.values, s=(128, 64))
         ft *= rot.d_plus * rot.d_minus / (2 * np.pi * np.sqrt(2.0))
@@ -227,8 +231,8 @@ class TestJointTemporalIntensity:
         del ft
         axes = cs.joint_temporal_intensity(rot)
         assert np.array_equal(axes.values, expected)
-        for block_plus in (1, 5, _BLOCK_PLUS):  # one-row, ragged and full stage-two blocks
-            monkeypatch.setattr(cavityspdc.temporal, "_BLOCK_PLUS", block_plus)
+        for budget in (2048, 5 * 2048, BUDGET):  # one-row, ragged and full stage-two blocks
+            monkeypatch.setattr(cavityspdc._parallel, "_BLOCK_SAMPLES", budget)
             for threads in (1, 2, 3):
                 tg = joint_temporal_intensity_from_cavity(sr_cavity, pump, filters, plus, minus,
                                                           threads)
@@ -237,8 +241,8 @@ class TestJointTemporalIntensity:
                 assert np.array_equal(tg.t_minus_axis, axes.t_minus_axis)
 
     def test_transform_opens_one_pool_per_stage(self, monkeypatch, sr_cavity, pump, filters):
-        # five fill blocks on two threads, and 128 stage-two blocks of 16
-        # spectrum rows: the pool count does not grow with the blocks
+        # dozens of fill blocks and hundreds of stage-two blocks on two
+        # threads: the pool count does not grow with the blocks
         pools = []
 
         class CountingPool(cavityspdc._parallel.ThreadPoolExecutor):
@@ -259,8 +263,8 @@ class TestJointTemporalIntensity:
         # peak bytes, not time: the amplitude is never formed, and the
         # intensity fills the buffer that held the stage-one spectrum
         n_minus, n_plus, size = 1100, 800, 2048  # the default pads on both axes
-        rows = 48  # 22 full fill blocks and a ragged one of 44 rows
-        fill_rows(monkeypatch, rows, n_plus)
+        rows = 48  # 22 full fill blocks and a ragged one of 44 rows; 43 stage-two blocks
+        block_rows(monkeypatch, rows, size)
         plus, minus = sr_lattice(n_minus, n_plus, pump, filters)
         buffer = 16 * size * max(n_minus, size // 2)
         amplitude, stage_one = 16 * n_minus * n_plus, 16 * n_minus * size
@@ -270,7 +274,7 @@ class TestJointTemporalIntensity:
             cs.jsa_singly_resonant_rotated(sr_cavity, pump, filters, plus,
                                            minus[:rows]).values, n=size, axis=1))
         row_block, _ = traced_peak(lambda: np.abs(np.fft.fft(
-            np.ones((_BLOCK_PLUS, n_minus), complex), n=size, axis=1)))
+            np.ones((rows, n_minus), complex), n=size, axis=1)))
         bound = 1.1 * buffer + max(fill_block, row_block)
         assert bound < amplitude + stage_one  # the lattice tells the two routes apart
 
@@ -289,12 +293,42 @@ class TestJointTemporalIntensity:
         spacing = np.median(np.diff(peaks.positions))
         assert abs(spacing - cs.group_round_trip_time(cav, OMEGA_800)) < dt
 
+
+class TestWorkingSet:
+    # Peak bytes above the transform's one buffer: every blocked loop cuts
+    # blocks of one sample budget, so no block grows with the padding or
+    # the row count.  One bound holds for both pads: at 2^16 what is left
+    # is one 2^16-sample spectrum row in flight per thread and the
+    # size_minus-long axes and marginal, about 3.5 MiB.
+    WORKING_SET = 4 * 2**20
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("pad_minus", [1 << 12, 1 << 16])
+    def test_transform_and_marginal_do_not_grow_with_the_padding(self, pad_minus, threads):
+        rot = random_rotated(100, 40)
+        buffer = 16 * 64 * max(100, pad_minus // 2)
+        peak, marg = traced_peak(lambda: cs.time_difference_marginal(
+            cs.joint_temporal_intensity(rot, pad_plus=64, pad_minus=pad_minus, threads=threads),
+            threads))
+        assert marg.density.size == pad_minus
+        assert peak - buffer <= self.WORKING_SET
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_row_trapezoid_does_not_grow_with_the_rows(self, threads):
+        # 16 rows of 2^15 samples, transposed, so each block is gathered
+        values = np.random.default_rng(1).random((1 << 15, 16)).T
+        x = np.linspace(0.0, 1.0, values.shape[1])
+        peak, density = traced_peak(lambda: _row_trapezoid(values, x, threads))
+        assert np.array_equal(density, np.trapezoid(np.ascontiguousarray(values), x, axis=1))
+        assert peak <= self.WORKING_SET
+
+
 class TestTimeDifferenceMarginal:
     def test_row_blocks_match_one_trapezoid(self):
         # two full blocks of t_minus rows and a ragged third, and under three
         # threads ragged blocks of a third of that height
         rng = np.random.default_rng(3)
-        values = rng.random((2 * _MARGINAL_ROWS + 5, 48))
+        values = rng.random((2 * (BUDGET // 48) + 5, 48))
         tg = cs.TemporalGrid(np.linspace(-1e-12, 1e-12, 48),
                              np.linspace(-2e-12, 2e-12, values.shape[0]), values)
         for threads in (1, 3):
@@ -305,7 +339,7 @@ class TestTimeDifferenceMarginal:
         # the transform returns its intensity as a transposed view; each row
         # must keep the pairwise sum of a contiguous row
         rng = np.random.default_rng(5)
-        values_t = rng.random((301, 2 * _MARGINAL_ROWS + 5))  # (t_plus, t_minus)
+        values_t = rng.random((301, 2 * (BUDGET // 301) + 5))  # (t_plus, t_minus)
         t_plus = np.linspace(-1e-12, 1e-12, values_t.shape[0])
         t_minus = np.linspace(-2e-12, 2e-12, values_t.shape[1])
         transposed = cs.TemporalGrid(t_plus, t_minus, values_t.T)
@@ -383,6 +417,16 @@ class TestExtractPeaks:
         x = np.linspace(0, 1, 64)
         with pytest.raises(EmptyPeakSetError):
             cs.extract_peaks(x, np.linspace(0, 1, 64), 0.5)  # monotone ramp, no interior max
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_density_rejected(self, bad):
+        # a NaN passes values < 0 and would poison the threshold into an
+        # empty peak set; it is refused like a negative sample
+        x = np.linspace(-5, 5, 401)
+        y = np.exp(-(x**2))
+        y[17] = bad
+        with pytest.raises(ValueError):
+            cs.extract_peaks(x, y, 1e-3)
 
 class TestCorrelationTime:
     def test_two_equal_peaks(self):
