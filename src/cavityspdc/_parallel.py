@@ -11,11 +11,10 @@ collects that stream into a list.
 blocks is the one blocking rule, with one sample budget for every blocked
 loop: a block of rows of row_len samples (the longest row it holds or
 forms; 1 for a 1-D table) holds max(1, _BLOCK_SAMPLES // row_len) of them,
-so no block holds more than the budget or one row, whatever the lattice or
-its padding.  With threads > 1 the blocks narrow by that factor: the
-blocks in flight together hold about one serial block's temporaries,
-which the allocator of each worker thread would otherwise keep after the
-loop.
+so no block holds more than the budget or one row, whatever the lattice,
+its padding or the thread count.  Threads set only how many blocks
+stream_blocks keeps in flight, so the blocks, and with them every row's
+arithmetic, are the same at any thread count.
 """
 
 from __future__ import annotations
@@ -23,12 +22,12 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
-_BLOCK_SAMPLES = 1 << 16  # samples per block of every blocked loop
+_BLOCK_SAMPLES = 1 << 15  # samples per block of every blocked loop
 
 
-def blocks(n_rows, row_len, threads):
-    """Slices of range(n_rows), ceil(max(1, _BLOCK_SAMPLES // row_len) / threads) rows each."""
-    step = -(-max(1, _BLOCK_SAMPLES // row_len) // threads)
+def blocks(n_rows, row_len):
+    """Slices of range(n_rows), max(1, _BLOCK_SAMPLES // row_len) rows each."""
+    step = max(1, _BLOCK_SAMPLES // row_len)
     return [slice(k, min(k + step, n_rows)) for k in range(0, n_rows, step)]
 
 

@@ -51,9 +51,9 @@ The stripe's memory is its factor tables plus a fixed working set.  The
 frequency tables are never stored: the table builder evaluates them and
 the photon factors in _parallel.blocks of entries, and each kernel call
 takes a _parallel.blocks chunk of columns of `rows` evaluated minus rows:
-one sample budget either way, whatever the thread count.  Each column
-sums its minus rows pairwise from C-contiguous intensities, one order for
-every stripe, so the result does not depend on the blocks.
+one sample budget either way; threads set only the chunks in flight.
+Each column sums its minus rows pairwise from C-contiguous intensities,
+one order for every stripe, so the result does not depend on the blocks.
 
 A degenerate source (equal signal and idler filters and mirrors, the
 stripe centred on omega_minus = 0) is exchange-symmetric: its idler table
@@ -315,7 +315,7 @@ def _stripe_columns(cavity, pump, filters, factor_mode, threads=1):
     def column_integrals(chunk):
         return _column_integrals(stripe, columns, cavity, chunk)
 
-    chunks = blocks(stripe.plus.size, stripe.rows, 1)
+    chunks = blocks(stripe.plus.size, stripe.rows)
     g = np.concatenate(map_blocks(threads, column_integrals, chunks))
     if factor_mode == "central_approx":
         f_s, f_i = filters
@@ -367,7 +367,7 @@ def _plus_integral(stripe, g, cavity, pump):
         g_b = _interpolate(g, np.arange(b.start, b.stop) * ratio)
         return spectral._pump_weight(cavity, pump, omega, n_p) * g_b
 
-    y = np.concatenate([integrand(b) for b in blocks(n, 1, 1)])
+    y = np.concatenate([integrand(b) for b in blocks(n, 1)])
     return 0.5 * float(np.trapezoid(y, dx=axis.step))
 
 

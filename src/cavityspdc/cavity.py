@@ -63,6 +63,8 @@ class MirrorSpec:
     def __post_init__(self):
         if not 0.0 <= self.magnitude <= 1.0:
             raise ValueError(f"reflectivity magnitude must lie in [0, 1], got {self.magnitude}")
+        if not np.isfinite(self.phase):
+            raise ValueError(f"mirror phase must be finite, got {self.phase}")
 
     @property
     def transmissivity(self):
@@ -86,10 +88,10 @@ class CavitySpec:
     mirrors: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.length_L < self.crystal.length_l:
+        if not self.crystal.length_l <= self.length_L < np.inf:
             raise ValueError(
-                f"cavity length {self.length_L} shorter than crystal length "
-                f"{self.crystal.length_l}"
+                f"cavity length {self.length_L} must be finite and at least the crystal "
+                f"length {self.crystal.length_l}"
             )
         for key in self.mirrors:
             nu, mode = key

@@ -84,8 +84,8 @@ class DesignTarget:
 
     def __post_init__(self):
         for name in ("lambda_signal", "transition_bandwidth", "lambda_pump", "delta_lambda_max"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not self.lambda_pump < self.lambda_signal:
             raise ValueError("pump wavelength must be shorter than the signal wavelength")
 

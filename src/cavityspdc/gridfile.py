@@ -110,12 +110,23 @@ def _read_header(fh):
         meta[key.strip()] = value.strip()
 
 
+def _header_number(meta, key, kind):
+    """meta[key] read as a finite kind (int or float), else a ConfigError naming the key."""
+    try:
+        value = kind(meta[key])
+        if np.isfinite(value):
+            return value
+    except (KeyError, ValueError):
+        pass
+    raise ConfigError(f"grid header needs a finite {kind.__name__} {key}, got {meta.get(key)!r}")
+
+
 def read_grid(path):
     """Read a grid file of either format; returns (SpectralGrid, metadata)."""
     with open(path, "rb") as fh:
         meta = _read_header(fh)
         # the header's counts are the body's shape; any other shape is refused
-        shape = (int(meta["omega_i_count"]), int(meta["omega_s_count"]))
+        shape = tuple(_header_number(meta, f"omega_{x}_count", int) for x in "is")
         fmt = meta.get("format", "binary")
 
         def mismatch(body):
@@ -142,13 +153,12 @@ def read_grid(path):
             fh.readinto(values)
         else:
             raise ConfigError(f"unknown grid format {fmt!r} in header")
-    s_axis = np.linspace(
-        float(meta["omega_s_min_rad_s"]), float(meta["omega_s_max_rad_s"]), shape[1]
-    )
-    i_axis = np.linspace(
-        float(meta["omega_i_min_rad_s"]), float(meta["omega_i_max_rad_s"]), shape[0]
-    )
-    return SpectralGrid(s_axis, i_axis, values), meta
+
+    def axis(x, n):
+        lo, hi = (_header_number(meta, f"omega_{x}_{end}_rad_s", float) for end in ("min", "max"))
+        return np.linspace(lo, hi, n)
+
+    return SpectralGrid(axis("s", shape[1]), axis("i", shape[0]), values), meta
 
 
 def write_columns(path, columns, names, metadata=None):

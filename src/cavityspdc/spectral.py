@@ -24,15 +24,13 @@ table[i + j] at (omega_i_axis[i], omega_s_axis[j]).
 
 The rectangular kernel is one ordered stream, _jsi_stream: it evaluates the
 tables (and with them every check a configuration can fail) before it
-returns, then yields blocks of idler rows in row order, computed on one
-thread pool of `threads` threads (default 1) with at most that many blocks
-in flight.  Every row is computed alone, so the rows are bit for bit the
-same at any thread count, although the block boundaries move with it.
-Like the factor tables' and the marginals' blocks, they hold _parallel's
-one sample budget.  jsi_singly_resonant and jsi_doubly_resonant collect
-the stream into one SpectralGrid; the CLI hands it to gridfile.write_grid
-and, through _MarginalSum, to the marginal, so no N^2 array is formed on
-that path.
+returns, then yields blocks of idler rows in row order.  Like the factor
+tables' and the marginals' blocks, each holds _parallel's one sample
+budget, so the blocks are the same at any thread count; `threads`
+(default 1) sets only how many of them one pool computes at once.
+jsi_singly_resonant and jsi_doubly_resonant collect the stream into one
+SpectralGrid; the CLI hands it to gridfile.write_grid and, through
+_MarginalSum, to the marginal, so no N^2 array is formed on that path.
 The complex amplitude f A_s A_i has one evaluator, _jsa_sr_pointwise, which
 jsa_singly_resonant runs on a rectangular grid's mesh and the temporal
 module on the rotated lattice.
@@ -107,10 +105,10 @@ class PumpSpec:
     sigma: float
 
     def __post_init__(self):
-        if not self.omega_p0 > 0:
-            raise ValueError("pump center frequency must be positive")
-        if not self.sigma > 0:
-            raise ValueError("pump bandwidth sigma must be positive")
+        if not 0 < self.omega_p0 < np.inf:
+            raise ValueError("pump center frequency must be positive and finite")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError("pump bandwidth sigma must be positive and finite")
 
     @classmethod
     def from_wavelength(cls, lambda0, fwhm_lambda):
@@ -131,8 +129,8 @@ class FilterSpec:
     fwhm: float
 
     def __post_init__(self):
-        if not self.fwhm > 0:
-            raise ValueError("gaussian filter requires fwhm > 0")
+        if not (0 < self.center < np.inf and 0 < self.fwhm < np.inf):
+            raise ValueError("gaussian filter requires a finite center > 0 and fwhm > 0")
 
     def amplitude(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -154,17 +152,7 @@ class SpectralGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        for name in ("omega_s_axis", "omega_i_axis"):
-            axis = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, axis)
-            check_uniform_axis(axis, name)
-        values = np.asarray(self.values)
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.omega_i_axis.size, self.omega_s_axis.size):
-            raise ValueError(
-                f"values shape {values.shape} does not match axes "
-                f"({self.omega_i_axis.size}, {self.omega_s_axis.size})"
-            )
+        _check_lattice(self, "omega_s_axis", "omega_i_axis")
 
     @property
     def d_omega_s(self):
@@ -188,6 +176,8 @@ def check_uniform_axis(axis, name):
     axis = np.asarray(axis, dtype=float)
     if axis.ndim != 1 or axis.size < 2:
         raise ValueError(f"{name} must be a 1-D axis with at least 2 samples")
+    if not np.all(np.isfinite(axis)):
+        raise ValueError(f"{name} must be finite")
     d = np.diff(axis)
     if np.any(d <= 0):
         raise ValueError(f"{name} must be strictly increasing")
@@ -195,6 +185,18 @@ def check_uniform_axis(axis, name):
     if np.abs(d - step).max() > _step_tolerance(axis, step):
         raise ValueError(f"{name} must be uniformly spaced")
     return axis
+
+
+def _check_lattice(record, x_name, y_name):
+    """Set a frozen lattice record's uniform axes and its values[y, x]; returns the values."""
+    for name in (x_name, y_name):
+        object.__setattr__(record, name, check_uniform_axis(getattr(record, name), name))
+    values = np.asarray(record.values)
+    object.__setattr__(record, "values", values)
+    shape = (getattr(record, y_name).size, getattr(record, x_name).size)
+    if values.shape != shape:
+        raise ValueError(f"values shape {values.shape} does not match ({y_name}, {x_name}) {shape}")
+    return values
 
 
 def _step_tolerance(axis, step):
@@ -443,7 +445,7 @@ def _factor_tables(cavity, pump, filters, omega_s, omega_i, omega_p, rate=None):
         size = omega.size
         table = _Factors(np.empty(size), np.empty(size),
                          np.empty(size, complex) if cavity.reflects_pump else None)
-        for b in blocks(size, 1, 1):
+        for b in blocks(size, 1):
             for whole, part in zip(table, photon(omega[b], mode, filt)):
                 if whole is not None:
                     whole[b] = part
@@ -520,9 +522,9 @@ def _jsi_stream(cavity, pump, filters, grid, threads=1):
     so every error of the evaluation (a frequency outside the Sellmeier
     window, a diverging Airy weight) is raised before a consumer opens a
     file; the blocks only combine table entries.  The blocks are
-    _parallel.blocks of N_s-sample rows, so a block's temporaries do not
-    grow with the grid; stream_blocks computes them on one pool of
-    `threads` threads and yields them in row order.
+    _parallel.blocks of N_s-sample rows, one sample budget each whatever
+    the grid or the thread count; stream_blocks computes up to `threads`
+    of them at once on one pool and yields them in row order.
     """
     s_axis, i_axis = grid.omega_s_axis, grid.omega_i_axis
     step_s, step_i = np.diff(s_axis).mean(), np.diff(i_axis).mean()
@@ -543,7 +545,7 @@ def _jsi_stream(cavity, pump, filters, grid, threads=1):
             plus.view(lambda t: sliding_window_view(t, s_axis.size)[rows]),
         )
 
-    rows = blocks(i_axis.size, s_axis.size, threads)
+    rows = blocks(i_axis.size, s_axis.size)
     return GridStream(s_axis, i_axis, stream_blocks(threads, block, rows))
 
 
@@ -571,7 +573,7 @@ def marginal_spectrum(grid, axis):
     if isinstance(grid, GridStream):
         rows = grid.blocks
     else:
-        rows = (grid.values[b] for b in blocks(*grid.values.shape, 1))
+        rows = (grid.values[b] for b in blocks(*grid.values.shape))
     for block in rows:
         total.add(block)
     return total.marginal()
@@ -585,8 +587,7 @@ class _MarginalSum:
     of neighbouring rows, step_k (row_k+1 + row_k) / 2, onto the density in
     row order: the terms and the order of np.trapezoid(values,
     omega_i_axis, axis=0), which numpy sums down the rows in turn.  So
-    neither depends on where the blocks begin or end, nor on the thread
-    count that set them.
+    neither depends on where the blocks begin or end.
     """
 
     def __init__(self, omega_s_axis, omega_i_axis, axis):
@@ -635,16 +636,16 @@ class _MarginalSum:
 def _row_trapezoid(values, x, threads=1):
     """Trapezoid over x of each row of a 2-D array of any layout: the idler and t_minus marginals.
 
-    _parallel.blocks of the rows run on `threads` threads, each gathered
-    C-contiguous first, so no temporary outgrows a block and each row's sum
-    is the contiguous one whatever the layout of values and the threads.
+    _parallel.blocks of the rows, up to `threads` at once, are each
+    gathered C-contiguous first, so no temporary outgrows a block and each
+    row's sum is the contiguous one whatever the layout of values.
     """
     density = np.empty(values.shape[0])
 
     def integrate(rows):
         density[rows] = np.trapezoid(np.ascontiguousarray(values[rows]), x, axis=1)
 
-    map_blocks(threads, integrate, blocks(*values.shape, threads))
+    map_blocks(threads, integrate, blocks(*values.shape))
     return density
 
 

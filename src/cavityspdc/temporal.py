@@ -37,10 +37,11 @@ joint_temporal_intensity feeds the same stages from the rows of a
 RotatedGrid.
 
 The blocked loops -- the fill's omega_minus rows, stage two's spectrum
-rows and the marginal's t_minus rows -- take a threads argument (default
-1) and cut their blocks by _parallel.blocks, one sample budget a block
-(rows of size_plus samples in the fill, size_minus in stage two), so none
-grows with the lattice or its padding.  The marginal's loop is
+rows and the marginal's t_minus rows -- cut their blocks by
+_parallel.blocks, one sample budget a block (rows of size_plus samples in
+the fill, size_minus in stage two), so none grows with the lattice, its
+padding or the thread count; their threads argument (default 1) sets only
+how many blocks are in flight.  The marginal's loop is
 spectral._row_trapezoid, the one the spectral marginals run too.  Each
 block writes a disjoint slice of one preallocated output, and every row or
 column is computed alone whatever block holds it, so every result is bit
@@ -56,7 +57,7 @@ import numpy as np
 from ._parallel import blocks, map_blocks, stream_blocks
 from .cavity import group_round_trip_time, mode_width
 from .errors import EmptyPeakSetError
-from .spectral import Marginal, _jsa_sr_pointwise, _row_trapezoid
+from .spectral import Marginal, _check_lattice, _jsa_sr_pointwise, _row_trapezoid
 from .spectral import check_uniform_axis as _check_uniform_axis
 
 __all__ = [
@@ -85,16 +86,7 @@ class RotatedGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "omega_plus_axis", _check_uniform_axis(self.omega_plus_axis, "omega_plus_axis")
-        )
-        object.__setattr__(
-            self, "omega_minus_axis", _check_uniform_axis(self.omega_minus_axis, "omega_minus_axis")
-        )
-        values = np.asarray(self.values)
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.omega_minus_axis.size, self.omega_plus_axis.size):
-            raise ValueError("values shape does not match (minus, plus) axes")
+        _check_lattice(self, "omega_plus_axis", "omega_minus_axis")
 
     @property
     def d_plus(self):
@@ -114,17 +106,10 @@ class TemporalGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t_plus_axis", _check_uniform_axis(self.t_plus_axis, "t_plus_axis"))
-        object.__setattr__(
-            self, "t_minus_axis", _check_uniform_axis(self.t_minus_axis, "t_minus_axis")
-        )
-        values = np.asarray(self.values)
-        object.__setattr__(self, "values", values)
-        # min() allocates no temporary of the values' size, unlike values < 0
-        if np.iscomplexobj(values) or (values.size and values.min() < 0):
-            raise ValueError("temporal intensity must be real and non-negative")
-        if values.shape != (self.t_minus_axis.size, self.t_plus_axis.size):
-            raise ValueError("values shape does not match (minus, plus) axes")
+        values = _check_lattice(self, "t_plus_axis", "t_minus_axis")
+        # reductions allocate no values-sized temporary, unlike values < 0; NaN fails >= 0
+        if np.iscomplexobj(values) or not (values.min() >= 0 and values.max() < np.inf):
+            raise ValueError("temporal intensity must be real, finite and non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,10 +126,10 @@ class PeakSet:
         object.__setattr__(self, "heights", heights)
         if positions.ndim != 1 or positions.shape != heights.shape:
             raise ValueError("positions and heights must be matching 1-D arrays")
-        if positions.size and np.any(np.diff(positions) <= 0):
-            raise ValueError("positions must be strictly increasing")
-        if np.any(heights <= 0):
-            raise ValueError("heights must be positive")
+        if not (np.all(np.isfinite(positions)) and np.all(np.diff(positions) > 0)):
+            raise ValueError("positions must be finite and strictly increasing")
+        if not np.all((heights > 0) & (heights < np.inf)):
+            raise ValueError("heights must be positive and finite")
 
 
 def rotated_lattice_axes(cavity, pump, filters, omega_s0, omega_i0, per_width, minus_span,
@@ -196,9 +181,9 @@ def jsa_singly_resonant_rotated(cavity, pump, filters, omega_plus_axis, omega_mi
 
     Sampling the rotated axes directly avoids any resampling of a
     (omega_s, omega_i) grid, which would blur high-finesse combs.  The
-    lattice is filled in blocks of omega_minus rows on `threads` threads, so
-    the temporaries of the pointwise evaluation stay about the size of one
-    serial block.  joint_temporal_intensity_from_cavity evaluates the same
+    lattice is filled in blocks of omega_minus rows, up to `threads` at
+    once, so the temporaries of the pointwise evaluation stay about one
+    block's per thread.  joint_temporal_intensity_from_cavity evaluates the same
     rows without keeping them; this full lattice is its oracle.
     """
     plus = _check_uniform_axis(omega_plus_axis, "omega_plus_axis")
@@ -209,7 +194,7 @@ def jsa_singly_resonant_rotated(cavity, pump, filters, omega_plus_axis, omega_mi
     def fill(rows):
         values[rows] = rows_of(rows)
 
-    map_blocks(threads, fill, blocks(minus.size, plus.size, threads))
+    map_blocks(threads, fill, blocks(minus.size, plus.size))
     return RotatedGrid(plus, minus, values)
 
 
@@ -221,8 +206,8 @@ def joint_temporal_intensity_from_cavity(cavity, pump, filters, omega_plus_axis,
     joint_temporal_intensity(jsa_singly_resonant_rotated(...)), bit for bit,
     at joint_temporal_intensity's default pads, but the amplitude is never
     formed: each block of omega_minus rows is evaluated and transformed
-    along omega_plus on `threads` threads, and only its stage-one spectrum
-    is kept.  The temporal subcommand's route.
+    along omega_plus, up to `threads` blocks at once, and only its
+    stage-one spectrum is kept.  The temporal subcommand's route.
     """
     plus = _check_uniform_axis(omega_plus_axis, "omega_plus_axis")
     minus = _check_uniform_axis(omega_minus_axis, "omega_minus_axis")
@@ -281,7 +266,7 @@ def _stage_one(rows_of, n_plus, n_minus, pad_plus, pad_minus, threads):
         spec_t[shift:, rows] = spectrum[:, :wrap].T
         spec_t[:shift, rows] = spectrum[:, wrap:].T
 
-    map_blocks(threads, fill, blocks(n_minus, size_plus, threads))
+    map_blocks(threads, fill, blocks(n_minus, size_plus))
     return buffer, spec_t, size_minus
 
 
@@ -310,7 +295,7 @@ def _stage_two(spectrum, d_plus, d_minus, threads):
         power *= power
         return power
 
-    row_blocks = blocks(size_plus, size_minus, threads)
+    row_blocks = blocks(size_plus, size_minus)
     for rows, power in zip(row_blocks, stream_blocks(threads, transform, row_blocks)):
         inten_t[rows, shift:] = power[:, :wrap]
         inten_t[rows, :shift] = power[:, wrap:]
@@ -324,8 +309,8 @@ def _stage_two(spectrum, d_plus, d_minus, threads):
 def time_difference_marginal(tgrid, threads=1):
     """Distribution of emission-time differences S_minus(t_minus) = integral dt_plus |ft|^2.
 
-    spectral._row_trapezoid integrates it in blocks of t_minus rows on
-    `threads` threads, each gathered C-contiguous first, so each row's sum
+    spectral._row_trapezoid integrates it in blocks of t_minus rows, up to
+    `threads` at once, each gathered C-contiguous first, so each row's sum
     is the unblocked, contiguous one whatever the layout of tgrid.values
     (the transform returns a transposed view).
     """
@@ -337,10 +322,13 @@ def extract_peaks(axis, values, min_prominence=1e-4):
 
     A sample is a maximum when it exceeds both neighbours, so the end samples
     never are.  Positions are refined by three-point parabolic interpolation
-    around each maximum.  Raises EmptyPeakSetError when nothing qualifies.
+    on the uniform axis (ValueError unless it matches the values) around
+    each maximum.  Raises EmptyPeakSetError when nothing qualifies.
     """
-    axis = np.asarray(axis, dtype=float)
+    axis = _check_uniform_axis(axis, "peak axis")
     values = np.asarray(values, dtype=float)
+    if values.shape != axis.shape:
+        raise ValueError(f"density shape {values.shape} does not match the axis {axis.shape}")
     if not np.all(np.isfinite(values)) or np.any(values < 0):
         raise ValueError("density must be finite and non-negative")
     threshold = min_prominence * values.max()

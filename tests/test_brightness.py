@@ -540,7 +540,7 @@ def _fold_oracle(cavity, filters, signal, idler):
     n = signal.size
     return f_s == f_i and same_mirrors and idler.size == n and all(
         np.array_equal(signal[b], idler[n - b.stop : n - b.start][::-1])
-        for b in blocks(n, 1, 1)
+        for b in blocks(n, 1)
     )
 
 
@@ -636,7 +636,7 @@ class TestBlocking:
 
 class TestWorkingSet:
     # The stripe keeps its factor tables and a working set that does not grow
-    # with them: a table builder block and a kernel call of at most 2^16
+    # with them: a table builder block and a kernel call of at most 2^15
     # samples each, and the omega_plus integrand, evaluated in blocks as
     # well.  Table-length frequency axes and 64-column kernel calls, an
     # earlier design, traced 41 MB (fig6) and 37 MB (fig5) over the tables.

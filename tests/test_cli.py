@@ -436,7 +436,7 @@ class TestGridWorkingSet:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_traced_peak_does_not_grow_with_the_grid(self, tmp_path, threads):
-        # fig2 at 2048 samples: a 32 MiB grid, 32 rows a block
+        # fig2 at 2048 samples: a 32 MiB grid, 16 rows a block
         config = tmp_path / "fig2_2048.cfg"
         config.write_text((FIGS / "fig2.cfg").read_text().replace(
             "samples = 1024", "samples = 2048"))
@@ -484,7 +484,7 @@ class TestThreads:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    # the kernel's block boundaries move with the thread count; the bytes do not
+    # the kernel's blocks are the same at any thread count, and so are the bytes
     @pytest.mark.parametrize(
         "subcommand, fig", [("jsi-sr", "fig2"), ("jsi-dr", "fig3"), ("marginal", "fig2")]
     )
@@ -492,7 +492,7 @@ class TestThreads:
         _assert_same_at_any_thread_count(tmp_path, subcommand, FIGS / f"{fig}.cfg", "binary")
 
     def test_text_grid_and_idler_marginal_do_not_depend_on_threads(self, tmp_path):
-        # fig3 at 512 samples: 128 rows a block, 4, 8 and 12 blocks of text
+        # fig3 at 512 samples: 64 rows a block, 8 blocks of text at any thread count
         config = tmp_path / "fig3_512.cfg"
         config.write_text((FIGS / "fig3.cfg").read_text().replace(
             "samples = 1024", "samples = 512") + "\n[marginal]\naxis = idler\n")
@@ -500,7 +500,8 @@ class TestThreads:
 
     def test_sweep_artifacts_do_not_depend_on_threads(self, tmp_path):
         # fig6 cut to two sigmas and r1p rows 0 and 1 (no integral of their
-        # own) around two integrated ones; each sigma has three 64-column chunks
+        # own) around two integrated ones; each sigma's 129 columns run as
+        # four kernel chunks (38 to 40 columns, the last ragged)
         shipped = (Path(__file__).resolve().parents[1] / "configs" / "fig6.cfg").read_text()
         config = tmp_path / "fig6_small.cfg"
         config.write_text(

@@ -105,6 +105,24 @@ class TestTextRoundTrip:
         assert "the header gives 23 x 37" in str(info.value)
 
 
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+@pytest.mark.parametrize("key, value", [
+    ("omega_i_count", None), ("omega_s_count", "four"), ("omega_s_min_rad_s", "nan"),
+], ids=["missing_count", "word_count", "nan_axis"])
+def test_bad_header_number_names_its_key(grid, tmp_path, fmt, key, value):
+    path = tmp_path / "g.grid"
+    write_grid(grid, path, fmt)
+    blob = path.read_bytes()
+    head, body = blob.split(b"#end\n", 1)
+    lines = [line for line in head.decode().splitlines(keepends=True)
+             if not line.startswith(f"# {key} =")]
+    if value is not None:
+        lines.append(f"# {key} = {value}\n")
+    path.write_bytes("".join(lines).encode() + b"#end\n" + body)
+    with pytest.raises(ConfigError, match=key):
+        read_grid(path)
+
+
 def test_text_rows_format_each_number_as_its_own_17g(tmp_path):
     # one % format per row writes the bytes of f"{value:.17g}" per number
     rng = np.random.default_rng(11)

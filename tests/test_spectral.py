@@ -8,7 +8,7 @@ import pytest
 
 import cavityspdc as cs
 import cavityspdc.spectral
-from cavityspdc._parallel import blocks, stream_blocks
+from cavityspdc._parallel import stream_blocks
 from cavityspdc.cavity import single_pass_phase
 from cavityspdc.config import load_config
 from cavityspdc.constants import c
@@ -20,7 +20,7 @@ from cavityspdc.spectral import (
     _row_trapezoid,
 )
 
-from conftest import OMEGA_800, traced_peak
+from conftest import OMEGA_800, THETA_DEGENERATE, traced_peak
 
 FIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -374,9 +374,9 @@ def _fig2_jsi():
 
 class TestRowTrapezoid:
     # The idler marginal and time_difference_marginal share one blocked
-    # trapezoid: 64-row blocks, each gathered C-contiguous.  The signal
-    # marginal adds each pair of neighbouring rows' trapezoid term in row
-    # order: numpy's np.trapezoid down axis 0, bit for bit.
+    # trapezoid: 32-row blocks of 1024 samples, each gathered C-contiguous.
+    # The signal marginal adds each pair of neighbouring rows' trapezoid term
+    # in row order: numpy's np.trapezoid down axis 0, bit for bit.
 
     # the signal marginal's row-order sums against the pairwise sums of
     # _row_trapezoid on the transposed values, in units of its maximum:
@@ -441,7 +441,7 @@ def _stream_grid(n_i, n_s):
 class TestGridStream:
     # _jsi_stream is the rectangular kernel: the jsi functions collect it,
     # the CLI writes it and integrates it block by block
-    GRID = (301, 1025)  # 63 rows a block: 5 blocks at one thread, 10 at two, 15 at three
+    GRID = (301, 1025)  # 31 rows a block: 10 blocks, 9 full and a ragged one, at any thread count
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("jsi_of, cavity", [
@@ -456,14 +456,13 @@ class TestGridStream:
         assert stream.omega_s_axis is grid.omega_s_axis
         assert stream.omega_i_axis is grid.omega_i_axis
         parts = list(stream.blocks)
-        rows = blocks(*self.GRID, threads)
-        assert [part.shape for part in parts] == [(b.stop - b.start, self.GRID[1]) for b in rows]
+        assert [part.shape for part in parts] == [(31, 1025)] * 9 + [(22, 1025)]
         assert np.array_equal(np.concatenate(parts), whole)
         assert np.array_equal(jsi_of(cavity, pump, filters, grid, threads=threads).values, whole)
 
     def test_blocks_hold_a_fixed_number_of_samples(self, sr_cavity, pump, filters):
-        # 64 rows of a 1024-sample row, 32 of a 2048-sample one
-        for n_s, rows in ((1024, 64), (2048, 32), (129, 508)):
+        # 32 rows of a 1024-sample row, 16 of a 2048-sample one
+        for n_s, rows in ((1024, 32), (2048, 16), (129, 254)):
             stream = _jsi_stream(sr_cavity, pump, filters, _stream_grid(600, n_s))
             assert next(stream.blocks).shape == (min(rows, 600), n_s)
 
@@ -544,8 +543,12 @@ class TestSpectralGridType:
             cs.SpectralGrid(np.linspace(0, 1, 4), np.linspace(0, 1, 4), np.zeros((4, 5)))
 
     def test_non_uniform_axis(self):
-        with pytest.raises(ValueError):
-            cs.SpectralGrid(np.array([0.0, 1.0, 3.0]), np.linspace(0, 1, 3), np.zeros((3, 3)))
+        # uneven, or not finite on either axis
+        for axis in ([0.0, 1.0, 3.0], [0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 1.0, 2.0]):
+            with pytest.raises(ValueError):
+                cs.SpectralGrid(np.array(axis), np.linspace(0, 1, 3), np.zeros((3, 3)))
+            with pytest.raises(ValueError):
+                cs.SpectralGrid(np.linspace(0, 1, 3), np.array(axis), np.zeros((3, 3)))
 
     def test_decreasing_axis(self):
         with pytest.raises(ValueError):
@@ -571,3 +574,30 @@ class TestSpectralGridType:
 def test_filterspec_validation():
     with pytest.raises(ValueError):
         cs.FilterSpec(1.0, -1.0)
+
+
+_CRYSTAL = cs.bbo(THETA_DEGENERATE, 20e-6)
+_TARGET = dict(lambda_signal=854.2e-9, transition_bandwidth=2 * np.pi * 20e6,
+               lambda_pump=400e-9, delta_lambda_max=0.5e-9)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cs.CavitySpec(np.nan, _CRYSTAL),
+    lambda: cs.CavitySpec(np.inf, _CRYSTAL),
+    lambda: cs.FilterSpec(np.nan, 1e13),
+    lambda: cs.FilterSpec(-1.0, 1e13),
+    lambda: cs.FilterSpec(OMEGA_800, np.inf),
+    lambda: cs.PumpSpec(np.inf, 1e12),
+    lambda: cs.PumpSpec(2 * OMEGA_800, np.inf),
+    lambda: cs.MirrorSpec(0.5, np.nan),
+    lambda: cs.DesignTarget(**{**_TARGET, "lambda_signal": np.inf}),
+    lambda: cs.PeakSet(np.array([0.0, 1.0]), np.array([1.0, np.nan])),
+    lambda: cs.PeakSet(np.array([0.0, np.nan]), np.array([1.0, 1.0])),
+    lambda: cs.PeakSet(np.array([np.nan]), np.array([1.0])),
+], ids=["cavity_L_nan", "cavity_L_inf", "filter_center_nan", "filter_center_negative",
+        "filter_fwhm_inf", "pump_center_inf", "pump_sigma_inf", "mirror_phase_nan",
+        "design_lambda_signal_inf", "peak_height_nan", "peak_position_nan",
+        "single_peak_position_nan"])
+def test_spec_rejects_non_finite_or_out_of_range_values(build):
+    with pytest.raises(ValueError):
+        build()

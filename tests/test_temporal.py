@@ -61,8 +61,8 @@ class TestRotation:
         assert minus_extent > 2 * plus_extent
 
     def test_blocks_match_full_lattice_evaluation(self, monkeypatch, sr_cavity, pump, filters):
-        # three full blocks of minus rows and a ragged fourth; three threads
-        # fill ragged blocks of a third of that height
+        # three full blocks of minus rows and a ragged fourth, the same blocks
+        # on one thread and three
         rows, n_plus = 20, 37
         block_rows(monkeypatch, rows, n_plus)
         plus, minus = sr_lattice(3 * rows + 11, n_plus, pump, filters)
@@ -73,9 +73,12 @@ class TestRotation:
             assert np.array_equal(rot.values, full)
 
     def test_non_uniform_axis_rejected(self):
-        axis = np.array([0.0, 1.0, 3.0])
-        with pytest.raises(ValueError):
-            cs.RotatedGrid(axis, np.linspace(0, 1, 3), np.zeros((3, 3)))
+        # uneven, or not finite on either axis
+        for axis in ([0.0, 1.0, 3.0], [0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
+            with pytest.raises(ValueError):
+                cs.RotatedGrid(np.array(axis), np.linspace(0, 1, 3), np.zeros((3, 3)))
+            with pytest.raises(ValueError):
+                cs.RotatedGrid(np.linspace(0, 1, 3), np.array(axis), np.zeros((3, 3)))
 
 class TestJointTemporalIntensity:
     def test_gaussian_pair_width(self):
@@ -325,8 +328,8 @@ class TestWorkingSet:
 
 class TestTimeDifferenceMarginal:
     def test_row_blocks_match_one_trapezoid(self):
-        # two full blocks of t_minus rows and a ragged third, and under three
-        # threads ragged blocks of a third of that height
+        # two full blocks of t_minus rows and a ragged third, the same blocks
+        # on one thread and three
         rng = np.random.default_rng(3)
         values = rng.random((2 * (BUDGET // 48) + 5, 48))
         tg = cs.TemporalGrid(np.linspace(-1e-12, 1e-12, 48),
@@ -377,6 +380,14 @@ class TestExtractPeaks:
         peaks = cs.extract_peaks(x, y, 1e-3)
         assert peaks.positions.size == 1
         assert peaks.positions[0] == pytest.approx(0.3123, abs=x[1] - x[0])
+
+    @pytest.mark.parametrize("axis", [np.linspace(0, 1, 3), np.linspace(0, 1, 9),
+                                      np.array([0.0, 1.0, 2.0, 3.0, 5.0, 6.0])],
+                             ids=["short", "long", "non_uniform"])
+    def test_axis_must_be_uniform_and_match_the_values(self, axis):
+        values = np.array([0.0, 1.0, 0.0, 2.0, 0.5, 0.0])
+        with pytest.raises(ValueError):
+            cs.extract_peaks(axis, values)
 
     def test_two_distant_gaussians(self):
         x = np.linspace(-30, 30, 2001)
@@ -465,6 +476,18 @@ def test_temporal_grid_validation():
         cs.TemporalGrid(np.linspace(0, 1, 4), np.linspace(0, 1, 4), -np.ones((4, 4)))
     with pytest.raises(ValueError, match="non-negative"):
         cs.TemporalGrid(np.linspace(0, 1, 4), np.linspace(0, 1, 3), -np.ones((4, 3)).T)
+    for value in (np.nan, np.inf, -np.inf):
+        values = np.ones((3, 4))
+        values[1, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            cs.TemporalGrid(np.linspace(0, 1, 4), np.linspace(0, 1, 3), values)
+        with pytest.raises(ValueError, match="finite"):
+            cs.TemporalGrid(np.linspace(0, 1, 4), np.linspace(0, 1, 3), np.full((3, 4), value))
+    for axis in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            cs.TemporalGrid(np.array(axis), np.linspace(0, 1, 4), np.ones((4, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            cs.TemporalGrid(np.linspace(0, 1, 4), np.array(axis), np.ones((3, 4)))
 
 
 def test_temporal_grid_check_allocates_no_full_size_temporary():
