@@ -15,14 +15,49 @@ so no block holds more than the budget or one row, whatever the lattice,
 its padding or the thread count.  Threads set only how many blocks
 stream_blocks keeps in flight, so the blocks, and with them every row's
 arithmetic, are the same at any thread count.
+
+One budget makes every block's temporaries about one size, so glibc's
+dynamic mmap and trim thresholds, which follow the largest freed block,
+settle below one block's live temporaries, and each worker arena is
+trimmed and faulted in again after every block.  pin_allocator fixes both
+thresholds; cli.main calls it, and importing the package pins nothing.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 _BLOCK_SAMPLES = 1 << 15  # samples per block of every blocked loop
+
+# glibc's DEFAULT_MMAP_THRESHOLD_MAX on 64-bit, and twice it: the ceilings of its dynamic rule
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+@functools.cache
+def pin_allocator():
+    """Fix glibc's mmap and trim thresholds at 32 and 64 MiB, once per process.
+
+    Freed block temporaries then stay in their arena for the next block,
+    while an array above 32 MiB (a temporal lattice's buffer) is still
+    mapped and unmapped on its own.  mallopt goes through ctypes, imported
+    here so that importing the package does not pay for it.  Returns True
+    when both thresholds are pinned; elsewhere than glibc it does nothing
+    and returns False.
+    """
+    import platform
+
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h
+    return bool(mallopt(m_mmap_threshold, _MMAP_THRESHOLD)
+                and mallopt(m_trim_threshold, _TRIM_THRESHOLD))
 
 
 def blocks(n_rows, row_len):

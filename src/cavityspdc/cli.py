@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._parallel import pin_allocator
 from .cavity import airy, free_spectral_range, group_round_trip_time, mode_width
 from .config import load_config
 from .design import design_source, report_design, spectral_check
@@ -244,7 +245,15 @@ def _parser():
 
 
 def main(argv=None):
+    """Run one subcommand; returns its exit code (module docstring).
+
+    The first call in a process pins glibc's allocator thresholds
+    (_parallel.pin_allocator), so the blocked loops reuse their freed
+    temporaries instead of faulting them in again after every block; on
+    other C libraries the pin does nothing.  The outputs never depend on it.
+    """
     args = _parser().parse_args(argv)
+    pin_allocator()
     handler, sections = _SUBCOMMANDS[args.subcommand]
     try:
         cfg = load_config(args.config, require=sections)

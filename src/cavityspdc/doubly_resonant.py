@@ -33,7 +33,7 @@ import numpy as np
 from .cavity import _balance_phase, _convergent_loop, _round_trip_phase, single_pass_phase
 from .spectral import (
     _collect_rows,
-    _gamma_free_space,
+    _free_space_phasor,
     _jsa_sr_pointwise,
     _jsi_stream,
     _warn_if_under_resolved,
@@ -65,8 +65,8 @@ def _pump_passes(cavity, pump, filters, omega_s, omega_i):
     delta, theta_p = _balance(cavity, omega_s, omega_i)
     q = _convergent_loop(cavity, "pump") * np.exp(1j * _round_trip_phase(cavity, theta_p, "pump"))
     b = cavity.mirror(2, "pump").magnitude * np.exp(1j * delta)
-    gamma_p = _gamma_free_space(cavity, np.add(omega_s, omega_i))
-    first = cavity.mirror(1, "pump").transmissivity * np.exp(1j * gamma_p)
+    phasor = _free_space_phasor(cavity, np.add(omega_s, omega_i))
+    first = cavity.mirror(1, "pump").transmissivity * phasor
     return q, b, first * _jsa_sr_pointwise(cavity, pump, filters, omega_s, omega_i)
 
 

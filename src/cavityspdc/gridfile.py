@@ -24,7 +24,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import GridStream, SpectralGrid
+from .spectral import GridStream, SpectralGrid, check_uniform_axis
 
 __all__ = ["write_grid", "read_grid", "write_columns", "write_text", "config_hash"]
 
@@ -121,12 +121,25 @@ def _header_number(meta, key, kind):
     raise ConfigError(f"grid header needs a finite {kind.__name__} {key}, got {meta.get(key)!r}")
 
 
+def _header_count(meta, key):
+    """meta[key] read as a sample count of at least 2, else a ConfigError naming the key."""
+    count = _header_number(meta, key, int)
+    if count < 2:
+        raise ConfigError(f"grid header needs {key} >= 2, got {count}")
+    return count
+
+
 def read_grid(path):
-    """Read a grid file of either format; returns (SpectralGrid, metadata)."""
+    """Read a grid file of either format; returns (SpectralGrid, metadata).
+
+    A header that gives no valid axis (a count below 2, bounds not
+    increasing) raises ConfigError naming its keys, as a missing or
+    non-numeric header value and a body of the wrong shape do.
+    """
     with open(path, "rb") as fh:
         meta = _read_header(fh)
         # the header's counts are the body's shape; any other shape is refused
-        shape = tuple(_header_number(meta, f"omega_{x}_count", int) for x in "is")
+        shape = tuple(_header_count(meta, f"omega_{x}_count") for x in "is")
         fmt = meta.get("format", "binary")
 
         def mismatch(body):
@@ -155,8 +168,13 @@ def read_grid(path):
             raise ConfigError(f"unknown grid format {fmt!r} in header")
 
     def axis(x, n):
-        lo, hi = (_header_number(meta, f"omega_{x}_{end}_rad_s", float) for end in ("min", "max"))
-        return np.linspace(lo, hi, n)
+        keys = [f"omega_{x}_{end}_rad_s" for end in ("min", "max")]
+        lo, hi = (_header_number(meta, key, float) for key in keys)
+        try:
+            return check_uniform_axis(np.linspace(lo, hi, n), f"omega_{x}_axis")
+        except ValueError as exc:
+            raise ConfigError(f"grid header {keys[0]} = {lo!r} and {keys[1]} = {hi!r} "
+                              f"give no axis of {n} samples: {exc}") from exc
 
     return SpectralGrid(axis("s", shape[1]), axis("i", shape[0]), values), meta
 

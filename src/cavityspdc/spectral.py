@@ -292,9 +292,17 @@ def _sr_ratio(cavity, omega, mode, n):
     return m2, r_eff * np.exp(1j * np.asarray(delta))
 
 
-def _gamma_free_space(cavity, omega):
-    """Propagation phase gamma = omega (L - l)/(2 c) from crystal face to mirror 2."""
-    return np.asarray(omega, dtype=float) * (cavity.length_L - cavity.crystal.length_l) / (2 * c)
+def _free_space_phasor(cavity, omega):
+    """e^{i gamma} at omega, gamma = omega (L - l)/(2 c) from crystal face to mirror 2.
+
+    When L = l, gamma is exactly 0 and the phasor is the scalar 1.0: it
+    leaves every product and quotient it enters bit for bit as 1 + 0j
+    would, and the amplitude factors skip a complex exponential per point.
+    """
+    free = cavity.length_L - cavity.crystal.length_l
+    if free == 0.0:
+        return 1.0
+    return np.exp(1j * (np.asarray(omega, dtype=float) * free / (2 * c)))
 
 
 def sr_amplitude_factor_finite(cavity, omega, mode, n_passes):
@@ -309,8 +317,8 @@ def sr_amplitude_factor_finite(cavity, omega, mode, n_passes):
         raise ValueError("n_passes must be >= 1")
     n = refractive_index(cavity.crystal, omega, polarization_for_mode(mode))
     m2, rho = _sr_ratio(cavity, omega, mode, n)
-    phase = _gamma_free_space(cavity, omega)
-    out = m2.transmissivity * np.exp(1j * phase) * (1.0 - rho**n_passes) / (1.0 - rho)
+    phasor = _free_space_phasor(cavity, omega)
+    out = m2.transmissivity * phasor * (1.0 - rho**n_passes) / (1.0 - rho)
     return out if np.ndim(out) else complex(out)
 
 
@@ -323,7 +331,7 @@ def sr_amplitude_factor(cavity, omega, mode):
 def _sr_amplitude_factor(cavity, omega, mode, n):
     """sr_amplitude_factor from the index n = n_mu(omega) already evaluated."""
     m2, rho = _sr_ratio(cavity, omega, mode, n)
-    out = m2.transmissivity * np.exp(1j * _gamma_free_space(cavity, omega)) / (1.0 - rho)
+    out = m2.transmissivity * _free_space_phasor(cavity, omega) / (1.0 - rho)
     return out if np.ndim(out) else complex(out)
 
 
@@ -638,12 +646,19 @@ def _row_trapezoid(values, x, threads=1):
 
     _parallel.blocks of the rows, up to `threads` at once, are each
     gathered C-contiguous first, so no temporary outgrows a block and each
-    row's sum is the contiguous one whatever the layout of values.
+    row's sum is the contiguous one whatever the layout of values.  A block
+    that is not C-contiguous is gathered in two steps: a copy in its own
+    memory order, which reads each cache line of a transposed view once,
+    then a C-ordered copy of that compact block.  A C-contiguous block is
+    integrated where it lies.
     """
     density = np.empty(values.shape[0])
 
     def integrate(rows):
-        density[rows] = np.trapezoid(np.ascontiguousarray(values[rows]), x, axis=1)
+        block = values[rows]
+        if not block.flags.c_contiguous:
+            block = np.ascontiguousarray(block.copy(order="K"))
+        density[rows] = np.trapezoid(block, x, axis=1)
 
     map_blocks(threads, integrate, blocks(*values.shape))
     return density

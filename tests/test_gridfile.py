@@ -108,7 +108,11 @@ class TestTextRoundTrip:
 @pytest.mark.parametrize("fmt", ["binary", "text"])
 @pytest.mark.parametrize("key, value", [
     ("omega_i_count", None), ("omega_s_count", "four"), ("omega_s_min_rad_s", "nan"),
-], ids=["missing_count", "word_count", "nan_axis"])
+    # a count below 2, or bounds that give no increasing axis
+    ("omega_s_count", "1"), ("omega_i_count", "0"), ("omega_s_count", "-3"),
+    ("omega_s_min_rad_s", "2.6e15"), ("omega_i_max_rad_s", "2.1e15"),
+], ids=["missing_count", "word_count", "nan_axis", "one_count", "zero_count", "negative_count",
+        "reversed_axis", "empty_axis"])
 def test_bad_header_number_names_its_key(grid, tmp_path, fmt, key, value):
     path = tmp_path / "g.grid"
     write_grid(grid, path, fmt)

@@ -4,13 +4,18 @@ The hypothesis profile registered in conftest derandomizes the examples, so
 every run draws the same inputs.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cavityspdc as cs
+import cavityspdc._parallel
 from cavityspdc.cavity import _airy_from_phase
 from cavityspdc.constants import c
+from cavityspdc.doubly_resonant import _pump_passes
+from cavityspdc.spectral import _jsa_sr_pointwise, _row_trapezoid, _sr_ratio
 
 from conftest import OMEGA_800, OUT_OF_MODEL_DR_MIRRORS, THETA_DEGENERATE
 
@@ -151,3 +156,68 @@ def test_dr_factored_form_is_limit_amplitude_squared(source):
     f_dr = cs.jsa_dr_limit(cavity, pump, filters, ws, wi)
     # both routes cancel at the phase-balancing zeros: relative bound with a floor
     assert np.all(np.abs(np.abs(f_dr) ** 2 - s_dr) <= 1e-10 * s_dr + 1e-12 * s_dr.max())
+
+
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(2, 40),
+    layout=st.sampled_from(["C", "transposed", "sliced"]),
+    budget=st.integers(1, 96),
+    threads=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_row_trapezoid_is_numpys_on_a_contiguous_copy(rows, cols, layout, budget, threads, seed):
+    # every layout's blocks, gathered, hold the values of a C-contiguous
+    # copy, so each row sums as np.trapezoid sums that copy, bit for bit
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.5, 1.5, cols))
+    if layout == "C":
+        values = rng.standard_normal((rows, cols))
+    elif layout == "transposed":
+        values = rng.standard_normal((cols, rows)).T
+    else:
+        values = rng.standard_normal((2 * rows + 1, 3 * cols))[1::2, ::3]
+    expect = np.trapezoid(np.ascontiguousarray(values), x, axis=1)
+    with mock.patch.object(cavityspdc._parallel, "_BLOCK_SAMPLES", budget):
+        got = _row_trapezoid(values, x, threads)
+    assert got.tobytes() == expect.tobytes()
+
+
+def _free_space(cavity, omega):
+    """The general phasor e^{i gamma}, gamma = omega (L - l)/(2 c), at every L."""
+    return np.exp(1j * (omega * (cavity.length_L - cavity.crystal.length_l) / (2 * c)))
+
+
+@given(
+    source=sources(),
+    stretch=st.sampled_from([None, 1.0 + 2**-40, 1.5, 3.0]),
+    n_passes=st.integers(1, 6),
+    shape=st.sampled_from([(), (7,), (3, 5)]),
+    seed=st.integers(0, 2**16),
+)
+def test_amplitude_factors_keep_the_free_space_phasor_bit_for_bit(source, stretch, n_passes,
+                                                                  shape, seed):
+    # at L = l (stretch None) e^{i gamma} = 1 exactly, and the factors that
+    # skip it equal the general expression bit for bit; at L > l they are it
+    length, mirrors, pump, filters, _ = source
+    length_l = CRYSTAL.length_l
+    length = length_l if stretch is None else length_l * stretch
+    cavity = cs.CavitySpec(length, CRYSTAL, mirrors)
+    assert (cavity.length_L == length_l) == (stretch is None)
+    rng = np.random.default_rng(seed)
+    span = 0.02 * OMEGA_800
+    omega_s = OMEGA_800 + span * rng.uniform(-1, 1, shape)
+    omega_i = OMEGA_800 + span * rng.uniform(-1, 1, shape)
+
+    def same(got, want):
+        return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    for mode, omega in (("signal", omega_s), ("idler", omega_i)):
+        m2, rho = _sr_ratio(cavity, omega, mode, cs.refractive_index(CRYSTAL, omega, "ordinary"))
+        t2_phasor = m2.transmissivity * _free_space(cavity, omega)
+        assert same(cs.sr_amplitude_factor(cavity, omega, mode), t2_phasor / (1.0 - rho))
+        finite = t2_phasor * (1.0 - rho**n_passes) / (1.0 - rho)
+        assert same(cs.sr_amplitude_factor_finite(cavity, omega, mode, n_passes), finite)
+    q, b, first = _pump_passes(cavity, pump, filters, omega_s, omega_i)
+    t1p_phasor = cavity.mirror(1, "pump").transmissivity * _free_space(cavity, omega_s + omega_i)
+    assert same(first, t1p_phasor * _jsa_sr_pointwise(cavity, pump, filters, omega_s, omega_i))
