@@ -76,7 +76,7 @@ from ._parallel import blocks, map_blocks
 from .cavity import mode_width
 from .dispersion import group_slowness, refractive_index
 from . import spectral
-from .spectral import _factor_tables, _intensity, fwhm_to_sigma
+from .spectral import PumpSpec, _factor_tables, _intensity, fwhm_to_sigma
 
 __all__ = [
     "BrightnessResult",
@@ -397,23 +397,24 @@ def _no_cavity(cavity):
 
 
 def brightness_vs_sigma_sweep(
-    cavity, pump, filters, sigma_list, r2_list, factor_mode="central_approx", threads=1
+    cavity, omega_p0, filters, sigma_list, r2_list, factor_mode="central_approx", threads=1
 ):
     """Brightness vs pump bandwidth for a ladder of mirror-2 reflectivities.
 
+    The pump is centered at omega_p0 (rad/s) and each row sets its width.
     Rows are (sigma, r2, B_norm); unity corresponds to the equivalent source
     without a cavity evaluated at the smallest requested sigma.
     """
     sigma_ref = min(sigma_list)
     reference = brightness_from_cavity(
-        _no_cavity(cavity), replace(pump, sigma=sigma_ref), filters, factor_mode, threads
+        _no_cavity(cavity), PumpSpec(omega_p0, sigma_ref), filters, factor_mode, threads
     ).value
     rows = []
     for r2 in r2_list:
         cav = cavity.with_mirror(2, "signal", magnitude=r2).with_mirror(2, "idler", magnitude=r2)
         for sigma in sigma_list:
             b = brightness_from_cavity(
-                cav, replace(pump, sigma=sigma), filters, factor_mode, threads
+                cav, PumpSpec(omega_p0, sigma), filters, factor_mode, threads
             ).value
             rows.append((float(sigma), float(r2), b / reference))
     return SweepTable(("sigma_rad_s", "r2", "B_norm"), rows)
@@ -450,15 +451,16 @@ def plateau_brightness_vs_r2(
 
 
 def brightness_vs_r1p_sweep(
-    cavity, pump, filters, r1p_list, sigma_list, factor_mode="central_approx", threads=1
+    cavity, omega_p0, filters, r1p_list, sigma_list, factor_mode="central_approx", threads=1
 ):
     """Doubly-resonant brightness vs pump reflectivity of mirror 1.
 
-    Requires |r_2p| = 1 (pump enters and exits through mirror 1).  Rows are
-    (sigma, r1p, B_norm) normalized per sigma to the r1p = 0 value, so an
-    r1p = 0 row is the reference itself and exactly one; at r1p = 1 no pump
-    enters the cavity and the brightness is exactly zero.  Neither row
-    takes an integral of its own.  Each sigma builds one stripe: its column
+    The pump is centered at omega_p0 (rad/s) and each sigma of sigma_list
+    sets its width.  Requires |r_2p| = 1 (pump enters and exits through
+    mirror 1).  Rows are (sigma, r1p, B_norm) normalized per sigma to the
+    r1p = 0 value, so an r1p = 0 row is the reference itself and exactly
+    one; at r1p = 1 no pump enters the cavity and the brightness is exactly
+    zero.  Neither row takes an integral of its own.  Each sigma builds one stripe: its column
     integrals g do not depend on r1p, so the reference and every row are
     1-D integrals over them.
     """
@@ -467,7 +469,7 @@ def brightness_vs_r1p_sweep(
     single = cavity.with_mirror(1, "pump", magnitude=0.0)
     rows = []
     for sigma in sigma_list:
-        swept_pump = replace(pump, sigma=sigma)
+        swept_pump = PumpSpec(omega_p0, sigma)
         stripe, g = _stripe_columns(single, swept_pump, filters, factor_mode, threads)
         reference = _plus_integral(stripe, g, single, swept_pump)
         for r1p in r1p_list:

@@ -140,12 +140,11 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
 
 def _cmd_brightness_sweep(cfg, out_dir, fmt, threads):
     cavity = cfg.cavity()
-    pump = cfg.pump()
     filters = cfg.filters()
     factors = cfg.get("sweep", "factors")
     paths = []
     for kind in cfg.sweep_kinds():
-        sweep, lists = cfg.sweep(kind)
+        sweep, pump, lists = cfg.sweep(kind)
         table = sweep(cavity, pump, filters, *lists, factors, threads)
         path = out_dir / f"brightness_{kind}.tsv"
         write_text(path, table.to_text(), _metadata(cfg, {"sweep": kind}))

@@ -20,9 +20,11 @@ key.  So is a key that another setting makes the builders ignore: the six
 mirror phases the solver sets or absorbs while solve_phases is true (the
 default), the Sellmeier coefficients unless kind = custom, both pump widths
 at once, any [filters] key besides shape = none, [filters] fwhm when
-both per-mode widths are given, and a [sweep] list that no requested kind
-reads (_SWEEPS), beside unknown or repeated kinds, kind = r1p without
-r2_pump = 1, and shape = none for a subcommand that requires [filters].
+both per-mode widths are given, a [sweep] list that no requested kind
+reads (_SWEEPS), and a [pump] width when every requested kind sets sigma
+in each row (only plateau_r2 reads it), beside unknown or repeated kinds,
+kind = r1p without r2_pump = 1, and shape = none for a subcommand that
+requires [filters].
 The builders raise a spec's own ValueError (a cavity shorter than its
 crystal, say) as a ConfigError naming the section.
 """
@@ -162,12 +164,13 @@ _SCHEMA = {
     ),
 }
 
-# [sweep] kind -> (its sweep function, the lists that function reads in the
-# order it takes them).
+# [sweep] kind -> (its sweep function, whether it reads the [pump] width, the
+# lists that function reads in the order it takes them).  A kind whose rows
+# each set sigma takes the pump center alone.
 _SWEEPS = {
-    "sigma_r2": (brightness_vs_sigma_sweep, ("sigma_list", "r2_list")),
-    "plateau_r2": (plateau_brightness_vs_r2, ("plateau_r2_list",)),
-    "r1p": (brightness_vs_r1p_sweep, ("r1p_list", "sigma_list")),
+    "sigma_r2": (brightness_vs_sigma_sweep, False, ("sigma_list", "r2_list")),
+    "plateau_r2": (plateau_brightness_vs_r2, True, ("plateau_r2_list",)),
+    "r1p": (brightness_vs_r1p_sweep, False, ("r1p_list", "sigma_list")),
 }
 
 # The mirror phases solve_resonance_phases sets (the r2 and pump phases) or
@@ -275,9 +278,15 @@ class RunConfig:
         return self.require("sweep", "kind").split()
 
     def sweep(self, kind):
-        """(function, lists) of the sweep of one kind: its lists in the order it takes them."""
-        function, stems = _SWEEPS[kind]
-        return function, [self.require("sweep", stem) for stem in stems]
+        """(function, pump, lists) of the sweep of one kind.
+
+        pump is the [pump] PumpSpec for a kind that reads its width and the
+        center omega_p0 alone for one whose rows set sigma; lists come in the
+        order the function takes them.
+        """
+        function, reads_width, stems = _SWEEPS[kind]
+        pump = self.pump() if reads_width else self.pump_center()
+        return function, pump, [self.require("sweep", stem) for stem in stems]
 
     def normalized_text(self):
         """Canonical text rendering of the normalized values (hash input)."""
@@ -359,9 +368,13 @@ class RunConfig:
             omega_s0, omega_i0 = self.band_centers()
             omega_p0 = None
             if cavity.reflects_pump:
-                omega_p0 = self.pump().omega_p0 if self.has("pump") else omega_s0 + omega_i0
+                omega_p0 = self.pump_center() if self.has("pump") else omega_s0 + omega_i0
             cavity = solve_resonance_phases(cavity, omega_s0, omega_i0, omega_p0)
         return cavity
+
+    def pump_center(self):
+        """omega_p0 (rad/s) from [pump] wavelength alone."""
+        return 2 * math.pi * c / self.require("pump", "wavelength")
 
     def pump(self):
         sec = self.require("pump")
@@ -370,7 +383,7 @@ class RunConfig:
             return PumpSpec.from_wavelength(lam, sec["fwhm"])
         if "sigma" not in sec:
             raise ConfigError("[pump] needs either sigma_rad_s/sigma_hz or fwhm_nm")
-        return PumpSpec(2 * math.pi * c / lam, sec["sigma"])
+        return PumpSpec(self.pump_center(), sec["sigma"])
 
     def filters(self):
         """(signal, idler) FilterSpec pair, or None when no filter is configured."""
@@ -509,7 +522,8 @@ def _check_sweep_kinds(cfg):
         raise ConfigError(f"[sweep] kind = {' '.join(kinds)!r}: expected one or more of "
                           f"{', '.join(_SWEEPS)}, each at most once")
     for kind in kinds:
-        cfg.sweep(kind)  # a ConfigError naming the list when one is missing
+        for stem in _SWEEPS[kind][2]:
+            cfg.require("sweep", stem)  # a ConfigError naming the missing list
     r2_pump = cfg.get("cavity", "r2_pump")
     if "r1p" in kinds and r2_pump != 1.0:
         raise ConfigError(f"[sweep] kind = r1p needs [cavity] r2_pump = 1, got {r2_pump:g}")
@@ -539,7 +553,12 @@ def _ignored_keys(cfg):
                "applies to neither mode; drop it")
     if cfg.has("sweep"):
         kinds = cfg.sweep_kinds()
-        read = {stem for kind in kinds for stem in _SWEEPS[kind][1]}
+        read = {stem for kind in kinds for stem in _SWEEPS[kind][2]}
         for stem in cfg.sections["sweep"]:
             if stem.endswith("_list") and stem not in read:
                 yield ("sweep", stem, f"kind = {' '.join(kinds)} reads no such list; drop the key")
+        if not any(_SWEEPS[kind][1] for kind in kinds):
+            for stem in ("sigma", "fwhm"):
+                if cfg.has("pump", stem):
+                    yield ("pump", stem, f"kind = {' '.join(kinds)} sets sigma in each row "
+                           "from sigma_list, so no row reads this width; drop the key")

@@ -36,13 +36,21 @@ __all__ = [
 BBO_ORDINARY = (2.7405, 0.0184, -0.0179, -0.0155)
 BBO_EXTRAORDINARY = (2.3730, 0.0128, -0.0156, -0.0044)
 
-# Relative step for the central-difference group-slowness stencil.
-_FD_STEP = 1e-6
-
 
 def _sellmeier_n2(coefficients, lam_um):
     a, b, cc, d = coefficients
     return a + b / (lam_um**2 + cc) + d * lam_um**2
+
+
+def _sellmeier_slope(coefficients, lam_um):
+    """lam dn^2/dlam of one Sellmeier set: 2 lam^2 (d - b / (lam^2 + c)^2)."""
+    _, b, cc, d = coefficients
+    return 2 * lam_um**2 * (d - b / (lam_um**2 + cc) ** 2)
+
+
+def _ellipse(theta, n_o2, n_e2):
+    """Index at angle theta to the optic axis from the principal n_o^2 and n_e^2."""
+    return 1.0 / np.sqrt(np.cos(theta) ** 2 / n_o2 + np.sin(theta) ** 2 / n_e2)
 
 
 @dataclass(frozen=True)
@@ -79,8 +87,7 @@ class CrystalSpec:
         # The model must stay real and physical across its declared window.
         lam = np.linspace(lo, hi, 64)
         for coeffs in (self.sellmeier_ordinary, self.sellmeier_extraordinary):
-            n2 = _sellmeier_n2(coeffs, lam)
-            if not np.all(n2 > 1.0):
+            if not np.all(_sellmeier_n2(coeffs, lam) > 1.0):
                 raise ValueError("Sellmeier model gives n^2 <= 1 inside the validity window")
 
     @property
@@ -115,24 +122,26 @@ def _check_window(crystal, omega):
         )
 
 
+def _principal(crystal, omega, polarization):
+    """(n, lam_um, n_o^2, n_e^2) at omega; n_e^2 is None for the ordinary wave."""
+    _check_window(crystal, omega)
+    lam_um = 2 * np.pi * c / np.asarray(omega, dtype=float) * 1e6
+    n_o2 = _sellmeier_n2(crystal.sellmeier_ordinary, lam_um)
+    if polarization == "ordinary":
+        return np.sqrt(n_o2), lam_um, n_o2, None
+    if polarization == "extraordinary":
+        n_e2 = _sellmeier_n2(crystal.sellmeier_extraordinary, lam_um)
+        return _ellipse(crystal.cut_angle, n_o2, n_e2), lam_um, n_o2, n_e2
+    raise ValueError(f"unknown polarization {polarization!r}")
+
+
 def refractive_index(crystal, omega, polarization):
     """Refractive index at angular frequency omega.
 
     polarization is 'ordinary' or 'extraordinary'; the extraordinary value is
     evaluated at the crystal cut angle through the index ellipse.
     """
-    _check_window(crystal, omega)
-    omega = np.asarray(omega, dtype=float)
-    lam_um = 2 * np.pi * c / omega * 1e6
-    n_o2 = _sellmeier_n2(crystal.sellmeier_ordinary, lam_um)
-    if polarization == "ordinary":
-        n = np.sqrt(n_o2)
-    elif polarization == "extraordinary":
-        n_e2 = _sellmeier_n2(crystal.sellmeier_extraordinary, lam_um)
-        theta = crystal.cut_angle
-        n = 1.0 / np.sqrt(np.cos(theta) ** 2 / n_o2 + np.sin(theta) ** 2 / n_e2)
-    else:
-        raise ValueError(f"unknown polarization {polarization!r}")
+    n = _principal(crystal, omega, polarization)[0]
     return n if n.ndim else float(n)
 
 
@@ -143,23 +152,18 @@ def wavevector(crystal, omega, polarization):
 
 
 def group_slowness(crystal, omega, polarization):
-    """Group slowness k'(omega) = dk/domega in s/m by central finite difference.
+    """Group slowness k'(omega) = dk/domega = (n - lam dn/dlam) / c in s/m.
 
-    Uses a relative step h = 1e-6 * omega; omega +- h must stay inside the
-    Sellmeier validity window.
+    The exact derivative of the Sellmeier model, on its whole validity window:
+    lam dn/dlam = s / (2 n) with s = lam dn^2/dlam, which the index ellipse gives the
+    extraordinary wave as n^4 (cos^2(theta) s_o / n_o^4 + sin^2(theta) s_e / n_e^4).
     """
-    omega_arr = np.asarray(omega, dtype=float)
-    h = _FD_STEP * omega_arr
-    try:
-        _check_window(crystal, omega_arr + h)
-        _check_window(crystal, omega_arr - h)
-    except DispersionWindowError as exc:
-        raise DispersionWindowError(
-            f"omega too close to the validity-window edge for the finite-difference stencil: {exc}"
-        ) from exc
-    k_hi = wavevector(crystal, omega_arr + h, polarization)
-    k_lo = wavevector(crystal, omega_arr - h, polarization)
-    kp = (k_hi - k_lo) / (2 * h)
+    n, lam_um, n_o2, n_e2 = _principal(crystal, omega, polarization)
+    s = s_o = _sellmeier_slope(crystal.sellmeier_ordinary, lam_um)
+    if n_e2 is not None:
+        s_e, theta = _sellmeier_slope(crystal.sellmeier_extraordinary, lam_um), crystal.cut_angle
+        s = n**4 * (np.cos(theta) ** 2 * s_o / n_o2**2 + np.sin(theta) ** 2 * s_e / n_e2**2)
+    kp = (n - s / (2 * n)) / c
     return kp if np.ndim(omega) else float(kp)
 
 
@@ -220,16 +224,11 @@ def phasematching_angle(crystal, omega_p0, omega_s0, omega_i0):
 
     k_s = wavevector(crystal, omega_s0, "ordinary")
     k_i = wavevector(crystal, omega_i0, "ordinary")
+    # both principal indices are fixed at omega_p0; each step moves the ellipse only
+    _, _, n_o2, n_e2 = _principal(crystal, omega_p0, "extraordinary")
 
     def mismatch(theta):
-        probe = CrystalSpec(
-            crystal.sellmeier_ordinary,
-            crystal.sellmeier_extraordinary,
-            theta,
-            crystal.length_l,
-            crystal.window_um,
-        )
-        return wavevector(probe, omega_p0, "extraordinary") - k_s - k_i
+        return float(_ellipse(theta, n_o2, n_e2)) * omega_p0 / c - k_s - k_i
 
     lo, hi = 0.0, np.pi / 2
     f_lo, f_hi = mismatch(lo), mismatch(hi)

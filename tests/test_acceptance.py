@@ -191,7 +191,7 @@ def test_criterion_07_brightness_flatness_crossover_plateau(crystal, pump, filte
         cs.singly_resonant_cavity(20e-6, crystal, 0.0), OMEGA_800, OMEGA_800
     )
     sigmas = list(np.logspace(11, 13, 7))
-    table = cs.brightness_vs_sigma_sweep(flat, pump, filters, sigmas, [0.0])
+    table = cs.brightness_vs_sigma_sweep(flat, pump.omega_p0, filters, sigmas, [0.0])
     b = table.column("B_norm")
     flatness = b.max() / b.min() - 1
     ok = flatness < 0.05
@@ -202,7 +202,7 @@ def test_criterion_07_brightness_flatness_crossover_plateau(crystal, pump, filte
     fsr = cs.free_spectral_range(r9, OMEGA_800)
     expected = fsr / SQRT_2LN2
     scan = list(np.geomspace(4.5e13, 8e12, 7))
-    table = cs.brightness_vs_sigma_sweep(r9, pump, filters, scan, [0.0, 0.9])
+    table = cs.brightness_vs_sigma_sweep(r9, pump.omega_p0, filters, scan, [0.0, 0.9])
     b0 = table.column("B_norm")[: len(scan)]
     b9 = table.column("B_norm")[len(scan):]
     ratio = b9 / b0
@@ -233,7 +233,7 @@ def test_criterion_08_dr_brightness(crystal, pump, filters):
     cav = cs.solve_resonance_phases(cav, OMEGA_800, OMEGA_800, 2 * OMEGA_800)
     sigma = 2e11  # smallest published pump bandwidth, read as rad/s
     table = cs.brightness_vs_r1p_sweep(
-        cav, pump, filters, [0.0, 0.3, 0.6, 0.9, 0.99, 1.0], [sigma]
+        cav, pump.omega_p0, filters, [0.0, 0.3, 0.6, 0.9, 0.99, 1.0], [sigma]
     )
     b = {row[1]: row[2] for row in table.rows}
     ok = (

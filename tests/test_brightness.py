@@ -113,12 +113,14 @@ class TestBrightnessIntegral:
 class TestSigmaSweep:
     def test_no_cavity_flat_over_two_decades(self, flat_cavity, pump, filters):
         sigmas = list(np.logspace(11, 13, 7))
-        table = cs.brightness_vs_sigma_sweep(flat_cavity, pump, filters, sigmas, [0.0])
+        table = cs.brightness_vs_sigma_sweep(flat_cavity, pump.omega_p0, filters, sigmas, [0.0])
         b = table.column("B_norm")
         assert b.max() / b.min() - 1 < 0.05
 
     def test_reference_is_unity_at_smallest_sigma(self, flat_cavity, pump, filters):
-        table = cs.brightness_vs_sigma_sweep(flat_cavity, pump, filters, [1e12, 4e11], [0.0])
+        table = cs.brightness_vs_sigma_sweep(
+            flat_cavity, pump.omega_p0, filters, [1e12, 4e11], [0.0]
+        )
         rows = {row[0]: row[2] for row in table.rows}
         assert rows[4e11] == pytest.approx(1.0, rel=1e-12)
 
@@ -126,13 +128,17 @@ class TestSigmaSweep:
         # far above the mode-spacing crossover the comb redistributes the
         # intensity without changing the integral
         sigma = 4.5e13
-        table = cs.brightness_vs_sigma_sweep(r9_cavity, pump, filters, [sigma], [0.0, 0.9])
+        table = cs.brightness_vs_sigma_sweep(
+            r9_cavity, pump.omega_p0, filters, [sigma], [0.0, 0.9]
+        )
         b0, b9 = table.column("B_norm")
         assert b9 / b0 == pytest.approx(1.0, abs=0.15)
 
     def test_plateau_ordering_and_monotone_growth(self, r9_cavity, pump, filters):
         sigmas = [2.4e13, 6e12, 1.5e12, 4e11]
-        table = cs.brightness_vs_sigma_sweep(r9_cavity, pump, filters, sigmas, [0.5, 0.7, 0.9])
+        table = cs.brightness_vs_sigma_sweep(
+            r9_cavity, pump.omega_p0, filters, sigmas, [0.5, 0.7, 0.9]
+        )
         by_r2 = {}
         for sigma, r2, b in table.rows:
             by_r2.setdefault(r2, []).append(b)
@@ -149,7 +155,7 @@ class TestSigmaSweep:
         fsr = cs.free_spectral_range(r9_cavity, OMEGA_800)
         expected = fsr / SQRT_2LN2
         sigmas = list(np.geomspace(4.5e13, 8e12, 7))
-        table = cs.brightness_vs_sigma_sweep(r9_cavity, pump, filters, sigmas, [0.0, 0.9])
+        table = cs.brightness_vs_sigma_sweep(r9_cavity, pump.omega_p0, filters, sigmas, [0.0, 0.9])
         b0 = table.column("B_norm")[: len(sigmas)]
         b9 = table.column("B_norm")[len(sigmas):]
         ratio = b9 / b0
@@ -228,26 +234,28 @@ def dr_base(crystal):
 class TestR1pSweep:
 
     def test_normalized_to_single_pass(self, dr_base, pump, filters):
-        table = cs.brightness_vs_r1p_sweep(dr_base, pump, filters, [0.0, 0.5], [2e11])
+        table = cs.brightness_vs_r1p_sweep(dr_base, pump.omega_p0, filters, [0.0, 0.5], [2e11])
         rows = {row[1]: row[2] for row in table.rows}
         assert rows[0.0] == pytest.approx(1.0, rel=1e-12)
         assert rows[0.5] > 1.0
 
     def test_monotone_growth_up_to_09(self, dr_base, pump, filters):
         r1p = [0.0, 0.3, 0.6, 0.9]
-        table = cs.brightness_vs_r1p_sweep(dr_base, pump, filters, r1p, [2e11])
+        table = cs.brightness_vs_r1p_sweep(dr_base, pump.omega_p0, filters, r1p, [2e11])
         b = table.column("B_norm")
         assert all(a < b_ for a, b_ in zip(b, b[1:]))
 
     def test_no_integral_of_its_own_at_zero_or_unit_r1p(
         self, dr_base, pump, filters, stripe_calls
     ):
-        table = cs.brightness_vs_r1p_sweep(dr_base, pump, filters, [0.0, 0.5, 1.0], [2e11])
+        table = cs.brightness_vs_r1p_sweep(
+            dr_base, pump.omega_p0, filters, [0.0, 0.5, 1.0], [2e11]
+        )
         assert len(stripe_calls) == 1  # the reference's stripe, which the r1p = 0.5 row reuses
         assert table.column("B_norm")[[0, 2]].tolist() == [1.0, 0.0]
 
     def test_zero_at_unit_reflectivity(self, dr_base, pump, filters):
-        table = cs.brightness_vs_r1p_sweep(dr_base, pump, filters, [0.99, 1.0], [2e11])
+        table = cs.brightness_vs_r1p_sweep(dr_base, pump.omega_p0, filters, [0.99, 1.0], [2e11])
         b = table.column("B_norm")
         assert b[-1] == 0.0
         assert b[0] > 1.0
@@ -255,7 +263,7 @@ class TestR1pSweep:
     def test_requires_perfect_pump_mirror2(self, crystal, pump, filters):
         cav = cs.singly_resonant_cavity(20e-6, crystal, 0.73)
         with pytest.raises(ValueError):
-            cs.brightness_vs_r1p_sweep(cav, pump, filters, [0.0], [2e11])
+            cs.brightness_vs_r1p_sweep(cav, pump.omega_p0, filters, [0.0], [2e11])
 
     def test_requires_filters(self, dr_base, pump):
         with pytest.raises(ValueError, match="filters"):
@@ -286,9 +294,9 @@ class TestSweepTable:
 
     def test_threaded_sweep_matches_serial(self, flat_cavity, pump, filters):
         sigmas = [1e12, 4e12]
-        serial = cs.brightness_vs_sigma_sweep(flat_cavity, pump, filters, sigmas, [0.5])
+        serial = cs.brightness_vs_sigma_sweep(flat_cavity, pump.omega_p0, filters, sigmas, [0.5])
         threaded = cs.brightness_vs_sigma_sweep(
-            flat_cavity, pump, filters, sigmas, [0.5], threads=4
+            flat_cavity, pump.omega_p0, filters, sigmas, [0.5], threads=4
         )
         assert serial.rows == threaded.rows
 
@@ -517,7 +525,7 @@ def _fig6_point(r1p=0.999, sigma=2e11):
     """
     cfg = load_config(FIGS / "fig6.cfg")
     cavity = cfg.cavity().with_mirror(1, "pump", magnitude=r1p)
-    return cavity, replace(cfg.pump(), sigma=sigma), cfg.filters()
+    return cavity, cs.PumpSpec(cfg.pump_center(), sigma), cfg.filters()
 
 
 def _fig5_tallest_point():
@@ -563,8 +571,8 @@ class TestFoldPredicate:
     def test_agrees_with_the_table_comparison_on_the_shipped_sweeps(self, folds, fig):
         cfg = load_config(FIGS / f"{fig}.cfg")
         for kind in cfg.sweep_kinds():
-            sweep, lists = cfg.sweep(kind)
-            sweep(cfg.cavity(), cfg.pump(), cfg.filters(), *lists, cfg.get("sweep", "factors"))
+            sweep, pump, lists = cfg.sweep(kind)
+            sweep(cfg.cavity(), pump, cfg.filters(), *lists, cfg.get("sweep", "factors"))
         assert folds and all(got == expect for got, expect in folds)
         assert any(got for got, _ in folds)
 
@@ -744,7 +752,7 @@ class TestPlusAxis:
         )[0] * np.abs(cs.pump_envelope(pump, omega)) ** 2
         limit = 2 * np.pi / slope * at_resonance / np.trapezoid(alpha2 * g, stripe.plus)
         table = cs.brightness_vs_r1p_sweep(
-            cavity, pump, filters, [0.999, 0.9999, 0.99999], [sigma]
+            cavity, pump.omega_p0, filters, [0.999, 0.9999, 0.99999], [sigma]
         )
         distance = np.abs(table.column("B_norm") / limit - 1)
         assert np.all(distance[1:] < 0.2 * distance[:-1])

@@ -49,7 +49,9 @@ pump_wavelength_nm = 400
 delta_lambda_max_nm = 0.5
 """
 
-SWEEP = "\n[sweep]\nkind = r1p\nsigma_list_rad_s = 2e11\nr1p_list = 0 0.5 1.0\n"
+# an r1p sweep sets sigma in each row, so its config gives the pump no width
+R1P_SWEEP = (SMALL_FIG2.replace("fwhm_nm = 5\n", "").replace("[pump]", "r2_pump = 1.0\n\n[pump]")
+             + "\n[sweep]\nkind = r1p\nsigma_list_rad_s = 2e11\nr1p_list = 0 0.5 1.0\n")
 
 
 @pytest.fixture()
@@ -121,7 +123,7 @@ class TestSubcommands:
 
     def test_brightness_sweep_table(self, tmp_path):
         cfg = tmp_path / "f.cfg"
-        cfg.write_text((SMALL_FIG2 + SWEEP).replace("[pump]", "r2_pump = 1.0\n\n[pump]"))
+        cfg.write_text(R1P_SWEEP)
         out = tmp_path / "out"
         assert run(["brightness-sweep", "--config", cfg, "--out", out]) == 0
         lines = [
@@ -212,7 +214,7 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     configs = {
         "fig2.cfg": SMALL_FIG2,
         "dr.cfg": SMALL_FIG2.replace("[pump]", "r1_pump = 0.5\nr2_pump = 1.0\n\n[pump]"),
-        "sweep.cfg": (SMALL_FIG2 + SWEEP).replace("[pump]", "r2_pump = 1.0\n\n[pump]"),
+        "sweep.cfg": R1P_SWEEP,
         "design.cfg": DESIGN,
     }
     for name, text in configs.items():

@@ -184,13 +184,15 @@ class TestLoadConfig:
             load_config(write(tmp_path, text)).pump()
 
     def test_sweep_lists(self, tmp_path):
-        text = FIG2 + "\n[sweep]\nkind = sigma_r2\nsigma_list_rad_s = 1e11 1e12\nr2_list = 0 0.5\n"
+        text = FIG2.replace("fwhm_nm = 5\n", "") + (
+            "\n[sweep]\nkind = sigma_r2\nsigma_list_rad_s = 1e11 1e12\nr2_list = 0 0.5\n")
         cfg = load_config(write(tmp_path, text))
         assert cfg.get("sweep", "sigma_list") == [1e11, 1e12]
         assert cfg.get("sweep", "r2_list") == [0.0, 0.5]
 
     def test_single_element_list(self, tmp_path):
-        text = FIG2 + "\n[sweep]\nkind = r1p\nsigma_list_hz = 1e9\nr1p_list = 0.5\n"
+        text = FIG2.replace("fwhm_nm = 5\n", "") + (
+            "\n[sweep]\nkind = r1p\nsigma_list_hz = 1e9\nr1p_list = 0.5\n")
         cfg = load_config(write(tmp_path, text.replace("[pump]", "r2_pump = 1.0\n\n[pump]")))
         assert cfg.get("sweep", "sigma_list") == [2 * np.pi * 1e9]
 

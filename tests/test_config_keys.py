@@ -58,9 +58,11 @@ DR_UNSOLVED = edited(DR, {"cavity": {"solve_phases": "false"}})
 SWEEP = edited(SR, {"sweep": {"kind": "sigma_r2 plateau_r2", "sigma_list_rad_s": "4.6e13",
                               "r2_list": "0.5", "plateau_r2_list": "0.5"}})
 PLATEAU = edited(SR, {"sweep": {"kind": "plateau_r2", "plateau_r2_list": "0.5"}})
-DR_SWEEP = edited(DR, {"sweep": {"kind": "sigma_r2", "sigma_list_rad_s": "4.6e13",
+# sigma_r2 and r1p set sigma in each row and read no [pump] width
+DR_SWEEP = edited(DR, {"pump": {"fwhm_nm": None},
+                       "sweep": {"kind": "sigma_r2", "sigma_list_rad_s": "4.6e13",
                                  "r2_list": "0.5"}})
-R1P = edited(SR, {"cavity": {"r2_pump": "1.0"},
+R1P = edited(SR, {"cavity": {"r2_pump": "1.0"}, "pump": {"fwhm_nm": None},
                   "sweep": {"kind": "r1p", "sigma_list_rad_s": "2e11", "r1p_list": "0 0.5"}})
 DESIGN = {
     "crystal": {"kind": "bbo"},
@@ -136,8 +138,14 @@ CASES = {
     ("pump", "fwhm"): [
         _set("pump", "fwhm_nm", "4"),
         Rejected(SR, {"pump": {"sigma_rad_s": "1e12"}}),
+        Rejected(R1P, {"pump": {"fwhm_nm": "5"}}),
+        Rejected(DR_SWEEP, {"pump": {"fwhm_nm": "5"}}),
     ],
-    ("pump", "sigma"): [Changes("jsi-sr", SR, {"pump": {"fwhm_nm": None, "sigma_rad_s": "1e12"}})],
+    ("pump", "sigma"): [
+        Changes("jsi-sr", SR, {"pump": {"fwhm_nm": None, "sigma_rad_s": "1e12"}}),
+        Rejected(R1P, {"pump": {"sigma_rad_s": "2e11"}}),
+        Rejected(DR_SWEEP, {"pump": {"sigma_rad_s": "2e11"}}),
+    ],
     ("filters", "shape"): [
         Changes("jsi-sr", SR, {"filters": {"shape": "none", "fwhm_nm": None}})],
     ("filters", "signal_center"): [_set("filters", "signal_center_nm", "805")],
@@ -164,7 +172,8 @@ CASES = {
         Rejected(SR, {"temporal": {"min_prominence": "1.5"}}),
     ],
     ("sweep", "kind"): [
-        Changes("brightness-sweep", SWEEP, {"sweep": {"kind": "sigma_r2",
+        Changes("brightness-sweep", SWEEP, {"pump": {"fwhm_nm": None},
+                                            "sweep": {"kind": "sigma_r2",
                                                       "plateau_r2_list": None}}),
         Rejected(SWEEP, {"sweep": {"kind": "sigma_r2 plateau_r2 bogus"}}),
         Rejected(SWEEP, {"sweep": {"kind": "sigma_r2 plateau_r2 sigma_r2"}}),

@@ -116,25 +116,17 @@ class TestGroupSlowness:
         n = cs.refractive_index(crystal, w, "ordinary")
         assert np.all(kp > n / c)
 
-    def test_step_halving_second_order(self, crystal):
-        # the kept stencil is second order: halving h shrinks the rest term ~4x
-        w = omega_of(800e-9)
-
-        def fd(h_rel):
-            h = h_rel * w
-            k = lambda x: cs.wavevector(crystal, x, "ordinary")
-            return (k(w + h) - k(w - h)) / (2 * h)
-
-        exact = fd(1e-5)
-        e1 = abs(fd(4e-3) - exact)
-        e2 = abs(fd(2e-3) - exact)
-        assert e1 / e2 == pytest.approx(4.0, rel=0.25)
-
-    def test_edge_of_window_rejected(self, crystal):
+    @pytest.mark.parametrize("polarization", ["ordinary", "extraordinary"])
+    def test_defined_to_the_window_edges(self, crystal, polarization):
+        # the closed form needs no neighbours, so k' holds on the whole window
         lo, hi = crystal.omega_window
-        with pytest.raises(DispersionWindowError) as err:
-            cs.group_slowness(crystal, hi, "ordinary")
-        assert "stencil" in str(err.value)
+        for edge in (lo, hi):
+            kp = cs.group_slowness(crystal, edge, polarization)
+            assert np.isfinite(kp) and kp > cs.refractive_index(crystal, edge, polarization) / c
+        assert np.all(np.isfinite(cs.group_slowness(crystal, np.array([lo, hi]), polarization)))
+        for outside in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)):
+            with pytest.raises(DispersionWindowError):
+                cs.group_slowness(crystal, outside, polarization)
 
 
 class TestPhasematchingAngle:

@@ -4,6 +4,9 @@ The hypothesis profile registered in conftest derandomizes the examples, so
 every run draws the same inputs.
 """
 
+import re
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,8 +16,11 @@ from hypothesis import example, given, settings, strategies as st
 import cavityspdc as cs
 import cavityspdc._parallel
 from cavityspdc.cavity import _airy_from_phase
+from cavityspdc.cli import main
+from cavityspdc.config import load_config
 from cavityspdc.constants import c
 from cavityspdc.doubly_resonant import _pump_passes
+from cavityspdc.gridfile import read_grid
 from cavityspdc.spectral import _jsa_sr_pointwise, _row_trapezoid, _sr_ratio
 
 from conftest import OMEGA_800, OUT_OF_MODEL_DR_MIRRORS, THETA_DEGENERATE
@@ -221,3 +227,126 @@ def test_amplitude_factors_keep_the_free_space_phasor_bit_for_bit(source, stretc
     q, b, first = _pump_passes(cavity, pump, filters, omega_s, omega_i)
     t1p_phasor = cavity.mirror(1, "pump").transmissivity * _free_space(cavity, omega_s + omega_i)
     assert same(first, t1p_phasor * _jsa_sr_pointwise(cavity, pump, filters, omega_s, omega_i))
+
+
+def _kp_complex_step(crystal, omega, polarization):
+    """Im k(omega + ih) / h of the Sellmeier wavevector k = n omega / c, written out here.
+
+    The complex step takes no difference, so it is exact to rounding.
+    """
+    h = 1e-30 * omega
+    w = omega + 1j * h
+    lam_um = 2 * np.pi * c / w * 1e6
+
+    def n2(coefficients):
+        a, b, cc, d = coefficients
+        return a + b / (lam_um**2 + cc) + d * lam_um**2
+
+    n_o2 = n2(crystal.sellmeier_ordinary)
+    if polarization == "ordinary":
+        n = np.sqrt(n_o2)
+    else:
+        theta = crystal.cut_angle
+        n_e2 = n2(crystal.sellmeier_extraordinary)
+        n = 1 / np.sqrt(np.cos(theta) ** 2 / n_o2 + np.sin(theta) ** 2 / n_e2)
+    return (n * w / c).imag / h
+
+
+# (a, b, c, d) of n^2 = a + b / (lam^2 + c) + d lam^2 around the BBO sets; lam^2 + c
+# stays above 0.02 um^2 on the 0.2-1.1 um window
+sellmeier_sets = st.tuples(st.floats(2.2, 2.9), st.floats(0.005, 0.03),
+                           st.floats(-0.02, 0.0), st.floats(-0.02, 0.0))
+
+
+@given(
+    ordinary=sellmeier_sets,
+    extraordinary=sellmeier_sets,
+    theta=st.floats(0.0, np.pi / 2),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+    polarization=st.sampled_from(["ordinary", "extraordinary"]),
+)
+def test_group_slowness_is_the_complex_step_derivative(ordinary, extraordinary, theta,
+                                                       fractions, polarization):
+    # both window edges, then drawn frequencies inside the window
+    crystal = cs.CrystalSpec(ordinary, extraordinary, theta, 20e-6)
+    lo, hi = crystal.omega_window
+    omega = np.clip(lo + (hi - lo) * np.array([0.0, 1.0, *fractions]), lo, hi)
+    got = cs.group_slowness(crystal, omega, polarization)
+    want = _kp_complex_step(crystal, omega, polarization)
+    assert np.max(np.abs(got / want - 1)) <= 4e-15
+
+
+def _marginal_config(r2, keys):
+    """A marginal run's config: r2 on both photons, a 400 nm pump, keys {'section.key': value}."""
+    sections = {"pump": ["wavelength_nm = 400"], "filters": [], "grid": ["samples = 24"]}
+    for name, value in keys.items():
+        section, key = name.split(".")
+        sections[section].append(f"{key} = {value}")
+    return (f"[crystal]\nkind = bbo\nlength_l_um = 20\n\n"
+            f"[cavity]\nr2_signal = {r2!r}\nr2_idler = {r2!r}\n\n"
+            + "".join(f"[{section}]\n" + "\n".join(lines) + "\n\n"
+                      for section, lines in sections.items()))
+
+
+_HASH_LINE = re.compile(rb"^# config_sha256 = .*$", re.M)
+
+
+def _artifacts(out):
+    """{name: (its bytes with the config hash line blanked, that line)} of a run's files."""
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    return {name: (_HASH_LINE.sub(b"", data), _HASH_LINE.findall(data))
+            for name, data in files.items()}
+
+
+@given(
+    r2=st.floats(0.0, 0.9),
+    centers_nm=st.tuples(*[st.floats(790.0, 810.0)] * 4),
+    widths_nm=st.tuples(st.floats(10.0, 40.0), st.floats(10.0, 40.0)),
+    pump_fwhm_nm=st.floats(1.0, 10.0),
+    unit=st.sampled_from(["rad_s", "hz"]),
+)
+@settings(max_examples=12)
+def test_frequency_suffixes_write_the_numbers_of_the_nm_config(r2, centers_nm, widths_nm,
+                                                               pump_fwhm_nm, unit):
+    # every center and width that takes a frequency suffix, written at 17 digits
+    # from what the nm config normalizes to: rad/s gives the same doubles, so the
+    # files differ only in the config hash; the Hz value times 2 pi may round
+    # one ulp away, which moves the numbers by rounding alone
+    names = ("grid.signal_center", "grid.idler_center",
+             "filters.signal_center", "filters.idler_center")
+    nm = {f"{name}_nm": value for name, value in zip(names, centers_nm)}
+    nm.update({"filters.signal_fwhm_nm": widths_nm[0], "filters.idler_fwhm_nm": widths_nm[1],
+               "pump.fwhm_nm": pump_fwhm_nm})
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "nm.cfg").write_text(_marginal_config(r2, {k: repr(v) for k, v in nm.items()}))
+        cfg = load_config(tmp / "nm.cfg")
+        signal, idler = cfg.filters()
+        angular = dict(zip(names, (*cfg.band_centers(), signal.center, idler.center)))
+        angular.update({"filters.signal_fwhm": signal.fwhm, "filters.idler_fwhm": idler.fwhm,
+                        "pump.sigma": cfg.pump().sigma})
+        per_unit = 1.0 if unit == "rad_s" else 2 * np.pi
+        (tmp / "freq.cfg").write_text(_marginal_config(
+            r2, {f"{name}_{unit}": f"{value / per_unit:.17g}" for name, value in angular.items()}))
+        for name in ("nm", "freq"):
+            assert main(["marginal", "--config", str(tmp / f"{name}.cfg"),
+                         "--out", str(tmp / name), "--threads", "1"]) == 0
+        by_nm, by_freq = _artifacts(tmp / "nm"), _artifacts(tmp / "freq")
+        assert by_nm.keys() == by_freq.keys()
+        for name, (body, hash_line) in by_nm.items():
+            assert hash_line != by_freq[name][1]
+            if unit == "rad_s":
+                assert body == by_freq[name][0]
+        if unit == "hz":
+            # measured: at most 2.8e-14 of the largest value over 200 drawn configs
+            grid_nm, _ = read_grid(tmp / "nm" / "jsi_sr.grid")
+            grid_hz, _ = read_grid(tmp / "freq" / "jsi_sr.grid")
+            for got, want in ((grid_hz.omega_s_axis, grid_nm.omega_s_axis),
+                              (grid_hz.omega_i_axis, grid_nm.omega_i_axis)):
+                assert np.max(np.abs(got / want - 1)) <= 4e-16
+            scale = np.max(grid_nm.values)
+            assert np.max(np.abs(grid_hz.values - grid_nm.values)) <= 1e-13 * scale
+            marginal_nm = np.loadtxt(tmp / "nm" / "marginal_signal.dat")
+            marginal_hz = np.loadtxt(tmp / "freq" / "marginal_signal.dat")
+            scale = np.max(np.abs(marginal_nm), axis=0)
+            assert np.all(np.max(np.abs(marginal_hz - marginal_nm), axis=0) <= 1e-13 * scale)
