@@ -5,8 +5,8 @@ work overlap on threads.  Each caller's blocks are independent: a block
 either returns its own result or writes a disjoint slice of one
 preallocated output, so a result never depends on the thread count.
 stream_blocks is the one pool loop: it yields the results in order with a
-bounded number in flight, for a consumer that keeps none.  map_blocks
-collects that stream into a list.
+bounded number in flight, for a consumer that keeps none (the temporal
+transform's stage two).  map_blocks collects that stream into a list.
 
 blocks is the one blocking rule, with one sample budget for every blocked
 loop: a block of rows of row_len samples (the longest row it holds or

@@ -66,7 +66,7 @@ the idler table and the fold, so a sweep row and its reference fold alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -421,27 +421,27 @@ def brightness_vs_sigma_sweep(
 
 
 def plateau_brightness_vs_r2(
-    cavity, pump, filters, r2_list, factor_mode="central_approx", threads=1
+    cavity, omega_p0, filters, r2_list, zero_sigma=None, factor_mode="central_approx", threads=1
 ):
     """Plateau (small-sigma) brightness vs mirror-2 reflectivity.
 
-    For each r2 the pump bandwidth is set to the plateau condition
-    sigma = delta_omega(r2) / sqrt(2 ln 2); the result is normalized to the
-    equivalent source without a cavity at the same sigma.  At r2 = 0 the
-    plateau is unbounded and the row is taken at pump.sigma; it is exactly 1
-    unless the cavity reflects the pump.
+    The pump is centered at omega_p0 (rad/s).  For each r2 > 0 its width is
+    the plateau condition sigma = delta_omega(r2) / sqrt(2 ln 2), and the
+    result is normalized to the equivalent source without a cavity at that
+    sigma.  An r2 = 0 row, where the plateau is unbounded, is taken at
+    zero_sigma; it is exactly 1 unless the cavity reflects the pump.
     """
+    if zero_sigma is None and 0.0 in r2_list:
+        raise ValueError("an r2 = 0 plateau row needs zero_sigma, the pump width it is taken at")
     rows = []
     for r2 in r2_list:
         if r2 == 0.0 and not cavity.reflects_pump:
-            rows.append((float(r2), float(pump.sigma), 1.0))
+            rows.append((float(r2), float(zero_sigma), 1.0))
             continue
         cav = cavity.with_mirror(2, "signal", magnitude=r2).with_mirror(2, "idler", magnitude=r2)
-        if r2 == 0.0:
-            sigma = pump.sigma
-        else:
-            sigma = fwhm_to_sigma(mode_width(cav, filters[0].center, "signal"))
-        swept_pump = replace(pump, sigma=sigma)
+        sigma = (zero_sigma if r2 == 0.0
+                 else fwhm_to_sigma(mode_width(cav, filters[0].center, "signal")))
+        swept_pump = PumpSpec(omega_p0, sigma)
         reference = brightness_from_cavity(
             _no_cavity(cavity), swept_pump, filters, factor_mode, threads
         ).value

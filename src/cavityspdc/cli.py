@@ -7,12 +7,12 @@ Subcommands: jsi-sr, jsi-dr, marginal, temporal, brightness-sweep, design,
 airy.  jsi-sr and jsi-dr both write the cavity's JSI, jsi_dr.grid when it
 reflects the pump and jsi_sr.grid otherwise; temporal refuses such a cavity.
 --threads N (default: the CPUs this process may run on) spreads the
-blocked work of jsi-sr, jsi-dr, marginal, temporal and brightness-sweep
-over N threads without changing a bit of their output; design and airy
-run on one.  jsi-sr, jsi-dr and marginal stream the grid: the kernel's
-row blocks pass, in row order, through the marginal (marginal only) into
-gridfile.write_grid, the one grid writer, so no N^2 array is held and the
-bytes are those of the whole grid.  Each artifact opens with one
+blocked work of temporal and brightness-sweep over N threads without
+changing a bit of their output; the other subcommands run on one.  jsi-sr,
+jsi-dr and marginal stream the grid: the kernel's row blocks pass, in row
+order, through the marginal (marginal only) into gridfile.write_grid, the
+one grid writer, so no N^2 array is held and the bytes are those of the
+whole grid.  Each artifact opens with one
 '# key = value' header closed by '#end' (package version, sha256 of the
 normalized configuration); the manifest holds that header, then the run's
 artifact names one a line.
@@ -70,7 +70,7 @@ def _cmd_jsi(cfg, out_dir, fmt, threads, marginal=False):
     where, name = (("jsi_doubly_resonant", "jsi_dr") if cavity.reflects_pump
                    else ("jsi_singly_resonant", "jsi_sr"))
     _warn_if_under_resolved(cavity, grid, where)
-    stream = _jsi_stream(cavity, cfg.pump(), cfg.filters(), grid, threads)
+    stream = _jsi_stream(cavity, cfg.pump(), cfg.filters(), grid)
     if marginal:
         axis = cfg.get("marginal", "axis")
         total = _MarginalSum(grid.omega_s_axis, grid.omega_i_axis, axis)
@@ -144,8 +144,8 @@ def _cmd_brightness_sweep(cfg, out_dir, fmt, threads):
     factors = cfg.get("sweep", "factors")
     paths = []
     for kind in cfg.sweep_kinds():
-        sweep, pump, lists = cfg.sweep(kind)
-        table = sweep(cavity, pump, filters, *lists, factors, threads)
+        sweep, omega_p0, arguments = cfg.sweep(kind)
+        table = sweep(cavity, omega_p0, filters, *arguments, factor_mode=factors, threads=threads)
         path = out_dir / f"brightness_{kind}.tsv"
         write_text(path, table.to_text(), _metadata(cfg, {"sweep": kind}))
         paths.append(path)
@@ -237,7 +237,7 @@ def _parser():
     parser.add_argument("--format", choices=("text", "binary"), default=None)
     parser.add_argument(
         "--threads", type=_thread_count, default=_available_cpus(), metavar="N",
-        help="worker threads for jsi-sr, jsi-dr, marginal, temporal and brightness-sweep; "
+        help="worker threads for temporal and brightness-sweep (other subcommands use one); "
              "the output does not depend on it (default: the available CPUs, %(default)s here)",
     )
     return parser

@@ -21,12 +21,11 @@ mirror phases the solver sets or absorbs while solve_phases is true (the
 default), the Sellmeier coefficients unless kind = custom, both pump widths
 at once, any [filters] key besides shape = none, [filters] fwhm when
 both per-mode widths are given, a [sweep] list that no requested kind
-reads (_SWEEPS), and a [pump] width when every requested kind sets sigma
-in each row (only plateau_r2 reads it), beside unknown or repeated kinds,
-kind = r1p without r2_pump = 1, and shape = none for a subcommand that
-requires [filters].
-The builders raise a spec's own ValueError (a cavity shorter than its
-crystal, say) as a ConfigError naming the section.
+reads (_SWEEPS), and a [pump] width that no sweep row reads (only a
+plateau_r2 row at r2 = 0 does), beside unknown or repeated kinds, kind =
+r1p without r2_pump = 1, and shape = none for a subcommand that requires
+[filters].  Every builder builds its specs through _built, which raises a
+spec's own ValueError as a ConfigError naming the section.
 """
 
 from __future__ import annotations
@@ -164,13 +163,12 @@ _SCHEMA = {
     ),
 }
 
-# [sweep] kind -> (its sweep function, whether it reads the [pump] width, the
-# lists that function reads in the order it takes them).  A kind whose rows
-# each set sigma takes the pump center alone.
+# [sweep] kind -> (its sweep function, the lists that function reads in the
+# order it takes them).  Each function takes the pump center.
 _SWEEPS = {
-    "sigma_r2": (brightness_vs_sigma_sweep, False, ("sigma_list", "r2_list")),
-    "plateau_r2": (plateau_brightness_vs_r2, True, ("plateau_r2_list",)),
-    "r1p": (brightness_vs_r1p_sweep, False, ("r1p_list", "sigma_list")),
+    "sigma_r2": (brightness_vs_sigma_sweep, ("sigma_list", "r2_list")),
+    "plateau_r2": (plateau_brightness_vs_r2, ("plateau_r2_list",)),
+    "r1p": (brightness_vs_r1p_sweep, ("r1p_list", "sigma_list")),
 }
 
 # The mirror phases solve_resonance_phases sets (the r2 and pump phases) or
@@ -278,15 +276,20 @@ class RunConfig:
         return self.require("sweep", "kind").split()
 
     def sweep(self, kind):
-        """(function, pump, lists) of the sweep of one kind.
+        """(function, omega_p0, arguments) of the sweep of one kind.
 
-        pump is the [pump] PumpSpec for a kind that reads its width and the
-        center omega_p0 alone for one whose rows set sigma; lists come in the
-        order the function takes them.
+        arguments are the lists in the order the function takes them, then
+        the [pump] sigma when a row reads it.
         """
-        function, reads_width, stems = _SWEEPS[kind]
-        pump = self.pump() if reads_width else self.pump_center()
-        return function, pump, [self.require("sweep", stem) for stem in stems]
+        function, stems = _SWEEPS[kind]
+        arguments = [self.require("sweep", stem) for stem in stems]
+        if self._reads_pump_width(kind):
+            arguments.append(self.pump().sigma)
+        return function, self.pump_center(), arguments
+
+    def _reads_pump_width(self, kind):
+        """Whether a row of this sweep kind reads the [pump] width: a plateau_r2 row at r2 = 0."""
+        return kind == "plateau_r2" and 0.0 in self.require("sweep", "plateau_r2_list")
 
     def normalized_text(self):
         """Canonical text rendering of the normalized values (hash input)."""
@@ -380,10 +383,10 @@ class RunConfig:
         sec = self.require("pump")
         lam = self.require("pump", "wavelength")
         if "fwhm" in sec:
-            return PumpSpec.from_wavelength(lam, sec["fwhm"])
+            return _built("pump", PumpSpec.from_wavelength, lam, sec["fwhm"])
         if "sigma" not in sec:
             raise ConfigError("[pump] needs either sigma_rad_s/sigma_hz or fwhm_nm")
-        return PumpSpec(self.pump_center(), sec["sigma"])
+        return _built("pump", PumpSpec, self.pump_center(), sec["sigma"])
 
     def filters(self):
         """(signal, idler) FilterSpec pair, or None when no filter is configured."""
@@ -399,7 +402,7 @@ class RunConfig:
             width = f"{mode}_fwhm" if f"{mode}_fwhm" in sec else "fwhm"
             if width not in sec:
                 raise ConfigError("[filters] needs fwhm_nm (or per-mode signal/idler fwhm keys)")
-            out.append(FilterSpec(center, self._fwhm("filters", width, center)))
+            out.append(_built("filters", FilterSpec, center, self._fwhm("filters", width, center)))
         return tuple(out)
 
     def grid(self):
@@ -413,7 +416,7 @@ class RunConfig:
                     "[grid] halfwidth_rad_s is required when no gaussian filters are set"
                 )
             halfwidth = 3.0 * max(filters[0].fwhm, filters[1].fwhm)
-        return default_grid(omega_s0, omega_i0, halfwidth, samples)
+        return _built("grid", default_grid, omega_s0, omega_i0, halfwidth, samples)
 
     def design_target(self):
         sec = self.require("design")
@@ -522,7 +525,7 @@ def _check_sweep_kinds(cfg):
         raise ConfigError(f"[sweep] kind = {' '.join(kinds)!r}: expected one or more of "
                           f"{', '.join(_SWEEPS)}, each at most once")
     for kind in kinds:
-        for stem in _SWEEPS[kind][2]:
+        for stem in _SWEEPS[kind][1]:
             cfg.require("sweep", stem)  # a ConfigError naming the missing list
     r2_pump = cfg.get("cavity", "r2_pump")
     if "r1p" in kinds and r2_pump != 1.0:
@@ -553,12 +556,12 @@ def _ignored_keys(cfg):
                "applies to neither mode; drop it")
     if cfg.has("sweep"):
         kinds = cfg.sweep_kinds()
-        read = {stem for kind in kinds for stem in _SWEEPS[kind][2]}
+        read = {stem for kind in kinds for stem in _SWEEPS[kind][1]}
         for stem in cfg.sections["sweep"]:
             if stem.endswith("_list") and stem not in read:
                 yield ("sweep", stem, f"kind = {' '.join(kinds)} reads no such list; drop the key")
-        if not any(_SWEEPS[kind][1] for kind in kinds):
+        if not any(cfg._reads_pump_width(kind) for kind in kinds):
             for stem in ("sigma", "fwhm"):
                 if cfg.has("pump", stem):
-                    yield ("pump", stem, f"kind = {' '.join(kinds)} sets sigma in each row "
-                           "from sigma_list, so no row reads this width; drop the key")
+                    yield ("pump", stem, f"kind = {' '.join(kinds)} sets sigma in each row, "
+                           "so no row reads this width; drop the key")

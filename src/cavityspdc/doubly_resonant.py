@@ -100,15 +100,13 @@ def phase_balancing(cavity, omega_s, omega_i):
     return plus * (1.0 - 4.0 * r2p / plus * np.sin(delta / 2.0) ** 2)
 
 
-def jsi_doubly_resonant(cavity, pump, filters, grid, threads=1):
+def jsi_doubly_resonant(cavity, pump, filters, grid):
     """The cavity's joint spectral intensity, S_DR = A_s A_i A_p P |f|^2 if it reflects the pump.
 
     The factored form assumes unit-magnitude mirror-1 reflectivities for the
     SPDC modes (the singly-resonant preset); then it equals |f_DR|^2 exactly.
     A cavity that breaks the assumption raises ValueError when it is built
-    (CavitySpec), and a grid whose signal and idler steps differ raises it
-    here.  The rows are filled on `threads` threads, bit for bit alike at
-    any count.
+    (CavitySpec), as a grid with unequal signal and idler steps does here.
     """
     _warn_if_under_resolved(cavity, grid, "jsi_doubly_resonant")
-    return _collect_rows(_jsi_stream(cavity, pump, filters, grid, threads))
+    return _collect_rows(_jsi_stream(cavity, pump, filters, grid))

@@ -24,10 +24,9 @@ table[i + j] at (omega_i_axis[i], omega_s_axis[j]).
 
 The rectangular kernel is one ordered stream, _jsi_stream: it evaluates the
 tables (and with them every check a configuration can fail) before it
-returns, then yields blocks of idler rows in row order.  Like the factor
-tables' and the marginals' blocks, each holds _parallel's one sample
-budget, so the blocks are the same at any thread count; `threads`
-(default 1) sets only how many of them one pool computes at once.
+returns, then yields blocks of idler rows in row order, each computed on
+the caller's thread when asked for.  Like the factor tables' and the
+marginals' blocks, each holds _parallel's one sample budget.
 jsi_singly_resonant and jsi_doubly_resonant collect the stream into one
 SpectralGrid; the CLI hands it to gridfile.write_grid and, through
 _MarginalSum, to the marginal, so no N^2 array is formed on that path.
@@ -49,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._parallel import blocks, map_blocks, stream_blocks
+from ._parallel import blocks, map_blocks
 from .cavity import (
     _airy_from_phase,
     _balance_phase,
@@ -391,14 +390,13 @@ def jsa_singly_resonant(cavity, pump, filters, grid):
     return SpectralGrid(grid.omega_s_axis, grid.omega_i_axis, values)
 
 
-def jsi_singly_resonant(cavity, pump, filters, grid, threads=1):
+def jsi_singly_resonant(cavity, pump, filters, grid):
     """The cavity's joint spectral intensity, S_SR or (pump reflected) S_DR, on a real grid.
 
-    The grid's signal and idler steps must be equal (ValueError otherwise);
-    the rows are filled on `threads` threads, bit for bit alike at any count.
+    The grid's signal and idler steps must be equal (ValueError otherwise).
     """
     _warn_if_under_resolved(cavity, grid, "jsi_singly_resonant")
-    return _collect_rows(_jsi_stream(cavity, pump, filters, grid, threads))
+    return _collect_rows(_jsi_stream(cavity, pump, filters, grid))
 
 
 class _Factors(NamedTuple):
@@ -518,7 +516,7 @@ def _intensity(cavity, signal, idler, pump):
     return s
 
 
-def _jsi_stream(cavity, pump, filters, grid, threads=1):
+def _jsi_stream(cavity, pump, filters, grid):
     """The cavity's JSI on a rectangular grid as a GridStream of idler-row blocks.
 
     With equal signal and idler steps, omega_s_axis[j] + omega_i_axis[i]
@@ -531,8 +529,8 @@ def _jsi_stream(cavity, pump, filters, grid, threads=1):
     window, a diverging Airy weight) is raised before a consumer opens a
     file; the blocks only combine table entries.  The blocks are
     _parallel.blocks of N_s-sample rows, one sample budget each whatever
-    the grid or the thread count; stream_blocks computes up to `threads`
-    of them at once on one pool and yields them in row order.
+    the grid, yielded in row order by a plain generator: a block is
+    computed only when the consumer asks for the next one.
     """
     s_axis, i_axis = grid.omega_s_axis, grid.omega_i_axis
     step_s, step_i = np.diff(s_axis).mean(), np.diff(i_axis).mean()
@@ -554,7 +552,7 @@ def _jsi_stream(cavity, pump, filters, grid, threads=1):
         )
 
     rows = blocks(i_axis.size, s_axis.size)
-    return GridStream(s_axis, i_axis, stream_blocks(threads, block, rows))
+    return GridStream(s_axis, i_axis, map(block, rows))
 
 
 def _collect_rows(stream):

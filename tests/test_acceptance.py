@@ -212,7 +212,7 @@ def test_criterion_07_brightness_flatness_crossover_plateau(crystal, pump, filte
     ok = ok and 0 < k and abs(crossover - expected) <= 0.2 * expected
 
     r2_list = [0.9, 0.95, 0.99]
-    plateau = cs.plateau_brightness_vs_r2(flat, pump, filters, r2_list)
+    plateau = cs.plateau_brightness_vs_r2(flat, pump.omega_p0, filters, r2_list)
     y = plateau.column("B_norm")
     x = 1.0 / (1.0 - np.array(r2_list))
     design = np.vstack([x, np.ones_like(x)]).T

@@ -183,28 +183,31 @@ def stripe_calls(monkeypatch):
 
 class TestPlateauSweep:
     def test_no_reference_integral_at_zero_r2(self, flat_cavity, pump, filters, stripe_calls):
-        cs.plateau_brightness_vs_r2(flat_cavity, pump, filters, [0.0, 0.5])
+        cs.plateau_brightness_vs_r2(flat_cavity, pump.omega_p0, filters, [0.0, 0.5], pump.sigma)
         assert len(stripe_calls) == 2  # the r2 = 0.5 row and its reference
 
     def test_zero_r2_row_keeps_the_pump_mirrors(self, dr_base, pump, filters):
         # open signal/idler mirrors with a perfect pump back mirror: the two
         # crystal passes quadruple the rate over the no-cavity reference
-        from dataclasses import replace
-
-        narrow = replace(pump, sigma=2e11)
-        table = cs.plateau_brightness_vs_r2(dr_base, narrow, filters, [0.0])
+        table = cs.plateau_brightness_vs_r2(dr_base, pump.omega_p0, filters, [0.0], 2e11)
         (r2, sigma, b), = table.rows
         assert (r2, sigma) == (0.0, 2e11)
         assert b == pytest.approx(4.0, rel=2e-3)
 
     def test_reference_and_monotonicity(self, flat_cavity, pump, filters):
-        table = cs.plateau_brightness_vs_r2(flat_cavity, pump, filters, [0.0, 0.5, 0.9])
+        table = cs.plateau_brightness_vs_r2(flat_cavity, pump.omega_p0, filters, [0.0, 0.5, 0.9],
+                                            pump.sigma)
         b = table.column("B_norm")
         assert b[0] == 1.0
         assert b[0] < b[1] < b[2]
 
+    def test_zero_r2_row_needs_its_width(self, flat_cavity, pump, filters, stripe_calls):
+        with pytest.raises(ValueError, match="zero_sigma"):
+            cs.plateau_brightness_vs_r2(flat_cavity, pump.omega_p0, filters, [0.5, 0.0])
+        assert not stripe_calls  # refused before the first row's integral
+
     def test_plateau_sigma_condition(self, flat_cavity, pump, filters):
-        table = cs.plateau_brightness_vs_r2(flat_cavity, pump, filters, [0.9])
+        table = cs.plateau_brightness_vs_r2(flat_cavity, pump.omega_p0, filters, [0.9])
         (r2, sigma, _), = table.rows
         cav = flat_cavity.with_mirror(2, "signal", magnitude=0.9).with_mirror(
             2, "idler", magnitude=0.9
@@ -213,7 +216,7 @@ class TestPlateauSweep:
 
     def test_inverse_one_minus_r2_scaling(self, flat_cavity, pump, filters):
         r2_list = [0.9, 0.95, 0.99]
-        table = cs.plateau_brightness_vs_r2(flat_cavity, pump, filters, r2_list)
+        table = cs.plateau_brightness_vs_r2(flat_cavity, pump.omega_p0, filters, r2_list)
         y = table.column("B_norm")
         x = 1.0 / (1.0 - np.array(r2_list))
         design = np.vstack([x, np.ones_like(x)]).T
@@ -571,8 +574,9 @@ class TestFoldPredicate:
     def test_agrees_with_the_table_comparison_on_the_shipped_sweeps(self, folds, fig):
         cfg = load_config(FIGS / f"{fig}.cfg")
         for kind in cfg.sweep_kinds():
-            sweep, pump, lists = cfg.sweep(kind)
-            sweep(cfg.cavity(), pump, cfg.filters(), *lists, cfg.get("sweep", "factors"))
+            sweep, omega_p0, arguments = cfg.sweep(kind)
+            sweep(cfg.cavity(), omega_p0, cfg.filters(), *arguments,
+                  factor_mode=cfg.get("sweep", "factors"))
         assert folds and all(got == expect for got, expect in folds)
         assert any(got for got, _ in folds)
 

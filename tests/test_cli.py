@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cavityspdc as cs
+import cavityspdc._parallel
 import cavityspdc.temporal
 from cavityspdc.cli import _parser, main
 from cavityspdc.config import load_config
@@ -308,8 +309,15 @@ class TestDeterminismAndErrors:
          SMALL_FIG2 + "\n[sweep]\nkind = sigma_r2 plateau_r2\nsigma_list_rad_s = 2e11\n"
          "r2_list = 0.5\nplateau_r2_list = 0.5 1.0\n",
          "sweep"),
+        # widths that overflow to infinity in rad/s, and a span below the axis rounding
+        ("jsi-dr", (FIGS / "fig4.cfg").read_text().replace("fwhm_nm = 30", "fwhm_nm = 1e300"),
+         "filters"),
+        ("jsi-dr", (FIGS / "fig4.cfg").read_text().replace("fwhm_nm = 5", "fwhm_nm = 1e300"),
+         "pump"),
+        ("jsi-dr", (FIGS / "fig4.cfg").read_text().replace("1.417e13", "1e-3"), "grid"),
     ], ids=["cavity_shorter_than_crystal", "sellmeier_n2_below_one", "r1p_without_r2_pump_1",
-            "pump_redder_than_signal", "unit_r2_in_a_sweep_list"])
+            "pump_redder_than_signal", "unit_r2_in_a_sweep_list", "infinite_filter_width",
+            "infinite_pump_width", "grid_below_rounding"])
     def test_configuration_a_spec_refuses_is_a_config_error(self, tmp_path, capsys, subcommand,
                                                             text, section):
         cfg = tmp_path / "bad.cfg"
@@ -486,7 +494,20 @@ class TestThreads:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    # the kernel's blocks are the same at any thread count, and so are the bytes
+    @pytest.mark.parametrize(
+        "subcommand, fig", [("jsi-sr", "fig2"), ("jsi-dr", "fig3"), ("marginal", "fig2")]
+    )
+    def test_grid_subcommands_start_no_worker_thread(self, tmp_path, monkeypatch, subcommand,
+                                                     fig):
+        # the grid streams on the calling thread whatever --threads says
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a grid subcommand opened a thread pool")
+
+        monkeypatch.setattr(cavityspdc._parallel, "ThreadPoolExecutor", no_pool)
+        assert run([subcommand, "--config", FIGS / f"{fig}.cfg", "--out", tmp_path,
+                    "--threads", 3]) == 0
+
+    # the grid ignores --threads, and the bytes show it
     @pytest.mark.parametrize(
         "subcommand, fig", [("jsi-sr", "fig2"), ("jsi-dr", "fig3"), ("marginal", "fig2")]
     )

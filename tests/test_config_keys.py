@@ -55,10 +55,15 @@ CUSTOM = edited(SR, {"crystal": {"kind": "custom", "sellmeier_ordinary": BBO_O,
 UNSOLVED = edited(SR, {"cavity": {"solve_phases": "false"}})
 DR = edited(SR, {"cavity": {"r1_pump": "0.5", "r2_pump": "1.0"}})
 DR_UNSOLVED = edited(DR, {"cavity": {"solve_phases": "false"}})
-SWEEP = edited(SR, {"sweep": {"kind": "sigma_r2 plateau_r2", "sigma_list_rad_s": "4.6e13",
+# sigma_r2 and r1p set sigma in each row, and plateau_r2 in each row but an
+# r2 = 0 one, which these lists lack: these bases read no [pump] width
+SWEEP = edited(SR, {"pump": {"fwhm_nm": None},
+                    "sweep": {"kind": "sigma_r2 plateau_r2", "sigma_list_rad_s": "4.6e13",
                               "r2_list": "0.5", "plateau_r2_list": "0.5"}})
-PLATEAU = edited(SR, {"sweep": {"kind": "plateau_r2", "plateau_r2_list": "0.5"}})
-# sigma_r2 and r1p set sigma in each row and read no [pump] width
+PLATEAU = edited(SR, {"pump": {"fwhm_nm": None},
+                      "sweep": {"kind": "plateau_r2", "plateau_r2_list": "0.5"}})
+# an r2 = 0 row of a cavity that reflects no pump is 1 with no integral, taken at the pump width
+PLATEAU_ZERO = edited(SR, {"sweep": {"kind": "plateau_r2", "plateau_r2_list": "0"}})
 DR_SWEEP = edited(DR, {"pump": {"fwhm_nm": None},
                        "sweep": {"kind": "sigma_r2", "sigma_list_rad_s": "4.6e13",
                                  "r2_list": "0.5"}})
@@ -140,11 +145,14 @@ CASES = {
         Rejected(SR, {"pump": {"sigma_rad_s": "1e12"}}),
         Rejected(R1P, {"pump": {"fwhm_nm": "5"}}),
         Rejected(DR_SWEEP, {"pump": {"fwhm_nm": "5"}}),
+        Rejected(PLATEAU, {"pump": {"fwhm_nm": "5"}}),
+        _set("pump", "fwhm_nm", "4", PLATEAU_ZERO, "brightness-sweep"),
     ],
     ("pump", "sigma"): [
         Changes("jsi-sr", SR, {"pump": {"fwhm_nm": None, "sigma_rad_s": "1e12"}}),
         Rejected(R1P, {"pump": {"sigma_rad_s": "2e11"}}),
         Rejected(DR_SWEEP, {"pump": {"sigma_rad_s": "2e11"}}),
+        Rejected(PLATEAU, {"pump": {"sigma_rad_s": "2e11"}}),
     ],
     ("filters", "shape"): [
         Changes("jsi-sr", SR, {"filters": {"shape": "none", "fwhm_nm": None}})],
@@ -172,8 +180,7 @@ CASES = {
         Rejected(SR, {"temporal": {"min_prominence": "1.5"}}),
     ],
     ("sweep", "kind"): [
-        Changes("brightness-sweep", SWEEP, {"pump": {"fwhm_nm": None},
-                                            "sweep": {"kind": "sigma_r2",
+        Changes("brightness-sweep", SWEEP, {"sweep": {"kind": "sigma_r2",
                                                       "plateau_r2_list": None}}),
         Rejected(SWEEP, {"sweep": {"kind": "sigma_r2 plateau_r2 bogus"}}),
         Rejected(SWEEP, {"sweep": {"kind": "sigma_r2 plateau_r2 sigma_r2"}}),

@@ -292,12 +292,6 @@ class TestAntiDiagonalPumpTable:
         assert points["extraordinary"] <= 2 * n - 1
         assert points["ordinary"] <= 2 * n
 
-    def test_rows_do_not_depend_on_threads(self, dr_cavity, pump, filters, grid_257):
-        one = cs.jsi_doubly_resonant(dr_cavity, pump, filters, grid_257).values
-        for threads in (2, 3):
-            many = cs.jsi_doubly_resonant(dr_cavity, pump, filters, grid_257, threads=threads)
-            assert np.array_equal(many.values, one)
-
     def test_pump_mode_width_is_checked(self, dr_cavity, pump, filters, grid_257):
         sharp = dr_cavity.with_mirror(1, "pump", magnitude=0.999)
         with pytest.warns(UnderResolutionWarning) as record:
@@ -441,24 +435,21 @@ def _stream_grid(n_i, n_s):
 class TestGridStream:
     # _jsi_stream is the rectangular kernel: the jsi functions collect it,
     # the CLI writes it and integrates it block by block
-    GRID = (301, 1025)  # 31 rows a block: 10 blocks, 9 full and a ragged one, at any thread count
+    GRID = (301, 1025)  # 31 rows a block: 10 blocks, 9 full and a ragged one
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("jsi_of, cavity", [
         (cs.jsi_singly_resonant, "sr_cavity"), (cs.jsi_doubly_resonant, "dr_cavity"),
     ], ids=["SR", "DR"])
-    def test_collected_stream_is_the_grid_at_any_thread_count(self, jsi_of, cavity, request,
-                                                              pump, filters, threads):
+    def test_collected_stream_is_the_grid(self, jsi_of, cavity, request, pump, filters):
         cavity = request.getfixturevalue(cavity)
         grid = _stream_grid(*self.GRID)
         whole = jsi_of(cavity, pump, filters, grid).values
-        stream = _jsi_stream(cavity, pump, filters, grid, threads)
+        stream = _jsi_stream(cavity, pump, filters, grid)
         assert stream.omega_s_axis is grid.omega_s_axis
         assert stream.omega_i_axis is grid.omega_i_axis
         parts = list(stream.blocks)
         assert [part.shape for part in parts] == [(31, 1025)] * 9 + [(22, 1025)]
         assert np.array_equal(np.concatenate(parts), whole)
-        assert np.array_equal(jsi_of(cavity, pump, filters, grid, threads=threads).values, whole)
 
     def test_blocks_hold_a_fixed_number_of_samples(self, sr_cavity, pump, filters):
         # 32 rows of a 1024-sample row, 16 of a 2048-sample one
@@ -473,7 +464,7 @@ class TestGridStream:
             _jsi_stream(sr_cavity, pump, filters, grid)
 
     @pytest.mark.parametrize("cavity", ["sr_cavity", "dr_cavity"])
-    def test_streamed_marginals_do_not_depend_on_threads(self, cavity, request, pump, filters):
+    def test_streamed_marginals_are_the_collected_grids(self, cavity, request, pump, filters):
         cavity = request.getfixturevalue(cavity)
         grid = _stream_grid(*self.GRID)
         whole = cs.jsi_singly_resonant(cavity, pump, filters, grid)
@@ -482,13 +473,27 @@ class TestGridStream:
         idler = _row_trapezoid(whole.values, grid.omega_s_axis)
         signal = cs.marginal_spectrum(whole, "signal").density
         assert np.abs(signal - pairwise).max() <= TestRowTrapezoid.SIGNAL_BOUND * pairwise.max()
-        for threads in (1, 2, 3):
-            for axis, expect in (("signal", signal), ("idler", idler)):
-                stream = _jsi_stream(cavity, pump, filters, grid, threads)
-                marg = cs.marginal_spectrum(stream, axis)
-                assert np.array_equal(marg.density, expect), (axis, threads)
-                kept = grid.omega_s_axis if axis == "signal" else grid.omega_i_axis
-                assert marg.axis is kept
+        for axis, expect in (("signal", signal), ("idler", idler)):
+            marg = cs.marginal_spectrum(_jsi_stream(cavity, pump, filters, grid), axis)
+            assert np.array_equal(marg.density, expect), axis
+            kept = grid.omega_s_axis if axis == "signal" else grid.omega_i_axis
+            assert marg.axis is kept
+
+    def test_blocks_are_computed_as_they_are_asked_for(self, sr_cavity, pump, filters,
+                                                        monkeypatch):
+        # the tables are evaluated when the stream returns, each block on demand
+        calls = []
+        intensity = cavityspdc.spectral._intensity
+
+        def counting(*args):
+            calls.append(1)
+            return intensity(*args)
+
+        monkeypatch.setattr(cavityspdc.spectral, "_intensity", counting)
+        stream = _jsi_stream(sr_cavity, pump, filters, _stream_grid(*self.GRID))
+        assert not calls
+        next(stream.blocks)
+        assert len(calls) == 1
 
 
 class TestStreamBlocks:
