@@ -51,7 +51,8 @@ The stripe's memory is its factor tables plus a fixed working set.  The
 frequency tables are never stored: the table builder evaluates them and
 the photon factors in _parallel.blocks of entries, and each kernel call
 takes a _parallel.blocks chunk of columns of `rows` evaluated minus rows:
-one sample budget either way; threads set only the chunks in flight.
+one sample budget either way.  The sweeps run every chunk on the caller's
+thread; brightness_from_cavity's threads sets only the chunks in flight.
 Each column sums its minus rows pairwise from C-contiguous intensities,
 one order for every stripe, so the result does not depend on the blocks.
 
@@ -307,7 +308,7 @@ def _stripe_columns(cavity, pump, filters, factor_mode, threads=1):
     g integrates D_s D_i S / (|alpha|^2 A_p), which depends on neither the
     pump envelope nor |r_1p|: P reads r_2p and the mirror phases only.  In
     central_approx mode g carries the rate factors at the filter centres,
-    one constant multiplied in after the kernel.
+    one constant multiplied in after the kernel.  The sweeps pass no threads.
     """
     stripe = _stripe_axes(cavity, pump, filters)
     columns = stripe.columns(_stripe_tables(stripe, cavity, filters, factor_mode))
@@ -375,6 +376,10 @@ def brightness_from_cavity(cavity, pump, filters, factor_mode="central_approx", 
     """Brightness of a cavity source via the adaptive stripe integral.
 
     The integrand is the cavity's S_SR, or S_DR when it reflects the pump.
+    threads > 1 runs the column chunks on a pool, bit for bit the serial B.
+    No sweep passes it (each shipped one ran slower on two threads); it
+    serves a heavy stripe (r2 = 0.99, sigma = 4.6e13 rad/s: 3.8-4.0 s on
+    two threads, 4.4-4.7 s on one) and bench/child.py's scaling check.
     """
     stripe, g = _stripe_columns(cavity, pump, filters, factor_mode, threads)
     return BrightnessResult(_plus_integral(stripe, g, cavity, pump) / pump.sigma)
@@ -396,33 +401,27 @@ def _no_cavity(cavity):
     return out
 
 
-def brightness_vs_sigma_sweep(
-    cavity, omega_p0, filters, sigma_list, r2_list, factor_mode="central_approx", threads=1
-):
+def brightness_vs_sigma_sweep(cavity, omega_p0, filters, sigma_list, r2_list,
+                              factor_mode="central_approx"):
     """Brightness vs pump bandwidth for a ladder of mirror-2 reflectivities.
 
     The pump is centered at omega_p0 (rad/s) and each row sets its width.
     Rows are (sigma, r2, B_norm); unity corresponds to the equivalent source
     without a cavity evaluated at the smallest requested sigma.
     """
-    sigma_ref = min(sigma_list)
     reference = brightness_from_cavity(
-        _no_cavity(cavity), PumpSpec(omega_p0, sigma_ref), filters, factor_mode, threads
-    ).value
+        _no_cavity(cavity), PumpSpec(omega_p0, min(sigma_list)), filters, factor_mode).value
     rows = []
     for r2 in r2_list:
         cav = cavity.with_mirror(2, "signal", magnitude=r2).with_mirror(2, "idler", magnitude=r2)
         for sigma in sigma_list:
-            b = brightness_from_cavity(
-                cav, PumpSpec(omega_p0, sigma), filters, factor_mode, threads
-            ).value
+            b = brightness_from_cavity(cav, PumpSpec(omega_p0, sigma), filters, factor_mode).value
             rows.append((float(sigma), float(r2), b / reference))
     return SweepTable(("sigma_rad_s", "r2", "B_norm"), rows)
 
 
-def plateau_brightness_vs_r2(
-    cavity, omega_p0, filters, r2_list, zero_sigma=None, factor_mode="central_approx", threads=1
-):
+def plateau_brightness_vs_r2(cavity, omega_p0, filters, r2_list, zero_sigma=None,
+                             factor_mode="central_approx"):
     """Plateau (small-sigma) brightness vs mirror-2 reflectivity.
 
     The pump is centered at omega_p0 (rad/s).  For each r2 > 0 its width is
@@ -442,17 +441,15 @@ def plateau_brightness_vs_r2(
         sigma = (zero_sigma if r2 == 0.0
                  else fwhm_to_sigma(mode_width(cav, filters[0].center, "signal")))
         swept_pump = PumpSpec(omega_p0, sigma)
-        reference = brightness_from_cavity(
-            _no_cavity(cavity), swept_pump, filters, factor_mode, threads
-        ).value
-        b = brightness_from_cavity(cav, swept_pump, filters, factor_mode, threads).value
+        reference = brightness_from_cavity(_no_cavity(cavity), swept_pump, filters,
+                                           factor_mode).value
+        b = brightness_from_cavity(cav, swept_pump, filters, factor_mode).value
         rows.append((float(r2), float(sigma), b / reference))
     return SweepTable(("r2", "sigma_rad_s", "B_norm"), rows)
 
 
-def brightness_vs_r1p_sweep(
-    cavity, omega_p0, filters, r1p_list, sigma_list, factor_mode="central_approx", threads=1
-):
+def brightness_vs_r1p_sweep(cavity, omega_p0, filters, r1p_list, sigma_list,
+                            factor_mode="central_approx"):
     """Doubly-resonant brightness vs pump reflectivity of mirror 1.
 
     The pump is centered at omega_p0 (rad/s) and each sigma of sigma_list
@@ -470,7 +467,7 @@ def brightness_vs_r1p_sweep(
     rows = []
     for sigma in sigma_list:
         swept_pump = PumpSpec(omega_p0, sigma)
-        stripe, g = _stripe_columns(single, swept_pump, filters, factor_mode, threads)
+        stripe, g = _stripe_columns(single, swept_pump, filters, factor_mode)
         reference = _plus_integral(stripe, g, single, swept_pump)
         for r1p in r1p_list:
             if r1p == 0.0:

@@ -7,8 +7,8 @@ Subcommands: jsi-sr, jsi-dr, marginal, temporal, brightness-sweep, design,
 airy.  jsi-sr and jsi-dr both write the cavity's JSI, jsi_dr.grid when it
 reflects the pump and jsi_sr.grid otherwise; temporal refuses such a cavity.
 --threads N (default: the CPUs this process may run on) spreads the
-blocked work of temporal and brightness-sweep over N threads without
-changing a bit of their output; the other subcommands run on one.  jsi-sr,
+blocked work of temporal over N threads without changing a bit of its
+output; the other subcommands run on one thread whatever N.  jsi-sr,
 jsi-dr and marginal stream the grid: the kernel's row blocks pass, in row
 order, through the marginal (marginal only) into gridfile.write_grid, the
 one grid writer, so no N^2 array is held and the bytes are those of the
@@ -145,7 +145,7 @@ def _cmd_brightness_sweep(cfg, out_dir, fmt, threads):
     paths = []
     for kind in cfg.sweep_kinds():
         sweep, omega_p0, arguments = cfg.sweep(kind)
-        table = sweep(cavity, omega_p0, filters, *arguments, factor_mode=factors, threads=threads)
+        table = sweep(cavity, omega_p0, filters, *arguments, factor_mode=factors)
         path = out_dir / f"brightness_{kind}.tsv"
         write_text(path, table.to_text(), _metadata(cfg, {"sweep": kind}))
         paths.append(path)
@@ -237,8 +237,8 @@ def _parser():
     parser.add_argument("--format", choices=("text", "binary"), default=None)
     parser.add_argument(
         "--threads", type=_thread_count, default=_available_cpus(), metavar="N",
-        help="worker threads for temporal and brightness-sweep (other subcommands use one); "
-             "the output does not depend on it (default: the available CPUs, %(default)s here)",
+        help="worker threads for temporal (other subcommands use one); the output does "
+             "not depend on it (default: the available CPUs, %(default)s here)",
     )
     return parser
 

@@ -444,7 +444,8 @@ def load_config(path, require=()):
     require lists section names that must be present for the intended
     subcommand; an empty or sectionless file is always an error.  Both
     section errors list the sections of require, or without it every known
-    section.
+    section.  A [pump] width that no sweep row reads is refused only when
+    require holds sweep: every other subcommand that loads a pump reads it.
     """
     listed = ", ".join(f"[{name}]" for name in require or _SCHEMA)
     needed = f"it needs {listed}" if require else f"known sections: {listed}"
@@ -509,7 +510,7 @@ def load_config(path, require=()):
         raise ConfigError("[filters] shape = none: this subcommand needs gaussian filters")
     if cfg.has("sweep"):
         _check_sweep_kinds(cfg)
-    for section, stem, why in _ignored_keys(cfg):
+    for section, stem, why in _ignored_keys(cfg, "sweep" in require):
         unit = units[section][stem]
         raise ConfigError(f"[{section}] {stem if unit is None else f'{stem}_{unit}'}: {why}")
     lo, hi = cfg.get("crystal", "window_lo_um"), cfg.get("crystal", "window_hi_um")
@@ -532,8 +533,8 @@ def _check_sweep_kinds(cfg):
         raise ConfigError(f"[sweep] kind = r1p needs [cavity] r2_pump = 1, got {r2_pump:g}")
 
 
-def _ignored_keys(cfg):
-    """(section, stem, reason) of each key that another setting makes the builders ignore."""
+def _ignored_keys(cfg, sweep_run):
+    """(section, stem, reason) of each key that another setting makes the run ignore."""
     if cfg.get("cavity", "solve_phases"):
         for stem in _SOLVED_PHASES:
             if cfg.has("cavity", stem):
@@ -560,7 +561,7 @@ def _ignored_keys(cfg):
         for stem in cfg.sections["sweep"]:
             if stem.endswith("_list") and stem not in read:
                 yield ("sweep", stem, f"kind = {' '.join(kinds)} reads no such list; drop the key")
-        if not any(cfg._reads_pump_width(kind) for kind in kinds):
+        if sweep_run and not any(cfg._reads_pump_width(kind) for kind in kinds):
             for stem in ("sigma", "fwhm"):
                 if cfg.has("pump", stem):
                     yield ("pump", stem, f"kind = {' '.join(kinds)} sets sigma in each row, "

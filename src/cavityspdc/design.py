@@ -143,8 +143,6 @@ def design_source(target, pin_cavity_length=None):
     sqrt_finesse = 2 * c / (cavity_length * n_signal * delta_omega)
     finesse = sqrt_finesse**2
     r2 = (finesse + 2 - 2 * np.sqrt(finesse + 1)) / finesse
-    if not r2 < 1.0:
-        raise InfeasibleDesignError("required mirror-2 reflectivity reaches unity")
 
     sigma_max = fwhm_to_sigma(delta_omega)
     return DesignResult(lambda_idler, cut_angle, cavity_length, r2, finesse, sigma_max)

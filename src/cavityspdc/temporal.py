@@ -40,8 +40,11 @@ The blocked loops -- the fill's omega_minus rows, stage two's spectrum
 rows and the marginal's t_minus rows -- cut their blocks by
 _parallel.blocks, one sample budget a block (rows of size_plus samples in
 the fill, size_minus in stage two), so none grows with the lattice, its
-padding or the thread count; their threads argument (default 1) sets only
-how many blocks are in flight.  The marginal's loop is
+padding or the thread count; their threads argument (default 1, the
+temporal subcommand's --threads) sets only how many blocks are in flight.
+These are the package's only pooled loops that a subcommand runs; the
+oracle jsa_singly_resonant_rotated fills its lattice on the caller's
+thread.  The marginal's loop is
 spectral._row_trapezoid, the one the spectral marginals run too.  Each
 block writes a disjoint slice of one preallocated output, and every row or
 column is computed alone whatever block holds it, so every result is bit
@@ -175,26 +178,23 @@ def _sr_rows(cavity, pump, filters, plus, minus):
     return rows_of
 
 
-def jsa_singly_resonant_rotated(cavity, pump, filters, omega_plus_axis, omega_minus_axis,
-                                threads=1):
+def jsa_singly_resonant_rotated(cavity, pump, filters, omega_plus_axis, omega_minus_axis):
     """Singly-resonant joint amplitude evaluated directly on a rotated lattice.
 
     Sampling the rotated axes directly avoids any resampling of a
     (omega_s, omega_i) grid, which would blur high-finesse combs.  The
-    lattice is filled in blocks of omega_minus rows, up to `threads` at
-    once, so the temporaries of the pointwise evaluation stay about one
-    block's per thread.  joint_temporal_intensity_from_cavity evaluates the same
-    rows without keeping them; this full lattice is its oracle.
+    lattice is filled on the caller's thread in blocks of omega_minus rows,
+    so the temporaries of the pointwise evaluation stay about one block's.
+    joint_temporal_intensity_from_cavity evaluates the same rows without
+    keeping them; this full lattice, which no subcommand forms, is its oracle.
     """
     plus = _check_uniform_axis(omega_plus_axis, "omega_plus_axis")
     minus = _check_uniform_axis(omega_minus_axis, "omega_minus_axis")
     rows_of = _sr_rows(cavity, pump, filters, plus, minus)
     values = np.empty((minus.size, plus.size), dtype=complex)
 
-    def fill(rows):
+    for rows in blocks(minus.size, plus.size):
         values[rows] = rows_of(rows)
-
-    map_blocks(threads, fill, blocks(minus.size, plus.size))
     return RotatedGrid(plus, minus, values)
 
 
@@ -228,6 +228,9 @@ def joint_temporal_intensity(rot, pad_plus=None, pad_minus=None, threads=1):
     amplitude over, joint_temporal_intensity(jsa_singly_resonant_rotated(...)),
     frees it before stage two; a caller that keeps rot gets the same result
     without that saving.  The values of the result are a transposed view.
+    threads sets the blocks in flight in both stages.  No subcommand calls
+    this function, but its pads are the one way to reach stage two's pooled
+    writes at small, custom transform sizes, where the tests check them.
     """
     d_plus, d_minus = rot.d_plus, rot.d_minus
     n_minus, n_plus = rot.values.shape

@@ -295,14 +295,6 @@ class TestSweepTable:
         assert lines[1].startswith("1")
         assert len(lines) == 3
 
-    def test_threaded_sweep_matches_serial(self, flat_cavity, pump, filters):
-        sigmas = [1e12, 4e12]
-        serial = cs.brightness_vs_sigma_sweep(flat_cavity, pump.omega_p0, filters, sigmas, [0.5])
-        threaded = cs.brightness_vs_sigma_sweep(
-            flat_cavity, pump.omega_p0, filters, sigmas, [0.5], threads=4
-        )
-        assert serial.rows == threaded.rows
-
 
 def _rate_factor(crystal, omega):
     n = cs.refractive_index(crystal, omega, "ordinary")

@@ -315,9 +315,16 @@ class TestDeterminismAndErrors:
         ("jsi-dr", (FIGS / "fig4.cfg").read_text().replace("fwhm_nm = 5", "fwhm_nm = 1e300"),
          "pump"),
         ("jsi-dr", (FIGS / "fig4.cfg").read_text().replace("1.417e13", "1e-3"), "grid"),
+        # a width or a grid key that the builder needs is missing
+        ("jsi-sr", SMALL_FIG2.replace("fwhm_nm = 5\n", ""), "pump"),
+        ("jsi-sr", SMALL_FIG2.replace("fwhm_nm = 30\n", ""), "filters"),
+        ("jsi-sr", SMALL_FIG2.replace("fwhm_nm = 30", "shape = none"), "grid"),
+        ("airy", SMALL_FIG2.replace("idler_center_nm = 800\n", ""), "grid"),
     ], ids=["cavity_shorter_than_crystal", "sellmeier_n2_below_one", "r1p_without_r2_pump_1",
             "pump_redder_than_signal", "unit_r2_in_a_sweep_list", "infinite_filter_width",
-            "infinite_pump_width", "grid_below_rounding"])
+            "infinite_pump_width", "grid_below_rounding", "pump_without_width",
+            "gaussian_filters_without_width", "no_filters_without_halfwidth",
+            "grid_without_idler_center"])
     def test_configuration_a_spec_refuses_is_a_config_error(self, tmp_path, capsys, subcommand,
                                                             text, section):
         cfg = tmp_path / "bad.cfg"
@@ -328,6 +335,16 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: module=config: [{section}] ") and err.count("\n") == 1
         assert not [path for path in out.rglob("*") if path.is_file()]
+
+    def test_design_needing_unit_reflectivity_is_a_design_error(self, tmp_path, capsys):
+        # a 1 uHz transition asks for a finesse whose r2 rounds to 1
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text((FIGS / "fig7.cfg").read_text().replace(
+            "transition_fwhm_hz = 20e6", "transition_fwhm_hz = 1e-6"))
+        capsys.readouterr()
+        assert run(["design", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "error: module=design: required mirror reflectivity 1.0 is not realizable\n")
 
     def test_physics_error_attributed(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -494,18 +511,32 @@ class TestThreads:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize(
-        "subcommand, fig", [("jsi-sr", "fig2"), ("jsi-dr", "fig3"), ("marginal", "fig2")]
-    )
-    def test_grid_subcommands_start_no_worker_thread(self, tmp_path, monkeypatch, subcommand,
-                                                     fig):
-        # the grid streams on the calling thread whatever --threads says
+    @pytest.mark.parametrize("subcommand, fig", [
+        ("jsi-sr", "fig2"), ("jsi-dr", "fig3"), ("marginal", "fig2"),
+        ("brightness-sweep", "fig5"), ("brightness-sweep", "fig6"),
+    ])
+    def test_grid_and_sweep_subcommands_start_no_worker_thread(self, tmp_path, monkeypatch,
+                                                               subcommand, fig):
+        # the grid streams, and the sweeps integrate their stripes, on the
+        # calling thread whatever --threads says
         def no_pool(*args, **kwargs):
-            raise AssertionError("a grid subcommand opened a thread pool")
+            raise AssertionError(f"{subcommand} opened a thread pool")
 
         monkeypatch.setattr(cavityspdc._parallel, "ThreadPoolExecutor", no_pool)
         assert run([subcommand, "--config", FIGS / f"{fig}.cfg", "--out", tmp_path,
                     "--threads", 3]) == 0
+
+    def test_temporal_runs_its_blocks_on_a_pool(self, fig2_cfg, tmp_path, monkeypatch):
+        workers = []
+
+        class CountingPool(cavityspdc._parallel.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                workers.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cavityspdc._parallel, "ThreadPoolExecutor", CountingPool)
+        assert run(["temporal", "--config", fig2_cfg, "--out", tmp_path, "--threads", 3]) == 0
+        assert max(workers) == 3
 
     # the grid ignores --threads, and the bytes show it
     @pytest.mark.parametrize(

@@ -6,7 +6,9 @@ Both runs must succeed, and the artifacts must differ once their headers are
 stripped (the headers hold the configuration hash, which any edit moves).  A
 Fails case is a key whose only effect is to stop the run with a physics
 error.  A Rejected case is a setting that another setting makes the builders
-ignore: load_config refuses it and names the key.  A new key therefore needs
+ignore: load_config refuses it and names the key, loading a configuration
+with a [sweep] as the sweep run does.  Only that run refuses a [pump] width
+that no sweep row reads.  A new key therefore needs
 a case here before the suite passes.
 """
 
@@ -14,7 +16,9 @@ from typing import NamedTuple
 
 import pytest
 
-from cavityspdc.cli import main
+from pathlib import Path
+
+from cavityspdc.cli import _SUBCOMMANDS, main
 from cavityspdc.config import _SCHEMA, load_config
 from cavityspdc.errors import ConfigError
 
@@ -269,8 +273,9 @@ def test_key_changes_a_result_or_is_rejected(section, stem, case, base_run, tmp_
     config = edited(case.base, case.edit)
     if isinstance(case, Rejected):
         (tmp_path / "run.cfg").write_text(render(config))
+        require = ("sweep",) if "sweep" in config else ()
         with pytest.raises(ConfigError, match=rf"\[{section}\] {stem}"):
-            load_config(tmp_path / "run.cfg")
+            load_config(tmp_path / "run.cfg", require)
         return
     base_code, base_artifacts = base_run(case.subcommand, case.base)
     assert base_code == 0
@@ -336,6 +341,21 @@ def test_plateau_without_its_list_is_a_config_error(tmp_path):
     path.write_text(render(edited(SWEEP, {"sweep": {"plateau_r2_list": None}})))
     with pytest.raises(ConfigError, match=r"plateau_r2_list in \[sweep\]"):
         load_config(path)
+
+
+@pytest.mark.parametrize("subcommand", sorted(set(_SUBCOMMANDS) - {"design"}))
+def test_only_the_sweep_refuses_a_pump_width_no_sweep_row_reads(subcommand, tmp_path):
+    # fig5 without its r2 = 0 plateau row: no sweep row reads [pump] fwhm_nm,
+    # which every other subcommand that loads the pump reads
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "fig5.cfg"
+    path = tmp_path / "fig5.cfg"
+    path.write_text(shipped.read_text().replace("plateau_r2_list = 0.0 ", "plateau_r2_list = "))
+    require = _SUBCOMMANDS[subcommand][1]
+    if subcommand != "brightness-sweep":
+        assert load_config(path, require).has("pump", "fwhm")
+        return
+    with pytest.raises(ConfigError, match=r"\[pump\] fwhm_nm: kind = sigma_r2 plateau_r2 sets "):
+        load_config(path, require)
 
 
 @pytest.mark.parametrize("kind, says", [("r1p bogus", "[sweep] kind"),

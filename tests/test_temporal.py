@@ -65,16 +65,14 @@ class TestRotation:
         assert minus_extent > 2 * plus_extent
 
     def test_blocks_match_full_lattice_evaluation(self, monkeypatch, sr_cavity, pump, filters):
-        # three full blocks of minus rows and a ragged fourth, the same blocks
-        # on one thread and three
+        # three full blocks of minus rows and a ragged fourth
         rows, n_plus = 20, 37
         block_rows(monkeypatch, rows, n_plus)
         plus, minus = sr_lattice(3 * rows + 11, n_plus, pump, filters)
         mm, pp = np.meshgrid(minus, plus, indexing="ij")
         full = _jsa_sr_pointwise(sr_cavity, pump, filters, (pp + mm) / 2.0, (pp - mm) / 2.0)
-        for threads in (1, 3):
-            rot = cs.jsa_singly_resonant_rotated(sr_cavity, pump, filters, plus, minus, threads)
-            assert np.array_equal(rot.values, full)
+        rot = cs.jsa_singly_resonant_rotated(sr_cavity, pump, filters, plus, minus)
+        assert np.array_equal(rot.values, full)
 
     def test_non_uniform_axis_rejected(self):
         # uneven, or not finite on either axis
