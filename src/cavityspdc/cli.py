@@ -110,6 +110,7 @@ def _cmd_temporal(cfg, out_dir, fmt, threads):
     )
     tgrid = joint_temporal_intensity_from_cavity(cavity, pump, filters, plus, minus, threads)
     marg = time_difference_marginal(tgrid, threads=threads)
+    del tgrid  # the transform's buffer is freed before the text writer's blocks are formed
     peaks = extract_peaks(marg.axis, marg.density, cfg.get("temporal", "min_prominence"))
     t_c = correlation_time(peaks)
     spacing = _median(np.diff(peaks.positions))

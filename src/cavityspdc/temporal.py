@@ -34,7 +34,11 @@ the one being written, so no write lands on an unread row.  The intensity
 is returned as a transposed view, bit for bit fftshift(|fft2|^2).
 joint_temporal_intensity_from_cavity is the temporal subcommand's route;
 joint_temporal_intensity feeds the same stages from the rows of a
-RotatedGrid.
+RotatedGrid.  The two that evaluate a lattice,
+joint_temporal_intensity_from_cavity and jsa_singly_resonant_rotated,
+check its corners against the Sellmeier window before they allocate for
+it, so a lattice that leaves the window raises DispersionWindowError
+rather than asking for its buffer.
 
 The blocked loops -- the fill's omega_minus rows, stage two's spectrum
 rows and the marginal's t_minus rows -- cut their blocks by
@@ -59,6 +63,7 @@ import numpy as np
 
 from ._parallel import blocks, map_blocks, stream_blocks
 from .cavity import group_round_trip_time, mode_width
+from .dispersion import _check_window
 from .errors import EmptyPeakSetError
 from .spectral import Marginal, _check_lattice, _jsa_sr_pointwise, _row_trapezoid
 from .spectral import check_uniform_axis as _check_uniform_axis
@@ -169,7 +174,17 @@ def rotated_lattice_axes(cavity, pump, filters, omega_s0, omega_i0, per_width, m
 
 
 def _sr_rows(cavity, pump, filters, plus, minus):
-    """rows -> the singly-resonant amplitude on the omega_minus rows `rows` of the lattice."""
+    """rows -> the singly-resonant amplitude on the omega_minus rows `rows` of the lattice.
+
+    The pre-flight: the signal, idler and pump frequencies of the lattice
+    reach their extremes at its corners, its omega_plus ends at its
+    omega_minus ends.  They are computed as the rows compute them and
+    checked against the Sellmeier window here, so a caller that allocates
+    for the rows after this call never allocates for a lattice outside it.
+    """
+    ends_plus, ends_minus = plus[[0, -1]], minus[[0, -1], None]
+    omega_s, omega_i = (ends_plus + ends_minus) / 2.0, (ends_plus - ends_minus) / 2.0
+    _check_window(cavity.crystal, (omega_s, omega_i, omega_s + omega_i))
 
     def rows_of(rows):
         mm = minus[rows, None]

@@ -381,6 +381,23 @@ class TestDeterminismAndErrors:
             "error: module=dispersion: angular frequency outside the Sellmeier validity window"
         )
 
+    def test_temporal_refuses_a_lattice_outside_the_window_before_allocating_it(
+            self, tmp_path, capsys):
+        # a 9.93 nm pump puts omega_plus near 1.9e17 rad/s, far above BBO's
+        # window; the lattice it sizes would need a 23.2 GiB transform buffer
+        cfg = tmp_path / "uv.cfg"
+        cfg.write_text((FIGS / "fig2.cfg").read_text().replace(
+            "wavelength_nm = 400", "wavelength_nm = 9.93"))
+        capsys.readouterr()
+        peak, code = traced_peak(lambda: run(["temporal", "--config", cfg,
+                                              "--out", tmp_path / "o", "--threads", 2]))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: module=dispersion: angular frequency outside the Sellmeier validity window"
+        ) and err.count("\n") == 1
+        assert peak < 64 * 2**20  # the two lattice axes, not the buffer
+
     def test_low_finesse_lattice_holds_twenty_round_trips(self, tmp_path):
         # r2 = 0.3 at 2 samples per mode width: a step of half the mode
         # width would give a t_minus window of about 10 round trips

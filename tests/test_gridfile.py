@@ -1,12 +1,17 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import cavityspdc as cs
+import cavityspdc._parallel
+from cavityspdc import gridfile
 from cavityspdc.errors import ConfigError
 from cavityspdc.gridfile import config_hash, read_grid, write_columns, write_grid
 from cavityspdc.spectral import GridStream
+
+from conftest import traced_peak
 
 
 @pytest.fixture()
@@ -138,6 +143,48 @@ def test_text_rows_format_each_number_as_its_own_17g(tmp_path):
     expect = [f"{a:.17g} {b:.17g}" for a, b in values.reshape(-1, 2).tolist()]
     assert len(lines) == len(expect)
     assert [k for k, (got, want) in enumerate(zip(lines, expect)) if got != want] == []
+
+
+def _percent_17g(rows):
+    """The bytes the per-row '%' line writes: each number of a row at "%.17g"."""
+    line = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "".join(line % tuple(row) for row in rows.tolist()).encode()
+
+
+def test_only_rows_the_kernel_cannot_prove_take_the_fallback(tmp_path):
+    # a nan, a subnormal and an exact tie (100000000000000.125 lies halfway
+    # between two 17-digit decimals) each send their row, and only it, to
+    # the per-row "%.17g" line; the file keeps the bytes of that line alone
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((12, 5)) * 10.0 ** rng.integers(-8, 8, (12, 5))
+    values[2, 4], values[7, 0], values[8, 3] = np.nan, 5e-324, 100000000000000.125
+    values[10] = [0.0, -0.0, 1e-280, 1e280, 1e16]  # 0 and the range's ends are provable
+    path = tmp_path / "c.dat"
+    with mock.patch.object(gridfile, "_row_17g", wraps=gridfile._row_17g) as fallback:
+        write_columns(path, values.T, list("abcde"))
+    assert [call.args[0].tobytes() for call in fallback.call_args_list] == [
+        values[r].tobytes() for r in (2, 7, 8)]
+    assert path.read_bytes().split(b"#end\n", 1)[1] == _percent_17g(values)
+
+
+def test_text_grid_working_set_is_one_block(tmp_path):
+    # a 1024^2 text grid streamed in 32-row blocks: the writer holds one
+    # block of _parallel's 2**15 samples at a time, whose 45-byte records,
+    # keep-mask, compress index (8 bytes a kept byte, 25 a number here, the
+    # most) and numeric temporaries peaked at 350 bytes a sample; the bound
+    # allows 400.  A record matrix of the whole grid would take 47 MB alone.
+    axis = np.linspace(2.0e15, 2.5e15, 1024)
+
+    def rows():
+        rng = np.random.default_rng(3)
+        for _ in range(32):
+            # 25 bytes a number, the longest "%.17g" of the provable range
+            yield -rng.random((32, 1024)) * 10.0 ** rng.uniform(-270, -100, (32, 1024))
+
+    path = tmp_path / "g.txt"
+    peak, _ = traced_peak(lambda: write_grid(GridStream(axis, axis, rows()), path, "text"))
+    assert path.stat().st_size > 24 * 1024**2
+    assert peak <= 400 * cavityspdc._parallel._BLOCK_SAMPLES
 
 
 def test_complex_grid_rejected(tmp_path):

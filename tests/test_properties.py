@@ -4,6 +4,7 @@ The hypothesis profile registered in conftest derandomizes the examples, so
 every run draws the same inputs.
 """
 
+import io
 import re
 import tempfile
 from pathlib import Path
@@ -20,7 +21,7 @@ from cavityspdc.cli import main
 from cavityspdc.config import load_config
 from cavityspdc.constants import c
 from cavityspdc.doubly_resonant import _pump_passes
-from cavityspdc.gridfile import read_grid
+from cavityspdc.gridfile import _write_rows, read_grid
 from cavityspdc.spectral import _jsa_sr_pointwise, _row_trapezoid, _sr_ratio
 
 from conftest import OMEGA_800, OUT_OF_MODEL_DR_MIRRORS, THETA_DEGENERATE
@@ -350,3 +351,43 @@ def test_frequency_suffixes_write_the_numbers_of_the_nm_config(r2, centers_nm, w
             marginal_hz = np.loadtxt(tmp / "freq" / "marginal_signal.dat")
             scale = np.max(np.abs(marginal_nm), axis=0)
             assert np.all(np.max(np.abs(marginal_hz - marginal_nm), axis=0) <= 1e-13 * scale)
+
+
+# float64 bit patterns: sign, exponent field and mantissa, the exponent
+# field as often from the kernel's provable range [1e-280, 1e280] as from
+# all of it (0 for zeros and subnormals, 2047 for inf and nan); and
+# hypothesis' floats (round, boundary and special values) as bits
+float64_bits = st.one_of(
+    st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+              st.integers(0, 1), st.one_of(st.integers(94, 1952), st.integers(0, 2047)),
+              st.integers(0, 2**52 - 1)),
+    st.floats(width=64).map(lambda v: int(np.float64(v).view(np.uint64))),
+)
+
+
+@st.composite
+def float64_blocks(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    bits = draw(st.lists(float64_bits, min_size=rows * cols, max_size=rows * cols))
+    return np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, cols)
+
+
+_POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-20, 26)])
+
+
+@given(float64_blocks())
+# exact ties between two 17-digit decimals, which round to even
+@example(np.array([[100000000000000.125, 100000000000000.375, -100000000000000.625]]))
+# each power of ten between two of its neighbours
+@example(np.stack([np.nextafter(_POWERS_OF_TEN, 0), _POWERS_OF_TEN,
+                   np.nextafter(_POWERS_OF_TEN, np.inf)], axis=1))
+# the fixed/scientific boundaries (1e-4 and 1e17 at 17 digits) and the normal range's ends
+@example(np.array([[9.9999999999999995e-05, 99999999999999999.0, 1e17, 1e-4],
+                   [1.7976931348623157e308, 2.2250738585072014e-308, -1.7976931348623157e308,
+                    -2.2250738585072014e-308]]))
+def test_text_rows_are_each_numbers_17g(values):
+    # the vectorized text writer gives the bytes of Python's "%.17g" join
+    out = io.BytesIO()
+    _write_rows(out, values)
+    expect = "".join(" ".join("%.17g" % v for v in row) + "\n" for row in values.tolist())
+    assert out.getvalue() == expect.encode()
